@@ -90,15 +90,10 @@ class WienerEqualizer:
 
 
 def _training_regressors(received: np.ndarray, n_training: int, ns: int, n_w: int):
-    """Stack one length-n_w regressor per training symbol."""
+    """Stack one length-n_w regressor per symbol; zero past the end."""
     received = np.asarray(received, dtype=complex)
-    frames = np.empty((n_training, n_w), dtype=complex)
-    for k in range(n_training):
-        start = k * ns
-        chunk = received[start : start + n_w]
-        frames[k, : chunk.size] = chunk
-        frames[k, chunk.size :] = 0.0
-    return frames
+    # contiguous rows keep the matmuls that follow on their BLAS path
+    return np.ascontiguousarray(_kernels.frames(received, n_training, ns, n_w))
 
 
 def estimate_correlations(

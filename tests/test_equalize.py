@@ -110,6 +110,48 @@ def test_wiener_beats_taps_on_isi_channel():
     assert mse_w < mse_raw
 
 
+def row_loop_regressors(received, n_training, ns, n_w):
+    """Reference stacking: one regressor row at a time, zero past the end."""
+    received = np.asarray(received, dtype=complex)
+    frames = np.empty((n_training, n_w), dtype=complex)
+    for k in range(n_training):
+        chunk = received[k * ns : k * ns + n_w]
+        frames[k, : chunk.size] = chunk
+        frames[k, chunk.size :] = 0.0
+    return frames
+
+
+@pytest.mark.parametrize("n_training, ns, n_w, size", [
+    (300, 1, 5, 304),  # exact fit
+    (300, 2, 6, 590),  # the last rows run past the end: zero tail
+    (40, 3, 4, 2),  # input shorter than one row
+    (0, 2, 3, 10),  # no rows
+])
+def test_training_regressors_match_row_loop(n_training, ns, n_w, size):
+    rng = np.random.default_rng(size)
+    rx = rng.normal(size=size) + 1j * rng.normal(size=size)
+    frames = equalize._training_regressors(rx, n_training, ns, n_w)
+    ref = row_loop_regressors(rx, n_training, ns, n_w)
+    assert frames.flags.c_contiguous
+    assert (frames.dtype, frames.shape) == (ref.dtype, ref.shape)
+    assert frames.tobytes() == ref.tobytes()
+
+
+def test_linear_mud_and_wiener_mse_unchanged_by_regressor_stacking():
+    # bit-identical to the same products on the row-loop frames, including
+    # zero-padded tail rows (300 symbols * 2 + 6 taps > 590 samples)
+    rng = np.random.default_rng(30)
+    rx = rng.normal(size=590) + 1j * rng.normal(size=590)
+    sym = sigproc.modulate(sigproc.random_bits(600, 31), sigproc.OQPSK)[:300]
+    taps = rng.normal(size=6) + 1j * rng.normal(size=6)
+    weq = equalize.WienerEqualizer(taps, np.eye(6), taps)
+    ref = row_loop_regressors(rx, 300, 2, 6) @ taps
+    rep = equalize.linear_mud_detect(rx, weq, sigproc.OQPSK, 300, 2)
+    assert rep.soft.tobytes() == ref.tobytes()
+    mse = float(np.mean(np.abs(sym - ref) ** 2))
+    assert equalize.wiener_mse(taps, rx, sym, 2) == mse
+
+
 def test_dfe_zero_isi_has_negligible_feedback():
     sym = bpsk_symbols(3000, 11)
     eq = equalize.dfe_train(sym, sym, nf=1, nb=2, ridge=1e-9)
