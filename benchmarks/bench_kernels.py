@@ -1,10 +1,9 @@
-"""Time the active receiver kernels against a baseline on identical inputs.
+"""Time the receiver kernels against their per-step references.
 
-Run with ``python benchmarks/bench_kernels.py``.  It prints which kernel
-path is active and why.  With numba the baseline is the numpy fallback;
-without it the baseline is the per-step reference (``equalize.cma_step``
-per step, a scalar per-symbol DFE loop; see ``tests/kernel_reference.py``).
-Outputs must be bit-identical to the baseline's.
+Run with ``python benchmarks/bench_kernels.py``.  Each kernel in
+``bansim._kernels`` runs on the same inputs as its per-step reference
+(``equalize.cma_step`` per step, a scalar per-symbol DFE loop; see
+``tests/kernel_reference.py``), and the outputs must be bit-identical.
 """
 
 import os
@@ -21,20 +20,6 @@ from kernel_reference import (  # noqa: E402
     cma_reference, dfe_reference, dse_cma_reference)
 
 
-def kernel_path():
-    """The active kernel path and the reason it was chosen."""
-    if _kernels.USE_NUMBA:
-        import numba
-        return "numba", f"numba {numba.__version__} imported"
-    if os.environ.get("BANSIM_NO_NUMBA", "0") == "1":
-        return "numpy fallback", "BANSIM_NO_NUMBA=1 is set"
-    try:
-        import numba  # noqa: F401
-    except ImportError as exc:
-        return "numpy fallback", f"numba ImportError: {exc}"
-    return "numpy fallback", "numba ImportError"
-
-
 def timeit(fn, *args, repeats=3):
     best = float("inf")
     out = None
@@ -45,14 +30,12 @@ def timeit(fn, *args, repeats=3):
     return best, out
 
 
-def compare(baseline, active, args):
-    if _kernels.USE_NUMBA:
-        active(*args)  # warm the JIT cache before timing
-    t_base, out_base = timeit(baseline, *args)
-    t_active, out_active = timeit(active, *args)
-    for a, b in zip(out_base, out_active):
+def compare(reference, kernel, args):
+    t_ref, out_ref = timeit(reference, *args)
+    t_kernel, out_kernel = timeit(kernel, *args)
+    for a, b in zip(out_ref, out_kernel):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    return t_base, t_active
+    return t_ref, t_kernel
 
 
 def bench_cma(iterations=50_000, nf=13, stride=3):
@@ -62,8 +45,7 @@ def bench_cma(iterations=50_000, nf=13, stride=3):
     taps = np.zeros(nf, dtype=np.complex128)
     taps[nf // 2] = 1.0
     args = (received, taps, 3e-4, 1.32, iterations, stride)
-    baseline = _kernels._cma_run_py if _kernels.USE_NUMBA else cma_reference
-    return ("cma_run",) + compare(baseline, _kernels.cma_run, args)
+    return ("cma_run",) + compare(cma_reference, _kernels.cma_run, args)
 
 
 def bench_dse_cma(iterations=50_000, nf=13, stride=3):
@@ -74,9 +56,8 @@ def bench_dse_cma(iterations=50_000, nf=13, stride=3):
     taps[nf // 2] = 1.0
     dither = rng.uniform(size=2 * iterations)
     args = (received, taps, 3e-4, 1.32, 1.32, dither, iterations, stride)
-    baseline = (_kernels._dse_cma_run_py if _kernels.USE_NUMBA
-                else dse_cma_reference)
-    return ("dse_cma_run",) + compare(baseline, _kernels.dse_cma_run, args)
+    return ("dse_cma_run",) + compare(dse_cma_reference, _kernels.dse_cma_run,
+                                      args)
 
 
 def bench_dfe(n_sym=200_000, nf=6, nb=3, ns=2):
@@ -88,22 +69,18 @@ def bench_dfe(n_sym=200_000, nf=6, nb=3, ns=2):
     constellation = np.array([1.0 + 0j, -1.0 + 0j])
     history = np.zeros(nb, dtype=np.complex128)
     args = (received, w_ff, w_fb, constellation, history, ns, n_sym)
-    baseline = _kernels._dfe_detect_py if _kernels.USE_NUMBA else dfe_reference
-    return ("dfe_detect_run",) + compare(baseline, _kernels.dfe_detect_run,
+    return ("dfe_detect_run",) + compare(dfe_reference, _kernels.dfe_detect_run,
                                          args)
 
 
 def main():
-    path, reason = kernel_path()
-    baseline = "numpy fallback" if _kernels.USE_NUMBA else "per-step reference"
-    print(f"active kernel path: {path} ({reason})")
-    print(f"{'kernel':<16}{'baseline (s)':>14}{'active (s)':>12}"
+    print(f"{'kernel':<16}{'reference (s)':>15}{'kernel (s)':>12}"
           f"{'speedup':>9}")
     for bench in (bench_cma, bench_dse_cma, bench_dfe):
-        name, t_base, t_active = bench()
-        print(f"{name:<16}{t_base:>14.4f}{t_active:>12.4f}"
-              f"{t_base / t_active:>8.1f}x")
-    print(f"baseline: {baseline}; outputs bit-identical")
+        name, t_ref, t_kernel = bench()
+        print(f"{name:<16}{t_ref:>15.4f}{t_kernel:>12.4f}"
+              f"{t_ref / t_kernel:>8.1f}x")
+    print("outputs bit-identical to the per-step references")
 
 
 if __name__ == "__main__":

@@ -1,23 +1,23 @@
 """Sequential inner loops for the adaptive receivers.
 
 CMA/DSE-CMA adaptation and decision-feedback detection are step-by-step
-recursions, JIT-compiled with numba when it imports.  Without numba, or with
-``BANSIM_NO_NUMBA=1``, the numpy fallback runs: it vectorizes the work
-outside the recursion (feedforward filtering, regressor windows, dither)
-and is bit-identical to the per-step reference (``equalize.cma_step`` and a
-scalar per-symbol DFE loop).  ``benchmarks/bench_kernels.py`` times the
-active path against those references or, with numba, against the fallback.
+recursions.  They run on numpy, vectorized outside the recursion
+(feedforward filtering, regressor windows, dither), and are bit-identical
+to the per-step reference (``equalize.cma_step`` and a scalar per-symbol
+DFE loop).  ``benchmarks/bench_kernels.py`` times them against those
+references.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-USE_NUMBA = os.environ.get("BANSIM_NO_NUMBA", "0") != "1"
+# One numpy implementation and no numba JIT path; tools that report which
+# kernel path ran read this flag.
+USE_NUMBA = False
 
 DIVERGENCE_LIMIT = 1.0e3
 
@@ -43,7 +43,7 @@ def _sign(x):
     return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0 if x == 0.0 else x
 
 
-def _blind_run_py(received, taps, mu, r2, max_steps, stride, dse=None):
+def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
     """CMA, or DSE-CMA when ``dse`` is ``(alpha_d, dither_u)``.
 
     Keeps np.vdot and the numpy tap update ``taps + gain * reg`` of the
@@ -82,17 +82,16 @@ def _blind_run_py(received, taps, mu, r2, max_steps, stride, dse=None):
     return np.array(y, dtype=np.complex128), taps, -1
 
 
-def _cma_run_py(received, taps, mu, r2, max_steps, stride):
-    return _blind_run_py(received, taps, mu, r2, max_steps, stride)
+def cma_run(received, taps, mu, r2, max_steps, stride):
+    return _blind_run(received, taps, mu, r2, max_steps, stride)
 
 
-def _dse_cma_run_py(received, taps, mu, r2, alpha_d, dither_u, max_steps,
-                    stride):
-    return _blind_run_py(received, taps, mu, r2, max_steps, stride,
-                         (alpha_d, dither_u))
+def dse_cma_run(received, taps, mu, r2, alpha_d, dither_u, max_steps, stride):
+    return _blind_run(received, taps, mu, r2, max_steps, stride,
+                      (alpha_d, dither_u))
 
 
-def _dfe_detect_py(received, w_ff, w_fb, constellation, history, stride,
+def dfe_detect_run(received, w_ff, w_fb, constellation, history, stride,
                    n_sym):
     # Feedforward for every symbol at once.  The feedforward window advances
     # by stride samples per symbol and may span several symbol periods;
@@ -127,93 +126,3 @@ def _dfe_detect_py(received, w_ff, w_fb, constellation, history, stride,
     decisions = constellation[np.array(labels, dtype=np.intp)]
     return (np.array(soft, dtype=np.complex128), decisions,
             np.array(hist, dtype=np.complex128))
-
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _cma_run_jit(received, taps, mu, r2, max_steps, stride):
-        nf = taps.size
-        y = np.empty(max_steps, dtype=np.complex128)
-        f = taps.copy()
-        for n in range(max_steps):
-            base = n * stride
-            yn = 0.0 + 0.0j
-            for i in range(nf):
-                yn += np.conj(f[i]) * received[base + nf - 1 - i]
-            y[n] = yn
-            if abs(yn) > DIVERGENCE_LIMIT:
-                return y[:n + 1], f, n
-            err = yn * (r2 - abs(yn) ** 2)
-            ce = np.conj(err)
-            for i in range(nf):
-                f[i] += mu * ce * received[base + nf - 1 - i]
-        return y, f, -1
-
-    @njit(cache=True)
-    def _dse_cma_run_jit(received, taps, mu, r2, alpha_d, dither_u, max_steps,
-                         stride):
-        nf = taps.size
-        y = np.empty(max_steps, dtype=np.complex128)
-        f = taps.copy()
-        for n in range(max_steps):
-            base = n * stride
-            yn = 0.0 + 0.0j
-            for i in range(nf):
-                yn += np.conj(f[i]) * received[base + nf - 1 - i]
-            y[n] = yn
-            if abs(yn) > DIVERGENCE_LIMIT:
-                return y[:n + 1], f, n
-            err = yn * (r2 - abs(yn) ** 2)
-            d_r = alpha_d * np.sin(2.0 * np.pi * dither_u[2 * n])
-            d_i = alpha_d * np.sin(2.0 * np.pi * dither_u[2 * n + 1])
-            psi = alpha_d * (np.sign(err.real + d_r) + 1j * np.sign(err.imag + d_i))
-            cp = np.conj(psi)
-            for i in range(nf):
-                f[i] += mu * cp * received[base + nf - 1 - i]
-        return y, f, -1
-
-    @njit(cache=True)
-    def _dfe_detect_jit(received, w_ff, w_fb, constellation, history, stride,
-                        n_sym):
-        nf = w_ff.size
-        nb = w_fb.size
-        decisions = np.empty(n_sym, dtype=np.complex128)
-        soft = np.empty(n_sym, dtype=np.complex128)
-        hist = history.copy()
-        for k in range(n_sym):
-            xk = 0.0 + 0.0j
-            for i in range(nf):
-                idx = k * stride + i
-                if idx < received.size:
-                    xk += w_ff[i] * received[idx]
-            for b in range(nb):
-                xk += w_fb[b] * hist[b]
-            soft[k] = xk
-            best = 0
-            best_d = abs(xk - constellation[0])
-            for m in range(1, constellation.size):
-                d = abs(xk - constellation[m])
-                if d < best_d:
-                    best_d = d
-                    best = m
-            decisions[k] = constellation[best]
-            if nb > 0:
-                for b in range(nb - 1, 0, -1):
-                    hist[b] = hist[b - 1]
-                hist[0] = decisions[k]
-        return soft, decisions, hist
-
-    cma_run = _cma_run_jit
-    dse_cma_run = _dse_cma_run_jit
-    dfe_detect_run = _dfe_detect_jit
-else:
-    cma_run = _cma_run_py
-    dse_cma_run = _dse_cma_run_py
-    dfe_detect_run = _dfe_detect_py

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sigproc import noise_sigma  # noqa: F401  (re-exported for harness use)
-
 
 def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
     """Derive n independent seed streams; accepts ints or SeedSequences."""
@@ -53,16 +51,6 @@ class ChannelImpulseResponse:
         """Cluster index of each bin (bins before the first cluster get -1)."""
         starts = np.asarray(self.cluster_starts)
         return np.searchsorted(starts, np.arange(self.taps.size), side="right") - 1
-
-    def to_csv(self) -> str:
-        lines = ["bin,delay_ns,re,im,cluster_id"]
-        ids = self.cluster_ids()
-        for k, tap in enumerate(self.taps):
-            lines.append(
-                f"{k},{k * self.bin_size_ns:.6g},{tap.real:.12g},"
-                f"{tap.imag:.12g},{ids[k]}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -227,8 +215,8 @@ def gen_indoor_ban(
 
 
 def path_loss_db(d_m: float, params: PathLossParams, seed=None) -> float:
-    if d_m <= 0:
-        raise ValueError("distance must be positive")
+    if not 0.0 < d_m < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"distance must be finite and positive, got {d_m}")
     loss = params.a0_db + 10.0 * params.exponent * np.log10(d_m / params.d0_m)
     if seed is not None and params.sigma_db > 0:
         rng = np.random.default_rng(seed)
@@ -293,42 +281,3 @@ def apply_channel(
         up[::samples_per_symbol] = signal
         signal = up
     return np.convolve(signal, cir.taps)
-
-
-# ---------------------------------------------------------------------------
-# flat key-value parameter files:  one `key = value` per line, `#` comments
-
-
-def parse_param_text(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-_BAN_FIELDS = {f: float for f in (
-    "delta_ns", "num_bins_per_cluster", "gamma_cluster_db_per_ns",
-    "gamma_ray_db_per_ns", "sigma_cluster_db", "sigma_ray_db",
-    "mean_cluster_interarrival_ns", "tau_ground_ns", "shadowing_sigma_db",
-)}
-
-
-def ban_params_from_text(text: str) -> BanModelParams:
-    raw = parse_param_text(text)
-    kwargs: dict = {}
-    for key, value in raw.items():
-        if key == "position":
-            kwargs[key] = value
-        elif key == "num_bins_per_cluster":
-            kwargs[key] = int(value)
-        elif key in _BAN_FIELDS:
-            kwargs[key] = float(value)
-        else:
-            raise ValueError(f"unknown BAN parameter {key!r}")
-    return BanModelParams(**kwargs)

@@ -242,27 +242,30 @@ def run_la_sim(cfg: ScenarioConfig):
         sec.get("tx_power_dbm", [0.0] * len(distances)))]
     if len(tx_powers) != len(distances):
         raise ConfigError("tx_power_dbm and distance_m must have equal length")
-    pl = channels.PathLossParams(
-        a0_db=float(sec.get("a0_db", 35.2)),
-        d0_m=float(sec.get("d0_m", 0.1)),
-        exponent=float(sec.get("exponent", 3.11)),
-        sigma_db=float(sec.get("sigma_db", 0.0)),
-    )
-    thresholds = linkadapt.LaThresholds(
-        th_snr_db=float(sec.get("th_snr_db", 15.0)),
-        th_pf=float(sec.get("th_pf", 0.1)),
-        p_rmin_dbm=float(sec.get("p_rmin_dbm", -85.0)),
-        ci_min_db=tuple(float(v) for v in _as_list(
-            sec.get("ci_min_db", [-5.0, 0.0, 5.0, 10.0]))),
-    )
-    nodes = [linkadapt.LaNode(i, p, d)
-             for i, (p, d) in enumerate(zip(tx_powers, distances))]
-    trace = linkadapt.simulate_la(
-        nodes, rounds, pl, thresholds, cfg.seed,
-        window=int(sec.get("window", linkadapt.DEFAULT_FAILURE_WINDOW)),
-        noise_floor_dbm=float(sec.get("noise_floor_dbm",
-                                      linkadapt.DEFAULT_NOISE_FLOOR_DBM)),
-    )
+    try:
+        pl = channels.PathLossParams(
+            a0_db=float(sec.get("a0_db", 35.2)),
+            d0_m=float(sec.get("d0_m", 0.1)),
+            exponent=float(sec.get("exponent", 3.11)),
+            sigma_db=float(sec.get("sigma_db", 0.0)),
+        )
+        thresholds = linkadapt.LaThresholds(
+            th_snr_db=float(sec.get("th_snr_db", 15.0)),
+            th_pf=float(sec.get("th_pf", 0.1)),
+            p_rmin_dbm=float(sec.get("p_rmin_dbm", -85.0)),
+            ci_min_db=tuple(float(v) for v in _as_list(
+                sec.get("ci_min_db", [-5.0, 0.0, 5.0, 10.0]))),
+        )
+        nodes = [linkadapt.LaNode(i, p, d)
+                 for i, (p, d) in enumerate(zip(tx_powers, distances))]
+        trace = linkadapt.simulate_la(
+            nodes, rounds, pl, thresholds, cfg.seed,
+            window=int(sec.get("window", linkadapt.DEFAULT_FAILURE_WINDOW)),
+            noise_floor_dbm=float(sec.get("noise_floor_dbm",
+                                          linkadapt.DEFAULT_NOISE_FLOOR_DBM)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad [la_sim] section: {exc}") from None
     table = _table(cfg, ["round", "node", "rate_level", "snr_db", "p_f", "received"])
     for row in trace:
         table.append(row.round, row.node, row.rate_level,

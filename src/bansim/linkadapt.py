@@ -49,19 +49,19 @@ def _db_to_linear(db: float) -> float:
 
 
 def packet_received(
-    node: LaNode,
+    p_r_dbm: float,
     interference_power_dbm: float,
-    pl: PathLossParams,
+    rate_level: int,
     thresholds: LaThresholds,
-    seed=None,
 ) -> bool:
-    p_r = node.tx_power_dbm - path_loss_db(node.distance_m, pl, seed)
-    if p_r <= thresholds.p_rmin_dbm:
+    """Reception at ``rate_level``: power above sensitivity and C/I at least
+    that rate's threshold; ``-inf`` interference means none."""
+    if p_r_dbm <= thresholds.p_rmin_dbm:
         return False
     if interference_power_dbm == float("-inf"):
         return True
-    ci_db = p_r - interference_power_dbm
-    return ci_db >= thresholds.ci_min_db[node.rate_level]
+    ci_db = p_r_dbm - interference_power_dbm
+    return bool(ci_db >= thresholds.ci_min_db[rate_level])
 
 
 def la_update(node: LaNode, measured_snr_db: float, thresholds: LaThresholds) -> LaNode:
@@ -100,7 +100,7 @@ def simulate_la(
         # every node transmits each round; shadowing redrawn per (round, node)
         received_powers = []
         for node in nodes:
-            loss = pl.a0_db + 10.0 * pl.exponent * np.log10(node.distance_m / pl.d0_m)
+            loss = path_loss_db(node.distance_m, pl)
             if pl.sigma_db > 0:
                 loss += pl.sigma_db * rng.standard_normal()
             received_powers.append(node.tx_power_dbm - loss)
@@ -113,13 +113,10 @@ def simulate_la(
                 if j != i
             )
             snr_db = p_r - noise_floor_dbm
-            if p_r <= thresholds.p_rmin_dbm:
-                ok = False
-            elif interf_lin == 0.0:
-                ok = True
-            else:
-                ci_db = p_r - 10.0 * np.log10(interf_lin)
-                ok = bool(ci_db >= thresholds.ci_min_db[node.rate_level])
+            # `== 0.0`, not `> 0.0`: a NaN sum must reach the C/I test
+            interf_dbm = (float("-inf") if interf_lin == 0.0
+                          else 10.0 * np.log10(interf_lin))
+            ok = packet_received(p_r, interf_dbm, node.rate_level, thresholds)
             node.failure_history.append(0 if ok else 1)
             recent = node.failure_history[-window:]
             node.p_f = sum(recent) / len(recent)
@@ -128,13 +125,3 @@ def simulate_la(
             )
             la_update(node, snr_db, thresholds)
     return trace
-
-
-def trace_to_csv(trace: list[LaTraceRow]) -> str:
-    lines = ["round,node,rate_level,snr_db,p_f,received"]
-    for row in trace:
-        lines.append(
-            f"{row.round},{row.node},{row.rate_level},{row.snr_db:.6f},"
-            f"{row.p_f:.6f},{int(row.received)}"
-        )
-    return "\n".join(lines) + "\n"

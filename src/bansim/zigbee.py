@@ -152,13 +152,6 @@ class BroadcastState:
     event_log: list[EventLogRow] = field(default_factory=list)
 
 
-def event_log_to_csv(log: list[EventLogRow]) -> str:
-    lines = ["slot,node,action,covered_count"]
-    for row in log:
-        lines.append(f"{row.slot},{row.node},{row.action},{row.covered_count}")
-    return "\n".join(lines) + "\n"
-
-
 def self_pruning_broadcast(
     tree: ZigbeeTree,
     radio: RadioGraph,

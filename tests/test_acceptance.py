@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bansim import channels, equalize, linkadapt, sigproc, zigbee
+from bansim import channels, equalize, sigproc, zigbee
 from bansim.harness import cli
 from bansim.harness.config import parse_config
 from bansim.harness.experiments import run_experiment
@@ -209,22 +209,26 @@ def test_criterion_08_wiener_beats_brute_force_grid():
 
 
 def test_criterion_09_link_adaptation_golden_trace():
-    pl = channels.PathLossParams(35.2, 0.1, 3.11, 0.0)
-    th = linkadapt.LaThresholds(15.0, 0.1, -85.0, (-5.0, 0.0, 5.0, 10.0))
-    nodes = [linkadapt.LaNode(0, 0.0, 1.0), linkadapt.LaNode(1, 0.0, 3.0)]
-    trace = linkadapt.simulate_la(nodes, 10, pl, th, seed=1, window=16,
-                                  noise_floor_dbm=-100.0)
-    produced = linkadapt.trace_to_csv(trace)
-    golden = (FIXTURES / "la_golden_trace.csv").read_text()
-    assert produced == golden
+    # configs/la_sim.cfg: two unshadowed nodes at 1 m and 3 m, 10 rounds
+    cfg = parse_config((ROOT / "configs" / "la_sim.cfg").read_text(), "la_sim")
+    [(_stem, table, _plot)] = run_experiment(cfg)
+    header, *golden = (FIXTURES / "la_golden_trace.csv").read_text().splitlines()
+    assert table.columns == header.split(",")
+    assert len(table.rows) == len(golden)
+    for row, line in zip(table.rows, golden):
+        rnd, node, level, snr_db, p_f, received = line.split(",")
+        assert row[:3] == [int(rnd), int(node), int(level)]
+        assert row[3] == float(snr_db) and row[4] == float(p_f)
+        assert row[5] is (received == "1")
     # rate never increases while the failure fraction exceeds its threshold
+    th_pf = cfg.section("la_sim")["th_pf"]
     by_node = {}
-    for row in trace:
-        by_node.setdefault(row.node, []).append(row)
+    for row in table.rows:
+        by_node.setdefault(row[1], []).append(row)
     for rows in by_node.values():
         for prev, cur in zip(rows, rows[1:]):
-            if prev.p_f > th.th_pf:
-                assert cur.rate_level <= prev.rate_level
+            if prev[4] > th_pf:
+                assert cur[2] <= prev[2]
 
 
 def _replay_soundness(radio: zigbee.RadioGraph, state: zigbee.BroadcastState):

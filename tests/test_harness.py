@@ -162,13 +162,14 @@ def test_channel_stats_indoor_runs():
 
 
 def test_bad_ban_section_is_config_error():
-    cfg = parse_config(
-        "[common]\nseed = 5\n[channel_stats]\nmodel = outdoor_ban\ndraws = 2\n"
-        "[ban]\ndelta_ns = -1\n",
-        "channel_stats",
-    )
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
+    for ban in ("delta_ns = -1", "bogus_key = 1"):
+        cfg = parse_config(
+            "[common]\nseed = 5\n[channel_stats]\nmodel = outdoor_ban\n"
+            f"draws = 2\n[ban]\n{ban}\n",
+            "channel_stats",
+        )
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
 
 
 def test_broadcast_requires_topology():
@@ -185,6 +186,18 @@ def test_la_sim_length_mismatch():
     )
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("setting", [
+    "distance_m = 0", "distance_m = -1", "distance_m = nan", "th_pf = 2",
+    "rounds = 0",
+])
+def test_la_sim_impossible_setting_exits_2(tmp_path, setting):
+    cfg = tmp_path / "la.cfg"
+    cfg.write_text(f"[common]\nseed = 1\n[la_sim]\n{setting}\n")
+    out = tmp_path / "out"
+    assert cli.main(["la_sim", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "la_trace.csv").exists()
 
 
 def test_float_format_stability():

@@ -1,9 +1,5 @@
-"""The receiver kernels against their per-step references (kernel_reference).
-
-The active numpy fallback must match bit for bit.  When numba is installed,
-the JIT twins are held to the same references within 1e-12, since compiled
-loops may round differently.
-"""
+"""The receiver kernels against their per-step references (kernel_reference),
+which they must match bit for bit."""
 
 import numpy as np
 import pytest
@@ -35,28 +31,23 @@ def assert_identical(out, ref):
         assert a.tobytes() == b.tobytes()
 
 
-def check(fallback, active, reference, *args):
-    """Run the fallback, and a numba twin if active, against the reference."""
+def check(kernel, reference, *args):
+    """Run the kernel against its per-step reference."""
     ref = reference(*args)
-    assert_identical(fallback(*args), ref)
-    if active is not fallback:  # numba twin
-        for a, b in zip(active(*args), ref):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    assert_identical(kernel(*args), ref)
     return ref
 
 
 def check_cma(*args):
-    return check(_kernels._cma_run_py, _kernels.cma_run, cma_reference, *args)
+    return check(_kernels.cma_run, cma_reference, *args)
 
 
 def check_dse_cma(*args):
-    return check(_kernels._dse_cma_run_py, _kernels.dse_cma_run,
-                 dse_cma_reference, *args)
+    return check(_kernels.dse_cma_run, dse_cma_reference, *args)
 
 
 def check_dfe(*args):
-    return check(_kernels._dfe_detect_py, _kernels.dfe_detect_run,
-                 dfe_reference, *args)
+    return check(_kernels.dfe_detect_run, dfe_reference, *args)
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -164,10 +155,10 @@ def test_blind_kernels_reject_short_streams():
     # 10 steps of stride 2 need 23 samples; nothing diverges before the end
     received = random_signal(20, 0)
     with pytest.raises(ValueError):
-        _kernels._cma_run_py(received, center_spike(5), 1e-3, 1.32, 10, 2)
+        _kernels.cma_run(received, center_spike(5), 1e-3, 1.32, 10, 2)
     with pytest.raises(ValueError):
-        _kernels._dse_cma_run_py(received, center_spike(5), 1e-3, 1.32, 1.32,
-                                 np.full(20, 0.25), 10, 2)
+        _kernels.dse_cma_run(received, center_spike(5), 1e-3, 1.32, 1.32,
+                             np.full(20, 0.25), 10, 2)
 
 
 @pytest.mark.parametrize("count, stride, width, size", [

@@ -2,28 +2,33 @@ import numpy as np
 import pytest
 
 from bansim import channels, linkadapt
+from bansim.harness.config import parse_config
+from bansim.harness.experiments import run_experiment
 
 PL = channels.PathLossParams(35.2, 0.1, 3.11, 0.0)
 TH = linkadapt.LaThresholds(15.0, 0.1, -85.0, (-5.0, 0.0, 5.0, 10.0))
 
 
+def received_dbm(distance_m):
+    """Received power of a 0 dBm transmitter at ``distance_m``."""
+    return 0.0 - channels.path_loss_db(distance_m, PL)
+
+
 def test_packet_received_no_interference():
-    node = linkadapt.LaNode(0, 0.0, 1.0)
-    assert linkadapt.packet_received(node, float("-inf"), PL, TH)
+    assert linkadapt.packet_received(received_dbm(1.0), float("-inf"), 0, TH)
 
 
 def test_packet_received_below_sensitivity():
     # 0 dBm over ~103 dB of loss lands far below the -85 dBm floor
-    node = linkadapt.LaNode(0, 0.0, 15.0)
-    assert not linkadapt.packet_received(node, float("-inf"), PL, TH)
+    assert not linkadapt.packet_received(received_dbm(15.0), float("-inf"), 0,
+                                         TH)
 
 
 def test_packet_received_boundary_ci_accepted():
-    node = linkadapt.LaNode(0, 0.0, 1.0, rate_level=1)
-    p_r = 0.0 - channels.path_loss_db(1.0, PL)
+    p_r = received_dbm(1.0)
     exactly = p_r - TH.ci_min_db[1]
-    assert linkadapt.packet_received(node, exactly, PL, TH)
-    assert not linkadapt.packet_received(node, exactly + 0.01, PL, TH)
+    assert linkadapt.packet_received(p_r, exactly, 1, TH)
+    assert not linkadapt.packet_received(p_r, exactly + 0.01, 1, TH)
 
 
 def test_la_update_directions_and_clamps():
@@ -62,18 +67,14 @@ def test_simulate_deterministic_under_seed():
 
     def run():
         nodes = [linkadapt.LaNode(0, 0.0, 1.0), linkadapt.LaNode(1, 0.0, 2.0)]
-        return linkadapt.trace_to_csv(
-            linkadapt.simulate_la(nodes, 20, shadowed, TH, seed=99)
-        )
+        return linkadapt.simulate_la(nodes, 20, shadowed, TH, seed=99)
 
     assert run() == run()
 
 
 def test_reception_monotone_in_distance():
     outcomes = [
-        linkadapt.packet_received(
-            linkadapt.LaNode(0, 0.0, d), float("-inf"), PL, TH
-        )
+        linkadapt.packet_received(received_dbm(d), float("-inf"), 0, TH)
         for d in np.linspace(0.5, 20.0, 40)
     ]
     # once reception fails it never comes back at larger distance
@@ -86,9 +87,12 @@ def test_thresholds_validation():
 
 
 def test_trace_csv_format():
-    nodes = [linkadapt.LaNode(0, 0.0, 1.0)]
-    trace = linkadapt.simulate_la(nodes, 1, PL, TH, seed=0)
-    csv = linkadapt.trace_to_csv(trace)
-    lines = csv.splitlines()
-    assert lines[0] == "round,node,rate_level,snr_db,p_f,received"
-    assert lines[1].split(",")[-1] in ("0", "1")
+    cfg = parse_config(
+        "[common]\nseed = 0\n[la_sim]\nrounds = 1\ndistance_m = 1.0\n",
+        "la_sim",
+    )
+    [(stem, table, _plot)] = run_experiment(cfg)
+    assert stem == "la_trace"
+    assert table.columns == ["round", "node", "rate_level", "snr_db", "p_f",
+                             "received"]
+    assert table.to_csv().splitlines()[-1].split(",")[-1] in ("0", "1")

@@ -203,7 +203,5 @@ def test_parse_topology_and_event_log():
     assert set(tree.nodes) == {0, 1, 2}
     assert radio.neighbors[1] == {0, 2}
     state = zigbee.oos_select(tree, radio, 0)
-    csv = zigbee.event_log_to_csv(state.event_log)
-    assert csv.splitlines()[0] == "slot,node,action,covered_count"
     with pytest.raises(ValueError):
         zigbee.parse_topology("0 1")  # content outside any section
