@@ -162,7 +162,7 @@ def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
 
 def gen_ref(params: BanModelParams, num_clusters: int, seed) -> ChannelImpulseResponse:
     if num_clusters < 1:
-        raise ValueError("need at least one reflection cluster")
+        raise ValueError("num_clusters must be at least 1")
     rng = np.random.default_rng(seed)
     # Poisson cluster process: exponential inter-arrivals, first cluster at 0
     gaps = rng.exponential(params.mean_cluster_interarrival_ns, size=num_clusters - 1)
@@ -240,7 +240,7 @@ def gbhds_cdf(r_m, params: GbhdsParams):
 def sample_gbhds(params: GbhdsParams, count: int, seed) -> np.ndarray:
     """Scatterer positions around the mobile: array of (r, theta) rows."""
     if count < 1:
-        raise ValueError("need at least one sample")
+        raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=count)
     r = np.arctanh(u * np.tanh(params.a * params.radius_m)) / params.a

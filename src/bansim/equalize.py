@@ -44,10 +44,6 @@ class MultiuserScene:
         if any(len(t) == 0 for t in self.templates):
             raise ValueError("templates must be nonempty")
 
-    @property
-    def num_users(self) -> int:
-        return len(self.symbols_per_user)
-
 
 @dataclass
 class MultiuserSignal:
@@ -232,7 +228,7 @@ class CmaEqualizer:
         if self.dispersion <= 0:
             raise ValueError("dispersion constant must be positive")
         if self.taps.size % 2 == 0:
-            raise ValueError("tap count must be odd (center-spike initialization)")
+            raise ValueError("tap count nf must be odd (center-spike initialization)")
         if self.variant not in ("CMA", "DSE_CMA"):
             raise ValueError(f"unknown variant {self.variant!r}")
 

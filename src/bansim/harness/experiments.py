@@ -6,6 +6,8 @@ triples; the CLI writes ``<stem>.csv`` and, when a plot spec is present,
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .. import channels, equalize, linkadapt, sigproc, zigbee
@@ -14,45 +16,28 @@ from .svg import PlotSpec
 from .table import ResultTable
 
 
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
-
-
 def _table(cfg: ScenarioConfig, columns: list[str]) -> ResultTable:
     return ResultTable(columns, seed=cfg.seed, config_hash=cfg.config_hash)
 
 
-def _ban_params(cfg: ScenarioConfig) -> channels.BanModelParams:
-    sec = cfg.section("ban")
-    kwargs = {}
-    for key, value in sec.items():
-        if key == "position":
-            kwargs[key] = str(value)
-        elif key == "num_bins_per_cluster":
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
-    try:
-        return channels.BanModelParams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad [ban] section: {exc}") from None
+def _params(cls, sec: dict):
+    """A parameter dataclass from the section keys named after its fields."""
+    return cls(**{f.name: sec[f.name] for f in dataclasses.fields(cls)})
 
 
 def run_ber_sweep(cfg: ScenarioConfig):
     sec = cfg.section("ber_sweep")
-    scheme = sigproc.get_scheme(str(sec.get("scheme", "QAM16")))
-    grid = [float(v) for v in _as_list(sec.get("ebn0_db", [0.0, 5.0, 10.0, 15.0]))]
-    if not grid:
-        raise ConfigError("empty Eb/N0 grid")
-    max_bits = int(sec.get("max_bits", 10**6))
-    min_errors = int(sec.get("min_errors", 100))
+    scheme = sigproc.get_scheme(sec["scheme"])
+    grid = sec["ebn0_db"]
+    max_bits, min_errors = sec["max_bits"], sec["min_errors"]
+    if max_bits < scheme.bits_per_symbol:
+        raise ConfigError(f"max_bits {max_bits} is below one {scheme.kind} symbol")
     chunk_bits = 100_000 - 100_000 % scheme.bits_per_symbol
     table = _table(cfg, ["ebn0_db", "ber", "bits"])
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(grid))
     for point_seed, ebn0 in zip(seeds, sorted(grid)):
         rng = np.random.default_rng(point_seed)
-        errors = 0
-        total = 0
+        errors = total = 0
         while total < max_bits and errors < min_errors:
             n = min(chunk_bits, max_bits - total)
             n -= n % scheme.bits_per_symbol
@@ -65,9 +50,8 @@ def run_ber_sweep(cfg: ScenarioConfig):
             errors += int(np.sum(bits != rx))
             total += n
         table.append(ebn0, errors / total, total)
-    finite = [r for r in table.rows if r[1] > 0]
     plot = None
-    if len(finite) >= 2:
+    if sum(r[1] > 0 for r in table.rows) >= 2:
         plot = PlotSpec("ebn0_db", ["ber"], title=f"{scheme.kind} BER over AWGN",
                         log_y=all(r[1] > 0 for r in table.rows), markers=True)
     return [("ber_sweep", table, plot)]
@@ -82,18 +66,16 @@ def _first_cluster_slope(cir: channels.ChannelImpulseResponse) -> float:
         return float("nan")
     delays = np.arange(seg.size)[mask] * cir.bin_size_ns
     amp_db = 20.0 * np.log10(np.abs(seg[mask]))
-    slope = np.polyfit(delays, amp_db, 1)[0]
-    return float(slope)
+    return float(np.polyfit(delays, amp_db, 1)[0])
 
 
 def run_channel_stats(cfg: ScenarioConfig):
     sec = cfg.section("channel_stats")
-    model = str(sec.get("model", "outdoor_ban"))
+    model = sec["model"]
     if model not in ("outdoor_ban", "indoor_ban"):
         raise ConfigError(f"unknown channel model {model!r}")
-    draws = int(sec.get("draws", 1000))
-    num_clusters = int(sec.get("num_clusters", 3))
-    params = _ban_params(cfg)
+    draws, num_clusters = sec["draws"], sec["num_clusters"]
+    params = _params(channels.BanModelParams, cfg.section("ban"))
     table = _table(cfg, ["draw", "clusters", "intra_slope_db_per_ns", "energy"])
     seeds = np.random.SeedSequence(cfg.seed).spawn(draws)
     for i, child in enumerate(seeds):
@@ -108,14 +90,9 @@ def run_channel_stats(cfg: ScenarioConfig):
 
 def run_doa_hist(cfg: ScenarioConfig):
     sec = cfg.section("doa_hist")
-    params = channels.GbhdsParams(
-        a=float(sec.get("a", 0.5)),
-        radius_m=float(sec.get("radius_m", 100.0)),
-        bs_distance_m=float(sec.get("bs_distance_m", 1000.0)),
-    )
-    count = int(sec.get("count", 100_000))
-    bins = int(sec.get("bins", 61))
-    edges, masses = channels.gbhds_doa_histogram(params, count, bins, cfg.seed)
+    params = _params(channels.GbhdsParams, sec)
+    edges, masses = channels.gbhds_doa_histogram(params, sec["count"], sec["bins"],
+                                                 cfg.seed)
     centers = 0.5 * (edges[:-1] + edges[1:])
     table = _table(cfg, ["doa_rad", "mass"])
     for c, m in zip(centers, masses):
@@ -126,19 +103,12 @@ def run_doa_hist(cfg: ScenarioConfig):
 
 def run_cma_convergence(cfg: ScenarioConfig):
     sec = cfg.section("cma_convergence")
-    scheme = sigproc.get_scheme(str(sec.get("scheme", "QAM16")))
+    scheme = sigproc.get_scheme(sec["scheme"])
     if scheme.kind not in ("QAM8", "QAM16"):
         raise ConfigError("cma_convergence runs on QAM8 or QAM16")
-    mu = float(sec.get("mu", 0.0006 if scheme.kind == "QAM8" else 0.0003))
-    taps = [float(v) for v in _as_list(
-        sec.get("channel", [0.227, 0.460, 0.688, 0.460, 0.227]))]
-    # fractionally spaced by default: the reference 5-tap channel has a deep
-    # spectral null at symbol spacing, so symbol-spaced CMA cannot open it
-    stride = int(sec.get("samples_per_symbol", 3))
-    nf = int(sec.get("nf", 13))
-    iterations = int(sec.get("iterations", 20_000))
-    window = int(sec.get("window", 500))
-    variant = str(sec.get("variant", "CMA"))
+    mu, taps, stride = sec["mu"], sec["channel"], sec["samples_per_symbol"]
+    nf, iterations, window = sec["nf"], sec["iterations"], sec["window"]
+    variant = sec["variant"]
     rng = np.random.default_rng(cfg.seed)
     n_sym = iterations + nf + len(taps) + 16
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)
@@ -169,30 +139,23 @@ def run_cma_convergence(cfg: ScenarioConfig):
 
 def _default_mud_scene(cfg: ScenarioConfig):
     sec = cfg.section("mud_compare")
-    scheme = sigproc.get_scheme(str(sec.get("scheme", "OQPSK")))
-    ebn0 = float(sec.get("ebn0_db", 15.0))
-    n_sym = int(sec.get("symbols", 100_000))
-    n_train = int(sec.get("training", 2_000))
-    ns = int(sec.get("ns", 2))
-    tpl1 = [float(v) for v in _as_list(sec.get("template1", [1.0, 0.5, 0.3]))]
-    tpl2 = [float(v) for v in _as_list(sec.get("template2", [0.6, 0.9, 0.2]))]
+    scheme = sigproc.get_scheme(sec["scheme"])
+    n_sym, n_train = sec["symbols"], sec["training"]
     rng = np.random.default_rng(cfg.seed)
     streams = []
     for _ in range(2):
         bits = rng.integers(0, 2, size=(n_train + n_sym) * scheme.bits_per_symbol,
                             dtype=np.int8)
         streams.append(sigproc.modulate(bits, scheme))
-    scene = equalize.MultiuserScene(streams, [np.asarray(tpl1, complex),
-                                              np.asarray(tpl2, complex)],
-                                    ns, ebn0, scheme)
+    scene = equalize.MultiuserScene(streams, [np.asarray(sec["template1"], complex),
+                                              np.asarray(sec["template2"], complex)],
+                                    sec["ns"], sec["ebn0_db"], scheme)
     return scene, n_train, n_sym, rng
 
 
 def run_mud_compare(cfg: ScenarioConfig):
     sec = cfg.section("mud_compare")
-    nw = int(sec.get("nw", 6))
-    nb = int(sec.get("nb", 3))
-    ridge = float(sec.get("ridge", 1e-9))
+    nw, nb, ridge = sec["nw"], sec["nb"], sec["ridge"]
     scene, n_train, n_sym, rng = _default_mud_scene(cfg)
     scheme = scene.scheme
     ns = scene.samples_per_symbol
@@ -236,36 +199,16 @@ def run_mud_compare(cfg: ScenarioConfig):
 
 def run_la_sim(cfg: ScenarioConfig):
     sec = cfg.section("la_sim")
-    rounds = int(sec.get("rounds", 50))
-    distances = [float(v) for v in _as_list(sec.get("distance_m", [1.0, 3.0]))]
-    tx_powers = [float(v) for v in _as_list(
-        sec.get("tx_power_dbm", [0.0] * len(distances)))]
+    distances, tx_powers = sec["distance_m"], sec["tx_power_dbm"]
     if len(tx_powers) != len(distances):
         raise ConfigError("tx_power_dbm and distance_m must have equal length")
-    try:
-        pl = channels.PathLossParams(
-            a0_db=float(sec.get("a0_db", 35.2)),
-            d0_m=float(sec.get("d0_m", 0.1)),
-            exponent=float(sec.get("exponent", 3.11)),
-            sigma_db=float(sec.get("sigma_db", 0.0)),
-        )
-        thresholds = linkadapt.LaThresholds(
-            th_snr_db=float(sec.get("th_snr_db", 15.0)),
-            th_pf=float(sec.get("th_pf", 0.1)),
-            p_rmin_dbm=float(sec.get("p_rmin_dbm", -85.0)),
-            ci_min_db=tuple(float(v) for v in _as_list(
-                sec.get("ci_min_db", [-5.0, 0.0, 5.0, 10.0]))),
-        )
-        nodes = [linkadapt.LaNode(i, p, d)
-                 for i, (p, d) in enumerate(zip(tx_powers, distances))]
-        trace = linkadapt.simulate_la(
-            nodes, rounds, pl, thresholds, cfg.seed,
-            window=int(sec.get("window", linkadapt.DEFAULT_FAILURE_WINDOW)),
-            noise_floor_dbm=float(sec.get("noise_floor_dbm",
-                                          linkadapt.DEFAULT_NOISE_FLOOR_DBM)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [la_sim] section: {exc}") from None
+    nodes = [linkadapt.LaNode(i, p, d)
+             for i, (p, d) in enumerate(zip(tx_powers, distances))]
+    trace = linkadapt.simulate_la(
+        nodes, sec["rounds"], _params(channels.PathLossParams, sec),
+        _params(linkadapt.LaThresholds, sec), cfg.seed, window=sec["window"],
+        noise_floor_dbm=sec["noise_floor_dbm"],
+    )
     table = _table(cfg, ["round", "node", "rate_level", "snr_db", "p_f", "received"])
     for row in trace:
         table.append(row.round, row.node, row.rate_level,
@@ -276,19 +219,12 @@ def run_la_sim(cfg: ScenarioConfig):
 
 def run_broadcast_sim(cfg: ScenarioConfig):
     sec = cfg.section("broadcast_sim")
-    topo_path = sec.get("topology")
-    if topo_path is None:
+    if sec["topology"] is None:
         raise ConfigError("broadcast_sim needs a `topology` file path")
-    try:
-        with open(str(topo_path)) as fh:
-            tree, radio = zigbee.parse_topology(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read topology file: {exc}") from None
-    source = int(sec.get("source", 0))
-    trials = int(sec.get("trials", 100))
-    max_backoff = int(sec.get("max_backoff", 7))
-    summary = zigbee.broadcast_compare(tree, radio, source, trials, cfg.seed,
-                                       max_backoff)
+    with open(sec["topology"]) as fh:
+        tree, radio = zigbee.parse_topology(fh.read())
+    summary = zigbee.broadcast_compare(tree, radio, sec["source"], sec["trials"],
+                                       cfg.seed, sec["max_backoff"])
     table = _table(cfg, ["strategy", "mean_rebroadcasts", "coverage",
                          "forward_set_size"])
     table.append("self_pruning", summary.mean_self_pruning_rebroadcasts,
@@ -314,4 +250,11 @@ def run_experiment(cfg: ScenarioConfig):
         runner = RUNNERS[cfg.experiment]
     except KeyError:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}") from None
-    return runner(cfg)
+    try:
+        return runner(cfg)
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        # the models reject impossible settings with ValueError (numpy's
+        # LinAlgError included); an unreadable input file is a config error too
+        raise ConfigError(f"{cfg.experiment}: {exc}") from exc

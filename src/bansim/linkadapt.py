@@ -14,9 +14,6 @@ import numpy as np
 
 from .channels import PathLossParams, path_loss_db
 
-# ordered (scheme, nominal bit-rate weight); index = rate level
-DEFAULT_RATE_TABLE = [("BPSK", 1), ("OQPSK", 2), ("QAM8", 3), ("QAM16", 4)]
-
 DEFAULT_NOISE_FLOOR_DBM = -100.0
 DEFAULT_FAILURE_WINDOW = 16
 
@@ -94,6 +91,8 @@ def simulate_la(
 ) -> list[LaTraceRow]:
     if rounds < 1:
         raise ValueError("need at least one round")
+    if window < 1:
+        raise ValueError(f"failure window must be at least 1 round, got {window}")
     rng = np.random.default_rng(seed)
     trace: list[LaTraceRow] = []
     for rnd in range(rounds):

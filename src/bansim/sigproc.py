@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _gray(n: int) -> int:
-    return n ^ (n >> 1)
-
-
 def _gray_inverse(g: int) -> int:
     n = 0
     while g:
@@ -91,7 +87,7 @@ def get_scheme(name: str) -> ModulationScheme:
     try:
         return SCHEMES[name.upper()]
     except KeyError:
-        raise KeyError(f"unknown modulation scheme {name!r}") from None
+        raise ValueError(f"unknown modulation scheme {name!r}") from None
 
 
 class PaddingRequiredError(ValueError):
@@ -116,21 +112,19 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     return scheme.constellation[labels]
 
 
-def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
+def nearest_labels(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=complex)
     # argmin returns the first (lowest-label) minimizer, the documented tie-break
     dists = np.abs(symbols[:, None] - scheme.constellation[None, :])
-    labels = np.argmin(dists, axis=1)
+    return np.argmin(dists, axis=1)
+
+
+def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
+    labels = nearest_labels(symbols, scheme)
     bps = scheme.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)
     bits = (labels[:, None] >> shifts[None, :]) & 1
     return bits.reshape(-1).astype(np.int8)
-
-
-def nearest_labels(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    symbols = np.asarray(symbols, dtype=complex)
-    dists = np.abs(symbols[:, None] - scheme.constellation[None, :])
-    return np.argmin(dists, axis=1)
 
 
 def slice_symbols(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:

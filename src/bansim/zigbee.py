@@ -260,13 +260,15 @@ def broadcast_compare(
 # ---------------------------------------------------------------------------
 # topology files: `[params]`, `[tree]`, `[radio]` sections with edge lines
 
+_TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
+                  "tree": "two integer node keys", "radio": "two integer node keys"}
+
 
 def parse_topology(text: str):
     """Parse a topology file into (ZigbeeTree, RadioGraph)."""
     section = None
-    params: dict[str, int] = {}
-    tree_edges: list[tuple[int, int]] = []
-    radio_edges: list[tuple[int, int]] = []
+    params = {"n_chl": 4, "d_l": 5}
+    edges: dict[str, list[tuple[int, int]]] = {"tree": [], "radio": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -274,24 +276,24 @@ def parse_topology(text: str):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             continue
-        if section == "params":
-            key, value = (part.strip() for part in line.split("=", 1))
-            params[key] = int(value)
-        elif section == "tree":
-            a, b = line.split()
-            tree_edges.append((int(a), int(b)))
-        elif section == "radio":
-            a, b = line.split()
-            radio_edges.append((int(a), int(b)))
-        else:
-            raise ValueError(f"line {lineno}: content outside a known section")
-    n_chl = params.get("n_chl", 4)
-    d_l = params.get("d_l", 5)
+        if section not in _TOPOLOGY_LINE:
+            raise ValueError(f"topology line {lineno}: content outside a known section")
+        parts = [p.strip() for p in line.split("=" if section == "params" else None)]
+        try:
+            if len(parts) != 2 or (section == "params" and parts[0] not in params):
+                raise ValueError
+            if section == "params":
+                params[parts[0]] = int(parts[1])
+            else:
+                edges[section].append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"topology line {lineno}: expected "
+                             f"{_TOPOLOGY_LINE[section]}, got {line!r}") from None
     shape: dict[int, list[int]] = {}
-    for parent, child in tree_edges:
+    for parent, child in edges["tree"]:
         shape.setdefault(parent, []).append(child)
         shape.setdefault(child, [])
-    tree = assign_addresses(shape, n_chl, d_l)
-    radio = RadioGraph.from_edges(tree_edges + radio_edges, nodes=tree.nodes)
+    tree = assign_addresses(shape, params["n_chl"], params["d_l"])
+    radio = RadioGraph.from_edges(edges["tree"] + edges["radio"], nodes=tree.nodes)
     radio.check_covers_tree(tree)
     return tree, radio

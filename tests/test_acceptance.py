@@ -3,6 +3,8 @@ independent oracle or committed fixture.  Run with ``pytest -v`` to get one
 pass/fail line per criterion."""
 
 import filecmp
+import math
+import re
 import time
 from pathlib import Path
 
@@ -302,6 +304,39 @@ CLI_RUNS = [
 ]
 
 
+def assert_matches_golden(csv_path: Path, golden_path: Path) -> None:
+    """Compare a CSV with its committed golden: provenance lines, header,
+    integer and text cells exact, float cells at rtol 1e-9.  A golden that
+    starts with ``# golden stride=S rows=N`` holds every S-th of N rows."""
+    want = golden_path.read_text().splitlines()
+    got = csv_path.read_text().splitlines()
+    stride, rows = 1, None
+    if want[0].startswith("# golden "):
+        meta = dict(f.split("=") for f in want.pop(0).split()[2:])
+        stride, rows = int(meta["stride"]), int(meta["rows"])
+    head = next(i for i, line in enumerate(want) if not line.startswith("#")) + 1
+    assert got[:head] == want[:head], csv_path.name
+    body = got[head:]
+    if rows is not None:
+        assert len(body) == rows, csv_path.name
+    body = body[::stride]
+    assert len(body) == len(want) - head, csv_path.name
+    for row, (got_line, want_line) in enumerate(zip(body, want[head:])):
+        got_cells, want_cells = got_line.split(","), want_line.split(",")
+        assert len(got_cells) == len(want_cells), (csv_path.name, row)
+        for g, w in zip(got_cells, want_cells):
+            if re.fullmatch(r"-?\d+", w):
+                assert g == w, (csv_path.name, row)
+                continue
+            try:
+                gf, wf = float(g), float(w)
+            except ValueError:
+                assert g == w, (csv_path.name, row)
+                continue
+            assert (gf == wf or math.isclose(gf, wf, rel_tol=1e-9)
+                    or (math.isnan(gf) and math.isnan(wf))), (csv_path.name, row, g, w)
+
+
 def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     for experiment, config in CLI_RUNS:
@@ -318,3 +353,9 @@ def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch):
         assert names, config
         for name in names:
             assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
+        # the first run also matches the committed golden of every table
+        goldens = FIXTURES / "golden" / Path(config).stem
+        assert sorted(p.name for p in goldens.iterdir()) == [
+            n for n in names if n.endswith(".csv")], config
+        for golden in goldens.iterdir():
+            assert_matches_golden(out_a / golden.name, golden)

@@ -1,11 +1,17 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bansim import zigbee
 from bansim.harness import cli
-from bansim.harness.config import ConfigError, parse_config
+from bansim.harness.config import EXPERIMENTS, ConfigError, parse_config
 from bansim.harness.experiments import run_experiment
 from bansim.harness.svg import PlotSpec, emit_svg
 from bansim.harness.table import ResultTable
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_parse_config_sections_and_lists():
@@ -76,11 +82,8 @@ def test_emit_svg_missing_column():
 
 
 def test_run_experiment_unknown_section_errors():
-    cfg = parse_config("[common]\nseed = 1\n[ber_sweep]\nebn0_db =\n",
-                       "ber_sweep")
-    cfg.sections["ber_sweep"]["ebn0_db"] = []
     with pytest.raises(ConfigError):
-        run_experiment(cfg)
+        parse_config("[common]\nseed = 1\n[ber_sweep]\nebn0_db =\n", "ber_sweep")
 
 
 def test_small_ber_sweep_structure():
@@ -163,12 +166,12 @@ def test_channel_stats_indoor_runs():
 
 def test_bad_ban_section_is_config_error():
     for ban in ("delta_ns = -1", "bogus_key = 1"):
-        cfg = parse_config(
-            "[common]\nseed = 5\n[channel_stats]\nmodel = outdoor_ban\n"
-            f"draws = 2\n[ban]\n{ban}\n",
-            "channel_stats",
-        )
         with pytest.raises(ConfigError):
+            cfg = parse_config(
+                "[common]\nseed = 5\n[channel_stats]\nmodel = outdoor_ban\n"
+                f"draws = 2\n[ban]\n{ban}\n",
+                "channel_stats",
+            )
             run_experiment(cfg)
 
 
@@ -190,7 +193,8 @@ def test_la_sim_length_mismatch():
 
 @pytest.mark.parametrize("setting", [
     "distance_m = 0", "distance_m = -1", "distance_m = nan", "th_pf = 2",
-    "rounds = 0",
+    "rounds = 0", "window = -1", "window = 0", "tx_power_dbm = 0.0, nan",
+    "noise_floor_dbm = nan", "a0_db = inf",
 ])
 def test_la_sim_impossible_setting_exits_2(tmp_path, setting):
     cfg = tmp_path / "la.cfg"
@@ -204,3 +208,65 @@ def test_float_format_stability():
     table = ResultTable(["v"])
     table.append(np.float64(0.1234567890123))
     assert table.to_csv().splitlines()[-1] == "0.123456789"
+
+
+# one malformed setting per probe, each under `[common] seed = 1`; the last
+# field is what the one-line message must name
+MALFORMED = [
+    ("ber_sweep", "[ber_sweep]\nscheme = QAM64", "scheme 'QAM64'"),
+    ("ber_sweep", "[ber_sweep]\nebn0_db = nan", "ebn0_db"),
+    ("ber_sweep", "[ber_sweep]\nmax_bits = 1000, 2000", "max_bits"),
+    ("ber_sweep", "[ber_sweep]\nmax_bit = 1000", "max_bit"),
+    ("ber_sweep", "[ber_sweep]\nmax_bits = 1.5e3", "max_bits"),
+    ("cma_convergence", "[cma_convergence]\nnf = 12", "nf"),
+    ("doa_hist", "[doa_hist]\nbins = 0", "bins"),
+    ("doa_hist", "[doa_hist]\ncount = 0", "count"),
+    ("mud_compare", "[mud_compare]\ntraining = 10", "training"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nsource = 99",
+     "source 99"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {bad_topology}",
+     "topology line 5"),
+    ("channel_stats", "[channel_stats]\nmodel = indoor_ban\nnum_clusters = 0",
+     "num_clusters"),
+    ("channel_stats", "[ban]\nposition = 3, 4", "position"),
+    ("channel_stats", "[bann]", "[bann]"),
+    ("ber_sweep", "seed = abc", "seed"),
+    ("ber_sweep", "seed = 1.7", "seed"),
+]
+
+
+@pytest.mark.parametrize("experiment,body,names", MALFORMED,
+                         ids=[f"{e}:{b.splitlines()[-1]}" for e, b, _ in MALFORMED])
+def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
+    bad_topology = tmp_path / "bad_topology.txt"
+    bad_topology.write_text("[params]\nn_chl = 4\nd_l = 3\n[tree]\n0 1 2\n")
+    body = body.format(example=ROOT / "configs" / "topology_example.txt",
+                       bad_topology=bad_topology)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[common]\n" + (body if body.startswith("seed") else
+                                    f"seed = 1\n{body}") + "\n")
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("bansim: config error: ")
+    assert names in line
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_benchmark_inputs_parse(tmp_path, monkeypatch):
+    """The configs and topology the benchmark generates pass both parsers."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    experiments, topologies = set(), 0
+    for workload in workloads.WORKLOADS:
+        work_dir = tmp_path / workload
+        work_dir.mkdir()
+        for op in workloads.generate(workload, 1, str(work_dir)):
+            cfg = parse_config(Path(op["config"]).read_text(), op["experiment"])
+            experiments.add(cfg.experiment)
+            topology = cfg.section(op["experiment"]).get("topology")
+            if topology is not None:
+                tree, _ = zigbee.parse_topology(Path(topology).read_text())
+                assert len(tree.nodes) == workloads.TREE_NODES
+                topologies += 1
+    assert experiments == set(EXPERIMENTS) and topologies == 1

@@ -203,5 +203,11 @@ def test_parse_topology_and_event_log():
     assert set(tree.nodes) == {0, 1, 2}
     assert radio.neighbors[1] == {0, 2}
     state = zigbee.oos_select(tree, radio, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^topology line 1: content outside"):
         zigbee.parse_topology("0 1")  # content outside any section
+    # each malformed line is named by its number, not by a raw unpack error
+    for bad in ("[tree]\n0 1 2", "[tree]\n0 x", "[radio]\n0", "[params]\nn_chl 2",
+                "[params]\nn_chl = two", "[params]\nn_chl = 2.5",
+                "[params]\nfanout = 2"):
+        with pytest.raises(ValueError, match="^topology line 2: expected "):
+            zigbee.parse_topology(bad)
