@@ -104,60 +104,44 @@ class GbhdsParams:
             raise ValueError("base station must be outside the scatterer disc")
 
 
-def _cluster_taps(
-    n_bins: int,
-    delta_ns: float,
-    ray_decay_db_per_ns: float,
-    sigma_ray_db: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    delays = np.arange(n_bins) * delta_ns
-    amp_db = -ray_decay_db_per_ns * delays
-    if sigma_ray_db > 0:
-        amp_db = amp_db + sigma_ray_db * rng.standard_normal(n_bins)
-    amps = 10.0 ** (amp_db / 20.0)
+def _delayed_cluster(params: BanModelParams, delay_ns: float,
+                     seed) -> ChannelImpulseResponse:
+    """One cluster of rays decaying at gamma_ray, delay_ns after time zero."""
+    rng = np.random.default_rng(seed)
+    n_bins = params.num_bins_per_cluster
+    amp_db = -params.gamma_ray_db_per_ns * (np.arange(n_bins) * params.delta_ns)
+    if params.sigma_ray_db > 0:
+        amp_db = amp_db + params.sigma_ray_db * rng.standard_normal(n_bins)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_bins)
-    return amps * np.exp(1j * phases)
+    shift = int(round(delay_ns / params.delta_ns))
+    taps = np.concatenate([np.zeros(shift, dtype=complex),
+                           10.0 ** (amp_db / 20.0) * np.exp(1j * phases)])
+    return ChannelImpulseResponse(taps, params.delta_ns, [shift])
+
+
+def _superpose(a: ChannelImpulseResponse,
+               b: ChannelImpulseResponse) -> ChannelImpulseResponse:
+    """Sum of two responses on the same delay grid, with both cluster sets."""
+    taps = np.zeros(max(a.taps.size, b.taps.size), dtype=complex)
+    taps[: a.taps.size] += a.taps
+    taps[: b.taps.size] += b.taps
+    starts = sorted(set(a.cluster_starts) | set(b.cluster_starts))
+    return ChannelImpulseResponse(taps, a.bin_size_ns, starts)
 
 
 def gen_body(params: BanModelParams, seed) -> ChannelImpulseResponse:
-    rng = np.random.default_rng(seed)
-    taps = _cluster_taps(
-        params.num_bins_per_cluster,
-        params.delta_ns,
-        params.gamma_ray_db_per_ns,
-        params.sigma_ray_db,
-        rng,
-    )
-    return ChannelImpulseResponse(taps, params.delta_ns, [0])
+    return _delayed_cluster(params, 0.0, seed)
 
 
 def gen_ground(params: BanModelParams, seed) -> ChannelImpulseResponse:
-    rng = np.random.default_rng(seed)
-    shift = int(round(params.tau_ground_ns / params.delta_ns))
-    core = _cluster_taps(
-        params.num_bins_per_cluster,
-        params.delta_ns,
-        params.gamma_ray_db_per_ns,
-        params.sigma_ray_db,
-        rng,
-    )
-    taps = np.concatenate([np.zeros(shift, dtype=complex), core])
-    return ChannelImpulseResponse(taps, params.delta_ns, [shift])
+    return _delayed_cluster(params, params.tau_ground_ns, seed)
 
 
 def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
     # ground reflections are uncorrelated with the around-body wave:
     # independent seed streams for the two components
     child_body, child_ground = _spawn(seed, 2)
-    body = gen_body(params, child_body)
-    ground = gen_ground(params, child_ground)
-    n = max(body.taps.size, ground.taps.size)
-    taps = np.zeros(n, dtype=complex)
-    taps[: body.taps.size] += body.taps
-    taps[: ground.taps.size] += ground.taps
-    starts = sorted(set(body.cluster_starts) | set(ground.cluster_starts))
-    return ChannelImpulseResponse(taps, params.delta_ns, starts)
+    return _superpose(gen_body(params, child_body), gen_ground(params, child_ground))
 
 
 def gen_ref(params: BanModelParams, num_clusters: int, seed) -> ChannelImpulseResponse:
@@ -204,14 +188,8 @@ def gen_indoor_ban(
     params: BanModelParams, num_clusters: int, seed
 ) -> ChannelImpulseResponse:
     child_out, child_ref = _spawn(seed, 2)
-    outdoor = gen_outdoor_ban(params, child_out)
-    ref = gen_ref(params, num_clusters, child_ref)
-    n = max(outdoor.taps.size, ref.taps.size)
-    taps = np.zeros(n, dtype=complex)
-    taps[: outdoor.taps.size] += outdoor.taps
-    taps[: ref.taps.size] += ref.taps
-    starts = sorted(set(outdoor.cluster_starts) | set(ref.cluster_starts))
-    return ChannelImpulseResponse(taps, params.delta_ns, starts)
+    return _superpose(gen_outdoor_ban(params, child_out),
+                      gen_ref(params, num_clusters, child_ref))
 
 
 def path_loss_db(d_m: float, params: PathLossParams, seed=None) -> float:
@@ -230,11 +208,6 @@ def gbhds_pdf(r_m, params: GbhdsParams):
     pdf = a / (np.tanh(a * big_r) * np.cosh(a * r) ** 2)
     pdf = np.where((r < 0) | (r > big_r), 0.0, pdf)
     return pdf if pdf.ndim else float(pdf)
-
-
-def gbhds_cdf(r_m, params: GbhdsParams):
-    r = np.clip(np.asarray(r_m, dtype=float), 0.0, params.radius_m)
-    return np.tanh(params.a * r) / np.tanh(params.a * params.radius_m)
 
 
 def sample_gbhds(params: GbhdsParams, count: int, seed) -> np.ndarray:

@@ -78,13 +78,6 @@ def synth_multiuser(scene: MultiuserScene, seed) -> MultiuserSignal:
     return MultiuserSignal(desired + mui + noise, desired, mui, noise)
 
 
-@dataclass
-class WienerEqualizer:
-    taps: np.ndarray
-    autocorr: np.ndarray = field(repr=False)
-    crosscorr: np.ndarray = field(repr=False)
-
-
 def _training_regressors(received: np.ndarray, n_training: int, ns: int, n_w: int):
     """Stack one length-n_w regressor per symbol; zero past the end."""
     received = np.asarray(received, dtype=complex)
@@ -92,31 +85,39 @@ def _training_regressors(received: np.ndarray, n_training: int, ns: int, n_w: in
     return np.ascontiguousarray(_kernels.frames(received, n_training, ns, n_w))
 
 
-def estimate_correlations(
-    received: np.ndarray, training: np.ndarray, n_w: int, ns: int = 1
-):
-    training = np.asarray(training, dtype=complex)
+def _correlations(rows: np.ndarray, training: np.ndarray):
+    """(Gamma_rr, gamma_ar) of one regressor row per training symbol."""
+    n_w = rows.shape[1]
     if training.size < 10 * n_w:
         raise TrainingDataError(
             f"need at least {10 * n_w} training symbols, got {training.size}"
         )
-    frames = _training_regressors(received, training.size, ns, n_w)
-    gamma_rr = frames.conj().T @ frames / training.size
-    gamma_ar = training @ frames.conj() / training.size
+    gamma_rr = rows.conj().T @ rows / training.size
+    gamma_ar = training @ rows.conj() / training.size
     return gamma_rr, gamma_ar
 
 
-def wiener_solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray, ridge: float = 0.0):
-    gamma_rr = np.asarray(gamma_rr, dtype=complex)
-    gamma_ar = np.asarray(gamma_ar, dtype=complex)
-    n = gamma_rr.shape[0]
-    a = gamma_rr + ridge * np.eye(n)
+def _solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray, ridge: float):
+    """Taps w of (Gamma_rr + ridge I) w = gamma_ar, applied as rows @ w."""
+    a = gamma_rr + ridge * np.eye(gamma_rr.shape[0])
     if ridge == 0.0 and np.linalg.cond(a) > 1e12:
-        raise np.linalg.LinAlgError("autocorrelation matrix is singular; add ridge")
-    # w = gamma_ar @ inv(Gamma_rr); as a Hermitian linear system this is
-    # (Gamma + ridge I) w = gamma_ar with w applied as frames @ w
-    taps = np.linalg.solve(a, gamma_ar)
-    return WienerEqualizer(taps, gamma_rr, gamma_ar)
+        raise np.linalg.LinAlgError("correlation matrix is singular; add ridge")
+    return np.linalg.solve(a, gamma_ar)
+
+
+def estimate_correlations(
+    received: np.ndarray, training: np.ndarray, n_w: int, ns: int = 1
+):
+    training = np.asarray(training, dtype=complex)
+    return _correlations(_training_regressors(received, training.size, ns, n_w),
+                         training)
+
+
+def wiener_solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray,
+                 ridge: float = 0.0) -> np.ndarray:
+    """Wiener taps w = gamma_ar @ inv(Gamma_rr), ridge-regularized."""
+    return _solve(np.asarray(gamma_rr, dtype=complex),
+                  np.asarray(gamma_ar, dtype=complex), ridge)
 
 
 def wiener_mse(taps: np.ndarray, received: np.ndarray, symbols: np.ndarray,
@@ -131,18 +132,15 @@ def wiener_mse(taps: np.ndarray, received: np.ndarray, symbols: np.ndarray,
 class DetectionReport:
     symbols: np.ndarray
     soft: np.ndarray
-    residual_mse: float  # post-equalization error vs hard decisions
 
 
 def linear_mud_detect(
-    received: np.ndarray, eq: WienerEqualizer, scheme: ModulationScheme,
+    received: np.ndarray, taps: np.ndarray, scheme: ModulationScheme,
     num_symbols: int, ns: int = 1,
 ) -> DetectionReport:
-    frames = _training_regressors(received, num_symbols, ns, eq.taps.size)
-    soft = frames @ eq.taps
-    decided = slice_symbols(soft, scheme)
-    residual = float(np.mean(np.abs(soft - decided) ** 2))
-    return DetectionReport(decided, soft, residual)
+    taps = np.asarray(taps, dtype=complex)
+    soft = _training_regressors(received, num_symbols, ns, taps.size) @ taps
+    return DetectionReport(slice_symbols(soft, scheme), soft)
 
 
 @dataclass
@@ -164,23 +162,14 @@ def dfe_train(
     received: np.ndarray, training: np.ndarray, nf: int, nb: int,
     ridge: float = 0.0, ns: int = 1,
 ) -> DfeEqualizer:
+    """Joint Wiener solve for nf feedforward and nb feedback taps."""
     training = np.asarray(training, dtype=complex)
-    if training.size < 10 * (nf + nb):
-        raise TrainingDataError(
-            f"need at least {10 * (nf + nb)} training symbols, got {training.size}"
-        )
     ff = _training_regressors(received, training.size, ns, nf)
     # feedback inputs: previously decided symbols; training fills them in
     fb = np.zeros((training.size, nb), dtype=complex)
     for b in range(nb):
         fb[b + 1 :, b] = training[: training.size - b - 1]
-    u = np.concatenate([ff, fb], axis=1)
-    gram = u.conj().T @ u / training.size
-    cross = training @ u.conj() / training.size
-    a = gram + ridge * np.eye(nf + nb)
-    if ridge == 0.0 and np.linalg.cond(a) > 1e12:
-        raise np.linalg.LinAlgError("joint correlation matrix is singular; add ridge")
-    w = np.linalg.solve(a, cross)
+    w = _solve(*_correlations(np.concatenate([ff, fb], axis=1), training), ridge)
     return DfeEqualizer(w[:nf], w[nf:])
 
 
@@ -203,8 +192,7 @@ def dfe_detect(
         num_symbols,
     )
     eq.decision_history = hist
-    residual = float(np.mean(np.abs(soft - decided) ** 2))
-    return DetectionReport(decided, soft, residual)
+    return DetectionReport(decided, soft)
 
 
 def dispersion_constant(scheme: ModulationScheme) -> float:

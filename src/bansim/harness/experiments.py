@@ -159,35 +159,32 @@ def run_mud_compare(cfg: ScenarioConfig):
     scene, n_train, n_sym, rng = _default_mud_scene(cfg)
     scheme = scene.scheme
     ns = scene.samples_per_symbol
+    # matched filter: taps are the conjugated user-1 template
+    tpl = scene.templates[0]
+    energy = np.sum(np.abs(tpl) ** 2)
+    if energy == 0:
+        raise ConfigError("template1 has zero energy: the desired user needs a "
+                          "nonzero template")
+    w_mf = np.conj(tpl) / energy
     signal = equalize.synth_multiuser(scene, rng.integers(2**63))
     truth = scene.symbols_per_user[0]
     train, payload = truth[:n_train], truth[n_train:]
     payload_rx = signal.composite[n_train * ns :]
 
-    results = []
-    # matched filter: taps are the conjugated user-1 template
-    tpl = scene.templates[0]
-    w_mf = np.conj(tpl) / np.sum(np.abs(tpl) ** 2)
-    mf = equalize.WienerEqualizer(w_mf, np.eye(tpl.size), w_mf)
-    rep = equalize.linear_mud_detect(payload_rx, mf, scheme, n_sym, ns)
-    results.append(("matched", rep, w_mf.size))
-
     gamma_rr, gamma_ar = equalize.estimate_correlations(
         signal.composite, train, nw, ns)
     ridge_abs = ridge * np.trace(gamma_rr).real / nw
-    weq = equalize.wiener_solve(gamma_rr, gamma_ar, ridge_abs)
-    rep = equalize.linear_mud_detect(payload_rx, weq, scheme, n_sym, ns)
-    results.append(("linear_mud", rep, nw))
-
+    w_lin = equalize.wiener_solve(gamma_rr, gamma_ar, ridge_abs)
     dfe = equalize.dfe_train(signal.composite, train, nw, nb, ridge_abs, ns)
     # warm-start the feedback history with the tail of the training block
     dfe.decision_history = np.asarray(train[-nb:][::-1], dtype=complex)
-    rep = equalize.dfe_detect(payload_rx, dfe, scheme, n_sym, ns)
-    results.append(("dfe_mud", rep, nw + nb))
+    results = [(name, equalize.linear_mud_detect(payload_rx, taps, scheme, n_sym, ns))
+               for name, taps in (("matched", w_mf), ("linear_mud", w_lin))]
+    results.append(("dfe_mud", equalize.dfe_detect(payload_rx, dfe, scheme, n_sym, ns)))
 
     table = _table(cfg, ["receiver", "ser", "mse"])
     rows = []
-    for name, rep, _ in results:
+    for name, rep in results:
         decided = rep.symbols[:n_sym]
         ser = float(np.mean(decided != payload[: decided.size]))
         mse = float(np.mean(np.abs(rep.soft[:n_sym] - payload[: decided.size]) ** 2))

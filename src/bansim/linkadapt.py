@@ -36,13 +36,8 @@ class LaNode:
     tx_power_dbm: float
     distance_m: float
     rate_level: int = 0
-    beacon_power_dbm: float = float("nan")  # latest received beacon power
     p_f: float = 0.0
     failure_history: list = field(default_factory=list, repr=False)
-
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def packet_received(
@@ -103,14 +98,10 @@ def simulate_la(
             if pl.sigma_db > 0:
                 loss += pl.sigma_db * rng.standard_normal()
             received_powers.append(node.tx_power_dbm - loss)
+        linear = [10.0 ** (p / 10.0) for p in received_powers]
         for i, node in enumerate(nodes):
             p_r = received_powers[i]
-            node.beacon_power_dbm = p_r
-            interf_lin = sum(
-                _db_to_linear(received_powers[j])
-                for j in range(len(nodes))
-                if j != i
-            )
+            interf_lin = sum(linear[:i] + linear[i + 1 :])
             snr_db = p_r - noise_floor_dbm
             # `== 0.0`, not `> 0.0`: a NaN sum must reach the C/I test
             interf_dbm = (float("-inf") if interf_lin == 0.0

@@ -195,8 +195,8 @@ def test_criterion_08_wiener_beats_brute_force_grid():
             channels.apply_channel(train, cir), 20.0, sigproc.BPSK, 78
         )
         gamma_rr, gamma_ar = equalize.estimate_correlations(rx, train, n_w)
-        eq = equalize.wiener_solve(gamma_rr, gamma_ar, ridge=1e-12)
-        closed_form = equalize.wiener_mse(eq.taps, rx, train)
+        w = equalize.wiener_solve(gamma_rr, gamma_ar, ridge=1e-12)
+        closed_form = equalize.wiener_mse(w, rx, train)
         axis = np.arange(-1.0, 1.0 + 1e-9, 0.05)
         grids = np.meshgrid(*([axis] * n_w), indexing="ij")
         grid = np.stack([g.ravel() for g in grids], axis=1)
@@ -359,3 +359,13 @@ def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch):
             n for n in names if n.endswith(".csv")], config
         for golden in goldens.iterdir():
             assert_matches_golden(out_a / golden.name, golden)
+
+
+def test_criterion_11_indoor_channel_matches_golden(tmp_path):
+    # the shipped channel_stats config is outdoor only; this one runs the
+    # indoor model (reflection clusters, every fading term and shadowing)
+    config = FIXTURES / "channel_stats_indoor.cfg"
+    out = tmp_path / "indoor"
+    assert cli.main(["channel_stats", "--config", str(config), "--out", str(out)]) == 0
+    golden = FIXTURES / "golden" / "channel_stats_indoor" / "channel_stats.csv"
+    assert_matches_golden(out / "channel_stats.csv", golden)

@@ -76,8 +76,8 @@ def test_estimate_correlations_hermitian_and_floor():
 
 
 def test_wiener_identity_system():
-    eq = equalize.wiener_solve(np.eye(3), np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(eq.taps, [1.0, 0.0, 0.0])
+    taps = equalize.wiener_solve(np.eye(3), np.array([1.0, 0.0, 0.0]))
+    assert np.allclose(taps, [1.0, 0.0, 0.0])
 
 
 def test_wiener_linearity_in_crosscorr():
@@ -85,8 +85,8 @@ def test_wiener_linearity_in_crosscorr():
     m = rng.normal(size=(3, 3))
     gamma_rr = m @ m.T + np.eye(3)
     gamma_ar = rng.normal(size=3)
-    w1 = equalize.wiener_solve(gamma_rr, gamma_ar).taps
-    w2 = equalize.wiener_solve(gamma_rr, 2.5 * gamma_ar).taps
+    w1 = equalize.wiener_solve(gamma_rr, gamma_ar)
+    w2 = equalize.wiener_solve(gamma_rr, 2.5 * gamma_ar)
     assert np.allclose(w2, 2.5 * w1)
 
 
@@ -94,8 +94,8 @@ def test_wiener_singular_raises():
     with pytest.raises(np.linalg.LinAlgError):
         equalize.wiener_solve(np.zeros((2, 2)), np.array([1.0, 0.0]))
     # a ridge rescues the same system
-    eq = equalize.wiener_solve(np.zeros((2, 2)), np.array([1.0, 0.0]), ridge=1e-3)
-    assert np.all(np.isfinite(eq.taps))
+    taps = equalize.wiener_solve(np.zeros((2, 2)), np.array([1.0, 0.0]), ridge=1e-3)
+    assert np.all(np.isfinite(taps))
 
 
 def test_wiener_beats_taps_on_isi_channel():
@@ -104,8 +104,8 @@ def test_wiener_beats_taps_on_isi_channel():
     rx = channels.apply_channel(sym, cir)
     rx = sigproc.add_awgn(rx, 20.0, sigproc.BPSK, 10)
     gamma_rr, gamma_ar = equalize.estimate_correlations(rx, sym, 5)
-    eq = equalize.wiener_solve(gamma_rr, gamma_ar)
-    mse_w = equalize.wiener_mse(eq.taps, rx, sym)
+    taps = equalize.wiener_solve(gamma_rr, gamma_ar)
+    mse_w = equalize.wiener_mse(taps, rx, sym)
     mse_raw = float(np.mean(np.abs(sym - rx[: sym.size]) ** 2))
     assert mse_w < mse_raw
 
@@ -144,9 +144,8 @@ def test_linear_mud_and_wiener_mse_unchanged_by_regressor_stacking():
     rx = rng.normal(size=590) + 1j * rng.normal(size=590)
     sym = sigproc.modulate(sigproc.random_bits(600, 31), sigproc.OQPSK)[:300]
     taps = rng.normal(size=6) + 1j * rng.normal(size=6)
-    weq = equalize.WienerEqualizer(taps, np.eye(6), taps)
     ref = row_loop_regressors(rx, 300, 2, 6) @ taps
-    rep = equalize.linear_mud_detect(rx, weq, sigproc.OQPSK, 300, 2)
+    rep = equalize.linear_mud_detect(rx, taps, sigproc.OQPSK, 300, 2)
     assert rep.soft.tobytes() == ref.tobytes()
     mse = float(np.mean(np.abs(sym - ref) ** 2))
     assert equalize.wiener_mse(taps, rx, sym, 2) == mse
@@ -194,14 +193,31 @@ def test_dfe_beats_linear_on_isi():
     assert mse_dfe <= mse_lin
 
 
+def test_dfe_train_needs_ten_symbols_per_tap():
+    sym = bpsk_symbols(50, 19)
+    with pytest.raises(equalize.TrainingDataError, match="at least 50 training"):
+        equalize.dfe_train(sym, sym[:49], nf=3, nb=2)
+    eq = equalize.dfe_train(sym, sym, nf=3, nb=2, ridge=1e-9)
+    assert (eq.w_ff.size, eq.w_fb.size) == (3, 2)
+
+
+def test_dfe_train_singular_without_ridge():
+    train = bpsk_symbols(200, 20)
+    # an all-zero received stream leaves the feedforward block of the joint
+    # correlation matrix zero
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        equalize.dfe_train(np.zeros(200), train, nf=3, nb=2)
+    eq = equalize.dfe_train(np.zeros(200), train, nf=3, nb=2, ridge=1e-3)
+    assert np.all(np.isfinite(eq.w_ff)) and np.all(np.isfinite(eq.w_fb))
+
+
 def test_dfe_without_feedback_equals_linear():
     sym = bpsk_symbols(500, 17)
     rx = sigproc.add_awgn(sym, 10.0, sigproc.BPSK, 18)
     eq = equalize.DfeEqualizer(np.array([0.9 + 0.1j]), np.array([]))
     rep = equalize.dfe_detect(rx, eq, sigproc.BPSK, num_symbols=sym.size)
-    lin = equalize.WienerEqualizer(np.array([0.9 + 0.1j]), np.eye(1),
-                                  np.array([1.0]))
-    rep_lin = equalize.linear_mud_detect(rx, lin, sigproc.BPSK, sym.size)
+    rep_lin = equalize.linear_mud_detect(rx, np.array([0.9 + 0.1j]), sigproc.BPSK,
+                                         sym.size)
     assert np.allclose(rep.soft, rep_lin.soft)
     assert np.array_equal(rep.symbols, rep_lin.symbols)
 

@@ -232,6 +232,8 @@ MALFORMED = [
     ("channel_stats", "[bann]", "[bann]"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
+    ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),
+    ("mud_compare", "[mud_compare]\ntemplate1 = 0, 0", "template1"),
 ]
 
 
@@ -253,6 +255,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_mud_compare_silent_second_user_runs():
+    cfg = parse_config("[common]\nseed = 1\n[mud_compare]\nsymbols = 200\n"
+                       "training = 100\ntemplate2 = 0, 0\n", "mud_compare")
+    [(_, table, _)] = run_experiment(cfg)
+    assert sorted(table.column("receiver")) == ["dfe_mud", "linear_mud", "matched"]
+    assert all(np.isfinite(table.column("mse")))
+
+
 def test_benchmark_inputs_parse(tmp_path, monkeypatch):
     """The configs and topology the benchmark generates pass both parsers."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -270,3 +280,56 @@ def test_benchmark_inputs_parse(tmp_path, monkeypatch):
                 assert len(tree.nodes) == workloads.TREE_NODES
                 topologies += 1
     assert experiments == set(EXPERIMENTS) and topologies == 1
+
+
+def _shipped(experiment: str, name: str, counts: list[str]):
+    return pytest.param(experiment, (ROOT / "configs" / name).read_text(), counts,
+                        id=name)
+
+
+# config runs under the benchmark's tracer and the meter counts each must
+# record; no shipped config runs DSE-CMA, which the receivers workload does
+TRACED_RUNS = [
+    _shipped("ber_sweep", "ber_sweep.cfg", ["sigproc.add_awgn.symbols",
+                                            "sigproc.demodulate.dist_bytes",
+                                            "sigproc.nearest_labels.dist_bytes"]),
+    _shipped("channel_stats", "channel_stats.cfg", ["channels.draws"]),
+    _shipped("doa_hist", "doa_hist.cfg", ["channels.gbhds_doa_histogram.samples"]),
+    _shipped("cma_convergence", "cma_convergence_qam8.cfg",
+             ["kernels.cma_run.cma_iters"]),
+    _shipped("cma_convergence", "cma_convergence_qam16.cfg",
+             ["kernels.cma_run.cma_iters"]),
+    pytest.param("cma_convergence",
+                 "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM8\n"
+                 "variant = DSE_CMA\nmu = 0.00005\niterations = 2000\nwindow = 100\n",
+                 ["kernels.dse_cma_run.dse_iters"], id="dse_cma_qam8"),
+    _shipped("mud_compare", "mud_compare.cfg", ["equalize.linear_mud_detect.symbols",
+                                                "kernels.dfe_detect_run.dfe_symbols",
+                                                "sigproc.nearest_labels.dist_bytes"]),
+    _shipped("la_sim", "la_sim.cfg", ["linkadapt.simulate_la.node_rounds"]),
+    _shipped("broadcast_sim", "broadcast_sim.cfg",
+             ["zigbee.self_pruning_broadcast.trials",
+              "zigbee.self_pruning_broadcast.tx"]),
+]
+
+
+@pytest.mark.parametrize("experiment,text,counts", TRACED_RUNS)
+def test_benchmark_tracer_binds(monkeypatch, experiment, text, counts):
+    """Every function the benchmark's tracer wraps still binds its meter."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    cfg = parse_config(text, experiment)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    counts_seen = tracer.fold()["counts"]
+    assert all(counts_seen.get(key, 0) > 0 for key in counts), counts_seen
+    if experiment == "mud_compare":
+        # the DFE solves through the shared helpers, not a second Wiener span
+        assert names.count("equalize.wiener_solve") == 1
+        assert names.count("equalize.estimate_correlations") == 1
