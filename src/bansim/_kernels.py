@@ -4,8 +4,9 @@ CMA/DSE-CMA adaptation and decision-feedback detection are step-by-step
 recursions.  They run on numpy, vectorized outside the recursion
 (feedforward filtering, regressor windows, dither), and are bit-identical
 to the per-step reference (``equalize.cma_step`` and a scalar per-symbol
-DFE loop).  ``benchmarks/bench_kernels.py`` times them against those
-references.
+DFE loop); ``tests/test_kernels.py`` asserts that bit-identity against
+``tests/kernel_reference.py``.  ``perfbench/run.py --trace 1`` reports their
+cost per step (``kernels.*.ns_per_iter``).
 """
 
 from __future__ import annotations

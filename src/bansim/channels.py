@@ -47,11 +47,6 @@ class ChannelImpulseResponse:
     def energy(self) -> float:
         return float(np.sum(np.abs(self.taps) ** 2))
 
-    def cluster_ids(self) -> np.ndarray:
-        """Cluster index of each bin (bins before the first cluster get -1)."""
-        starts = np.asarray(self.cluster_starts)
-        return np.searchsorted(starts, np.arange(self.taps.size), side="right") - 1
-
 
 @dataclass
 class BanModelParams:
@@ -63,7 +58,6 @@ class BanModelParams:
     sigma_ray_db: float = 0.0
     mean_cluster_interarrival_ns: float = 10.0
     tau_ground_ns: float = 5.0
-    position: str = "front"
     shadowing_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
@@ -192,22 +186,15 @@ def gen_indoor_ban(
                       gen_ref(params, num_clusters, child_ref))
 
 
-def path_loss_db(d_m: float, params: PathLossParams, seed=None) -> float:
+def path_loss_db(d_m: float, params: PathLossParams, rng=None) -> float:
+    """Log-distance path loss; with a Generator and sigma_db > 0, plus one
+    lognormal shadowing draw from it."""
     if not 0.0 < d_m < np.inf:  # NaN fails both comparisons
         raise ValueError(f"distance must be finite and positive, got {d_m}")
     loss = params.a0_db + 10.0 * params.exponent * np.log10(d_m / params.d0_m)
-    if seed is not None and params.sigma_db > 0:
-        rng = np.random.default_rng(seed)
+    if rng is not None and params.sigma_db > 0:
         loss += params.sigma_db * rng.standard_normal()
     return float(loss)
-
-
-def gbhds_pdf(r_m, params: GbhdsParams):
-    r = np.asarray(r_m, dtype=float)
-    a, big_r = params.a, params.radius_m
-    pdf = a / (np.tanh(a * big_r) * np.cosh(a * r) ** 2)
-    pdf = np.where((r < 0) | (r > big_r), 0.0, pdf)
-    return pdf if pdf.ndim else float(pdf)
 
 
 def sample_gbhds(params: GbhdsParams, count: int, seed) -> np.ndarray:

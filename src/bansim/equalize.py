@@ -120,14 +120,6 @@ def wiener_solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray,
                   np.asarray(gamma_ar, dtype=complex), ridge)
 
 
-def wiener_mse(taps: np.ndarray, received: np.ndarray, symbols: np.ndarray,
-               ns: int = 1) -> float:
-    """Empirical MSE of a linear equalizer on known symbols."""
-    frames = _training_regressors(received, len(symbols), ns, len(taps))
-    est = frames @ taps
-    return float(np.mean(np.abs(np.asarray(symbols) - est) ** 2))
-
-
 @dataclass
 class DetectionReport:
     symbols: np.ndarray
@@ -175,13 +167,11 @@ def dfe_train(
 
 def dfe_detect(
     received: np.ndarray, eq: DfeEqualizer, scheme: ModulationScheme,
-    num_symbols: int = None, ns: int = 1,
+    num_symbols: int, ns: int = 1,
 ) -> DetectionReport:
     received = np.asarray(received, dtype=complex)
     if ns < 1:
         raise ValueError("ns must be >= 1")
-    if num_symbols is None:
-        num_symbols = max(0, (received.size - 1) // ns + 1)
     soft, decided, hist = _kernels.dfe_detect_run(
         received,
         eq.w_ff,
@@ -254,10 +244,8 @@ def cma_step(eq: CmaEqualizer, regressor: np.ndarray, dither_u=None):
 
 @dataclass
 class BlindRunResult:
-    equalized: np.ndarray
-    trace: np.ndarray  # per-iteration MSE (test mode) or CM cost
-    equalizer: CmaEqualizer
-    delay: int  # delay used for the test-mode trace (-1 without truth)
+    trace: np.ndarray  # per-iteration squared error against the known symbols
+    delay: int  # equalizer delay that aligns the output with the symbols
 
 
 def _aligned(y: np.ndarray, truth: np.ndarray, delay: int):
@@ -300,35 +288,29 @@ def agc(received: np.ndarray) -> np.ndarray:
 
 def run_blind(
     received: np.ndarray, eq: CmaEqualizer, iterations: int,
-    truth: np.ndarray = None, seed=0, stride: int = 1, normalize: bool = False,
+    truth: np.ndarray, seed=0, stride: int = 1,
 ) -> BlindRunResult:
-    received = np.asarray(received, dtype=np.complex128)
+    """Adapt ``eq`` on the stream scaled to unit power (``agc``) and score
+    each output against the transmitted symbols ``truth``."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if normalize:
-        received = agc(received)
+    received = agc(received)
     nf = eq.taps.size
     if received.size < nf + (iterations - 1) * stride:
         raise ValueError("received stream too short for requested iterations")
     if eq.variant == "CMA":
-        y, taps, bad = _kernels.cma_run(
+        y, _, bad = _kernels.cma_run(
             received, eq.taps.astype(np.complex128), eq.step, eq.dispersion,
             iterations, stride,
         )
     else:
         rng = np.random.default_rng(seed)
         dither_u = rng.uniform(0.0, 1.0, size=2 * iterations)
-        y, taps, bad = _kernels.dse_cma_run(
+        y, _, bad = _kernels.dse_cma_run(
             received, eq.taps.astype(np.complex128), eq.step, eq.dispersion,
             eq.dither_amplitude, dither_u, iterations, stride,
         )
     if bad >= 0:
         raise DivergenceError(bad)
-    final = CmaEqualizer(taps, eq.step, eq.dispersion, eq.variant,
-                         eq.dither_amplitude)
-    if truth is not None:
-        trace, delay = _derotate_and_delay(y, np.asarray(truth, dtype=complex), nf)
-    else:
-        trace = (np.abs(y) ** 2 - eq.dispersion) ** 2
-        delay = -1
-    return BlindRunResult(y, trace, final, delay)
+    trace, delay = _derotate_and_delay(y, np.asarray(truth, dtype=complex), nf)
+    return BlindRunResult(trace, delay)

@@ -1,12 +1,1 @@
-from .config import ConfigError, ScenarioConfig, parse_config
-from .table import ResultTable
-from .svg import PlotSpec, emit_svg
-
-__all__ = [
-    "ConfigError",
-    "ScenarioConfig",
-    "parse_config",
-    "ResultTable",
-    "PlotSpec",
-    "emit_svg",
-]
+"""Config parsing, result tables, SVG plots, experiment runners and the CLI."""

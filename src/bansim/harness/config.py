@@ -36,6 +36,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 # section -> key -> (type, default).  A list type `[t]` takes one or more
 # comma-separated values; a callable default is computed from the keys above it.
 COMMON = {"seed": (int, None), "out": (str, ".")}
@@ -70,7 +77,7 @@ SCHEMAS = {
         "ns": (positive_int, 2),
         "template1": ([float], [1.0, 0.5, 0.3]),
         "template2": ([float], [0.6, 0.9, 0.2]),
-        "nw": (positive_int, 6), "nb": (int, 3), "ridge": (float, 1e-9),
+        "nw": (positive_int, 6), "nb": (nonnegative_int, 3), "ridge": (float, 1e-9),
     }},
     "la_sim": {"la_sim": {
         "rounds": (positive_int, 50),
@@ -83,7 +90,7 @@ SCHEMAS = {
     }},
     "broadcast_sim": {"broadcast_sim": {
         "topology": (str, None), "source": (int, 0), "trials": (positive_int, 100),
-        "max_backoff": (int, 7),
+        "max_backoff": (nonnegative_int, 7),
     }},
 }
 EXPERIMENTS = tuple(SCHEMAS)

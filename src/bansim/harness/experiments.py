@@ -121,8 +121,7 @@ def run_cma_convergence(cfg: ScenarioConfig):
         dither_amplitude=r2 if variant == "DSE_CMA" else 0.0,
     )
     result = equalize.run_blind(received, eq, iterations, truth=symbols,
-                                seed=rng.integers(2**63), stride=stride,
-                                normalize=True)
+                                seed=rng.integers(2**63), stride=stride)
     table = _table(cfg, ["iteration", "mse"])
     for i, v in enumerate(result.trace):
         table.append(i, float(v))
@@ -248,10 +247,14 @@ def run_experiment(cfg: ScenarioConfig):
     except KeyError:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}") from None
     try:
-        return runner(cfg)
+        # a float that overflows or turns NaN raises here instead of
+        # reaching the output as nan/inf rows
+        with np.errstate(over="raise", invalid="raise"):
+            return runner(cfg)
     except ConfigError:
         raise
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         # the models reject impossible settings with ValueError (numpy's
-        # LinAlgError included); an unreadable input file is a config error too
+        # LinAlgError included); an unreadable input file is a config error
+        # too, and so is a setting whose arithmetic overflows
         raise ConfigError(f"{cfg.experiment}: {exc}") from exc

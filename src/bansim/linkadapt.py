@@ -92,12 +92,8 @@ def simulate_la(
     trace: list[LaTraceRow] = []
     for rnd in range(rounds):
         # every node transmits each round; shadowing redrawn per (round, node)
-        received_powers = []
-        for node in nodes:
-            loss = path_loss_db(node.distance_m, pl)
-            if pl.sigma_db > 0:
-                loss += pl.sigma_db * rng.standard_normal()
-            received_powers.append(node.tx_power_dbm - loss)
+        received_powers = [node.tx_power_dbm - path_loss_db(node.distance_m, pl, rng)
+                           for node in nodes]
         linear = [10.0 ** (p / 10.0) for p in received_powers]
         for i, node in enumerate(nodes):
             p_r = received_powers[i]

@@ -1,4 +1,4 @@
-"""Modulation/demodulation, AWGN injection, and signal-quality metrics.
+"""Modulation/demodulation, hard-decision slicing and AWGN injection.
 
 All constellations are normalized to unit average symbol energy and carry
 Gray-coded bit labels; the constellation array is indexed by the integer
@@ -26,10 +26,6 @@ class ModulationScheme:
     kind: str
     bits_per_symbol: int
     constellation: np.ndarray = field(repr=False)  # indexed by bit label
-
-    @property
-    def order(self) -> int:
-        return 2 ** self.bits_per_symbol
 
 
 def _pam_levels(n_levels: int) -> np.ndarray:
@@ -94,11 +90,6 @@ class PaddingRequiredError(ValueError):
     """Bit stream length is not a multiple of bits_per_symbol."""
 
 
-def random_bits(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=n, dtype=np.int8)
-
-
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     bits = np.asarray(bits)
     bps = scheme.bits_per_symbol
@@ -150,27 +141,3 @@ def add_awgn(
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(symbols.size, 2))
     return symbols + noise[:, 0] + 1j * noise[:, 1]
-
-
-def ber(tx: np.ndarray, rx: np.ndarray) -> float:
-    tx = np.asarray(tx)
-    rx = np.asarray(rx)
-    if tx.size != rx.size:
-        raise ValueError(f"length mismatch: {tx.size} vs {rx.size}")
-    if tx.size == 0:
-        raise ValueError("empty bit streams")
-    return float(np.mean(tx != rx))
-
-
-def mse_trace(
-    reference: np.ndarray, estimate: np.ndarray, window: int
-) -> np.ndarray:
-    reference = np.asarray(reference, dtype=complex)
-    estimate = np.asarray(estimate, dtype=complex)
-    if reference.size != estimate.size:
-        raise ValueError("length mismatch")
-    if window < 1 or window > reference.size:
-        raise ValueError(f"window {window} out of range for length {reference.size}")
-    err = np.abs(reference - estimate) ** 2
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(err, kernel, mode="valid")

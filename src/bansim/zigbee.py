@@ -58,15 +58,18 @@ class TreeShapeError(ValueError):
 def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> ZigbeeTree:
     """Build a tree from {node key: [child keys]} and assign block addresses."""
     all_children = [c for kids in shape.values() for c in kids]
-    if len(set(all_children)) != len(all_children):
+    child_set = set(all_children)
+    if len(child_set) != len(all_children):
         raise TreeShapeError("a node appears as a child twice")
-    roots = [k for k in shape if k not in set(all_children)]
+    roots = [k for k in shape if k not in child_set]
     if len(roots) != 1:
         raise TreeShapeError(f"expected exactly one root, found {len(roots)}")
-    root = roots[0]
     nodes: dict[int, ZigbeeNode] = {}
-
-    def visit(key: int, address: int, parent: int | None, depth: int) -> None:
+    # pre-order with an explicit stack: a chain as deep as d_l allows must
+    # not hit the interpreter's recursion limit
+    stack: list[tuple[int, int, int | None, int]] = [(roots[0], 0, None, 0)]
+    while stack:
+        key, address, parent, depth = stack.pop()
         if depth > d_l:
             raise TreeShapeError(f"node {key} exceeds maximum depth {d_l}")
         kids = shape.get(key, [])
@@ -82,10 +85,9 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
             role = "RFD"
         nodes[key] = ZigbeeNode(key, address, parent, list(kids), depth, role)
         stride = cskip(depth, n_chl, d_l)
-        for i, child in enumerate(kids):
-            visit(child, address + 1 + i * stride, key, depth + 1)
-
-    visit(root, 0, None, 0)
+        # reversed, so the first child is visited next
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], address + 1 + i * stride, key, depth + 1))
     return ZigbeeTree(n_chl, d_l, nodes)
 
 
@@ -141,7 +143,6 @@ class EventLogRow:
     slot: int
     node: int
     action: str  # tx | skip
-    covered_count: int
 
 
 @dataclass
@@ -165,7 +166,7 @@ def self_pruning_broadcast(
     nbr = radio.neighbors
     covered = {source} | nbr[source]
     forward_set = {source}
-    log = [EventLogRow(0, source, "tx", len(covered))]
+    log = [EventLogRow(0, source, "tx")]
     # pending: node -> [expiry slot, residual neighbor set]
     pending: dict[int, list] = {}
     for x in sorted(nbr[source], key=tree.address):
@@ -179,12 +180,12 @@ def self_pruning_broadcast(
         for x in due:
             residual = pending.pop(x)[1]
             if not residual:
-                log.append(EventLogRow(slot, x, "skip", len(covered)))
+                log.append(EventLogRow(slot, x, "skip"))
                 continue
             forward_set.add(x)
             newly = (nbr[x] | {x}) - covered
             covered |= nbr[x] | {x}
-            log.append(EventLogRow(slot, x, "tx", len(covered)))
+            log.append(EventLogRow(slot, x, "tx"))
             for y in sorted(nbr[x], key=tree.address):
                 if y in forward_set:
                     continue
@@ -206,7 +207,7 @@ def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastSta
     covered = {source} | nbr[source]
     to_cover = set(tree.nodes) - covered
     forward_set = {source}
-    log = [EventLogRow(0, source, "tx", len(covered))]
+    log = [EventLogRow(0, source, "tx")]
     sweep = 0
     while to_cover:
         progressed = False
@@ -218,7 +219,7 @@ def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastSta
                 forward_set.add(x)
                 covered |= nbr[x]
                 to_cover -= nbr[x]
-                log.append(EventLogRow(sweep, x, "tx", len(covered)))
+                log.append(EventLogRow(sweep, x, "tx"))
                 progressed = True
         if not progressed:
             break  # disconnected: residual left as diagnostic
@@ -236,7 +237,7 @@ class BroadcastSummary:
 
 def broadcast_compare(
     tree: ZigbeeTree, radio: RadioGraph, source: int, trials: int,
-    seed, max_backoff: int = 7,
+    seed, max_backoff: int,
 ) -> BroadcastSummary:
     if trials < 1:
         raise ValueError("need at least one trial")

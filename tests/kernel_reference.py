@@ -3,8 +3,8 @@
 Each takes the arguments of its kernel and returns what the kernel returns:
 ``cma_reference`` and ``dse_cma_reference`` run one ``equalize.cma_step``
 per step, ``dfe_reference`` is the scalar per-symbol decision-feedback loop.
-The numpy kernels must reproduce them bit for bit.
-``benchmarks/bench_kernels.py`` times the kernels against them.
+The numpy kernels must reproduce them bit for bit; ``test_kernels.py``
+checks that on random, divergent and edge-case inputs.
 """
 
 import numpy as np

@@ -228,12 +228,24 @@ MALFORMED = [
      "topology line 5"),
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\nnum_clusters = 0",
      "num_clusters"),
-    ("channel_stats", "[ban]\nposition = 3, 4", "position"),
+    ("channel_stats", "[ban]\ndelta_ns = 3, 4", "delta_ns"),
     ("channel_stats", "[bann]", "[bann]"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0, 0", "template1"),
+    ("mud_compare", "[mud_compare]\nnb = -1", "nb"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nmax_backoff = -1",
+     "max_backoff"),
+    # arithmetic that overflows: an error, never nan rows or a traceback
+    ("mud_compare", "[mud_compare]\ntemplate1 = 1e200", "mud_compare: overflow"),
+    ("mud_compare", "[mud_compare]\ntemplate2 = 1e200", "mud_compare: overflow"),
+    ("mud_compare", "[mud_compare]\nebn0_db = 1e200", "mud_compare: "),
+    ("cma_convergence", "[cma_convergence]\nchannel = 1e200",
+     "cma_convergence: overflow"),
+    ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: "),
+    ("ber_sweep", "[ber_sweep]\nebn0_db = -1e200", "ber_sweep: "),
+    ("la_sim", "[la_sim]\ntx_power_dbm = 1e200, 0", "la_sim: "),
 ]
 
 

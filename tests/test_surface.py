@@ -1,0 +1,62 @@
+"""The public surface of ``bansim`` is what the program itself runs.
+
+Every public top-level name of a ``bansim`` module must be read somewhere in
+the code under ``src/`` or ``perfbench/``; a name only the tests call
+belongs in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bansim"
+
+# public names kept without a program caller
+ALLOWED = {
+    # the README promises Cskip address arithmetic in both directions
+    ("zigbee", "identify_relatives"),
+    # the per-step reference the receiver kernels are tested against
+    ("equalize", "cma_step"),
+}
+
+
+def _module(path: Path) -> str:
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def _identifiers_read(tree: ast.Module) -> set[str]:
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_every_public_name_has_a_program_caller():
+    program = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set()
+    for path in program:
+        read |= _identifiers_read(ast.parse(path.read_text(), str(path)))
+    defined = {
+        (_module(path), name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in _public_names(ast.parse(path.read_text(), str(path)))
+    }
+    assert ALLOWED <= defined, "allowlist names a definition that is gone"
+    assert ("channels", "path_loss_db") in defined  # the scan sees the package
+    unused = sorted(f"{mod}.{name}" for mod, name in defined - ALLOWED
+                    if name not in read)
+    assert unused == [], f"public names no program code reads: {unused}"

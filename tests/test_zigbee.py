@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bansim import zigbee
+from bansim.harness import cli
 from graphutil import graph_to_scene  # noqa: F401  (shared helper sanity)
 
 
@@ -181,7 +182,8 @@ def test_disconnected_radio_reports_partial_coverage():
 
 def test_broadcast_compare_star():
     tree, radio = star_scene()
-    summary = zigbee.broadcast_compare(tree, radio, 0, trials=20, seed=7)
+    summary = zigbee.broadcast_compare(tree, radio, 0, trials=20, seed=7,
+                                       max_backoff=7)
     assert summary.mean_self_pruning_rebroadcasts == 0.0
     assert summary.oos_forward_set_size == 1
     assert summary.self_pruning_coverage == 1.0
@@ -211,3 +213,20 @@ def test_parse_topology_and_event_log():
                 "[params]\nfanout = 2"):
         with pytest.raises(ValueError, match="^topology line 2: expected "):
             zigbee.parse_topology(bad)
+
+
+def test_deep_chain_runs_through_cli(tmp_path):
+    # 1500 levels: deeper than the interpreter's default recursion limit
+    n = 1500
+    edges = "\n".join(f"{i} {i + 1}" for i in range(n - 1))
+    topology = tmp_path / "chain.txt"
+    topology.write_text(f"[params]\nn_chl = 1\nd_l = {n}\n[tree]\n{edges}\n")
+    tree, _ = zigbee.parse_topology(topology.read_text())
+    assert list(tree.nodes) == list(range(n))
+    assert [node.address for node in tree.nodes.values()] == list(range(n))
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(f"[common]\nseed = 1\n[broadcast_sim]\ntopology = {topology}\n"
+                   "trials = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["broadcast_sim", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "broadcast_compare.csv").exists()
