@@ -43,6 +43,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 # section -> key -> (type, default).  A list type `[t]` takes one or more
 # comma-separated values; a callable default is computed from the keys above it.
 COMMON = {"seed": (int, None), "out": (str, ".")}
@@ -77,7 +84,8 @@ SCHEMAS = {
         "ns": (positive_int, 2),
         "template1": ([float], [1.0, 0.5, 0.3]),
         "template2": ([float], [0.6, 0.9, 0.2]),
-        "nw": (positive_int, 6), "nb": (nonnegative_int, 3), "ridge": (float, 1e-9),
+        "nw": (positive_int, 6), "nb": (nonnegative_int, 3),
+        "ridge": (nonnegative_float, 1e-9),
     }},
     "la_sim": {"la_sim": {
         "rounds": (positive_int, 50),
@@ -119,7 +127,7 @@ def _typed(kind, text: str, where: str):
         value = kind(text)
     except ValueError:
         raise ConfigError(f"{where}: expected {kind.__name__}, got {text!r}") from None
-    if kind is float and not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}: {text!r} is not a finite number")
     return value
 

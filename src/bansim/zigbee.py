@@ -9,6 +9,7 @@ address alone.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,10 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
         # reversed, so the first child is visited next
         for i in reversed(range(len(kids))):
             stack.append((kids[i], address + 1 + i * stride, key, depth + 1))
+    # a detached cycle has no root of its own, so it passes the root count
+    unreached = next((k for k in shape if k not in nodes), None)
+    if unreached is not None:
+        raise TreeShapeError(f"node {unreached} is not reachable from root {roots[0]}")
     return ZigbeeTree(n_chl, d_l, nodes)
 
 
@@ -160,42 +165,58 @@ def self_pruning_broadcast(
     max_backoff: int,
     seed,
 ) -> BroadcastState:
+    """Flood from `source`: a node that hears the packet waits a random
+    backoff, then transmits only if the transmissions it heard left some
+    neighbour of it uncovered.
+
+    Every radio node must be a tree node.  `seed` is anything
+    ``np.random.default_rng`` takes; a Generator is advanced by one draw per
+    tree node.
+    """
     if source not in tree.nodes:
         raise ValueError(f"source {source} not in tree")
-    rng = np.random.default_rng(seed)
     nbr = radio.neighbors
+    address = {key: node.address for key, node in tree.nodes.items()}.__getitem__
+    # a node waits at most once, so one draw per tree node is enough; the
+    # array gives the values that scalar draws would, in the same order
+    backoffs = iter(np.random.default_rng(seed).integers(
+        0, max_backoff + 1, size=len(tree.nodes)).tolist())
     covered = {source} | nbr[source]
     forward_set = {source}
     log = [EventLogRow(0, source, "tx")]
-    # pending: node -> [expiry slot, residual neighbor set]
-    pending: dict[int, list] = {}
-    for x in sorted(nbr[source], key=tree.address):
-        residual = nbr[x] - nbr[source] - {source}
-        pending[x] = [1 + int(rng.integers(0, max_backoff + 1)), residual]
-    slot = 1
-    while pending:
-        due = sorted(
-            (x for x, (t, _) in pending.items() if t == slot), key=tree.address
-        )
-        for x in due:
-            residual = pending.pop(x)[1]
-            if not residual:
+    pending: dict[int, set[int]] = {}  # waiting node -> residual neighbours
+    due: dict[int, list[int]] = {}  # expiry slot -> nodes waiting for it
+    slots: list[int] = []  # heap of the slots in `due`
+
+    def wait(nodes, heard: set[int], slot: int) -> None:
+        # the draws go to the nodes in address order
+        for y in sorted(nodes, key=address):
+            pending[y] = nbr[y] - heard
+            expiry = slot + 1 + next(backoffs)
+            if expiry in due:
+                due[expiry].append(y)
+            else:
+                due[expiry] = [y]
+                heapq.heappush(slots, expiry)
+
+    wait(nbr[source], nbr[source] | {source}, 0)
+    while slots:
+        # every expiry lies after the slot that set it: the bucket is complete
+        slot = heapq.heappop(slots)
+        for x in sorted(due.pop(slot), key=address):
+            if not pending.pop(x):
                 log.append(EventLogRow(slot, x, "skip"))
                 continue
             forward_set.add(x)
-            newly = (nbr[x] | {x}) - covered
-            covered |= nbr[x] | {x}
             log.append(EventLogRow(slot, x, "tx"))
-            for y in sorted(nbr[x], key=tree.address):
-                if y in forward_set:
-                    continue
+            closed = nbr[x] | {x}
+            # a set difference: unlike the draws, it does not depend on order
+            for y in nbr[x]:
                 if y in pending:
-                    pending[y][1] -= nbr[x] | {x}
-                elif y in newly:
-                    res = nbr[y] - nbr[x] - {x}
-                    pending[y] = [slot + 1 + int(rng.integers(0, max_backoff + 1)),
-                                  res]
-        slot += 1
+                    pending[y] -= closed
+            newly = closed - covered
+            covered |= closed
+            wait(newly, closed, slot)
     return BroadcastState(covered, forward_set, len(forward_set) - 1, log)
 
 
@@ -295,6 +316,10 @@ def parse_topology(text: str):
         shape.setdefault(parent, []).append(child)
         shape.setdefault(child, [])
     tree = assign_addresses(shape, params["n_chl"], params["d_l"])
+    for a, b in edges["radio"]:
+        for key in (a, b):
+            if key not in tree.nodes:
+                raise ValueError(f"radio edge {a} {b}: node {key} is not in [tree]")
     radio = RadioGraph.from_edges(edges["tree"] + edges["radio"], nodes=tree.nodes)
     radio.check_covers_tree(tree)
     return tree, radio

@@ -246,6 +246,12 @@ MALFORMED = [
     ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: "),
     ("ber_sweep", "[ber_sweep]\nebn0_db = -1e200", "ber_sweep: "),
     ("la_sim", "[la_sim]\ntx_power_dbm = 1e200, 0", "la_sim: "),
+    ("mud_compare", "[mud_compare]\nridge = -1", "ridge"),
+    # tree nodes the root cannot reach, and a radio node outside the tree
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {cycle_topology}",
+     "node 2 is not reachable"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {foreign_topology}",
+     "node 99 is not in [tree]"),
 ]
 
 
@@ -254,8 +260,13 @@ MALFORMED = [
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     bad_topology = tmp_path / "bad_topology.txt"
     bad_topology.write_text("[params]\nn_chl = 4\nd_l = 3\n[tree]\n0 1 2\n")
+    cycle_topology = tmp_path / "cycle_topology.txt"
+    cycle_topology.write_text("[tree]\n0 1\n0 4\n2 3\n3 2\n")
+    foreign_topology = tmp_path / "foreign_topology.txt"
+    foreign_topology.write_text("[tree]\n0 1\n[radio]\n0 99\n")
     body = body.format(example=ROOT / "configs" / "topology_example.txt",
-                       bad_topology=bad_topology)
+                       bad_topology=bad_topology, cycle_topology=cycle_topology,
+                       foreign_topology=foreign_topology)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[common]\n" + (body if body.startswith("seed") else
                                     f"seed = 1\n{body}") + "\n")

@@ -1,9 +1,15 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bansim import zigbee
 from bansim.harness import cli
-from graphutil import graph_to_scene  # noqa: F401  (shared helper sanity)
+from graphutil import graph_to_scene, random_connected_graphs
+from zigbee_reference import self_pruning_reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def star_scene(n_leaves=6):
@@ -69,6 +75,9 @@ def test_tree_shape_errors():
         zigbee.assign_addresses({0: [1, 2, 3], 1: [], 2: [], 3: []}, 2, 2)
     with pytest.raises(zigbee.TreeShapeError):
         zigbee.assign_addresses({0: [1], 1: [2], 2: [3], 3: []}, 2, 2)  # too deep
+    # a detached cycle: one root, but nodes 2 and 3 hang off nothing
+    with pytest.raises(zigbee.TreeShapeError, match="node 2 is not reachable"):
+        zigbee.assign_addresses({0: [1, 4], 1: [], 4: [], 2: [3], 3: [2]}, 2, 2)
 
 
 def test_addresses_unique_and_in_range():
@@ -144,6 +153,73 @@ def test_self_pruning_deterministic_given_seed():
     assert [
         (r.slot, r.node, r.action) for r in a.event_log
     ] == [(r.slot, r.node, r.action) for r in b.event_log]
+
+
+def _events(state):
+    return [(r.slot, r.node, r.action) for r in state.event_log]
+
+
+def _scenes(kind, monkeypatch):
+    """(tree, radio) pairs: perfbench topologies or random connected graphs."""
+    if kind == "random":
+        return [graph_to_scene(g) for g in random_connected_graphs(12, 8, seed=21)]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    n_nodes = int(kind.removeprefix("perfbench"))
+    text = workloads.gen_zigbee_topology(np.random.default_rng(n_nodes), n_nodes,
+                                         workloads.TREE_N_CHL, workloads.TREE_D_L,
+                                         workloads.EXTRA_NEIGHBORS)
+    return [zigbee.parse_topology(text)]
+
+
+@pytest.mark.parametrize("kind", ["perfbench300", "perfbench1500", "random"])
+def test_self_pruning_matches_reference(monkeypatch, kind):
+    """The slot buckets and the one array draw per trial reproduce the
+    per-slot scan with scalar draws: same events, coverage and forwarders."""
+    for tree, radio in _scenes(kind, monkeypatch):
+        nodes = tree.nodes.values()
+        root = next(n.key for n in nodes if n.parent is None)
+        leaf = next(n.key for n in nodes if not n.children)
+        mid = max((n for n in nodes if n.children and n.parent is not None),
+                  key=lambda n: len(n.children)).key
+        for source in (root, leaf, mid):
+            for max_backoff in (0, 1, 7, 30):
+                seeds = np.random.SeedSequence([source, max_backoff]).spawn(2)
+                for seed in seeds:
+                    got = zigbee.self_pruning_broadcast(tree, radio, source,
+                                                        max_backoff, seed)
+                    want = self_pruning_reference(tree, radio, source,
+                                                  max_backoff, seed)
+                    assert _events(got) == _events(want)
+                    assert got.covered == want.covered
+                    assert got.forward_set == want.forward_set
+
+
+BACKOFF_RANGES = [0, 1, 2, 3, 5, 6, 7, 8, 9, 15, 16, 31, 100, 255, 1000, 65535,
+                  2**31 - 1, 2**32 - 2, 2**32 - 1, 2**32, 2**40, 2**62]
+
+
+@pytest.mark.parametrize("max_backoff", BACKOFF_RANGES)
+def test_backoff_array_draw_matches_scalar_draws(max_backoff):
+    """One array draw gives the values of successive scalar draws and leaves
+    the generator in the same state."""
+    for seed in range(3):
+        array_rng = np.random.default_rng(seed)
+        drawn = array_rng.integers(0, max_backoff + 1, size=50).tolist()
+        scalar_rng = np.random.default_rng(seed)
+        assert drawn == [int(scalar_rng.integers(0, max_backoff + 1))
+                         for _ in range(50)]
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_self_pruning_jumps_empty_slots():
+    # backoffs near 2**62 slots: visiting each slot in turn would never end
+    tree, radio = chain_scene(5)
+    state = zigbee.self_pruning_broadcast(tree, radio, 0, 2**62, seed=4)
+    assert state.covered == set(tree.nodes)
+    assert state.rebroadcast_count == 3
+    slots = [r.slot for r in state.event_log]
+    assert slots == sorted(slots) and slots[-1] > 2**62
 
 
 def test_oos_star_source_only():

@@ -1,0 +1,53 @@
+"""Per-slot reference for ``bansim.zigbee.self_pruning_broadcast``.
+
+``self_pruning_reference`` takes the arguments of the function and returns
+what it returns.  Every slot it rescans all waiting nodes, draws one scalar
+backoff per newly covered node and visits every neighbour of a transmitter
+in address order.  The bucketed function must reproduce its event log,
+``covered`` and ``forward_set`` exactly; ``test_zigbee.py`` checks that on
+benchmark topologies and random graphs.
+"""
+
+import numpy as np
+
+from bansim.zigbee import BroadcastState, EventLogRow
+
+
+def self_pruning_reference(tree, radio, source, max_backoff, seed):
+    if source not in tree.nodes:
+        raise ValueError(f"source {source} not in tree")
+    rng = np.random.default_rng(seed)
+    nbr = radio.neighbors
+    covered = {source} | nbr[source]
+    forward_set = {source}
+    log = [EventLogRow(0, source, "tx")]
+    # pending: node -> [expiry slot, residual neighbor set]
+    pending: dict[int, list] = {}
+    for x in sorted(nbr[source], key=tree.address):
+        residual = nbr[x] - nbr[source] - {source}
+        pending[x] = [1 + int(rng.integers(0, max_backoff + 1)), residual]
+    slot = 1
+    while pending:
+        due = sorted(
+            (x for x, (t, _) in pending.items() if t == slot), key=tree.address
+        )
+        for x in due:
+            residual = pending.pop(x)[1]
+            if not residual:
+                log.append(EventLogRow(slot, x, "skip"))
+                continue
+            forward_set.add(x)
+            newly = (nbr[x] | {x}) - covered
+            covered |= nbr[x] | {x}
+            log.append(EventLogRow(slot, x, "tx"))
+            for y in sorted(nbr[x], key=tree.address):
+                if y in forward_set:
+                    continue
+                if y in pending:
+                    pending[y][1] -= nbr[x] | {x}
+                elif y in newly:
+                    res = nbr[y] - nbr[x] - {x}
+                    pending[y] = [slot + 1 + int(rng.integers(0, max_backoff + 1)),
+                                  res]
+        slot += 1
+    return BroadcastState(covered, forward_set, len(forward_set) - 1, log)
