@@ -132,6 +132,11 @@ def gen_ground(params: BanModelParams, seed) -> ChannelImpulseResponse:
 
 
 def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
+    # the shift _delayed_cluster applies: at 0 bins the two clusters would merge
+    if round(params.tau_ground_ns / params.delta_ns) == 0:
+        raise ValueError(f"tau_ground_ns {params.tau_ground_ns:g} rounds to bin 0 at "
+                         f"delta_ns {params.delta_ns:g}: the ground cluster would "
+                         "merge into the body cluster")
     # ground reflections are uncorrelated with the around-body wave:
     # independent seed streams for the two components
     child_body, child_ground = _spawn(seed, 2)

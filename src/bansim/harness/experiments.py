@@ -52,7 +52,7 @@ def run_ber_sweep(cfg: ScenarioConfig):
         table.append(ebn0, errors / total, total)
     plot = None
     if sum(r[1] > 0 for r in table.rows) >= 2:
-        plot = PlotSpec("ebn0_db", ["ber"], title=f"{scheme.kind} BER over AWGN",
+        plot = PlotSpec("ebn0_db", "ber", title=f"{scheme.kind} BER over AWGN",
                         log_y=all(r[1] > 0 for r in table.rows), markers=True)
     return [("ber_sweep", table, plot)]
 
@@ -97,7 +97,7 @@ def run_doa_hist(cfg: ScenarioConfig):
     table = _table(cfg, ["doa_rad", "mass"])
     for c, m in zip(centers, masses):
         table.append(float(c), float(m))
-    plot = PlotSpec("doa_rad", ["mass"], title="GBHDS DOA histogram")
+    plot = PlotSpec("doa_rad", "mass", title="GBHDS DOA histogram")
     return [("doa_hist", table, plot)]
 
 
@@ -130,16 +130,17 @@ def run_cma_convergence(cfg: ScenarioConfig):
     summary = _table(cfg, ["initial_mse", "final_mse", "improvement_db", "delay"])
     impr = 10.0 * np.log10(initial / final) if final > 0 else float("inf")
     summary.append(initial, final, float(impr), result.delay)
-    plot = PlotSpec("iteration", ["mse"],
+    plot = PlotSpec("iteration", "mse",
                     title=f"{variant} convergence, {scheme.kind}, mu={mu:g}",
                     log_y=bool(np.all(result.trace > 0)))
     return [("cma_trace", table, plot), ("cma_summary", summary, None)]
 
 
-def _default_mud_scene(cfg: ScenarioConfig):
+def run_mud_compare(cfg: ScenarioConfig):
     sec = cfg.section("mud_compare")
     scheme = sigproc.get_scheme(sec["scheme"])
-    n_sym, n_train = sec["symbols"], sec["training"]
+    n_sym, n_train, ns = sec["symbols"], sec["training"], sec["ns"]
+    nw, nb, ridge = sec["nw"], sec["nb"], sec["ridge"]
     rng = np.random.default_rng(cfg.seed)
     streams = []
     for _ in range(2):
@@ -148,16 +149,7 @@ def _default_mud_scene(cfg: ScenarioConfig):
         streams.append(sigproc.modulate(bits, scheme))
     scene = equalize.MultiuserScene(streams, [np.asarray(sec["template1"], complex),
                                               np.asarray(sec["template2"], complex)],
-                                    sec["ns"], sec["ebn0_db"], scheme)
-    return scene, n_train, n_sym, rng
-
-
-def run_mud_compare(cfg: ScenarioConfig):
-    sec = cfg.section("mud_compare")
-    nw, nb, ridge = sec["nw"], sec["nb"], sec["ridge"]
-    scene, n_train, n_sym, rng = _default_mud_scene(cfg)
-    scheme = scene.scheme
-    ns = scene.samples_per_symbol
+                                    ns, sec["ebn0_db"], scheme)
     # matched filter: taps are the conjugated user-1 template
     tpl = scene.templates[0]
     energy = np.sum(np.abs(tpl) ** 2)
@@ -226,7 +218,7 @@ def run_broadcast_sim(cfg: ScenarioConfig):
     table.append("self_pruning", summary.mean_self_pruning_rebroadcasts,
                  summary.self_pruning_coverage, float("nan"))
     table.append("oos", float(summary.oos_rebroadcasts), summary.oos_coverage,
-                 float(summary.oos_forward_set_size))
+                 float(summary.oos_rebroadcasts + 1))
     return [("broadcast_compare", table, None)]
 
 

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .table import ResultTable
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN = 56
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_COLOR = "#1f77b4"
 
 
 @dataclass
 class PlotSpec:
     x: str
-    y: list[str]
+    y: str
     title: str = ""
     log_y: bool = False
     markers: bool = False
@@ -30,23 +30,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
     xs = [float(v) for v in table.column(spec.x)]
-    series = {}
-    for name in spec.y:
-        ys = [float(v) for v in table.column(name)]
-        if spec.log_y:
-            for i, v in enumerate(ys):
-                if v <= 0:
-                    raise ValueError(
-                        f"log-y plot: column {name!r} row {i} has "
-                        f"non-positive value {v}"
-                    )
-            ys = [math.log10(v) for v in ys]
-        series[name] = ys
+    ys = [float(v) for v in table.column(spec.y)]
+    if spec.log_y:
+        for i, v in enumerate(ys):
+            if v <= 0:
+                raise ValueError(
+                    f"log-y plot: column {spec.y!r} row {i} has "
+                    f"non-positive value {v}"
+                )
+        ys = [math.log10(v) for v in ys]
     if not xs:
         raise ValueError("empty table")
     x_lo, x_hi = min(xs), max(xs)
-    all_y = [v for ys in series.values() for v in ys]
-    y_lo, y_hi = min(all_y), max(all_y)
+    y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -84,23 +80,21 @@ def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
             f'<text x="{_MARGIN - 6}" y="{py(ty):.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    for idx, (name, ys) in enumerate(series.items()):
-        color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        if spec.markers:
-            for x, y in zip(xs, ys):
-                parts.append(
-                    f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
-                    f'fill="{color}"/>'
-                )
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN - 4}" y="{_MARGIN + 16 + 14 * idx}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="{color}">{name}</text>'
-        )
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" '
+        f'stroke-width="1.5"/>'
+    )
+    if spec.markers:
+        for x, y in zip(xs, ys):
+            parts.append(
+                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
+                f'fill="{_COLOR}"/>'
+            )
+    parts.append(
+        f'<text x="{_WIDTH - _MARGIN - 4}" y="{_MARGIN + 16}" '
+        f'text-anchor="end" font-family="sans-serif" font-size="11" '
+        f'fill="{_COLOR}">{spec.y}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

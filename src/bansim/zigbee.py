@@ -35,21 +35,14 @@ class ZigbeeNode:
     parent: int | None  # parent key
     children: list[int]
     depth: int
-    role: str  # coordinator | FFD | RFD
 
 
 @dataclass
 class ZigbeeTree:
-    n_chl: int
-    d_l: int
     nodes: dict[int, ZigbeeNode]
 
     def address(self, key: int) -> int:
         return self.nodes[key].address
-
-    def keys_by_level_order(self) -> list[int]:
-        return sorted(self.nodes, key=lambda k: (self.nodes[k].depth,
-                                                 self.nodes[k].address))
 
 
 class TreeShapeError(ValueError):
@@ -78,13 +71,7 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
             raise TreeShapeError(f"node {key} has {len(kids)} children > {n_chl}")
         if kids and depth >= d_l:
             raise TreeShapeError(f"node {key} at depth {d_l} cannot have children")
-        if parent is None:
-            role = "coordinator"
-        elif kids:
-            role = "FFD"
-        else:
-            role = "RFD"
-        nodes[key] = ZigbeeNode(key, address, parent, list(kids), depth, role)
+        nodes[key] = ZigbeeNode(key, address, parent, list(kids), depth)
         stride = cskip(depth, n_chl, d_l)
         # reversed, so the first child is visited next
         for i in reversed(range(len(kids))):
@@ -93,7 +80,7 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
     unreached = next((k for k in shape if k not in nodes), None)
     if unreached is not None:
         raise TreeShapeError(f"node {unreached} is not reachable from root {roots[0]}")
-    return ZigbeeTree(n_chl, d_l, nodes)
+    return ZigbeeTree(nodes)
 
 
 def identify_relatives(address: int, n_chl: int, d_l: int):
@@ -120,12 +107,6 @@ def identify_relatives(address: int, n_chl: int, d_l: int):
 class RadioGraph:
     neighbors: dict[int, set[int]]
 
-    def __post_init__(self) -> None:
-        for x, nbrs in self.neighbors.items():
-            for y in nbrs:
-                if x not in self.neighbors.get(y, set()):
-                    raise ValueError(f"radio graph not symmetric: {x}-{y}")
-
     @classmethod
     def from_edges(cls, edges, nodes=None) -> "RadioGraph":
         nbrs: dict[int, set[int]] = {n: set() for n in (nodes or [])}
@@ -133,14 +114,6 @@ class RadioGraph:
             nbrs.setdefault(a, set()).add(b)
             nbrs.setdefault(b, set()).add(a)
         return cls(nbrs)
-
-    def check_covers_tree(self, tree: ZigbeeTree) -> None:
-        for node in tree.nodes.values():
-            for child in node.children:
-                if child not in self.neighbors.get(node.key, set()):
-                    raise ValueError(
-                        f"tree edge {node.key}-{child} missing from radio graph"
-                    )
 
 
 @dataclass
@@ -154,7 +127,6 @@ class EventLogRow:
 class BroadcastState:
     covered: set[int]
     forward_set: set[int]  # transmitting nodes, source included
-    rebroadcast_count: int
     event_log: list[EventLogRow] = field(default_factory=list)
 
 
@@ -217,14 +189,15 @@ def self_pruning_broadcast(
             newly = closed - covered
             covered |= closed
             wait(newly, closed, slot)
-    return BroadcastState(covered, forward_set, len(forward_set) - 1, log)
+    return BroadcastState(covered, forward_set, log)
 
 
 def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastState:
     if source not in tree.nodes:
         raise ValueError(f"source {source} not in tree")
     nbr = radio.neighbors
-    order = tree.keys_by_level_order()  # top-to-bottom, left-to-right by address
+    # top-to-bottom, left-to-right by address
+    order = sorted(tree.nodes, key=lambda k: (tree.nodes[k].depth, tree.address(k)))
     covered = {source} | nbr[source]
     to_cover = set(tree.nodes) - covered
     forward_set = {source}
@@ -244,7 +217,7 @@ def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastSta
                 progressed = True
         if not progressed:
             break  # disconnected: residual left as diagnostic
-    return BroadcastState(covered, forward_set, len(forward_set) - 1, log)
+    return BroadcastState(covered, forward_set, log)
 
 
 @dataclass
@@ -253,7 +226,6 @@ class BroadcastSummary:
     self_pruning_coverage: float
     oos_rebroadcasts: int
     oos_coverage: float
-    oos_forward_set_size: int
 
 
 def broadcast_compare(
@@ -267,15 +239,14 @@ def broadcast_compare(
     counts, coverage = [], []
     for child in children:
         state = self_pruning_broadcast(tree, radio, source, max_backoff, child)
-        counts.append(state.rebroadcast_count)
+        counts.append(len(state.forward_set) - 1)
         coverage.append(len(state.covered) / n)
     oos = oos_select(tree, radio, source)
     return BroadcastSummary(
         float(np.mean(counts)),
         float(np.mean(coverage)),
-        oos.rebroadcast_count,
+        len(oos.forward_set) - 1,
         len(oos.covered) / n,
-        len(oos.forward_set),
     )
 
 
@@ -287,7 +258,8 @@ _TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
 
 
 def parse_topology(text: str):
-    """Parse a topology file into (ZigbeeTree, RadioGraph)."""
+    """Parse a topology file into (ZigbeeTree, RadioGraph).  The radio links
+    join distinct tree nodes and include every tree edge."""
     section = None
     params = {"n_chl": 4, "d_l": 5}
     edges: dict[str, list[tuple[int, int]]] = {"tree": [], "radio": []}
@@ -306,11 +278,15 @@ def parse_topology(text: str):
                 raise ValueError
             if section == "params":
                 params[parts[0]] = int(parts[1])
-            else:
-                edges[section].append((int(parts[0]), int(parts[1])))
+                continue
+            a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"topology line {lineno}: expected "
                              f"{_TOPOLOGY_LINE[section]}, got {line!r}") from None
+        # outside the `try`, whose handler would replace this message
+        if a == b:
+            raise ValueError(f"topology line {lineno}: node {a} is linked to itself")
+        edges[section].append((a, b))
     shape: dict[int, list[int]] = {}
     for parent, child in edges["tree"]:
         shape.setdefault(parent, []).append(child)
@@ -321,5 +297,4 @@ def parse_topology(text: str):
             if key not in tree.nodes:
                 raise ValueError(f"radio edge {a} {b}: node {key} is not in [tree]")
     radio = RadioGraph.from_edges(edges["tree"] + edges["radio"], nodes=tree.nodes)
-    radio.check_covers_tree(tree)
     return tree, radio

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 from pathlib import Path
 
@@ -61,7 +62,7 @@ def make_table():
 
 def test_emit_svg_polyline_and_determinism():
     table = make_table()
-    spec = PlotSpec("x", ["y"], title="demo")
+    spec = PlotSpec("x", "y", title="demo")
     svg = emit_svg(table, spec)
     assert svg.startswith("<?xml")
     assert svg.count("<polyline") == 1
@@ -73,12 +74,39 @@ def test_emit_svg_log_zero_error_names_location():
     table.append(0.0, 1.0)
     table.append(1.0, 0.0)
     with pytest.raises(ValueError, match="'y' row 1"):
-        emit_svg(table, PlotSpec("x", ["y"], log_y=True))
+        emit_svg(table, PlotSpec("x", "y", log_y=True))
 
 
 def test_emit_svg_missing_column():
     with pytest.raises(KeyError):
-        emit_svg(make_table(), PlotSpec("x", ["nope"]))
+        emit_svg(make_table(), PlotSpec("x", "nope"))
+
+
+# sha256 of emit_svg's bytes, recorded before PlotSpec.y became one column:
+# rows spanning three decades, and one row, whose axes are flat
+DECADES = [(0.0, 1.0), (1.5, 10.0), (3.0, 0.02), (4.0, 250.0)]
+SVG_DIGESTS = [
+    (DECADES, {"title": "demo"},
+     "70ccfbee4f451f7be754d6012c15c0a83a17f31baabb0bd96a2efd18170a3e18"),
+    (DECADES, {"log_y": True},
+     "f626e5f118ebb27ba0dcb6798af08fee29723a1656bcf9f242b6b49f446f6669"),
+    (DECADES, {"markers": True},
+     "3f22f4a5c46974b8065dbc584cf6abff1fae68a7f9ec2d0069782335e8c97420"),
+    (DECADES, {"title": "all three", "log_y": True, "markers": True},
+     "b6af56f000851395255f5f3ca70f415946965d9f064b95e39dd71e08de3f1071"),
+    (DECADES, {}, "b2ca3f354faf491f4ed2178103c05b6f3be519205cad089b80816774ace28bf2"),
+    ([(2.0, 3.0)], {"markers": True},
+     "906b759aceac172496976ab788f1e7d03443c6cc37617d37c6063f56a5f6610d"),
+]
+
+
+@pytest.mark.parametrize("rows,options,digest", SVG_DIGESTS)
+def test_emit_svg_bytes_pinned(rows, options, digest):
+    table = ResultTable(["x", "y"])
+    for x, y in rows:
+        table.append(x, y)
+    svg = emit_svg(table, PlotSpec("x", "y", **options))
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_run_experiment_unknown_section_errors():
@@ -229,6 +257,8 @@ MALFORMED = [
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\nnum_clusters = 0",
      "num_clusters"),
     ("channel_stats", "[ban]\ndelta_ns = 3, 4", "delta_ns"),
+    # a ground delay that rounds to bin 0 would merge the two outdoor clusters
+    ("channel_stats", "[ban]\ndelta_ns = 20", "tau_ground_ns"),
     ("channel_stats", "[bann]", "[bann]"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
@@ -252,6 +282,8 @@ MALFORMED = [
      "node 2 is not reachable"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {foreign_topology}",
      "node 99 is not in [tree]"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {self_loop_topology}",
+     "topology line 4"),
 ]
 
 
@@ -264,9 +296,12 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     cycle_topology.write_text("[tree]\n0 1\n0 4\n2 3\n3 2\n")
     foreign_topology = tmp_path / "foreign_topology.txt"
     foreign_topology.write_text("[tree]\n0 1\n[radio]\n0 99\n")
+    self_loop_topology = tmp_path / "self_loop_topology.txt"
+    self_loop_topology.write_text("[tree]\n0 1\n[radio]\n0 0\n")
     body = body.format(example=ROOT / "configs" / "topology_example.txt",
                        bad_topology=bad_topology, cycle_topology=cycle_topology,
-                       foreign_topology=foreign_topology)
+                       foreign_topology=foreign_topology,
+                       self_loop_topology=self_loop_topology)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[common]\n" + (body if body.startswith("seed") else
                                     f"seed = 1\n{body}") + "\n")

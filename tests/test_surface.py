@@ -2,7 +2,9 @@
 
 Every public top-level name of a ``bansim`` module must be read somewhere in
 the code under ``src/`` or ``perfbench/``; a name only the tests call
-belongs in the tests.
+belongs in the tests.  Every field of a ``bansim`` dataclass must be read as
+an attribute somewhere under ``src/``, ``perfbench/`` or ``tests/``; a field
+nothing reads is state nobody needs.
 """
 
 import ast
@@ -60,3 +62,32 @@ def test_every_public_name_has_a_program_caller():
     unused = sorted(f"{mod}.{name}" for mod, name in defined - ALLOWED
                     if name not in read)
     assert unused == [], f"public names no program code reads: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    fields = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update((_module(path), node.name, item.target.id)
+                              for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name))
+    assert ("channels", "BanModelParams", "delta_ns") in fields  # the scan sees them
+    readers = (sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py")))
+    read = set()
+    for path in readers:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = sorted(f"{mod}.{cls}.{name}" for mod, cls, name in fields
+                    if name not in read)
+    assert unread == [], f"dataclass fields nothing reads: {unread}"

@@ -60,10 +60,10 @@ def test_root_and_children_addresses():
     shape = {0: [10, 11], 10: [], 11: []}
     tree = zigbee.assign_addresses(shape, 2, 2)
     assert tree.address(0) == 0
-    assert tree.nodes[0].role == "coordinator"
+    assert tree.nodes[0].parent is None
     assert tree.address(10) == 1
     assert tree.address(11) == 1 + zigbee.cskip(0, 2, 2)
-    assert tree.nodes[10].role == "RFD"
+    assert tree.nodes[10].parent == 0 and tree.nodes[10].children == []
 
 
 def test_tree_shape_errors():
@@ -119,20 +119,10 @@ def test_identify_relatives_root_and_leaf():
         zigbee.identify_relatives(zigbee.address_space(2, 2), 2, 2)
 
 
-def test_radio_graph_validation():
-    with pytest.raises(ValueError):
-        zigbee.RadioGraph({0: {1}, 1: set()})
-    tree, _ = chain_scene(3)
-    bad = zigbee.RadioGraph.from_edges([(0, 1)], nodes=tree.nodes)
-    with pytest.raises(ValueError):
-        bad.check_covers_tree(tree)
-
-
 def test_self_pruning_star_leaves_stay_silent():
     tree, radio = star_scene()
     state = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=3)
     assert state.forward_set == {0}
-    assert state.rebroadcast_count == 0
     assert state.covered == set(tree.nodes)
 
 
@@ -140,7 +130,7 @@ def test_self_pruning_chain_interior_forwards():
     tree, radio = chain_scene(5)
     state = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=4)
     assert state.covered == set(tree.nodes)
-    assert state.rebroadcast_count == 3  # every interior node forwards
+    assert state.forward_set == {0, 1, 2, 3}  # every interior node forwards
 
 
 def test_self_pruning_deterministic_given_seed():
@@ -217,7 +207,7 @@ def test_self_pruning_jumps_empty_slots():
     tree, radio = chain_scene(5)
     state = zigbee.self_pruning_broadcast(tree, radio, 0, 2**62, seed=4)
     assert state.covered == set(tree.nodes)
-    assert state.rebroadcast_count == 3
+    assert state.forward_set == {0, 1, 2, 3}
     slots = [r.slot for r in state.event_log]
     assert slots == sorted(slots) and slots[-1] > 2**62
 
@@ -238,22 +228,17 @@ def test_oos_deterministic_and_complete_on_chain():
 
 
 def test_disconnected_radio_reports_partial_coverage():
-    shape = {0: [1], 1: [], 2: []}
     # node 2 is in the tree structure but unreachable by radio
-    tree = zigbee.ZigbeeTree(
-        2, 2,
-        {
-            0: zigbee.ZigbeeNode(0, 0, None, [1], 0, "coordinator"),
-            1: zigbee.ZigbeeNode(1, 1, 0, [], 1, "RFD"),
-            2: zigbee.ZigbeeNode(2, 4, 0, [], 1, "RFD"),
-        },
-    )
+    tree = zigbee.ZigbeeTree({
+        0: zigbee.ZigbeeNode(0, 0, None, [1], 0),
+        1: zigbee.ZigbeeNode(1, 1, 0, [], 1),
+        2: zigbee.ZigbeeNode(2, 4, 0, [], 1),
+    })
     radio = zigbee.RadioGraph({0: {1}, 1: {0}, 2: set()})
     state = zigbee.oos_select(tree, radio, 0)
     assert 2 not in state.covered
     sp = zigbee.self_pruning_broadcast(tree, radio, 0, 3, seed=0)
     assert 2 not in sp.covered
-    del shape
 
 
 def test_broadcast_compare_star():
@@ -261,7 +246,7 @@ def test_broadcast_compare_star():
     summary = zigbee.broadcast_compare(tree, radio, 0, trials=20, seed=7,
                                        max_backoff=7)
     assert summary.mean_self_pruning_rebroadcasts == 0.0
-    assert summary.oos_forward_set_size == 1
+    assert summary.oos_rebroadcasts == 0
     assert summary.self_pruning_coverage == 1.0
     assert summary.oos_coverage == 1.0
 
@@ -289,6 +274,8 @@ def test_parse_topology_and_event_log():
                 "[params]\nfanout = 2"):
         with pytest.raises(ValueError, match="^topology line 2: expected "):
             zigbee.parse_topology(bad)
+    with pytest.raises(ValueError, match="^topology line 2: node 0 is linked to itself"):
+        zigbee.parse_topology("[tree]\n0 0")
 
 
 def test_deep_chain_runs_through_cli(tmp_path):

@@ -50,4 +50,4 @@ def self_pruning_reference(tree, radio, source, max_backoff, seed):
                     pending[y] = [slot + 1 + int(rng.integers(0, max_backoff + 1)),
                                   res]
         slot += 1
-    return BroadcastState(covered, forward_set, len(forward_set) - 1, log)
+    return BroadcastState(covered, forward_set, log)
