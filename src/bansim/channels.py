@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_TINY = np.finfo(float).tiny
+
 
 def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
     """Derive n independent seed streams; accepts ints or SeedSequences."""
@@ -34,7 +36,7 @@ class ChannelImpulseResponse:
         self.taps = np.asarray(self.taps, dtype=complex)
         if self.bin_size_ns <= 0:
             raise ValueError("bin size must be positive")
-        if not np.all(np.isfinite(self.taps)):
+        if not np.isfinite(self.taps).all():
             raise ValueError("taps must be finite")
         if any(b <= a for a, b in zip(self.cluster_starts, self.cluster_starts[1:])):
             raise ValueError("cluster starts must be strictly increasing")
@@ -45,7 +47,7 @@ class ChannelImpulseResponse:
 
     @property
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.taps) ** 2))
+        return float((np.abs(self.taps) ** 2).sum())
 
 
 @dataclass
@@ -63,6 +65,8 @@ class BanModelParams:
     def __post_init__(self) -> None:
         if self.delta_ns <= 0:
             raise ValueError("bin size must be positive")
+        if self.num_bins_per_cluster < 1:
+            raise ValueError("num_bins_per_cluster must be at least 1")
         if self.mean_cluster_interarrival_ns <= 0:
             raise ValueError("mean cluster inter-arrival must be positive")
         if self.tau_ground_ns < 0:
@@ -98,97 +102,111 @@ class GbhdsParams:
             raise ValueError("base station must be outside the scatterer disc")
 
 
-def _delayed_cluster(params: BanModelParams, delay_ns: float,
-                     seed) -> ChannelImpulseResponse:
-    """One cluster of rays decaying at gamma_ray, delay_ns after time zero."""
-    rng = np.random.default_rng(seed)
+def _rays(amp_db: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
+    """Complex rays from amplitudes in dB and phases as fractions of a turn."""
+    amps = 10.0 ** (amp_db / 20.0)
+    # a ray below the smallest normal float would be a silent zero tap,
+    # fitted around as if the cluster had fewer rays
+    if amps.min() < _TINY:
+        raise ValueError("ray amplitudes underflow below the smallest normal float: "
+                         "lower gamma_ray_db_per_ns, gamma_cluster_db_per_ns or the "
+                         "fading sigmas")
+    # 2*pi*U(0, 1) equals rng.uniform(0, 2*pi) bit for bit, stream included
+    return amps * np.exp(1j * (2.0 * np.pi * unit_phases))
+
+
+def gen_clusters(params: BanModelParams, seeds) -> np.ndarray:
+    """One cluster of rays per seed stream, as the rows of a (streams, bins)
+    array; each decays at gamma_ray from its first bin."""
     n_bins = params.num_bins_per_cluster
     amp_db = -params.gamma_ray_db_per_ns * (np.arange(n_bins) * params.delta_ns)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if params.sigma_ray_db > 0:
-        amp_db = amp_db + params.sigma_ray_db * rng.standard_normal(n_bins)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_bins)
-    shift = int(round(delay_ns / params.delta_ns))
-    taps = np.concatenate([np.zeros(shift, dtype=complex),
-                           10.0 ** (amp_db / 20.0) * np.exp(1j * phases)])
-    return ChannelImpulseResponse(taps, params.delta_ns, [shift])
+        # each stream draws its fading before its phases
+        fading = np.array([rng.standard_normal(n_bins) for rng in rngs])
+        amp_db = amp_db + params.sigma_ray_db * fading
+    return _rays(amp_db, np.array([rng.random(n_bins) for rng in rngs]))
 
 
-def _superpose(a: ChannelImpulseResponse,
-               b: ChannelImpulseResponse) -> ChannelImpulseResponse:
-    """Sum of two responses on the same delay grid, with both cluster sets."""
-    taps = np.zeros(max(a.taps.size, b.taps.size), dtype=complex)
-    taps[: a.taps.size] += a.taps
-    taps[: b.taps.size] += b.taps
-    starts = sorted(set(a.cluster_starts) | set(b.cluster_starts))
-    return ChannelImpulseResponse(taps, a.bin_size_ns, starts)
-
-
-def gen_body(params: BanModelParams, seed) -> ChannelImpulseResponse:
-    return _delayed_cluster(params, 0.0, seed)
-
-
-def gen_ground(params: BanModelParams, seed) -> ChannelImpulseResponse:
-    return _delayed_cluster(params, params.tau_ground_ns, seed)
-
-
-def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
-    # the shift _delayed_cluster applies: at 0 bins the two clusters would merge
-    if round(params.tau_ground_ns / params.delta_ns) == 0:
+def _ground_shift(params: BanModelParams) -> int:
+    shift = round(params.tau_ground_ns / params.delta_ns)
+    if shift == 0:
         raise ValueError(f"tau_ground_ns {params.tau_ground_ns:g} rounds to bin 0 at "
                          f"delta_ns {params.delta_ns:g}: the ground cluster would "
                          "merge into the body cluster")
+    return shift
+
+
+def _add_outdoor(taps: np.ndarray, params: BanModelParams, shift: int, seed) -> None:
+    """Add the body cluster at bin 0, then the ground cluster at bin shift."""
     # ground reflections are uncorrelated with the around-body wave:
     # independent seed streams for the two components
-    child_body, child_ground = _spawn(seed, 2)
-    return _superpose(gen_body(params, child_body), gen_ground(params, child_ground))
+    body, ground = gen_clusters(params, _spawn(seed, 2))
+    taps[: body.size] += body
+    taps[shift : shift + ground.size] += ground
 
 
-def gen_ref(params: BanModelParams, num_clusters: int, seed) -> ChannelImpulseResponse:
+def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
+    shift = _ground_shift(params)
+    taps = np.zeros(shift + params.num_bins_per_cluster, dtype=complex)
+    _add_outdoor(taps, params, shift, seed)
+    return ChannelImpulseResponse(taps, params.delta_ns, [0, shift])
+
+
+def gen_ref(params: BanModelParams, num_clusters: int,
+            seed) -> tuple[np.ndarray, list[int]]:
+    """Energy-normalized, shadowed reflection taps and their cluster start bins."""
     if num_clusters < 1:
         raise ValueError("num_clusters must be at least 1")
     rng = np.random.default_rng(seed)
     # Poisson cluster process: exponential inter-arrivals, first cluster at 0
     gaps = rng.exponential(params.mean_cluster_interarrival_ns, size=num_clusters - 1)
-    tau = np.concatenate([[0.0], np.cumsum(gaps)])
-    start_bins = np.round(tau / params.delta_ns).astype(int)
+    tau = np.zeros(num_clusters)
+    np.cumsum(gaps, out=tau[1:])
+    # Python's round, like np.round, rounds half to even
+    starts = [round(t / params.delta_ns) for t in tau.tolist()]
     # coincident starts after bin rounding would merge clusters; push apart
-    for i in range(1, start_bins.size):
-        if start_bins[i] <= start_bins[i - 1]:
-            start_bins[i] = start_bins[i - 1] + 1
-    n_bins = start_bins[-1] + params.num_bins_per_cluster
-    taps = np.zeros(n_bins, dtype=complex)
-    k = np.arange(params.num_bins_per_cluster)
-    for l, (t_l, b_l) in enumerate(zip(tau, start_bins)):
-        n_l = rng.standard_normal() if params.sigma_cluster_db > 0 else 0.0
-        n_k = (
-            rng.standard_normal(k.size)
-            if params.sigma_ray_db > 0
-            else np.zeros(k.size)
-        )
-        amp_db = (
-            -params.gamma_cluster_db_per_ns * t_l
-            - params.gamma_ray_db_per_ns * (t_l + k * params.delta_ns)
-            + params.sigma_cluster_db * n_l
-            + params.sigma_ray_db * n_k
-        )
-        amps = 10.0 ** (amp_db / 20.0)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=k.size)
-        taps[b_l : b_l + k.size] += amps * np.exp(1j * phases)
+    for i in range(1, num_clusters):
+        starts[i] = max(starts[i], starts[i - 1] + 1)
+    n_bins = params.num_bins_per_cluster
+    # per cluster, in this order: its fading draws, then its phases
+    n_l, n_k, unit_phases = [], [], []
+    for _ in range(num_clusters):
+        if params.sigma_cluster_db > 0:
+            n_l.append(rng.standard_normal())
+        if params.sigma_ray_db > 0:
+            n_k.append(rng.standard_normal(n_bins))
+        unit_phases.append(rng.random(n_bins))
+    t_l = tau[:, None]
+    amp_db = (-params.gamma_cluster_db_per_ns * t_l
+              - params.gamma_ray_db_per_ns * (t_l + np.arange(n_bins) * params.delta_ns))
+    # a fading term that is off is left out: its zeros would change no amplitude
+    if n_l:
+        amp_db += params.sigma_cluster_db * np.array(n_l)[:, None]
+    if n_k:
+        amp_db += params.sigma_ray_db * np.array(n_k)
+    taps = np.zeros(starts[-1] + n_bins, dtype=complex)
+    for start, rays in zip(starts, _rays(amp_db, np.array(unit_phases))):
+        taps[start : start + n_bins] += rays
     # normalize total energy, then apply lognormal shadowing
-    energy = np.sum(np.abs(taps) ** 2)
-    taps /= np.sqrt(energy)
+    taps /= np.sqrt((np.abs(taps) ** 2).sum())
     if params.shadowing_sigma_db > 0:
         shadow_db = params.shadowing_sigma_db * rng.standard_normal()
         taps *= 10.0 ** (shadow_db / 20.0)
-    return ChannelImpulseResponse(taps, params.delta_ns, list(start_bins))
+    return taps, starts
 
 
 def gen_indoor_ban(
     params: BanModelParams, num_clusters: int, seed
 ) -> ChannelImpulseResponse:
+    shift = _ground_shift(params)
     child_out, child_ref = _spawn(seed, 2)
-    return _superpose(gen_outdoor_ban(params, child_out),
-                      gen_ref(params, num_clusters, child_ref))
+    ref, ref_starts = gen_ref(params, num_clusters, child_ref)
+    taps = np.zeros(max(shift + params.num_bins_per_cluster, ref.size), dtype=complex)
+    _add_outdoor(taps, params, shift, child_out)
+    taps[: ref.size] += ref
+    starts = sorted({0, shift, *ref_starts})
+    return ChannelImpulseResponse(taps, params.delta_ns, starts)
 
 
 def path_loss_db(d_m: float, params: PathLossParams, rng=None) -> float:

@@ -90,8 +90,8 @@ def test_criterion_03_decay_slopes_recovered():
     slopes = []
     delays = np.arange(intra.num_bins_per_cluster) * intra.delta_ns
     for seed in range(1000):
-        cir = channels.gen_body(intra, seed)
-        amp_db = 20.0 * np.log10(np.abs(cir.taps))
+        [rays] = channels.gen_clusters(intra, [seed])
+        amp_db = 20.0 * np.log10(np.abs(rays))
         slopes.append(stats.linregress(delays, amp_db).slope)
     mean_intra = float(np.mean(slopes))
     assert abs(mean_intra + 1.6) / 1.6 < 5e-4  # -gamma to 3 significant figures
@@ -107,9 +107,9 @@ def test_criterion_03_decay_slopes_recovered():
     )
     slopes = []
     for seed in range(1000):
-        cir = channels.gen_ref(inter, 6, seed)
-        starts = np.asarray(cir.cluster_starts)
-        peak_db = 20.0 * np.log10(np.abs(cir.taps[starts]))
+        taps, starts = channels.gen_ref(inter, 6, seed)
+        starts = np.asarray(starts)
+        peak_db = 20.0 * np.log10(np.abs(taps[starts]))
         slopes.append(stats.linregress(starts * inter.delta_ns, peak_db).slope)
     mean_inter = float(np.mean(slopes))
     assert abs(mean_inter + 0.8) / 0.8 < 5e-4  # -Gamma to 3 significant figures

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import channel_reference
 from bansim import channels
+from bansim.harness.config import parse_config
+from bansim.harness.experiments import run_experiment
 
 
 def make_params(**kw):
@@ -22,50 +25,55 @@ def make_params(**kw):
 
 
 def test_body_no_decay_no_fading_equal_magnitudes():
-    cir = channels.gen_body(make_params(gamma_ray_db_per_ns=0.0), 1)
-    assert np.allclose(np.abs(cir.taps), np.abs(cir.taps[0]))
+    [rays] = channels.gen_clusters(make_params(gamma_ray_db_per_ns=0.0), [1])
+    assert np.allclose(np.abs(rays), np.abs(rays[0]))
 
 
 def test_body_decay_law():
-    cir = channels.gen_body(make_params(gamma_ray_db_per_ns=1.0), 2)
-    rel_db = 20 * np.log10(np.abs(cir.taps) / np.abs(cir.taps[0]))
+    [rays] = channels.gen_clusters(make_params(gamma_ray_db_per_ns=1.0), [2])
+    rel_db = 20 * np.log10(np.abs(rays) / np.abs(rays[0]))
     assert np.allclose(rel_db, -np.arange(16), atol=1e-9)
 
 
 def test_body_phase_uniformity():
-    phases = np.concatenate(
-        [
-            np.angle(channels.gen_body(make_params(num_bins_per_cluster=1000), s).taps)
-            for s in range(100)
-        ]
-    )
+    phases = np.angle(
+        channels.gen_clusters(make_params(num_bins_per_cluster=1000), range(100))
+    ).ravel()
     counts, _ = np.histogram(phases, bins=20, range=(-np.pi, np.pi))
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_generators_deterministic():
     p = make_params(sigma_ray_db=2.0, sigma_cluster_db=1.0, shadowing_sigma_db=3.0)
-    for gen in (channels.gen_body, channels.gen_ground, channels.gen_outdoor_ban):
+    assert np.array_equal(channels.gen_clusters(p, [5, 6]),
+                          channels.gen_clusters(p, [5, 6]))
+    for gen in (channels.gen_outdoor_ban,
+                lambda p, seed: channels.gen_indoor_ban(p, 3, seed)):
         assert np.array_equal(gen(p, 5).taps, gen(p, 5).taps)
-    assert np.array_equal(
-        channels.gen_ref(p, 4, 5).taps, channels.gen_ref(p, 4, 5).taps
-    )
-    assert np.array_equal(
-        channels.gen_indoor_ban(p, 3, 5).taps, channels.gen_indoor_ban(p, 3, 5).taps
-    )
+    (taps_a, starts_a), (taps_b, starts_b) = (channels.gen_ref(p, 4, 5),
+                                              channels.gen_ref(p, 4, 5))
+    assert np.array_equal(taps_a, taps_b) and starts_a == starts_b
 
 
 def test_ground_is_shifted_body():
-    cir = channels.gen_ground(make_params(tau_ground_ns=5.0), 3)
-    assert cir.cluster_starts == [5]
-    assert np.allclose(cir.taps[:5], 0.0)
-    assert abs(cir.taps[5]) > 0
+    # a ground delay past the body cluster leaves a gap of empty bins
+    p = make_params(tau_ground_ns=30.0)
+    seed = 3
+    _, ground = channels.gen_clusters(p, np.random.SeedSequence(seed).spawn(2))
+    cir = channels.gen_outdoor_ban(p, seed)
+    assert cir.cluster_starts == [0, 30]
+    assert np.all(cir.taps[16:30] == 0)
+    assert np.array_equal(cir.taps[30:], ground)
 
 
-def test_ground_zero_delay_matches_body_structure():
-    cir = channels.gen_ground(make_params(tau_ground_ns=0.0), 3)
-    assert cir.cluster_starts == [0]
-    assert cir.taps.size == 16
+def test_outdoor_rejects_ground_delay_of_bin_0():
+    # a ground delay that rounds to bin 0 would merge the two clusters
+    for tau in (0.0, 0.4):
+        p = make_params(tau_ground_ns=tau)
+        with pytest.raises(ValueError, match="tau_ground_ns"):
+            channels.gen_outdoor_ban(p, 3)
+        with pytest.raises(ValueError, match="tau_ground_ns"):
+            channels.gen_indoor_ban(p, 2, 3)
 
 
 def test_outdoor_two_clusters_with_deterministic_gap():
@@ -78,35 +86,32 @@ def test_outdoor_two_clusters_with_deterministic_gap():
 def test_outdoor_is_superposition_of_components():
     p = make_params()
     seed = 11
-    child_body, child_ground = np.random.SeedSequence(seed).spawn(2)
-    body = channels.gen_body(p, child_body)
-    ground = channels.gen_ground(p, child_ground)
+    body, ground = channels.gen_clusters(p, np.random.SeedSequence(seed).spawn(2))
     outdoor = channels.gen_outdoor_ban(p, seed)
     expect = np.zeros(outdoor.taps.size, dtype=complex)
-    expect[: body.taps.size] += body.taps
-    expect[: ground.taps.size] += ground.taps
-    assert np.allclose(outdoor.taps, expect)
+    expect[:16] += body
+    expect[5:] += ground
+    assert np.array_equal(outdoor.taps, expect)
 
 
 def test_ref_interarrival_mean():
     p = make_params(num_bins_per_cluster=1)
     gaps = []
     for seed in range(10_000):
-        cir = channels.gen_ref(p, 3, seed)
-        starts = np.asarray(cir.cluster_starts) * p.delta_ns
-        gaps.extend(np.diff(starts))
+        _, starts = channels.gen_ref(p, 3, seed)
+        gaps.extend(np.diff(np.asarray(starts) * p.delta_ns))
     assert np.mean(gaps) == pytest.approx(10.0, rel=0.03)
 
 
 def test_ref_energy_normalized_without_shadowing():
-    cir = channels.gen_ref(make_params(), 4, 9)
-    assert cir.energy == pytest.approx(1.0, abs=1e-9)
+    taps, _ = channels.gen_ref(make_params(), 4, 9)
+    assert np.sum(np.abs(taps) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ref_intra_cluster_regression_recovers_decay():
     p = make_params(gamma_cluster_db_per_ns=0.0)
-    cir = channels.gen_ref(p, 1, 13)
-    seg = cir.taps[:16]
+    taps, _ = channels.gen_ref(p, 1, 13)
+    seg = taps[:16]
     delays = np.arange(16) * p.delta_ns
     amp_db = 20 * np.log10(np.abs(seg))
     slope, _, r, *_ = stats.linregress(delays, amp_db)
@@ -119,15 +124,89 @@ def test_indoor_is_superposition():
     seed = 21
     child_out, child_ref = np.random.SeedSequence(seed).spawn(2)
     outdoor = channels.gen_outdoor_ban(p, child_out)
-    ref = channels.gen_ref(p, 3, child_ref)
+    ref, ref_starts = channels.gen_ref(p, 3, child_ref)
     indoor = channels.gen_indoor_ban(p, 3, seed)
     expect = np.zeros(indoor.taps.size, dtype=complex)
     expect[: outdoor.taps.size] += outdoor.taps
-    expect[: ref.taps.size] += ref.taps
-    assert np.allclose(indoor.taps, expect)
-    assert set(indoor.cluster_starts) == set(outdoor.cluster_starts) | set(
-        ref.cluster_starts
-    )
+    expect[: ref.size] += ref
+    assert np.array_equal(indoor.taps, expect)
+    assert indoor.cluster_starts == sorted(set(outdoor.cluster_starts) | set(ref_starts))
+
+
+# channel_stats draws against the per-component reference: fading off and
+# on, per model; the indoor first cluster often ends after one tap, when a
+# reflection cluster starts at bin 1, and its slope reads nan
+REFERENCE_CASES = [
+    pytest.param("outdoor_ban", {}, id="outdoor"),
+    pytest.param("outdoor_ban", dict(sigma_ray_db=3.0, sigma_cluster_db=2.0,
+                                     shadowing_sigma_db=4.0, delta_ns=0.5),
+                 id="outdoor_fading"),
+    pytest.param("indoor_ban", {}, id="indoor"),
+    pytest.param("indoor_ban", dict(sigma_ray_db=3.0, sigma_cluster_db=2.0,
+                                    shadowing_sigma_db=4.0), id="indoor_fading"),
+]
+
+
+@pytest.mark.parametrize("model,ban", REFERENCE_CASES)
+def test_channel_stats_matches_reference(model, ban):
+    seed, draws, num_clusters = 8, 300, 4
+    text = (f"[common]\nseed = {seed}\n[channel_stats]\nmodel = {model}\n"
+            f"draws = {draws}\nnum_clusters = {num_clusters}\n[ban]\n"
+            + "".join(f"{key} = {value}\n" for key, value in ban.items()))
+    [(_, table, _)] = run_experiment(parse_config(text, "channel_stats"))
+    params = channels.BanModelParams(**ban)
+    # spawning advances a SeedSequence, so each side gets its own tree
+    ref_slopes = []
+    for i, (new_seed, ref_seed) in enumerate(zip(
+            np.random.SeedSequence(seed).spawn(draws),
+            np.random.SeedSequence(seed).spawn(draws))):
+        if model == "outdoor_ban":
+            cir = channels.gen_outdoor_ban(params, new_seed)
+            ref = channel_reference.gen_outdoor_ban(params, ref_seed)
+        else:
+            cir = channels.gen_indoor_ban(params, num_clusters, new_seed)
+            ref = channel_reference.gen_indoor_ban(params, num_clusters, ref_seed)
+        assert np.array_equal(cir.taps, ref.taps), i
+        assert cir.cluster_starts == ref.cluster_starts, i
+        assert table.rows[i][1] == len(ref.cluster_starts)
+        assert table.rows[i][3] == float(np.sum(np.abs(ref.taps) ** 2))
+        ref_slopes.append(channel_reference.first_cluster_slope(ref))
+    slopes = np.array(table.column("intra_slope_db_per_ns"))
+    assert np.array_equal(np.isnan(slopes), np.isnan(ref_slopes))
+    np.testing.assert_allclose(slopes, ref_slopes, rtol=1e-12)
+    assert [f"{v:.10g}" for v in slopes] == [f"{v:.10g}" for v in ref_slopes]
+    if model == "indoor_ban":
+        assert 0 < np.isnan(slopes).sum() < draws  # one-tap first clusters occur
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 16, 17, 1000])
+def test_phase_draw_matches_uniform_draw(size):
+    """2*pi*random(n) gives the values of uniform(0, 2*pi, n) and leaves the
+    generator in the same state, so the draw after it is the same too."""
+    for seed in range(20):
+        uniform_rng = np.random.default_rng(seed)
+        random_rng = np.random.default_rng(seed)
+        assert np.array_equal(uniform_rng.uniform(0.0, 2.0 * np.pi, size=size),
+                              2.0 * np.pi * random_rng.random(size))
+        assert uniform_rng.bit_generator.state == random_rng.bit_generator.state
+        assert np.array_equal(uniform_rng.standard_normal(size),
+                              random_rng.standard_normal(size))
+
+
+def test_start_bin_rounding_matches_numpy():
+    """Python's round on each delay gives the bins np.round gave, halves too."""
+    rng = np.random.default_rng(5)
+    bins = np.concatenate([np.arange(40) + 0.5, -(np.arange(3) + 0.5),
+                           np.cumsum(rng.exponential(10.0, 2000)) / 0.3])
+    assert [round(b) for b in bins.tolist()] == np.round(bins).astype(int).tolist()
+
+
+def test_ray_underflow_is_rejected():
+    # a last ray at -6000 dB is still a normal float; at -10500 dB it would
+    # underflow to a zero tap, which raises no floating-point flag
+    channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=400.0), 1)
+    with pytest.raises(ValueError, match="gamma_ray_db_per_ns"):
+        channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=700.0), 1)
 
 
 def test_path_loss_anchor_and_log_distance():

@@ -260,6 +260,14 @@ MALFORMED = [
     # a ground delay that rounds to bin 0 would merge the two outdoor clusters
     ("channel_stats", "[ban]\ndelta_ns = 20", "tau_ground_ns"),
     ("channel_stats", "[bann]", "[bann]"),
+    # decays whose rays underflow to zero taps: an error, never nan or
+    # plausible slopes fitted around the missing rays
+    ("channel_stats", "[ban]\ngamma_ray_db_per_ns = 1e200", "gamma_ray_db_per_ns"),
+    ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
+     "gamma_ray_db_per_ns = 700", "gamma_ray_db_per_ns"),
+    ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
+     "gamma_cluster_db_per_ns = 1e200", "gamma_cluster_db_per_ns"),
+    ("channel_stats", "[ban]\nnum_bins_per_cluster = 0", "num_bins_per_cluster"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),
@@ -313,6 +321,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("model", ["outdoor_ban", "indoor_ban"])
+def test_single_bin_clusters_write_nan_slopes(tmp_path, model):
+    # one ray per cluster leaves no slope to fit: a documented nan, exit 0
+    cfg = tmp_path / "one_bin.cfg"
+    cfg.write_text(f"[common]\nseed = 4\n[channel_stats]\nmodel = {model}\n"
+                   "draws = 50\n[ban]\nnum_bins_per_cluster = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["channel_stats", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "channel_stats.csv").read_text().splitlines()[4:]
+    assert len(rows) == 50
+    assert all(row.split(",")[2] == "nan" for row in rows)
+
+
 def test_mud_compare_silent_second_user_runs():
     cfg = parse_config("[common]\nseed = 1\n[mud_compare]\nsymbols = 200\n"
                        "training = 100\ntemplate2 = 0, 0\n", "mud_compare")
@@ -352,6 +373,9 @@ TRACED_RUNS = [
                                             "sigproc.demodulate.dist_bytes",
                                             "sigproc.nearest_labels.dist_bytes"]),
     _shipped("channel_stats", "channel_stats.cfg", ["channels.draws"]),
+    pytest.param("channel_stats",
+                 (ROOT / "tests" / "fixtures" / "channel_stats_indoor.cfg").read_text(),
+                 ["channels.draws"], id="channel_stats_indoor.cfg"),
     _shipped("doa_hist", "doa_hist.cfg", ["channels.gbhds_doa_histogram.samples"]),
     _shipped("cma_convergence", "cma_convergence_qam8.cfg",
              ["kernels.cma_run.cma_iters"]),
@@ -385,8 +409,13 @@ def test_benchmark_tracer_binds(monkeypatch, experiment, text, counts):
     finally:
         tracer.uninstall()
     names = [span[tracing.NAME] for span in tracer.spans]
-    counts_seen = tracer.fold()["counts"]
+    folded = tracer.fold()
+    counts_seen = folded["counts"]
     assert all(counts_seen.get(key, 0) > 0 for key in counts), counts_seen
+    if experiment == "channel_stats":
+        # one metered generator call per configured draw, however the run batches
+        assert counts_seen["channels.draws"] == cfg.section("channel_stats")["draws"]
+        assert folded["time"]["channels.draw"] > 0
     if experiment == "mud_compare":
         # the DFE solves through the shared helpers, not a second Wiener span
         assert names.count("equalize.wiener_solve") == 1
