@@ -49,6 +49,10 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
 
     Keeps np.vdot and the numpy tap update ``taps + gain * reg`` of the
     per-step reference (``equalize.cma_step``): those two set the rounding.
+    The update runs in place on a copy of the caller's ``taps``, as
+    ``np.multiply(gain, reg, step)`` then ``np.add(taps, step, taps)``,
+    which round as the allocating expression does; ``out`` goes by position
+    because the keyword costs more per call than the allocation it saves.
     The scalar error arithmetic runs on Python complex/float, which rounds
     like numpy's scalars; the gain goes through a 0-d array, which numpy
     multiplies without per-call scalar conversion.  On divergence y holds
@@ -65,6 +69,9 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
     fit = max(0, (received.size - nf) // stride + 1)
     regressors = frames(received, min(max_steps, fit), stride, nf)[:, ::-1]
     gain = np.zeros((), dtype=np.complex128)
+    taps = taps.astype(np.complex128)  # a copy: the update below is in place
+    step = np.empty_like(taps)
+    multiply, add = np.multiply, np.add
     y = []
     for n, reg in enumerate(regressors):
         yn = np.vdot(taps, reg)  # f^H r
@@ -77,7 +84,8 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
             psi = alpha_d * (_sign(psi.real + dither[2 * n])
                              + 1j * _sign(psi.imag + dither[2 * n + 1]))
         gain[()] = mu * psi.conjugate()
-        taps = taps + gain * reg
+        multiply(gain, reg, step)
+        add(taps, step, taps)
     if len(y) < max_steps:
         raise ValueError("received stream too short for the requested steps")
     return np.array(y, dtype=np.complex128), taps, -1

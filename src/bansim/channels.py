@@ -73,6 +73,10 @@ class BanModelParams:
             raise ValueError("ground delay must be non-negative")
         if min(self.gamma_cluster_db_per_ns, self.gamma_ray_db_per_ns) < 0:
             raise ValueError("decay rates must be non-negative")
+        for name in ("sigma_cluster_db", "sigma_ray_db", "shadowing_sigma_db"):
+            # the generators would read a negative spread as no fading
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass

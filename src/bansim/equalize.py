@@ -267,9 +267,10 @@ def _derotate_and_delay(y: np.ndarray, truth: np.ndarray, nf: int):
         est, ref = _aligned(y, truth, delay)
         if est.size == 0:
             continue
+        # judge the settled half
+        est, ref = est[est.size // 2 :], ref[ref.size // 2 :]
         for rot in (1, 1j, -1, -1j):
-            mse = np.abs(ref - rot * est) ** 2
-            score = float(np.mean(mse[mse.size // 2 :]))  # judge the settled half
+            score = float(np.mean(np.abs(ref - rot * est) ** 2))
             if best is None or score < best[0]:
                 best = (score, delay, rot)
     _, delay, rot = best

@@ -145,8 +145,7 @@ def run_cma_convergence(cfg: ScenarioConfig):
     result = equalize.run_blind(received, eq, iterations, truth=symbols,
                                 seed=rng.integers(2**63), stride=stride)
     table = _table(cfg, ["iteration", "mse"])
-    for i, v in enumerate(result.trace):
-        table.append(i, float(v))
+    table.rows = list(map(list, enumerate(result.trace.tolist())))
     initial = float(np.mean(result.trace[:window]))
     final = float(np.mean(result.trace[-window:]))
     summary = _table(cfg, ["initial_mse", "final_mse", "improvement_db", "delay"])

@@ -36,16 +36,39 @@ class ResultTable:
             raise KeyError(f"no column named {name!r}") from None
         return [row[idx] for row in self.rows]
 
+    def _body(self) -> list[str]:
+        """One CSV line per row, each rendered by one ``%`` call with one
+        format picked per column; bool, numpy scalar and mixed-type columns
+        go through ``_format_cell`` first."""
+        width = len(self.columns)
+        if set(map(len, self.rows)) - {width}:
+            # the transpose below would drop the cells past the shortest row
+            i, n = next((i, len(r)) for i, r in enumerate(self.rows)
+                        if len(r) != width)
+            raise ValueError(f"row {i} has {n} cells, table has {width} columns")
+        cols = list(zip(*self.rows))
+        formats = []
+        for i, cells in enumerate(cols):
+            # all float: %.10g is _format_cell's text; all int or all str: %s
+            kinds = set(map(type, cells))
+            if kinds == {float}:
+                formats.append("%.10g")
+                continue
+            if kinds != {int} and kinds != {str}:
+                cols[i] = tuple(map(_format_cell, cells))
+            formats.append("%s")
+        # a table without columns still writes one empty line per row
+        rows = zip(*cols) if cols else [()] * len(self.rows)
+        return list(map(",".join(formats).__mod__, rows))
+
     def to_csv(self) -> str:
-        lines = [
+        header = [
             f"# bansim_version={__version__}",
             f"# seed={self.seed}",
             f"# config_hash={self.config_hash}",
             ",".join(self.columns),
         ]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return "\n".join(header + self._body()) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

@@ -109,6 +109,31 @@ def test_emit_svg_bytes_pinned(rows, options, digest):
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
+# sha256 of every SVG the shipped configs write, recorded before emit_svg
+# mapped and formatted whole columns at once; the CSVs have goldens
+SHIPPED_SVGS = [
+    ("ber_sweep", "ber_sweep.cfg", "ber_sweep.svg",
+     "76df4fddbc9fa5ae555c6cefb4a54bdc86138da32df568752bcd04f9db7a4f4e"),
+    ("doa_hist", "doa_hist.cfg", "doa_hist.svg",
+     "6bfabbbab0358d95d7e7a559852c72e5ea1344d797d0881a7aadfecf5769be89"),
+    ("cma_convergence", "cma_convergence_qam16.cfg", "cma_trace.svg",
+     "0416cfe51e1ec86dab8bea7a18de42227a98f6ec847825a328510e4060d399f3"),
+    ("cma_convergence", "cma_convergence_qam8.cfg", "cma_trace.svg",
+     "446895801784d63b9cb42b38c96eedd1178e7872e6826d3f75b9706031c4dfc4"),
+]
+
+
+@pytest.mark.parametrize("experiment,config,svg,digest", SHIPPED_SVGS,
+                         ids=[config for _, config, _, _ in SHIPPED_SVGS])
+def test_shipped_svgs_pinned(tmp_path, monkeypatch, experiment, config, svg,
+                             digest):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(ROOT / "configs" / config),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256((out / svg).read_bytes()).hexdigest() == digest
+
+
 def test_run_experiment_unknown_section_errors():
     with pytest.raises(ConfigError):
         parse_config("[common]\nseed = 1\n[ber_sweep]\nebn0_db =\n", "ber_sweep")
@@ -268,6 +293,11 @@ MALFORMED = [
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
      "gamma_cluster_db_per_ns = 1e200", "gamma_cluster_db_per_ns"),
     ("channel_stats", "[ban]\nnum_bins_per_cluster = 0", "num_bins_per_cluster"),
+    # a negative fading spread: an error, never the rows of no fading
+    ("channel_stats", "[ban]\nsigma_ray_db = -3", "sigma_ray_db"),
+    ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
+     "sigma_cluster_db = -3", "sigma_cluster_db"),
+    ("channel_stats", "[ban]\nshadowing_sigma_db = -3", "shadowing_sigma_db"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),

@@ -84,6 +84,26 @@ def test_dse_cma_sign_of_nan_is_nan():
     assert bad == -1 and np.all(np.isnan(taps))
 
 
+@pytest.mark.parametrize("variant", ["CMA", "DSE_CMA"])
+@pytest.mark.parametrize("steps", [0, 1, 50])
+def test_blind_kernels_leave_caller_taps_unchanged(variant, steps):
+    # the kernels update their taps in place, on their own copy
+    received = random_signal(400, 8)
+    taps = center_spike(7) + 0.1 * random_signal(7, 9)
+    before = taps.copy()
+    if variant == "CMA":
+        _, out, bad = _kernels.cma_run(received, taps, 1e-3, 1.32, steps, 2)
+    else:
+        dither = np.random.default_rng(3).uniform(size=2 * steps)
+        _, out, bad = _kernels.dse_cma_run(received, taps, 1e-3, 1.32, 1.32,
+                                           dither, steps, 2)
+    assert bad == -1
+    assert taps.tobytes() == before.tobytes()
+    assert out is not taps
+    if steps:
+        assert out.tobytes() != before.tobytes()
+
+
 def test_dfe_paths_agree():
     check_dfe(random_signal(300, 3),
               np.array([0.9, -0.2, 0.05], dtype=complex),
