@@ -3,18 +3,21 @@
 CMA/DSE-CMA adaptation and decision-feedback detection are step-by-step
 recursions.  They run on numpy, vectorized outside the recursion
 (feedforward filtering, regressor windows, dither), and are bit-identical
-to the per-step reference (``equalize.cma_step`` and a scalar per-symbol
-DFE loop); ``tests/test_kernels.py`` asserts that bit-identity against
-``tests/kernel_reference.py``.  ``perfbench/run.py --trace 1`` reports their
+to the per-step references in ``tests/kernel_reference.py`` (``cma_step``
+and a scalar per-symbol DFE loop); ``tests/test_kernels.py`` asserts that
+bit-identity.  ``perfbench/run.py --trace 1`` reports their
 cost per step (``kernels.*.ns_per_iter``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .sigproc import rail_slicer
 
 # One numpy implementation and no numba JIT path; tools that report which
 # kernel path ran read this flag.
@@ -48,7 +51,8 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
     """CMA, or DSE-CMA when ``dse`` is ``(alpha_d, dither_u)``.
 
     Keeps np.vdot and the numpy tap update ``taps + gain * reg`` of the
-    per-step reference (``equalize.cma_step``): those two set the rounding.
+    per-step reference (``cma_step`` in ``tests/kernel_reference.py``): those
+    two set the rounding.
     The update runs in place on a copy of the caller's ``taps``, as
     ``np.multiply(gain, reg, step)`` then ``np.add(taps, step, taps)``,
     which round as the allocating expression does; ``out`` goes by position
@@ -118,20 +122,26 @@ def dfe_detect_run(received, w_ff, w_fb, constellation, history, stride,
     ff = np.empty(n_sym, dtype=np.complex128)
     ff.real = re
     ff.imag = im
-    # feedback, slicing (lowest label wins a tie) and history shift
+    # feedback, slicing as sigproc slices (per rail, see RailSlicer) and
+    # history shift
+    slicer = rail_slicer(constellation)
+    (re_lo, re_hi), (im_lo, im_hi), cols = slicer.re, slicer.im, slicer.cols
+    cell_points = constellation[slicer.cell_labels].tolist()
     fb = w_fb.tolist()
-    points = constellation.tolist()
     hist = deque(history.tolist(), maxlen=len(fb))  # newest decision first
     soft = ff.tolist()
-    labels = []
+    cells = []
     for k, xk in enumerate(soft):
         for w, h in zip(fb, hist):
             xk += w * h
         soft[k] = xk
-        dist = [abs(xk - c) for c in points]
-        best = dist.index(min(dist))
-        labels.append(best)
-        hist.appendleft(points[best])
-    decisions = constellation[np.array(labels, dtype=np.intp)]
-    return (np.array(soft, dtype=np.complex128), decisions,
-            np.array(hist, dtype=np.complex128))
+        xr, xi = xk.real, xk.imag
+        cell = ((bisect_left(re_lo, xr) + bisect_right(re_hi, xr)) * cols
+                + bisect_left(im_lo, xi) + bisect_right(im_hi, xi))
+        cells.append(cell)
+        hist.appendleft(cell_points[cell])
+    soft = np.array(soft, dtype=np.complex128)
+    if not np.isfinite(soft).all():
+        raise ValueError("cannot slice a non-finite DFE output")
+    decisions = constellation[slicer.cell_labels[np.array(cells, dtype=np.intp)]]
+    return soft, decisions, np.array(hist, dtype=np.complex128)

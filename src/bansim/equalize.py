@@ -220,28 +220,6 @@ class CmaEqualizer:
         return cls(taps, step, dispersion, variant, dither_amplitude)
 
 
-def cma_step(eq: CmaEqualizer, regressor: np.ndarray, dither_u=None):
-    """One adaptation step; returns (y, updated equalizer)."""
-    regressor = np.asarray(regressor, dtype=complex)
-    if regressor.size != eq.taps.size:
-        raise ValueError("regressor length must equal tap count")
-    y = np.vdot(eq.taps, regressor)
-    err = y * (eq.dispersion - abs(y) ** 2)
-    if eq.variant == "CMA":
-        psi = err
-    else:
-        if dither_u is None:
-            raise ValueError("DSE-CMA step needs two uniform dither draws")
-        d_r = eq.dither_amplitude * np.sin(2.0 * np.pi * dither_u[0])
-        d_i = eq.dither_amplitude * np.sin(2.0 * np.pi * dither_u[1])
-        psi = eq.dither_amplitude * (
-            np.sign(err.real + d_r) + 1j * np.sign(err.imag + d_i)
-        )
-    taps = eq.taps + eq.step * np.conj(psi) * regressor
-    return y, CmaEqualizer(taps, eq.step, eq.dispersion, eq.variant,
-                           eq.dither_amplitude)
-
-
 @dataclass
 class BlindRunResult:
     trace: np.ndarray  # per-iteration squared error against the known symbols

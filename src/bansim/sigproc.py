@@ -2,12 +2,21 @@
 
 All constellations are normalized to unit average symbol energy and carry
 Gray-coded bit labels; the constellation array is indexed by the integer
-bit label, so nearest-point ties resolved by ``argmin`` automatically pick
-the lowest label.
+bit label.
+
+Every hard decision picks the exact nearest constellation point, and the
+lowest label among points exactly as near.  All constellations here are
+rectangular grids, so the nearest point is the nearest level on each rail
+(real and imaginary part) taken apart: ``RailSlicer`` compares each rail
+with the midpoints between its levels and looks the label up in a table of
+cells.  A sample exactly on a midpoint has a cell of its own, whose label
+is the lowest of the tied points.  A non-finite sample has no nearest
+point and raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +30,98 @@ def _gray_inverse(g: int) -> int:
     return n
 
 
+def _thresholds(levels: list[float]) -> tuple[list[float], list[float]]:
+    """(lo, hi) per pair of adjacent sorted levels: a float x is nearer the
+    upper level iff x > lo, and at least as near iff x >= hi.  lo == hi is
+    the midpoint where it is a float; otherwise they are the floats on
+    either side of it."""
+    lo, hi = [], []
+    for a, b in zip(levels, levels[1:]):
+        # the midpoint num / den exactly, in integers: the denominators of
+        # floats are powers of two (fractions would import decimal)
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        d = max(da, db)
+        num, den = na * (d // da) + nb * (d // db), 2 * d
+        m = num / den  # correctly rounded
+        nm, dm = m.as_integer_ratio()
+        above = nm * den - num * dm  # the sign of m - midpoint
+        lo.append(m if above <= 0 else math.nextafter(m, -math.inf))
+        hi.append(m if above >= 0 else math.nextafter(m, math.inf))
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class RailSlicer:
+    """Nearest-point labels of a rectangular constellation, one rail at a time.
+
+    A rail's cell index is ``count(x > lo) + count(x >= hi)`` over its
+    thresholds: cell 2i is level i, cell 2i + 1 the exact midpoint between
+    levels i and i + 1.  ``cell_labels`` is indexed by
+    ``real cell * cols + imaginary cell``.
+    """
+
+    re: tuple[list[float], list[float]]  # (lo, hi) of the real rail
+    im: tuple[list[float], list[float]]  # (lo, hi) of the imaginary rail
+    cols: int
+    cell_labels: np.ndarray
+
+    def labels(self, symbols: np.ndarray) -> np.ndarray:
+        real = np.ascontiguousarray(symbols.real)
+        imag = np.ascontiguousarray(symbols.imag)
+        if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+            raise ValueError("cannot slice a non-finite sample")
+        # the smallest unsigned type that holds every cell index
+        dtype = np.min_scalar_type(self.cell_labels.size - 1)
+        cells = _rail_cells(real, *self.re, dtype)
+        cells *= self.cols
+        cells += _rail_cells(imag, *self.im, dtype)
+        return self.cell_labels.take(cells)
+
+
+def _rail_cells(values, lo, hi, dtype) -> np.ndarray:
+    cells = np.zeros(values.shape, dtype)
+    for a, b in zip(lo, hi):
+        cells += values > a
+        cells += values >= b
+    return cells
+
+
+def rail_slicer(constellation: np.ndarray) -> RailSlicer:
+    """The slicer of a constellation indexed by label; every combination of
+    its real and imaginary levels must be exactly one of its points."""
+    points = np.asarray(constellation, dtype=complex)
+    if not np.isfinite(points).all():
+        raise ValueError("constellation points must be finite")
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    re = sorted(set(points.real.tolist()))
+    im = sorted(set(points.imag.tolist()))
+    label = {(p.real, p.imag): k for k, p in enumerate(points.tolist())}
+    if not len(re) * len(im) == len(label) == points.size:
+        raise ValueError("constellation is not a rectangular grid")
+    cols = 2 * len(im) - 1
+    cell_labels = np.empty((2 * len(re) - 1) * cols, dtype=np.intp)
+    for cell in range(cell_labels.size):
+        r, c = divmod(cell, cols)
+        # an odd cell is a tie between the levels on either side
+        cell_labels[cell] = min(label[re[i], im[j]]
+                                for i in {r // 2, (r + 1) // 2}
+                                for j in {c // 2, (c + 1) // 2})
+    return RailSlicer(_thresholds(re), _thresholds(im), cols, cell_labels)
+
+
 @dataclass(frozen=True)
 class ModulationScheme:
     kind: str
     bits_per_symbol: int
     constellation: np.ndarray = field(repr=False)  # indexed by bit label
+    slicer: RailSlicer = field(init=False, repr=False)
+    label_bits: np.ndarray = field(init=False, repr=False)  # (label, bit) int8
+
+    def __post_init__(self) -> None:
+        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
+        bits = (np.arange(self.constellation.size)[:, None] >> shifts) & 1
+        object.__setattr__(self, "slicer", rail_slicer(self.constellation))
+        object.__setattr__(self, "label_bits", bits.astype(np.int8))
 
 
 def _pam_levels(n_levels: int) -> np.ndarray:
@@ -104,18 +200,13 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 
 def nearest_labels(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    symbols = np.asarray(symbols, dtype=complex)
-    # argmin returns the first (lowest-label) minimizer, the documented tie-break
-    dists = np.abs(symbols[:, None] - scheme.constellation[None, :])
-    return np.argmin(dists, axis=1)
+    """Label of the nearest point per sample; the lowest label on a tie."""
+    return scheme.slicer.labels(np.asarray(symbols, dtype=complex))
 
 
 def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     labels = nearest_labels(symbols, scheme)
-    bps = scheme.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
-    bits = (labels[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(-1).astype(np.int8)
+    return scheme.label_bits.take(labels, axis=0).reshape(-1)
 
 
 def slice_symbols(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:

@@ -30,10 +30,7 @@ def address_space(n_chl: int, d_l: int) -> int:
 
 @dataclass
 class ZigbeeNode:
-    key: int
     address: int
-    parent: int | None  # parent key
-    children: list[int]
     depth: int
 
 
@@ -61,9 +58,9 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
     nodes: dict[int, ZigbeeNode] = {}
     # pre-order with an explicit stack: a chain as deep as d_l allows must
     # not hit the interpreter's recursion limit
-    stack: list[tuple[int, int, int | None, int]] = [(roots[0], 0, None, 0)]
+    stack: list[tuple[int, int, int]] = [(roots[0], 0, 0)]
     while stack:
-        key, address, parent, depth = stack.pop()
+        key, address, depth = stack.pop()
         if depth > d_l:
             raise TreeShapeError(f"node {key} exceeds maximum depth {d_l}")
         kids = shape.get(key, [])
@@ -71,11 +68,11 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
             raise TreeShapeError(f"node {key} has {len(kids)} children > {n_chl}")
         if kids and depth >= d_l:
             raise TreeShapeError(f"node {key} at depth {d_l} cannot have children")
-        nodes[key] = ZigbeeNode(key, address, parent, list(kids), depth)
+        nodes[key] = ZigbeeNode(address, depth)
         stride = cskip(depth, n_chl, d_l)
         # reversed, so the first child is visited next
         for i in reversed(range(len(kids))):
-            stack.append((kids[i], address + 1 + i * stride, key, depth + 1))
+            stack.append((kids[i], address + 1 + i * stride, depth + 1))
     # a detached cycle has no root of its own, so it passes the root count
     unreached = next((k for k in shape if k not in nodes), None)
     if unreached is not None:

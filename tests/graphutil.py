@@ -30,6 +30,25 @@ def graph_to_scene(graph: nx.Graph, source: int = 0):
     return tree, radio
 
 
+def relatives(tree: zigbee.ZigbeeTree):
+    """(parent, children) of every node key, read off the tree edges that
+    the block addresses encode.  Addresses run in pre-order (each router's
+    block follows it and holds exactly its descendants), so a node's parent
+    is the nearest shallower node before it in address order; children come
+    in address order, the order of the shape the tree was built from."""
+    parent, children = {}, {}
+    path = []  # the ancestors of the next node, deepest last
+    for key in sorted(tree.nodes, key=tree.address):
+        while path and tree.nodes[path[-1]].depth >= tree.nodes[key].depth:
+            path.pop()
+        parent[key] = path[-1] if path else None
+        children[key] = []
+        if path:
+            children[path[-1]].append(key)
+        path.append(key)
+    return parent, children
+
+
 def min_forward_set_size(graph: nx.Graph, source: int = 0) -> int:
     """Smallest transmitting set: contains the source, induces a connected
     subgraph (every forwarder must have heard the packet), and its closed

@@ -1,15 +1,40 @@
 """Per-step references for the receiver kernels in ``bansim._kernels``.
 
 Each takes the arguments of its kernel and returns what the kernel returns:
-``cma_reference`` and ``dse_cma_reference`` run one ``equalize.cma_step``
-per step, ``dfe_reference`` is the scalar per-symbol decision-feedback loop.
-The numpy kernels must reproduce them bit for bit; ``test_kernels.py``
-checks that on random, divergent and edge-case inputs.
+``cma_reference`` and ``dse_cma_reference`` run one ``cma_step`` per step,
+``dfe_reference`` is the scalar per-symbol decision-feedback loop, which
+slices each symbol by ``sigproc_reference.exact_label``.  The numpy kernels
+must reproduce them bit for bit; ``test_kernels.py`` checks that on random,
+divergent and edge-case inputs.
 """
 
 import numpy as np
 
 from bansim import _kernels, equalize
+from sigproc_reference import exact_label
+
+
+def cma_step(eq, regressor, dither_u=None):
+    """One adaptation step of an ``equalize.CmaEqualizer``; returns
+    (y, updated equalizer)."""
+    regressor = np.asarray(regressor, dtype=complex)
+    if regressor.size != eq.taps.size:
+        raise ValueError("regressor length must equal tap count")
+    y = np.vdot(eq.taps, regressor)
+    err = y * (eq.dispersion - abs(y) ** 2)
+    if eq.variant == "CMA":
+        psi = err
+    else:
+        if dither_u is None:
+            raise ValueError("DSE-CMA step needs two uniform dither draws")
+        d_r = eq.dither_amplitude * np.sin(2.0 * np.pi * dither_u[0])
+        d_i = eq.dither_amplitude * np.sin(2.0 * np.pi * dither_u[1])
+        psi = eq.dither_amplitude * (
+            np.sign(err.real + d_r) + 1j * np.sign(err.imag + d_i)
+        )
+    taps = eq.taps + eq.step * np.conj(psi) * regressor
+    return y, equalize.CmaEqualizer(taps, eq.step, eq.dispersion, eq.variant,
+                                    eq.dither_amplitude)
 
 
 def _blind_reference(received, eq, max_steps, stride, dither_u):
@@ -20,7 +45,7 @@ def _blind_reference(received, eq, max_steps, stride, dither_u):
     for n in range(max_steps):
         reg = received[n * stride : n * stride + nf][::-1]
         u = None if dither_u is None else dither_u[2 * n : 2 * n + 2]
-        yn, nxt = equalize.cma_step(eq, reg, u)
+        yn, nxt = cma_step(eq, reg, u)
         y.append(yn)
         if abs(yn) > _kernels.DIVERGENCE_LIMIT:
             return np.array(y, dtype=np.complex128), eq.taps, n
@@ -55,14 +80,7 @@ def dfe_reference(received, w_ff, w_fb, constellation, history, stride, n_sym):
         for b in range(nb):
             xk += w_fb[b] * hist[b]
         soft[k] = xk
-        best = 0
-        best_d = abs(xk - constellation[0])
-        for m in range(1, constellation.size):
-            d = abs(xk - constellation[m])
-            if d < best_d:
-                best_d = d
-                best = m
-        decisions[k] = constellation[best]
+        decisions[k] = constellation[exact_label(xk, constellation)]
         if nb > 0:
             for b in range(nb - 1, 0, -1):
                 hist[b] = hist[b - 1]

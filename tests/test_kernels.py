@@ -4,8 +4,9 @@ which they must match bit for bit."""
 import numpy as np
 import pytest
 
-from bansim import _kernels
+from bansim import _kernels, sigproc
 from kernel_reference import cma_reference, dfe_reference, dse_cma_reference
+from sigproc_reference import ROUNDING_GRIDS, exact_label, near_midpoint_grid
 
 BPSK = np.array([1.0 + 0j, -1.0 + 0j])
 # labels 0..3; a point on an axis is equally far from two of them
@@ -140,6 +141,36 @@ def test_dfe_exact_ties_pick_lowest_label():
                                    np.zeros(2, dtype=complex), 1, 6)
     assert decisions.tolist() == QPSK[[0, 0, 1, 2, 0, 0]].tolist()
     assert hist.tolist() == [QPSK[0], QPSK[0]]
+
+
+SLICED = {**{s.kind: s.constellation for s in sigproc.SCHEMES.values()},
+          **ROUNDING_GRIDS}
+
+
+@pytest.mark.parametrize("points", SLICED.values(), ids=SLICED)
+def test_dfe_slices_near_midpoints_exactly(points):
+    # one unit feedforward tap and no feedback: each decision slices a
+    # received sample as it is, so the DFE meets sigproc's near-tie grid
+    grid = near_midpoint_grid(points)
+    empty = np.zeros(0, dtype=complex)
+    _, decisions, _ = check_dfe(grid, np.array([1.0 + 0j]), empty, points,
+                                empty, 1, grid.size)
+    exact = [exact_label(x, points) for x in grid]
+    assert decisions.tobytes() == points[exact].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.3, np.nan), np.inf])
+@pytest.mark.parametrize("nb", [0, 2])
+def test_dfe_rejects_non_finite_outputs(bad, nb):
+    received = random_signal(40, 11)
+    received[25] = bad
+    args = (received, np.array([1.0 + 0j]), np.full(nb, 0.1 + 0j), QPSK,
+            np.zeros(nb, dtype=complex), 1, 40)
+    for detect in (_kernels.dfe_detect_run, dfe_reference):
+        # the feedforward's 0 * inf is invalid before any slicing happens
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="non-finite"):
+            detect(*args)
 
 
 def test_divergence_step_agrees():

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +11,10 @@ from hypothesis import strategies as st
 
 from bansim import sigproc
 from bitstream import random_bits
+from sigproc_reference import (ROUNDING_GRIDS, argmin_labels, exact_label,
+                               near_midpoint_grid)
 
+ROOT = Path(__file__).resolve().parent.parent
 ALL_SCHEMES = list(sigproc.SCHEMES.values())
 
 
@@ -96,3 +105,93 @@ def test_awgn_deterministic_under_seed():
     b = sigproc.add_awgn(tx, 5.0, sigproc.QAM16, 42)
     assert np.array_equal(a, b)
 
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_slicing_matches_argmin_on_noisy_symbols(scheme):
+    rng = np.random.default_rng(len(scheme.constellation))
+    tx = rng.integers(0, scheme.constellation.size, size=20_000)
+    shifts = np.arange(scheme.bits_per_symbol - 1, -1, -1)
+    for sigma in (0.05, 0.3, 3.0):
+        noise = rng.normal(0.0, sigma, size=(tx.size, 2))
+        rx = scheme.constellation[tx] + noise[:, 0] + 1j * noise[:, 1]
+        want = argmin_labels(rx, scheme.constellation)
+        assert np.array_equal(sigproc.nearest_labels(rx, scheme), want)
+        bits = ((want[:, None] >> shifts) & 1).reshape(-1).astype(np.int8)
+        assert sigproc.demodulate(rx, scheme).tobytes() == bits.tobytes()
+        assert np.array_equal(sigproc.slice_symbols(rx, scheme),
+                              scheme.constellation[want])
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_slicing_near_midpoints_is_exact(scheme):
+    """Levels and every midpoint +-4 ulp, on both rails and in the corners.
+    The slicer picks the exact nearest point and the lowest label among
+    exact ties.  Argmin over rounded distances agrees wherever those
+    distances leave no doubt; in the near-tie band it can pick a point that
+    is not the nearest (e.g. -2e-323 goes to +1 under BPSK)."""
+    grid = near_midpoint_grid(scheme.constellation)
+    got = sigproc.nearest_labels(grid, scheme)
+    assert got.tolist() == [exact_label(x, scheme.constellation) for x in grid]
+    dists = np.sort(np.abs(grid[:, None] - scheme.constellation[None, :]), axis=1)
+    clear = dists[:, 1] > dists[:, 0] * (1 + 1e-12)
+    ref = argmin_labels(grid, scheme.constellation)
+    assert clear.any() and np.array_equal(got[clear], ref[clear])
+    assert np.any(got != ref)  # the declared change lies in the near-tie band
+
+
+@pytest.mark.parametrize("points", ROUNDING_GRIDS.values(), ids=ROUNDING_GRIDS)
+def test_slicing_is_exact_where_midpoints_round(points):
+    scheme = sigproc.ModulationScheme("GRID", 2, points)
+    grid = near_midpoint_grid(points)
+    got = sigproc.nearest_labels(grid, scheme)
+    assert got.tolist() == [exact_label(x, points) for x in grid]
+
+
+@pytest.mark.parametrize("probe", [complex(np.nan, 0.0), complex(np.nan, 0.5),
+                                   complex(0.5, np.nan), complex(np.inf, 0.0),
+                                   complex(0.5, -np.inf)])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_non_finite_samples_raise(scheme, probe):
+    rx = np.array([0.5 + 0.5j, probe])
+    for decide in (sigproc.nearest_labels, sigproc.demodulate, sigproc.slice_symbols):
+        with pytest.raises(ValueError, match="non-finite"):
+            decide(rx, scheme)
+    with pytest.raises(ValueError):
+        exact_label(probe, scheme.constellation)
+
+
+@pytest.mark.parametrize("points", [
+    [1, 1j, -1, -1j],  # a rotated square: 4 points on a 3 x 3 grid of levels
+    [1, 1],  # a point twice
+    [1, -1, np.nan],
+])
+def test_slicer_rejects_non_rectangular_constellations(points):
+    with pytest.raises(ValueError):
+        sigproc.rail_slicer(np.array(points, dtype=complex))
+    with pytest.raises(ValueError):
+        sigproc.ModulationScheme("X", 1, np.array(points, dtype=complex))
+
+
+def test_slicing_leaves_numpy_ma_and_decimal_unimported():
+    """np.unique imports numpy.ma (+1.6 MB peak RSS) on first use, and
+    fractions imports decimal; neither the slicer nor the DFE may pull them
+    in."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from bansim import equalize, sigproc
+        for scheme in sigproc.SCHEMES.values():
+            sigproc.demodulate(scheme.constellation, scheme)
+            sigproc.slice_symbols(scheme.constellation, scheme)
+        eq = equalize.DfeEqualizer(np.array([1.0]), np.array([0.1]))
+        rep = equalize.dfe_detect(sigproc.QAM16.constellation, eq, sigproc.QAM16, 16)
+        assert rep.symbols.size == 16
+        print([name for name in ("numpy.ma", "decimal") if name in sys.modules])
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 
 from bansim import zigbee
 from bansim.harness import cli
-from graphutil import graph_to_scene, random_connected_graphs
+from graphutil import graph_to_scene, random_connected_graphs, relatives
 from zigbee_reference import self_pruning_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,11 +59,12 @@ def test_cskip_values():
 def test_root_and_children_addresses():
     shape = {0: [10, 11], 10: [], 11: []}
     tree = zigbee.assign_addresses(shape, 2, 2)
+    parent, children = relatives(tree)
     assert tree.address(0) == 0
-    assert tree.nodes[0].parent is None
+    assert parent[0] is None
     assert tree.address(10) == 1
     assert tree.address(11) == 1 + zigbee.cskip(0, 2, 2)
-    assert tree.nodes[10].parent == 0 and tree.nodes[10].children == []
+    assert parent[10] == 0 and children[10] == []
 
 
 def test_tree_shape_errors():
@@ -98,13 +99,15 @@ def test_identify_relatives_roundtrip():
         n_chl, d_l = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         shape = random_shape(rng, int(rng.integers(2, 15)), n_chl, d_l)
         tree = zigbee.assign_addresses(shape, n_chl, d_l)
-        for node in tree.nodes.values():
+        parent_of, children = relatives(tree)
+        assert children == shape  # the helper reads back the tree edges
+        for key, node in tree.nodes.items():
             parent, ranges = zigbee.identify_relatives(node.address, n_chl, d_l)
-            if node.parent is None:
+            if parent_of[key] is None:
                 assert parent is None
             else:
-                assert parent == tree.address(node.parent)
-            for child in node.children:
+                assert parent == tree.address(parent_of[key])
+            for child in children[key]:
                 addr = tree.address(child)
                 assert any(lo <= addr < hi for lo, hi in ranges)
 
@@ -167,11 +170,11 @@ def test_self_pruning_matches_reference(monkeypatch, kind):
     """The slot buckets and the one array draw per trial reproduce the
     per-slot scan with scalar draws: same events, coverage and forwarders."""
     for tree, radio in _scenes(kind, monkeypatch):
-        nodes = tree.nodes.values()
-        root = next(n.key for n in nodes if n.parent is None)
-        leaf = next(n.key for n in nodes if not n.children)
-        mid = max((n for n in nodes if n.children and n.parent is not None),
-                  key=lambda n: len(n.children)).key
+        parent, children = relatives(tree)
+        root = next(k for k in tree.nodes if parent[k] is None)
+        leaf = next(k for k in tree.nodes if not children[k])
+        mid = max((k for k in tree.nodes if children[k] and parent[k] is not None),
+                  key=lambda k: len(children[k]))
         for source in (root, leaf, mid):
             for max_backoff in (0, 1, 7, 30):
                 seeds = np.random.SeedSequence([source, max_backoff]).spawn(2)
@@ -230,9 +233,9 @@ def test_oos_deterministic_and_complete_on_chain():
 def test_disconnected_radio_reports_partial_coverage():
     # node 2 is in the tree structure but unreachable by radio
     tree = zigbee.ZigbeeTree({
-        0: zigbee.ZigbeeNode(0, 0, None, [1], 0),
-        1: zigbee.ZigbeeNode(1, 1, 0, [], 1),
-        2: zigbee.ZigbeeNode(2, 4, 0, [], 1),
+        0: zigbee.ZigbeeNode(0, 0),
+        1: zigbee.ZigbeeNode(1, 1),
+        2: zigbee.ZigbeeNode(4, 1),
     })
     radio = zigbee.RadioGraph({0: {1}, 1: {0}, 2: set()})
     state = zigbee.oos_select(tree, radio, 0)
