@@ -33,8 +33,6 @@ def frames(received, count, stride, width):
     and padded only when a row reaches past it.  ``count`` may be 0 and
     ``received`` may be shorter than one row.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
     need = (count - 1) * stride + width if count > 0 else width
     if received.size < need:
         received = np.concatenate(

@@ -29,13 +29,10 @@ def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
 @dataclass
 class ChannelImpulseResponse:
     taps: np.ndarray  # complex amplitudes on a uniform delay grid
-    bin_size_ns: float
     cluster_starts: list[int] = field(default_factory=lambda: [0])
 
     def __post_init__(self) -> None:
         self.taps = np.asarray(self.taps, dtype=complex)
-        if self.bin_size_ns <= 0:
-            raise ValueError("bin size must be positive")
         if not np.isfinite(self.taps).all():
             raise ValueError("taps must be finite")
         if any(b <= a for a, b in zip(self.cluster_starts, self.cluster_starts[1:])):
@@ -154,14 +151,12 @@ def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
     shift = _ground_shift(params)
     taps = np.zeros(shift + params.num_bins_per_cluster, dtype=complex)
     _add_outdoor(taps, params, shift, seed)
-    return ChannelImpulseResponse(taps, params.delta_ns, [0, shift])
+    return ChannelImpulseResponse(taps, [0, shift])
 
 
 def gen_ref(params: BanModelParams, num_clusters: int,
             seed) -> tuple[np.ndarray, list[int]]:
     """Energy-normalized, shadowed reflection taps and their cluster start bins."""
-    if num_clusters < 1:
-        raise ValueError("num_clusters must be at least 1")
     rng = np.random.default_rng(seed)
     # Poisson cluster process: exponential inter-arrivals, first cluster at 0
     gaps = rng.exponential(params.mean_cluster_interarrival_ns, size=num_clusters - 1)
@@ -210,7 +205,7 @@ def gen_indoor_ban(
     _add_outdoor(taps, params, shift, child_out)
     taps[: ref.size] += ref
     starts = sorted({0, shift, *ref_starts})
-    return ChannelImpulseResponse(taps, params.delta_ns, starts)
+    return ChannelImpulseResponse(taps, starts)
 
 
 def path_loss_db(d_m: float, params: PathLossParams, rng=None) -> float:
@@ -226,8 +221,6 @@ def path_loss_db(d_m: float, params: PathLossParams, rng=None) -> float:
 
 def sample_gbhds(params: GbhdsParams, count: int, seed) -> np.ndarray:
     """Scatterer positions around the mobile: array of (r, theta) rows."""
-    if count < 1:
-        raise ValueError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, size=count)
     r = np.arctanh(u * np.tanh(params.a * params.radius_m)) / params.a
@@ -256,15 +249,12 @@ def gbhds_doa_histogram(
 
 
 def apply_channel(
-    signal: np.ndarray, cir: ChannelImpulseResponse, samples_per_symbol: int = 1
+    signal: np.ndarray, taps: np.ndarray, samples_per_symbol: int = 1
 ) -> np.ndarray:
-    if cir.taps.size == 0:
-        raise ValueError("empty channel")
-    if samples_per_symbol < 1:
-        raise ValueError("samples_per_symbol must be >= 1")
+    """Convolve a symbol stream, upsampled by zero insertion, with the taps."""
     signal = np.asarray(signal, dtype=complex)
     if samples_per_symbol > 1:
         up = np.zeros(signal.size * samples_per_symbol, dtype=complex)
         up[::samples_per_symbol] = signal
         signal = up
-    return np.convolve(signal, cir.taps)
+    return np.convolve(signal, taps)

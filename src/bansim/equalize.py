@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .sigproc import ModulationScheme, noise_sigma, slice_symbols
+from .sigproc import ModulationScheme, _complex_normal, slice_symbols
 
 
 class DivergenceError(RuntimeError):
@@ -28,54 +28,24 @@ class TrainingDataError(ValueError):
     """Not enough training symbols for a stable correlation estimate."""
 
 
-@dataclass
-class MultiuserScene:
-    symbols_per_user: list[np.ndarray]  # per-user transmitted symbols
-    templates: list[np.ndarray]  # per-user composite pulse (channel * signature)
-    samples_per_symbol: int  # frame length Ns
-    noise_ebn0_db: float
-    scheme: ModulationScheme
-
-    def __post_init__(self) -> None:
-        if self.samples_per_symbol < 1:
-            raise ValueError("samples_per_symbol must be >= 1")
-        if len(self.symbols_per_user) != len(self.templates):
-            raise ValueError("one template per user required")
-        if any(len(t) == 0 for t in self.templates):
-            raise ValueError("templates must be nonempty")
-
-
-@dataclass
-class MultiuserSignal:
-    composite: np.ndarray
-    desired: np.ndarray  # user-1 contribution
-    mui: np.ndarray  # all other users
-    noise: np.ndarray
-
-
-def synth_multiuser(scene: MultiuserScene, seed) -> MultiuserSignal:
-    ns = scene.samples_per_symbol
-    lengths = [
-        (len(sym) - 1) * ns + len(tpl)
-        for sym, tpl in zip(scene.symbols_per_user, scene.templates)
-    ]
-    total = max(lengths)
+def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
+                    ns: int, sigma: float, seed) -> np.ndarray:
+    """Composite of every user's symbols, one per ns samples, convolved with
+    its template (channel * signature), plus complex white noise of
+    per-dimension deviation sigma; user 0 is the desired user."""
+    total = max((len(sym) - 1) * ns + len(tpl) for sym, tpl in zip(streams, templates))
     desired = np.zeros(total, dtype=complex)
     mui = np.zeros(total, dtype=complex)
-    for mu_idx, (sym, tpl) in enumerate(zip(scene.symbols_per_user, scene.templates)):
+    for mu_idx, (sym, tpl) in enumerate(zip(streams, templates)):
         up = np.zeros((len(sym) - 1) * ns + 1, dtype=complex)
-        up[::ns] = np.asarray(sym, dtype=complex)
-        contrib = np.convolve(up, np.asarray(tpl, dtype=complex))
+        up[::ns] = sym
+        contrib = np.convolve(up, tpl)
         target = desired if mu_idx == 0 else mui
         target[: contrib.size] += contrib
-    sigma = noise_sigma(scene.noise_ebn0_db, scene.scheme)
-    if sigma > 0:
-        rng = np.random.default_rng(seed)
-        g = rng.normal(0.0, sigma, size=(total, 2))
-        noise = g[:, 0] + 1j * g[:, 1]
-    else:
-        noise = np.zeros(total, dtype=complex)
-    return MultiuserSignal(desired + mui + noise, desired, mui, noise)
+    # desired + mui first, then the noise: the order sets the rounding
+    composite = desired + mui
+    composite += _complex_normal(np.random.default_rng(seed), sigma, total)
+    return composite
 
 
 def _training_regressors(received: np.ndarray, n_training: int, ns: int, n_w: int):
@@ -144,8 +114,6 @@ class DfeEqualizer:
     def __post_init__(self) -> None:
         self.w_ff = np.asarray(self.w_ff, dtype=complex)
         self.w_fb = np.asarray(self.w_fb, dtype=complex)
-        if self.w_ff.size < 1:
-            raise ValueError("feedforward filter needs at least one tap")
         if self.decision_history is None:
             self.decision_history = np.zeros(self.w_fb.size, dtype=complex)
 
@@ -170,18 +138,10 @@ def dfe_detect(
     num_symbols: int, ns: int = 1,
 ) -> DetectionReport:
     received = np.asarray(received, dtype=complex)
-    if ns < 1:
-        raise ValueError("ns must be >= 1")
-    soft, decided, hist = _kernels.dfe_detect_run(
-        received,
-        eq.w_ff,
-        eq.w_fb,
-        scheme.constellation.astype(np.complex128),
-        eq.decision_history.astype(np.complex128),
-        ns,
-        num_symbols,
+    soft, decided, _ = _kernels.dfe_detect_run(
+        received, eq.w_ff, eq.w_fb, scheme.constellation, eq.decision_history,
+        ns, num_symbols,
     )
-    eq.decision_history = hist
     return DetectionReport(decided, soft)
 
 
@@ -203,8 +163,6 @@ class CmaEqualizer:
         self.taps = np.asarray(self.taps, dtype=complex)
         if self.step < 0:
             raise ValueError("step size must be non-negative")
-        if self.dispersion <= 0:
-            raise ValueError("dispersion constant must be positive")
         if self.taps.size % 2 == 0:
             raise ValueError("tap count nf must be odd (center-spike initialization)")
         if self.variant not in ("CMA", "DSE_CMA"):
@@ -271,23 +229,18 @@ def run_blind(
 ) -> BlindRunResult:
     """Adapt ``eq`` on the stream scaled to unit power (``agc``) and score
     each output against the transmitted symbols ``truth``."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     received = agc(received)
     nf = eq.taps.size
-    if received.size < nf + (iterations - 1) * stride:
-        raise ValueError("received stream too short for requested iterations")
     if eq.variant == "CMA":
         y, _, bad = _kernels.cma_run(
-            received, eq.taps.astype(np.complex128), eq.step, eq.dispersion,
-            iterations, stride,
+            received, eq.taps, eq.step, eq.dispersion, iterations, stride,
         )
     else:
         rng = np.random.default_rng(seed)
         dither_u = rng.uniform(0.0, 1.0, size=2 * iterations)
         y, _, bad = _kernels.dse_cma_run(
-            received, eq.taps.astype(np.complex128), eq.step, eq.dispersion,
-            eq.dither_amplitude, dither_u, iterations, stride,
+            received, eq.taps, eq.step, eq.dispersion, eq.dither_amplitude,
+            dither_u, iterations, stride,
         )
     if bad >= 0:
         raise DivergenceError(bad)

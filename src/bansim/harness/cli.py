@@ -1,6 +1,7 @@
 """Command line entry point: ``bansim <experiment> --config FILE``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence.
+Exit codes: 0 success, 2 configuration error or unusable output directory,
+3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -44,21 +45,26 @@ def main(argv=None) -> int:
             cfg.output_dir = args.out
         os.makedirs(cfg.output_dir, exist_ok=True)
         outputs = run_experiment(cfg)
+        for stem, table, plot in outputs:
+            csv_path = os.path.join(cfg.output_dir, f"{stem}.csv")
+            table.write_csv(csv_path)
+            print(csv_path)
+            if plot is not None:
+                svg_path = os.path.join(cfg.output_dir, f"{stem}.svg")
+                with open(svg_path, "w", newline="\n") as fh:
+                    fh.write(emit_svg(table, plot))
+                print(svg_path)
     except ConfigError as exc:
         print(f"bansim: config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"bansim: {exc}", file=sys.stderr)
         return 3
-    for stem, table, plot in outputs:
-        csv_path = os.path.join(cfg.output_dir, f"{stem}.csv")
-        table.write_csv(csv_path)
-        print(csv_path)
-        if plot is not None:
-            svg_path = os.path.join(cfg.output_dir, f"{stem}.svg")
-            with open(svg_path, "w", newline="\n") as fh:
-                fh.write(emit_svg(table, plot))
-            print(svg_path)
+    except OSError as exc:
+        # run_experiment reports an unreadable input file as a ConfigError,
+        # so this is the output directory or a file in it
+        print(f"bansim: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -135,8 +135,7 @@ def run_cma_convergence(cfg: ScenarioConfig):
     n_sym = iterations + nf + len(taps) + 16
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)
     symbols = sigproc.modulate(bits, scheme)
-    cir = channels.ChannelImpulseResponse(np.asarray(taps, complex), 1.0, [0])
-    received = channels.apply_channel(symbols, cir, stride)
+    received = channels.apply_channel(symbols, np.asarray(taps, complex), stride)
     r2 = equalize.dispersion_constant(scheme)
     eq = equalize.CmaEqualizer.center_spike(
         nf, mu, r2, variant=variant,
@@ -168,26 +167,25 @@ def run_mud_compare(cfg: ScenarioConfig):
         bits = rng.integers(0, 2, size=(n_train + n_sym) * scheme.bits_per_symbol,
                             dtype=np.int8)
         streams.append(sigproc.modulate(bits, scheme))
-    scene = equalize.MultiuserScene(streams, [np.asarray(sec["template1"], complex),
-                                              np.asarray(sec["template2"], complex)],
-                                    ns, sec["ebn0_db"], scheme)
+    templates = [np.asarray(sec[key], complex) for key in ("template1", "template2")]
     # matched filter: taps are the conjugated user-1 template
-    tpl = scene.templates[0]
+    tpl = templates[0]
     energy = np.sum(np.abs(tpl) ** 2)
     if energy == 0:
         raise ConfigError("template1 has zero energy: the desired user needs a "
                           "nonzero template")
     w_mf = np.conj(tpl) / energy
-    signal = equalize.synth_multiuser(scene, rng.integers(2**63))
-    truth = scene.symbols_per_user[0]
+    composite = equalize.synth_multiuser(
+        streams, templates, ns, sigproc.noise_sigma(sec["ebn0_db"], scheme),
+        rng.integers(2**63))
+    truth = streams[0]
     train, payload = truth[:n_train], truth[n_train:]
-    payload_rx = signal.composite[n_train * ns :]
+    payload_rx = composite[n_train * ns :]
 
-    gamma_rr, gamma_ar = equalize.estimate_correlations(
-        signal.composite, train, nw, ns)
+    gamma_rr, gamma_ar = equalize.estimate_correlations(composite, train, nw, ns)
     ridge_abs = ridge * np.trace(gamma_rr).real / nw
     w_lin = equalize.wiener_solve(gamma_rr, gamma_ar, ridge_abs)
-    dfe = equalize.dfe_train(signal.composite, train, nw, nb, ridge_abs, ns)
+    dfe = equalize.dfe_train(composite, train, nw, nb, ridge_abs, ns)
     # warm-start the feedback history with the tail of the training block
     dfe.decision_history = np.asarray(train[-nb:][::-1], dtype=complex)
     results = [(name, equalize.linear_mud_detect(payload_rx, taps, scheme, n_sym, ns))
@@ -255,10 +253,7 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ScenarioConfig):
-    try:
-        runner = RUNNERS[cfg.experiment]
-    except KeyError:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}") from None
+    runner = RUNNERS[cfg.experiment]
     try:
         # a float that overflows or turns NaN raises here instead of
         # reaching the output as nan/inf rows

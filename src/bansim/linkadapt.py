@@ -84,10 +84,6 @@ def simulate_la(
     window: int = DEFAULT_FAILURE_WINDOW,
     noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM,
 ) -> list[LaTraceRow]:
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    if window < 1:
-        raise ValueError(f"failure window must be at least 1 round, got {window}")
     rng = np.random.default_rng(seed)
     trace: list[LaTraceRow] = []
     for rnd in range(rounds):

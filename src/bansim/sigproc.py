@@ -222,6 +222,12 @@ def noise_sigma(ebn0_db: float, scheme: ModulationScheme) -> float:
     return float(np.sqrt(1.0 / (2.0 * scheme.bits_per_symbol * ebn0)))
 
 
+def _complex_normal(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
+    """n complex samples whose real and imaginary parts are the consecutive
+    pairs of one N(0, sigma) draw of 2n values: a view, no copy."""
+    return rng.normal(0.0, sigma, size=(n, 2)).view(np.complex128)[:, 0]
+
+
 def add_awgn(
     symbols: np.ndarray, ebn0_db: float, scheme: ModulationScheme, seed: int
 ) -> np.ndarray:
@@ -229,6 +235,4 @@ def add_awgn(
     sigma = noise_sigma(ebn0_db, scheme)
     if sigma == 0.0:
         return symbols.copy()
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=(symbols.size, 2))
-    return symbols + noise[:, 0] + 1j * noise[:, 1]
+    return symbols + _complex_normal(np.random.default_rng(seed), sigma, symbols.size)

@@ -138,12 +138,10 @@ def self_pruning_broadcast(
     backoff, then transmits only if the transmissions it heard left some
     neighbour of it uncovered.
 
-    Every radio node must be a tree node.  `seed` is anything
+    `source` and every radio node must be tree nodes.  `seed` is anything
     ``np.random.default_rng`` takes; a Generator is advanced by one draw per
     tree node.
     """
-    if source not in tree.nodes:
-        raise ValueError(f"source {source} not in tree")
     nbr = radio.neighbors
     address = {key: node.address for key, node in tree.nodes.items()}.__getitem__
     # a node waits at most once, so one draw per tree node is enough; the
@@ -190,8 +188,6 @@ def self_pruning_broadcast(
 
 
 def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastState:
-    if source not in tree.nodes:
-        raise ValueError(f"source {source} not in tree")
     nbr = radio.neighbors
     # top-to-bottom, left-to-right by address
     order = sorted(tree.nodes, key=lambda k: (tree.nodes[k].depth, tree.address(k)))
@@ -229,8 +225,8 @@ def broadcast_compare(
     tree: ZigbeeTree, radio: RadioGraph, source: int, trials: int,
     seed, max_backoff: int,
 ) -> BroadcastSummary:
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if source not in tree.nodes:
+        raise ValueError(f"source {source} not in tree")
     n = len(tree.nodes)
     children = np.random.SeedSequence(seed).spawn(trials)
     counts, coverage = [], []

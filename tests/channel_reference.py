@@ -33,7 +33,7 @@ def _delayed_cluster(params: BanModelParams, delay_ns: float,
     shift = int(round(delay_ns / params.delta_ns))
     taps = np.concatenate([np.zeros(shift, dtype=complex),
                            10.0 ** (amp_db / 20.0) * np.exp(1j * phases)])
-    return ChannelImpulseResponse(taps, params.delta_ns, [shift])
+    return ChannelImpulseResponse(taps, [shift])
 
 
 def _superpose(a: ChannelImpulseResponse,
@@ -43,7 +43,7 @@ def _superpose(a: ChannelImpulseResponse,
     taps[: a.taps.size] += a.taps
     taps[: b.taps.size] += b.taps
     starts = sorted(set(a.cluster_starts) | set(b.cluster_starts))
-    return ChannelImpulseResponse(taps, a.bin_size_ns, starts)
+    return ChannelImpulseResponse(taps, starts)
 
 
 def gen_body(params: BanModelParams, seed) -> ChannelImpulseResponse:
@@ -103,7 +103,7 @@ def gen_ref(params: BanModelParams, num_clusters: int, seed) -> ChannelImpulseRe
     if params.shadowing_sigma_db > 0:
         shadow_db = params.shadowing_sigma_db * rng.standard_normal()
         taps *= 10.0 ** (shadow_db / 20.0)
-    return ChannelImpulseResponse(taps, params.delta_ns, list(start_bins))
+    return ChannelImpulseResponse(taps, list(start_bins))
 
 
 def gen_indoor_ban(
@@ -114,13 +114,14 @@ def gen_indoor_ban(
                       gen_ref(params, num_clusters, child_ref))
 
 
-def first_cluster_slope(cir: ChannelImpulseResponse) -> float:
+def first_cluster_slope(cir: ChannelImpulseResponse, delta_ns: float) -> float:
+    """Fitted dB-per-ns slope of the first cluster, on bins delta_ns apart."""
     start = cir.cluster_starts[0]
     stop = cir.cluster_starts[1] if len(cir.cluster_starts) > 1 else cir.taps.size
     seg = cir.taps[start:stop]
     mask = np.abs(seg) > 0
     if mask.sum() < 2:
         return float("nan")
-    delays = np.arange(seg.size)[mask] * cir.bin_size_ns
+    delays = np.arange(seg.size)[mask] * delta_ns
     amp_db = 20.0 * np.log10(np.abs(seg[mask]))
     return float(np.polyfit(delays, amp_db, 1)[0])

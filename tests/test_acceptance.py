@@ -152,9 +152,8 @@ def _blind_run(scheme_name: str, mu: float, seed: int):
     n_sym = iterations + nf + 32
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)
     symbols = sigproc.modulate(bits, scheme)
-    cir = channels.ChannelImpulseResponse(np.asarray(REF_CHANNEL, complex),
-                                          1.0, [0])
-    received = channels.apply_channel(symbols, cir, stride)
+    received = channels.apply_channel(symbols, np.asarray(REF_CHANNEL, complex),
+                                      stride)
     eq = equalize.CmaEqualizer.center_spike(
         nf, mu, equalize.dispersion_constant(scheme)
     )
@@ -193,9 +192,9 @@ def test_criterion_08_wiener_beats_brute_force_grid():
     ]
     train = sigproc.modulate(random_bits(300, 77), sigproc.BPSK)
     for taps, n_w in fixtures:
-        cir = channels.ChannelImpulseResponse(np.asarray(taps, complex), 1.0, [0])
         rx = sigproc.add_awgn(
-            channels.apply_channel(train, cir), 20.0, sigproc.BPSK, 78
+            channels.apply_channel(train, np.asarray(taps, complex)), 20.0,
+            sigproc.BPSK, 78
         )
         gamma_rr, gamma_ar = equalize.estimate_correlations(rx, train, n_w)
         w = equalize.wiener_solve(gamma_rr, gamma_ar, ridge=1e-12)

@@ -170,7 +170,7 @@ def test_channel_stats_matches_reference(model, ban):
         assert cir.cluster_starts == ref.cluster_starts, i
         assert table.rows[i][1] == len(ref.cluster_starts)
         assert table.rows[i][3] == float(np.sum(np.abs(ref.taps) ** 2))
-        ref_slopes.append(channel_reference.first_cluster_slope(ref))
+        ref_slopes.append(channel_reference.first_cluster_slope(ref, params.delta_ns))
     slopes = np.array(table.column("intra_slope_db_per_ns"))
     assert np.array_equal(np.isnan(slopes), np.isnan(ref_slopes))
     np.testing.assert_allclose(slopes, ref_slopes, rtol=1e-12)
@@ -246,24 +246,21 @@ def test_gbhds_invalid_params():
 
 
 def test_apply_channel_basics():
-    cir = channels.ChannelImpulseResponse(np.array([1.0 + 0j]), 1.0, [0])
     x = np.array([1.0, 2.0, 3.0], dtype=complex)
-    assert np.allclose(channels.apply_channel(x, cir), x)
-    delay = channels.ChannelImpulseResponse(np.array([0.0, 1.0]), 1.0, [0])
-    assert np.allclose(channels.apply_channel(x, delay), [0, 1, 2, 3])
-    two = channels.ChannelImpulseResponse(np.array([1.0, 0.5]), 1.0, [0])
+    assert np.allclose(channels.apply_channel(x, np.array([1.0 + 0j])), x)
+    assert np.allclose(channels.apply_channel(x, np.array([0j, 1.0])), [0, 1, 2, 3])
     assert np.allclose(
-        channels.apply_channel(np.array([1.0, 1.0]), two), [1.0, 1.5, 0.5]
+        channels.apply_channel(np.array([1.0, 1.0]), np.array([1.0, 0.5])),
+        [1.0, 1.5, 0.5]
     )
-    with pytest.raises(ValueError):
-        channels.apply_channel(x, channels.ChannelImpulseResponse(
-            np.array([], dtype=complex), 1.0, []))
+    # two samples per symbol: zeros between the symbols
+    assert np.allclose(channels.apply_channel(np.array([1.0, 2.0]),
+                                              np.array([1.0, 0.5]), 2),
+                       [1.0, 0.5, 2.0, 1.0, 0.0])
 
 
 def test_cir_validation_and_csv():
     with pytest.raises(ValueError):
-        channels.ChannelImpulseResponse(np.array([1.0]), 0.0, [0])
-    with pytest.raises(ValueError):
-        channels.ChannelImpulseResponse(np.array([1.0, 1.0]), 1.0, [1, 1])
+        channels.ChannelImpulseResponse(np.array([1.0, 1.0]), [1, 1])
     # strictly increasing starts inside the response are accepted
-    channels.ChannelImpulseResponse(np.array([1.0, 2.0, 3.0]), 0.5, [0, 2])
+    channels.ChannelImpulseResponse(np.array([1.0, 2.0, 3.0]), [0, 2])

@@ -14,44 +14,34 @@ def bpsk_symbols(n, seed):
     return sigproc.modulate(random_bits(n, seed), sigproc.BPSK)
 
 
-def one_user_scene(symbols, template, ns=1, ebn0=np.inf, scheme=sigproc.BPSK):
-    return equalize.MultiuserScene(
-        [symbols], [np.asarray(template, dtype=complex)], ns, ebn0, scheme
-    )
-
-
 def test_synth_identity_scene():
     sym = bpsk_symbols(100, 0)
-    sig = equalize.synth_multiuser(one_user_scene(sym, [1.0]), seed=0)
-    assert np.allclose(sig.composite, sym)
-    assert np.allclose(sig.mui, 0.0)
-    assert np.allclose(sig.noise, 0.0)
+    composite = equalize.synth_multiuser([sym], [np.array([1.0 + 0j])], 1, 0.0,
+                                         seed=0)
+    assert composite.tobytes() == sym.tobytes()
 
 
 def test_synth_decomposition_identity():
-    scheme = sigproc.OQPSK
-    streams = [
-        sigproc.modulate(random_bits(200, s), scheme) for s in (1, 2)
-    ]
-    scene = equalize.MultiuserScene(
-        streams, [np.array([1.0, 0.5, 0.3]), np.array([0.6, 0.9, 0.2])],
-        2, 10.0, scheme,
-    )
-    sig = equalize.synth_multiuser(scene, seed=3)
-    assert np.allclose(sig.composite, sig.desired + sig.mui + sig.noise)
-    assert np.any(sig.mui != 0)
-    assert np.any(sig.noise != 0)
-
-
-def test_scene_validation():
-    sym = bpsk_symbols(10, 0)
-    with pytest.raises(ValueError):
-        equalize.MultiuserScene([sym], [np.array([1.0])], 0, 10.0, sigproc.BPSK)
-    with pytest.raises(ValueError):
-        equalize.MultiuserScene([sym, sym], [np.array([1.0])], 1, 10.0,
-                               sigproc.BPSK)
-    with pytest.raises(ValueError):
-        equalize.MultiuserScene([sym], [np.array([])], 1, 10.0, sigproc.BPSK)
+    scheme, ns, seed = sigproc.OQPSK, 2, 3
+    streams = [sigproc.modulate(random_bits(200, s), scheme) for s in (1, 2)]
+    # unequal lengths: the composite spans the longer contribution
+    templates = [np.array([1.0, 0.5, 0.3], complex),
+                 np.array([0.6, 0.9, 0.2, 0.1], complex)]
+    sigma = sigproc.noise_sigma(10.0, scheme)
+    composite = equalize.synth_multiuser(streams, templates, ns, sigma, seed)
+    # reference: each user upsampled and convolved on its own, noise drawn
+    # as N(0, sigma) pairs of (real, imaginary)
+    parts = []
+    for sym, tpl in zip(streams, templates):
+        up = np.zeros((sym.size - 1) * ns + 1, dtype=complex)
+        up[::ns] = sym
+        parts.append(np.convolve(up, tpl))
+    total = max(p.size for p in parts)
+    desired, mui = (np.pad(p, (0, total - p.size)) for p in parts)
+    g = np.random.default_rng(seed).normal(0.0, sigma, size=(total, 2))
+    noise = g[:, 0] + 1j * g[:, 1]
+    assert composite.tobytes() == (desired + mui + noise).tobytes()
+    assert np.any(mui != 0) and np.any(noise != 0)
 
 
 def test_estimate_correlations_identity():
@@ -102,8 +92,7 @@ def test_wiener_singular_raises():
 
 def test_wiener_beats_taps_on_isi_channel():
     sym = bpsk_symbols(4000, 9)
-    cir = channels.ChannelImpulseResponse(np.array([1.0, 0.5]), 1.0, [0])
-    rx = channels.apply_channel(sym, cir)
+    rx = channels.apply_channel(sym, np.array([1.0, 0.5], complex))
     rx = sigproc.add_awgn(rx, 20.0, sigproc.BPSK, 10)
     gamma_rr, gamma_ar = equalize.estimate_correlations(rx, sym, 5)
     taps = equalize.wiener_solve(gamma_rr, gamma_ar)
@@ -163,7 +152,7 @@ def test_dfe_zero_isi_has_negligible_feedback():
 
 def test_dfe_noiseless_isi_perfect_detection():
     train = bpsk_symbols(2000, 12)
-    cir = channels.ChannelImpulseResponse(np.array([1.0, 0.6]), 1.0, [0])
+    cir = np.array([1.0, 0.6], complex)
     rx_train = channels.apply_channel(train, cir)
     eq = equalize.dfe_train(rx_train, train, nf=1, nb=1)
     assert eq.w_ff[0] == pytest.approx(1.0, abs=1e-6)
@@ -179,7 +168,7 @@ def test_dfe_beats_linear_on_isi():
     train = bpsk_symbols(2000, 14)
     payload = bpsk_symbols(20_000, 15)
     full = np.concatenate([train, payload])
-    cir = channels.ChannelImpulseResponse(np.array([1.0, 0.6]), 1.0, [0])
+    cir = np.array([1.0, 0.6], complex)
     rx = sigproc.add_awgn(
         channels.apply_channel(full, cir), 15.0, sigproc.BPSK, 16
     )
@@ -254,8 +243,6 @@ def test_cma_equalizer_validation():
     with pytest.raises(ValueError):
         equalize.CmaEqualizer(np.ones(3), -0.01, 1.0)
     with pytest.raises(ValueError):
-        equalize.CmaEqualizer(np.ones(3), 0.01, 0.0)
-    with pytest.raises(ValueError):
         equalize.CmaEqualizer(np.ones(3), 0.01, 1.0, variant="NOPE")
 
 
@@ -298,8 +285,7 @@ def test_run_blind_identity_channel_fast_convergence():
 def test_run_blind_divergence_raises_with_step():
     scheme = sigproc.get_scheme("QAM16")
     sym = sigproc.modulate(random_bits(4 * 3000, 20), scheme)
-    cir = channels.ChannelImpulseResponse(REF_CHANNEL, 1.0, [0])
-    rx = channels.apply_channel(sym, cir, 3)
+    rx = channels.apply_channel(sym, REF_CHANNEL.astype(complex), 3)
     eq = equalize.CmaEqualizer.center_spike(
         13, 0.05, equalize.dispersion_constant(scheme)
     )

@@ -191,6 +191,22 @@ def test_cli_exit_codes(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "csv_is_dir"])
+def test_cli_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, case):
+    cfg = tmp_path / "la.cfg"
+    cfg.write_text("[common]\nseed = 1\n"
+                   + ("out = afile/x\n" if case == "out_under_file" else "")
+                   + "[la_sim]\nrounds = 1\n")
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "out" / "la_trace.csv").mkdir(parents=True)
+    out = {"out_is_file": ["--out", str(tmp_path / "afile")],
+           "out_under_file": [], "csv_is_dir": ["--out", str(tmp_path / "out")]}[case]
+    monkeypatch.chdir(tmp_path)  # `out = afile/x` is relative
+    assert cli.main(["la_sim", "--config", str(cfg), *out]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("bansim: cannot write output: ")
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
@@ -322,6 +338,18 @@ MALFORMED = [
      "node 99 is not in [tree]"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {self_loop_topology}",
      "topology line 4"),
+    # counts the models take unchecked: the schema rejects them first
+    ("la_sim", "[la_sim]\nwindow = 0", "[la_sim] window:"),
+    ("la_sim", "[la_sim]\nwindow = -1", "[la_sim] window:"),
+    ("la_sim", "[la_sim]\nrounds = 0", "[la_sim] rounds:"),
+    ("mud_compare", "[mud_compare]\nns = 0", "[mud_compare] ns:"),
+    ("mud_compare", "[mud_compare]\nnw = 0", "[mud_compare] nw:"),
+    ("cma_convergence", "[cma_convergence]\nsamples_per_symbol = 0",
+     "[cma_convergence] samples_per_symbol:"),
+    ("cma_convergence", "[cma_convergence]\nchannel =",
+     "[cma_convergence] channel has no value"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\ntrials = 0",
+     "[broadcast_sim] trials:"),
 ]
 
 

@@ -227,8 +227,3 @@ def test_frames_rows_are_zero_padded_slices(count, stride, width, size):
         chunk = received[n * stride : n * stride + width]
         row[: chunk.size] = chunk
         assert view[n].tobytes() == row.tobytes()
-
-
-def test_frames_rejects_negative_count():
-    with pytest.raises(ValueError):
-        _kernels.frames(random_signal(10, 0), -1, 1, 3)

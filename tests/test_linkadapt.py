@@ -62,14 +62,6 @@ def test_out_of_range_node_pinned_at_minimum():
     assert trace[-1].p_f == 1.0
 
 
-@pytest.mark.parametrize("window", [0, -1])
-def test_simulate_rejects_window_below_one(window):
-    # window 0 used to average the whole history, -1 divided by zero
-    nodes = [linkadapt.LaNode(0, 0.0, 1.0)]
-    with pytest.raises(ValueError, match="window"):
-        linkadapt.simulate_la(nodes, 2, PL, TH, seed=0, window=window)
-
-
 def test_simulate_deterministic_under_seed():
     shadowed = channels.PathLossParams(35.2, 0.1, 3.11, 6.1)
 
