@@ -142,4 +142,4 @@ def dfe_detect_run(received, w_ff, w_fb, constellation, history, stride,
     if not np.isfinite(soft).all():
         raise ValueError("cannot slice a non-finite DFE output")
     decisions = constellation[slicer.cell_labels[np.array(cells, dtype=np.intp)]]
-    return soft, decisions, np.array(hist, dtype=np.complex128)
+    return soft, decisions

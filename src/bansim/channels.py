@@ -19,20 +19,12 @@ import numpy as np
 _TINY = np.finfo(float).tiny
 
 
-def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
-    """Derive n independent seed streams; accepts ints or SeedSequences."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.spawn(n)
-
-
 @dataclass
 class ChannelImpulseResponse:
     taps: np.ndarray  # complex amplitudes on a uniform delay grid
     cluster_starts: list[int] = field(default_factory=lambda: [0])
 
     def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=complex)
         if not np.isfinite(self.taps).all():
             raise ValueError("taps must be finite")
         if any(b <= a for a, b in zip(self.cluster_starts, self.cluster_starts[1:])):
@@ -138,16 +130,18 @@ def _ground_shift(params: BanModelParams) -> int:
     return shift
 
 
-def _add_outdoor(taps: np.ndarray, params: BanModelParams, shift: int, seed) -> None:
+def _add_outdoor(taps: np.ndarray, params: BanModelParams, shift: int,
+                 seed: np.random.SeedSequence) -> None:
     """Add the body cluster at bin 0, then the ground cluster at bin shift."""
     # ground reflections are uncorrelated with the around-body wave:
     # independent seed streams for the two components
-    body, ground = gen_clusters(params, _spawn(seed, 2))
+    body, ground = gen_clusters(params, seed.spawn(2))
     taps[: body.size] += body
     taps[shift : shift + ground.size] += ground
 
 
-def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
+def gen_outdoor_ban(params: BanModelParams,
+                    seed: np.random.SeedSequence) -> ChannelImpulseResponse:
     shift = _ground_shift(params)
     taps = np.zeros(shift + params.num_bins_per_cluster, dtype=complex)
     _add_outdoor(taps, params, shift, seed)
@@ -196,10 +190,10 @@ def gen_ref(params: BanModelParams, num_clusters: int,
 
 
 def gen_indoor_ban(
-    params: BanModelParams, num_clusters: int, seed
+    params: BanModelParams, num_clusters: int, seed: np.random.SeedSequence
 ) -> ChannelImpulseResponse:
     shift = _ground_shift(params)
-    child_out, child_ref = _spawn(seed, 2)
+    child_out, child_ref = seed.spawn(2)
     ref, ref_starts = gen_ref(params, num_clusters, child_ref)
     taps = np.zeros(max(shift + params.num_bins_per_cluster, ref.size), dtype=complex)
     _add_outdoor(taps, params, shift, child_out)
@@ -252,7 +246,6 @@ def apply_channel(
     signal: np.ndarray, taps: np.ndarray, samples_per_symbol: int = 1
 ) -> np.ndarray:
     """Convolve a symbol stream, upsampled by zero insertion, with the taps."""
-    signal = np.asarray(signal, dtype=complex)
     if samples_per_symbol > 1:
         up = np.zeros(signal.size * samples_per_symbol, dtype=complex)
         up[::samples_per_symbol] = signal

@@ -8,7 +8,7 @@ tap vector stored so that no extra conjugation is needed at detection time
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
 
 def _training_regressors(received: np.ndarray, n_training: int, ns: int, n_w: int):
     """Stack one length-n_w regressor per symbol; zero past the end."""
-    received = np.asarray(received, dtype=complex)
     # contiguous rows keep the matmuls that follow on their BLAS path
     return np.ascontiguousarray(_kernels.frames(received, n_training, ns, n_w))
 
@@ -78,7 +77,6 @@ def _solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray, ridge: float):
 def estimate_correlations(
     received: np.ndarray, training: np.ndarray, n_w: int, ns: int = 1
 ):
-    training = np.asarray(training, dtype=complex)
     return _correlations(_training_regressors(received, training.size, ns, n_w),
                          training)
 
@@ -86,63 +84,41 @@ def estimate_correlations(
 def wiener_solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray,
                  ridge: float = 0.0) -> np.ndarray:
     """Wiener taps w = gamma_ar @ inv(Gamma_rr), ridge-regularized."""
-    return _solve(np.asarray(gamma_rr, dtype=complex),
-                  np.asarray(gamma_ar, dtype=complex), ridge)
-
-
-@dataclass
-class DetectionReport:
-    symbols: np.ndarray
-    soft: np.ndarray
+    return _solve(gamma_rr, gamma_ar, ridge)
 
 
 def linear_mud_detect(
     received: np.ndarray, taps: np.ndarray, scheme: ModulationScheme,
     num_symbols: int, ns: int = 1,
-) -> DetectionReport:
-    taps = np.asarray(taps, dtype=complex)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(soft outputs, hard decisions) of the tap vector on each symbol."""
     soft = _training_regressors(received, num_symbols, ns, taps.size) @ taps
-    return DetectionReport(slice_symbols(soft, scheme), soft)
-
-
-@dataclass
-class DfeEqualizer:
-    w_ff: np.ndarray
-    w_fb: np.ndarray
-    decision_history: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        self.w_ff = np.asarray(self.w_ff, dtype=complex)
-        self.w_fb = np.asarray(self.w_fb, dtype=complex)
-        if self.decision_history is None:
-            self.decision_history = np.zeros(self.w_fb.size, dtype=complex)
+    return soft, slice_symbols(soft, scheme)
 
 
 def dfe_train(
     received: np.ndarray, training: np.ndarray, nf: int, nb: int,
     ridge: float = 0.0, ns: int = 1,
-) -> DfeEqualizer:
-    """Joint Wiener solve for nf feedforward and nb feedback taps."""
-    training = np.asarray(training, dtype=complex)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint Wiener solve for nf feedforward and nb feedback taps; returns
+    (w_ff, w_fb)."""
     ff = _training_regressors(received, training.size, ns, nf)
     # feedback inputs: previously decided symbols; training fills them in
     fb = np.zeros((training.size, nb), dtype=complex)
     for b in range(nb):
         fb[b + 1 :, b] = training[: training.size - b - 1]
     w = _solve(*_correlations(np.concatenate([ff, fb], axis=1), training), ridge)
-    return DfeEqualizer(w[:nf], w[nf:])
+    return w[:nf], w[nf:]
 
 
 def dfe_detect(
-    received: np.ndarray, eq: DfeEqualizer, scheme: ModulationScheme,
-    num_symbols: int, ns: int = 1,
-) -> DetectionReport:
-    received = np.asarray(received, dtype=complex)
-    soft, decided, _ = _kernels.dfe_detect_run(
-        received, eq.w_ff, eq.w_fb, scheme.constellation, eq.decision_history,
-        ns, num_symbols,
-    )
-    return DetectionReport(decided, soft)
+    received: np.ndarray, w_ff: np.ndarray, w_fb: np.ndarray,
+    history: np.ndarray, scheme: ModulationScheme, num_symbols: int, ns: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(soft outputs, hard decisions); ``history`` holds the last w_fb.size
+    decisions before the first symbol, newest first."""
+    return _kernels.dfe_detect_run(received, w_ff, w_fb, scheme.constellation,
+                                   history, ns, num_symbols)
 
 
 def dispersion_constant(scheme: ModulationScheme) -> float:
@@ -156,11 +132,9 @@ class CmaEqualizer:
     taps: np.ndarray
     step: float
     dispersion: float
-    variant: str = "CMA"  # or "DSE_CMA"
-    dither_amplitude: float = 0.0
+    variant: str = "CMA"  # or "DSE_CMA", whose dither amplitude is dispersion
 
     def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=complex)
         if self.step < 0:
             raise ValueError("step size must be non-negative")
         if self.taps.size % 2 == 0:
@@ -170,18 +144,11 @@ class CmaEqualizer:
 
     @classmethod
     def center_spike(
-        cls, nf: int, step: float, dispersion: float,
-        variant: str = "CMA", dither_amplitude: float = 0.0,
+        cls, nf: int, step: float, dispersion: float, variant: str = "CMA",
     ) -> "CmaEqualizer":
         taps = np.zeros(nf, dtype=complex)
         taps[nf // 2] = 1.0
-        return cls(taps, step, dispersion, variant, dither_amplitude)
-
-
-@dataclass
-class BlindRunResult:
-    trace: np.ndarray  # per-iteration squared error against the known symbols
-    delay: int  # equalizer delay that aligns the output with the symbols
+        return cls(taps, step, dispersion, variant)
 
 
 def _aligned(y: np.ndarray, truth: np.ndarray, delay: int):
@@ -216,7 +183,6 @@ def _derotate_and_delay(y: np.ndarray, truth: np.ndarray, nf: int):
 
 def agc(received: np.ndarray) -> np.ndarray:
     """Scale a signal to unit average power (automatic gain control)."""
-    received = np.asarray(received, dtype=np.complex128)
     power = float(np.mean(np.abs(received) ** 2))
     if power <= 0:
         raise ValueError("cannot normalize an all-zero signal")
@@ -226,9 +192,11 @@ def agc(received: np.ndarray) -> np.ndarray:
 def run_blind(
     received: np.ndarray, eq: CmaEqualizer, iterations: int,
     truth: np.ndarray, seed=0, stride: int = 1,
-) -> BlindRunResult:
+) -> tuple[np.ndarray, int]:
     """Adapt ``eq`` on the stream scaled to unit power (``agc``) and score
-    each output against the transmitted symbols ``truth``."""
+    each output against the transmitted symbols ``truth``: returns the
+    per-iteration squared error and the equalizer delay that aligns the
+    output with the symbols."""
     received = agc(received)
     nf = eq.taps.size
     if eq.variant == "CMA":
@@ -239,10 +207,9 @@ def run_blind(
         rng = np.random.default_rng(seed)
         dither_u = rng.uniform(0.0, 1.0, size=2 * iterations)
         y, _, bad = _kernels.dse_cma_run(
-            received, eq.taps, eq.step, eq.dispersion, eq.dither_amplitude,
+            received, eq.taps, eq.step, eq.dispersion, eq.dispersion,
             dither_u, iterations, stride,
         )
     if bad >= 0:
         raise DivergenceError(bad)
-    trace, delay = _derotate_and_delay(y, np.asarray(truth, dtype=complex), nf)
-    return BlindRunResult(trace, delay)
+    return _derotate_and_delay(y, truth, nf)

@@ -136,23 +136,20 @@ def run_cma_convergence(cfg: ScenarioConfig):
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)
     symbols = sigproc.modulate(bits, scheme)
     received = channels.apply_channel(symbols, np.asarray(taps, complex), stride)
-    r2 = equalize.dispersion_constant(scheme)
     eq = equalize.CmaEqualizer.center_spike(
-        nf, mu, r2, variant=variant,
-        dither_amplitude=r2 if variant == "DSE_CMA" else 0.0,
-    )
-    result = equalize.run_blind(received, eq, iterations, truth=symbols,
-                                seed=rng.integers(2**63), stride=stride)
+        nf, mu, equalize.dispersion_constant(scheme), variant=variant)
+    trace, delay = equalize.run_blind(received, eq, iterations, truth=symbols,
+                                      seed=rng.integers(2**63), stride=stride)
     table = _table(cfg, ["iteration", "mse"])
-    table.rows = list(map(list, enumerate(result.trace.tolist())))
-    initial = float(np.mean(result.trace[:window]))
-    final = float(np.mean(result.trace[-window:]))
+    table.rows = list(map(list, enumerate(trace.tolist())))
+    initial = float(np.mean(trace[:window]))
+    final = float(np.mean(trace[-window:]))
     summary = _table(cfg, ["initial_mse", "final_mse", "improvement_db", "delay"])
     impr = 10.0 * np.log10(initial / final) if final > 0 else float("inf")
-    summary.append(initial, final, float(impr), result.delay)
+    summary.append(initial, final, float(impr), delay)
     plot = PlotSpec("iteration", "mse",
                     title=f"{variant} convergence, {scheme.kind}, mu={mu:g}",
-                    log_y=bool(np.all(result.trace > 0)))
+                    log_y=bool(np.all(trace > 0)))
     return [("cma_trace", table, plot), ("cma_summary", summary, None)]
 
 
@@ -185,19 +182,19 @@ def run_mud_compare(cfg: ScenarioConfig):
     gamma_rr, gamma_ar = equalize.estimate_correlations(composite, train, nw, ns)
     ridge_abs = ridge * np.trace(gamma_rr).real / nw
     w_lin = equalize.wiener_solve(gamma_rr, gamma_ar, ridge_abs)
-    dfe = equalize.dfe_train(composite, train, nw, nb, ridge_abs, ns)
-    # warm-start the feedback history with the tail of the training block
-    dfe.decision_history = np.asarray(train[-nb:][::-1], dtype=complex)
+    w_ff, w_fb = equalize.dfe_train(composite, train, nw, nb, ridge_abs, ns)
     results = [(name, equalize.linear_mud_detect(payload_rx, taps, scheme, n_sym, ns))
                for name, taps in (("matched", w_mf), ("linear_mud", w_lin))]
-    results.append(("dfe_mud", equalize.dfe_detect(payload_rx, dfe, scheme, n_sym, ns)))
+    # warm-start the feedback history with the tail of the training block
+    results.append(("dfe_mud", equalize.dfe_detect(
+        payload_rx, w_ff, w_fb, train[-nb:][::-1], scheme, n_sym, ns)))
 
     table = _table(cfg, ["receiver", "ser", "mse"])
     rows = []
-    for name, rep in results:
-        decided = rep.symbols[:n_sym]
+    for name, (soft, decided) in results:
+        decided = decided[:n_sym]
         ser = float(np.mean(decided != payload[: decided.size]))
-        mse = float(np.mean(np.abs(rep.soft[:n_sym] - payload[: decided.size]) ** 2))
+        mse = float(np.mean(np.abs(soft[:n_sym] - payload[: decided.size]) ** 2))
         rows.append((name, ser, mse))
     for name, ser, mse in sorted(rows, key=lambda r: r[1]):
         table.append(name, ser, mse)
@@ -261,6 +258,10 @@ def run_experiment(cfg: ScenarioConfig):
             return runner(cfg)
     except ConfigError:
         raise
+    except OverflowError as exc:
+        # Python's float ** raises OverflowError(errno, text): keep the text
+        raise ConfigError(
+            f"{cfg.experiment}: arithmetic overflow ({exc.args[-1]})") from exc
     except (OSError, ValueError, ArithmeticError) as exc:
         # the models reject impossible settings with ValueError (numpy's
         # LinAlgError included); an unreadable input file is a config error

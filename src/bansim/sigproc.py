@@ -89,14 +89,13 @@ def _rail_cells(values, lo, hi, dtype) -> np.ndarray:
 def rail_slicer(constellation: np.ndarray) -> RailSlicer:
     """The slicer of a constellation indexed by label; every combination of
     its real and imaginary levels must be exactly one of its points."""
-    points = np.asarray(constellation, dtype=complex)
-    if not np.isfinite(points).all():
+    if not np.isfinite(constellation).all():
         raise ValueError("constellation points must be finite")
     # sorted(set()) rather than np.unique, which imports numpy.ma
-    re = sorted(set(points.real.tolist()))
-    im = sorted(set(points.imag.tolist()))
-    label = {(p.real, p.imag): k for k, p in enumerate(points.tolist())}
-    if not len(re) * len(im) == len(label) == points.size:
+    re = sorted(set(constellation.real.tolist()))
+    im = sorted(set(constellation.imag.tolist()))
+    label = {(p.real, p.imag): k for k, p in enumerate(constellation.tolist())}
+    if not len(re) * len(im) == len(label) == constellation.size:
         raise ValueError("constellation is not a rectangular grid")
     cols = 2 * len(im) - 1
     cell_labels = np.empty((2 * len(re) - 1) * cols, dtype=np.intp)
@@ -182,17 +181,9 @@ def get_scheme(name: str) -> ModulationScheme:
         raise ValueError(f"unknown modulation scheme {name!r}") from None
 
 
-class PaddingRequiredError(ValueError):
-    """Bit stream length is not a multiple of bits_per_symbol."""
-
-
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    bits = np.asarray(bits)
+    """Symbols of a bit array whose length is a multiple of bits_per_symbol."""
     bps = scheme.bits_per_symbol
-    if bits.size % bps:
-        raise PaddingRequiredError(
-            f"{bits.size} bits is not a multiple of {bps}; pad the stream"
-        )
     groups = bits.reshape(-1, bps)
     weights = 1 << np.arange(bps - 1, -1, -1)
     labels = groups @ weights
@@ -201,7 +192,7 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 def nearest_labels(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     """Label of the nearest point per sample; the lowest label on a tie."""
-    return scheme.slicer.labels(np.asarray(symbols, dtype=complex))
+    return scheme.slicer.labels(symbols)
 
 
 def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
@@ -216,8 +207,6 @@ def slice_symbols(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 def noise_sigma(ebn0_db: float, scheme: ModulationScheme) -> float:
     """Per-dimension noise standard deviation at unit symbol energy."""
-    if np.isinf(ebn0_db):
-        return 0.0
     ebn0 = 10.0 ** (ebn0_db / 10.0)
     return float(np.sqrt(1.0 / (2.0 * scheme.bits_per_symbol * ebn0)))
 
@@ -231,8 +220,5 @@ def _complex_normal(rng: np.random.Generator, sigma: float, n: int) -> np.ndarra
 def add_awgn(
     symbols: np.ndarray, ebn0_db: float, scheme: ModulationScheme, seed: int
 ) -> np.ndarray:
-    symbols = np.asarray(symbols, dtype=complex)
     sigma = noise_sigma(ebn0_db, scheme)
-    if sigma == 0.0:
-        return symbols.copy()
     return symbols + _complex_normal(np.random.default_rng(seed), sigma, symbols.size)

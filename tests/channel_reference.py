@@ -14,13 +14,6 @@ import numpy as np
 from bansim.channels import BanModelParams, ChannelImpulseResponse
 
 
-def _spawn(seed, n: int) -> list[np.random.SeedSequence]:
-    """Derive n independent seed streams; accepts ints or SeedSequences."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.spawn(n)
-
-
 def _delayed_cluster(params: BanModelParams, delay_ns: float,
                      seed) -> ChannelImpulseResponse:
     """One cluster of rays decaying at gamma_ray, delay_ns after time zero."""
@@ -62,7 +55,7 @@ def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
                          "merge into the body cluster")
     # ground reflections are uncorrelated with the around-body wave:
     # independent seed streams for the two components
-    child_body, child_ground = _spawn(seed, 2)
+    child_body, child_ground = seed.spawn(2)
     return _superpose(gen_body(params, child_body), gen_ground(params, child_ground))
 
 
@@ -109,7 +102,7 @@ def gen_ref(params: BanModelParams, num_clusters: int, seed) -> ChannelImpulseRe
 def gen_indoor_ban(
     params: BanModelParams, num_clusters: int, seed
 ) -> ChannelImpulseResponse:
-    child_out, child_ref = _spawn(seed, 2)
+    child_out, child_ref = seed.spawn(2)
     return _superpose(gen_outdoor_ban(params, child_out),
                       gen_ref(params, num_clusters, child_ref))
 

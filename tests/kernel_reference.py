@@ -14,9 +14,11 @@ from bansim import _kernels, equalize
 from sigproc_reference import exact_label
 
 
-def cma_step(eq, regressor, dither_u=None):
+def cma_step(eq, regressor, dither_u=None, alpha_d=None):
     """One adaptation step of an ``equalize.CmaEqualizer``; returns
-    (y, updated equalizer)."""
+    (y, updated equalizer).  A DSE-CMA step dithers with amplitude
+    ``alpha_d``, by default the dispersion R2 that ``equalize.run_blind``
+    uses."""
     regressor = np.asarray(regressor, dtype=complex)
     if regressor.size != eq.taps.size:
         raise ValueError("regressor length must equal tap count")
@@ -27,17 +29,18 @@ def cma_step(eq, regressor, dither_u=None):
     else:
         if dither_u is None:
             raise ValueError("DSE-CMA step needs two uniform dither draws")
-        d_r = eq.dither_amplitude * np.sin(2.0 * np.pi * dither_u[0])
-        d_i = eq.dither_amplitude * np.sin(2.0 * np.pi * dither_u[1])
-        psi = eq.dither_amplitude * (
+        if alpha_d is None:
+            alpha_d = eq.dispersion
+        d_r = alpha_d * np.sin(2.0 * np.pi * dither_u[0])
+        d_i = alpha_d * np.sin(2.0 * np.pi * dither_u[1])
+        psi = alpha_d * (
             np.sign(err.real + d_r) + 1j * np.sign(err.imag + d_i)
         )
     taps = eq.taps + eq.step * np.conj(psi) * regressor
-    return y, equalize.CmaEqualizer(taps, eq.step, eq.dispersion, eq.variant,
-                                    eq.dither_amplitude)
+    return y, equalize.CmaEqualizer(taps, eq.step, eq.dispersion, eq.variant)
 
 
-def _blind_reference(received, eq, max_steps, stride, dither_u):
+def _blind_reference(received, eq, max_steps, stride, dither_u, alpha_d=None):
     """On divergence y stops at the diverging step, with the taps that
     produced it."""
     nf = eq.taps.size
@@ -45,7 +48,7 @@ def _blind_reference(received, eq, max_steps, stride, dither_u):
     for n in range(max_steps):
         reg = received[n * stride : n * stride + nf][::-1]
         u = None if dither_u is None else dither_u[2 * n : 2 * n + 2]
-        yn, nxt = cma_step(eq, reg, u)
+        yn, nxt = cma_step(eq, reg, u, alpha_d)
         y.append(yn)
         if abs(yn) > _kernels.DIVERGENCE_LIMIT:
             return np.array(y, dtype=np.complex128), eq.taps, n
@@ -60,12 +63,12 @@ def cma_reference(received, taps, mu, r2, max_steps, stride):
 
 def dse_cma_reference(received, taps, mu, r2, alpha_d, dither_u, max_steps,
                       stride):
-    eq = equalize.CmaEqualizer(taps, mu, r2, "DSE_CMA", alpha_d)
-    return _blind_reference(received, eq, max_steps, stride, dither_u)
+    eq = equalize.CmaEqualizer(taps, mu, r2, "DSE_CMA")
+    return _blind_reference(received, eq, max_steps, stride, dither_u, alpha_d)
 
 
 def dfe_reference(received, w_ff, w_fb, constellation, history, stride, n_sym):
-    """(soft, decisions, history), as ``dfe_detect_run`` returns."""
+    """(soft, decisions), as ``dfe_detect_run`` returns."""
     nf = w_ff.size
     nb = w_fb.size
     decisions = np.empty(n_sym, dtype=np.complex128)
@@ -85,4 +88,4 @@ def dfe_reference(received, w_ff, w_fb, constellation, history, stride, n_sym):
             for b in range(nb - 1, 0, -1):
                 hist[b] = hist[b - 1]
             hist[0] = decisions[k]
-    return soft, decisions, hist
+    return soft, decisions

@@ -157,10 +157,10 @@ def _blind_run(scheme_name: str, mu: float, seed: int):
     eq = equalize.CmaEqualizer.center_spike(
         nf, mu, equalize.dispersion_constant(scheme)
     )
-    result = equalize.run_blind(received, eq, iterations, truth=symbols,
-                                stride=stride)
-    initial = float(np.mean(result.trace[:window]))
-    final = float(np.mean(result.trace[-window:]))
+    trace, _ = equalize.run_blind(received, eq, iterations, truth=symbols,
+                                  stride=stride)
+    initial = float(np.mean(trace[:window]))
+    final = float(np.mean(trace[-window:]))
     return 10.0 * np.log10(initial / final)
 
 

@@ -49,7 +49,8 @@ def test_generators_deterministic():
                           channels.gen_clusters(p, [5, 6]))
     for gen in (channels.gen_outdoor_ban,
                 lambda p, seed: channels.gen_indoor_ban(p, 3, seed)):
-        assert np.array_equal(gen(p, 5).taps, gen(p, 5).taps)
+        assert np.array_equal(gen(p, np.random.SeedSequence(5)).taps,
+                              gen(p, np.random.SeedSequence(5)).taps)
     (taps_a, starts_a), (taps_b, starts_b) = (channels.gen_ref(p, 4, 5),
                                               channels.gen_ref(p, 4, 5))
     assert np.array_equal(taps_a, taps_b) and starts_a == starts_b
@@ -60,7 +61,7 @@ def test_ground_is_shifted_body():
     p = make_params(tau_ground_ns=30.0)
     seed = 3
     _, ground = channels.gen_clusters(p, np.random.SeedSequence(seed).spawn(2))
-    cir = channels.gen_outdoor_ban(p, seed)
+    cir = channels.gen_outdoor_ban(p, np.random.SeedSequence(seed))
     assert cir.cluster_starts == [0, 30]
     assert np.all(cir.taps[16:30] == 0)
     assert np.array_equal(cir.taps[30:], ground)
@@ -71,14 +72,14 @@ def test_outdoor_rejects_ground_delay_of_bin_0():
     for tau in (0.0, 0.4):
         p = make_params(tau_ground_ns=tau)
         with pytest.raises(ValueError, match="tau_ground_ns"):
-            channels.gen_outdoor_ban(p, 3)
+            channels.gen_outdoor_ban(p, np.random.SeedSequence(3))
         with pytest.raises(ValueError, match="tau_ground_ns"):
-            channels.gen_indoor_ban(p, 2, 3)
+            channels.gen_indoor_ban(p, 2, np.random.SeedSequence(3))
 
 
 def test_outdoor_two_clusters_with_deterministic_gap():
     for seed in range(20):
-        cir = channels.gen_outdoor_ban(make_params(), seed)
+        cir = channels.gen_outdoor_ban(make_params(), np.random.SeedSequence(seed))
         assert len(cir.cluster_starts) == 2
         assert cir.cluster_starts[1] - cir.cluster_starts[0] == 5
 
@@ -87,7 +88,7 @@ def test_outdoor_is_superposition_of_components():
     p = make_params()
     seed = 11
     body, ground = channels.gen_clusters(p, np.random.SeedSequence(seed).spawn(2))
-    outdoor = channels.gen_outdoor_ban(p, seed)
+    outdoor = channels.gen_outdoor_ban(p, np.random.SeedSequence(seed))
     expect = np.zeros(outdoor.taps.size, dtype=complex)
     expect[:16] += body
     expect[5:] += ground
@@ -125,7 +126,7 @@ def test_indoor_is_superposition():
     child_out, child_ref = np.random.SeedSequence(seed).spawn(2)
     outdoor = channels.gen_outdoor_ban(p, child_out)
     ref, ref_starts = channels.gen_ref(p, 3, child_ref)
-    indoor = channels.gen_indoor_ban(p, 3, seed)
+    indoor = channels.gen_indoor_ban(p, 3, np.random.SeedSequence(seed))
     expect = np.zeros(indoor.taps.size, dtype=complex)
     expect[: outdoor.taps.size] += outdoor.taps
     expect[: ref.size] += ref
@@ -204,9 +205,10 @@ def test_start_bin_rounding_matches_numpy():
 def test_ray_underflow_is_rejected():
     # a last ray at -6000 dB is still a normal float; at -10500 dB it would
     # underflow to a zero tap, which raises no floating-point flag
-    channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=400.0), 1)
+    seed = np.random.SeedSequence(1)
+    channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=400.0), seed)
     with pytest.raises(ValueError, match="gamma_ray_db_per_ns"):
-        channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=700.0), 1)
+        channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=700.0), seed)
 
 
 def test_path_loss_anchor_and_log_distance():
@@ -250,17 +252,18 @@ def test_apply_channel_basics():
     assert np.allclose(channels.apply_channel(x, np.array([1.0 + 0j])), x)
     assert np.allclose(channels.apply_channel(x, np.array([0j, 1.0])), [0, 1, 2, 3])
     assert np.allclose(
-        channels.apply_channel(np.array([1.0, 1.0]), np.array([1.0, 0.5])),
+        channels.apply_channel(np.array([1.0, 1.0], complex),
+                               np.array([1.0, 0.5], complex)),
         [1.0, 1.5, 0.5]
     )
     # two samples per symbol: zeros between the symbols
-    assert np.allclose(channels.apply_channel(np.array([1.0, 2.0]),
-                                              np.array([1.0, 0.5]), 2),
+    assert np.allclose(channels.apply_channel(np.array([1.0, 2.0], complex),
+                                              np.array([1.0, 0.5], complex), 2),
                        [1.0, 0.5, 2.0, 1.0, 0.0])
 
 
 def test_cir_validation_and_csv():
     with pytest.raises(ValueError):
-        channels.ChannelImpulseResponse(np.array([1.0, 1.0]), [1, 1])
+        channels.ChannelImpulseResponse(np.array([1.0, 1.0], complex), [1, 1])
     # strictly increasing starts inside the response are accepted
-    channels.ChannelImpulseResponse(np.array([1.0, 2.0, 3.0]), [0, 2])
+    channels.ChannelImpulseResponse(np.array([1.0, 2.0, 3.0], complex), [0, 2])

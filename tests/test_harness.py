@@ -260,11 +260,7 @@ def test_la_sim_length_mismatch():
         run_experiment(cfg)
 
 
-@pytest.mark.parametrize("setting", [
-    "distance_m = 0", "distance_m = -1", "distance_m = nan", "th_pf = 2",
-    "rounds = 0", "window = -1", "window = 0", "tx_power_dbm = 0.0, nan",
-    "noise_floor_dbm = nan", "a0_db = inf",
-])
+@pytest.mark.parametrize("setting", ["rounds = 0", "window = -1", "window = 0"])
 def test_la_sim_impossible_setting_exits_2(tmp_path, setting):
     cfg = tmp_path / "la.cfg"
     cfg.write_text(f"[common]\nseed = 1\n[la_sim]\n{setting}\n")
@@ -321,15 +317,18 @@ MALFORMED = [
     ("mud_compare", "[mud_compare]\nnb = -1", "nb"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nmax_backoff = -1",
      "max_backoff"),
-    # arithmetic that overflows: an error, never nan rows or a traceback
+    # arithmetic that overflows: an error, never nan rows or a traceback; a
+    # Python float overflow names itself too, not as an errno tuple
     ("mud_compare", "[mud_compare]\ntemplate1 = 1e200", "mud_compare: overflow"),
     ("mud_compare", "[mud_compare]\ntemplate2 = 1e200", "mud_compare: overflow"),
-    ("mud_compare", "[mud_compare]\nebn0_db = 1e200", "mud_compare: "),
+    ("mud_compare", "[mud_compare]\nebn0_db = 1e200",
+     "mud_compare: arithmetic overflow"),
     ("cma_convergence", "[cma_convergence]\nchannel = 1e200",
      "cma_convergence: overflow"),
-    ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: "),
+    ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: arithmetic overflow"),
     ("ber_sweep", "[ber_sweep]\nebn0_db = -1e200", "ber_sweep: "),
-    ("la_sim", "[la_sim]\ntx_power_dbm = 1e200, 0", "la_sim: "),
+    ("la_sim", "[la_sim]\ntx_power_dbm = 1e200, 0", "la_sim: arithmetic overflow"),
+    ("la_sim", "[la_sim]\ndistance_m = 1e-300", "la_sim: arithmetic overflow"),
     ("mud_compare", "[mud_compare]\nridge = -1", "ridge"),
     # tree nodes the root cannot reach, and a radio node outside the tree
     ("broadcast_sim", "[broadcast_sim]\ntopology = {cycle_topology}",
@@ -342,6 +341,14 @@ MALFORMED = [
     ("la_sim", "[la_sim]\nwindow = 0", "[la_sim] window:"),
     ("la_sim", "[la_sim]\nwindow = -1", "[la_sim] window:"),
     ("la_sim", "[la_sim]\nrounds = 0", "[la_sim] rounds:"),
+    # link settings the path loss and thresholds cannot take
+    ("la_sim", "[la_sim]\ndistance_m = 0", "distance must be finite and positive"),
+    ("la_sim", "[la_sim]\ndistance_m = -1", "distance must be finite and positive"),
+    ("la_sim", "[la_sim]\ndistance_m = nan", "[la_sim] distance_m:"),
+    ("la_sim", "[la_sim]\ntx_power_dbm = 0.0, nan", "[la_sim] tx_power_dbm:"),
+    ("la_sim", "[la_sim]\nnoise_floor_dbm = nan", "[la_sim] noise_floor_dbm:"),
+    ("la_sim", "[la_sim]\na0_db = inf", "[la_sim] a0_db:"),
+    ("la_sim", "[la_sim]\nth_pf = 2", "failure-probability threshold"),
     ("mud_compare", "[mud_compare]\nns = 0", "[mud_compare] ns:"),
     ("mud_compare", "[mud_compare]\nnw = 0", "[mud_compare] nw:"),
     ("cma_convergence", "[cma_convergence]\nsamples_per_symbol = 0",

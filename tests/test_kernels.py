@@ -121,26 +121,23 @@ def test_dfe_matches_scalar_loop(stride, nb):
     history = QPSK[rng.integers(0, 4, size=nb)]
     # 60 symbols need (60 - 1) * stride + 5 samples: the last rows read zeros
     received = random_signal(60 * stride - 4, 7)
-    soft, decisions, hist = check_dfe(received, w_ff, w_fb, QPSK, history,
-                                      stride, 60)
+    soft, decisions = check_dfe(received, w_ff, w_fb, QPSK, history, stride, 60)
     assert np.all(np.isin(decisions, QPSK))
 
 
 def test_dfe_no_symbols_on_input_shorter_than_window():
-    soft, decisions, hist = check_dfe(random_signal(2, 4), center_spike(5),
-                                      np.array([0.3 + 0j]), QPSK,
-                                      np.array([QPSK[2]]), 1, 0)
+    soft, decisions = check_dfe(random_signal(2, 4), center_spike(5),
+                                np.array([0.3 + 0j]), QPSK,
+                                np.array([QPSK[2]]), 1, 0)
     assert soft.size == decisions.size == 0
-    assert hist.tolist() == [QPSK[2]]
 
 
 def test_dfe_exact_ties_pick_lowest_label():
     received = np.array([0, 1, -1, -1j, 1j, 2 + 2j], dtype=complex)
-    _, decisions, hist = check_dfe(received, np.array([1.0 + 0j]),
-                                   np.zeros(2, dtype=complex), QPSK,
-                                   np.zeros(2, dtype=complex), 1, 6)
+    _, decisions = check_dfe(received, np.array([1.0 + 0j]),
+                             np.zeros(2, dtype=complex), QPSK,
+                             np.zeros(2, dtype=complex), 1, 6)
     assert decisions.tolist() == QPSK[[0, 0, 1, 2, 0, 0]].tolist()
-    assert hist.tolist() == [QPSK[0], QPSK[0]]
 
 
 SLICED = {**{s.kind: s.constellation for s in sigproc.SCHEMES.values()},
@@ -153,8 +150,8 @@ def test_dfe_slices_near_midpoints_exactly(points):
     # received sample as it is, so the DFE meets sigproc's near-tie grid
     grid = near_midpoint_grid(points)
     empty = np.zeros(0, dtype=complex)
-    _, decisions, _ = check_dfe(grid, np.array([1.0 + 0j]), empty, points,
-                                empty, 1, grid.size)
+    _, decisions = check_dfe(grid, np.array([1.0 + 0j]), empty, points,
+                             empty, 1, grid.size)
     exact = [exact_label(x, points) for x in grid]
     assert decisions.tobytes() == points[exact].tobytes()
 

@@ -5,6 +5,8 @@ the code under ``src/`` or ``perfbench/``; a name only the tests call
 belongs in the tests.  Every field of a ``bansim`` dataclass must be read as
 an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
+The harness turns config values into arrays, and the models take those
+arrays as they are: ``np.asarray`` is called only under ``harness/``.
 """
 
 import ast
@@ -129,3 +131,21 @@ def test_every_dataclass_field_is_read():
     unread = sorted(f"{mod}.{cls}.{name}" for mod, cls, name in fields - FIELDS_ALLOWED
                     if name not in read)
     assert unread == [], f"dataclass fields nothing reads: {unread}"
+
+
+def _asarray_calls(path: Path) -> list[str]:
+    lines = sorted(node.lineno
+                   for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "asarray")
+    return [f"{path.relative_to(PACKAGE)}:{line}" for line in lines]
+
+
+def test_asarray_only_at_the_config_boundary():
+    harness = PACKAGE / "harness"
+    calls = {path: _asarray_calls(path) for path in sorted(PACKAGE.rglob("*.py"))}
+    # the scan sees the boundary's own conversions of config lists
+    assert any(calls[path] for path in harness.glob("*.py"))
+    models = [site for path, sites in calls.items() if harness not in path.parents
+              for site in sites]
+    assert models == [], f"np.asarray outside harness/: {models}"
