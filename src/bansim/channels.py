@@ -213,33 +213,39 @@ def path_loss_db(d_m: float, params: PathLossParams, rng=None) -> float:
     return float(loss)
 
 
-def sample_gbhds(params: GbhdsParams, count: int, seed) -> np.ndarray:
-    """Scatterer positions around the mobile: array of (r, theta) rows."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.0, size=count)
-    r = np.arctanh(u * np.tanh(params.a * params.radius_m)) / params.a
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return np.column_stack([r, theta])
+# samples per block of the DOA histogram: the block np.histogram itself uses,
+# so memory stays flat in count
+_DOA_BLOCK = 1 << 16
 
 
-def gbhds_doa(params: GbhdsParams, count: int, seed) -> np.ndarray:
-    """DOA angles at a base station bs_distance_m from the mobile."""
-    samples = sample_gbhds(params, count, seed)
-    r, theta = samples[:, 0], samples[:, 1]
+def gbhds_block(params: GbhdsParams, n: int, radii: np.random.Generator,
+                angles: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and DOA angles of the next n scatterers around the mobile, with
+    the radii drawn from one stream and the angles from the other."""
+    r = np.arctanh(radii.uniform(0.0, 1.0, size=n)
+                   * np.tanh(params.a * params.radius_m)) / params.a
+    theta = angles.uniform(0.0, 2.0 * np.pi, size=n)
     # base station at origin, mobile at (D, 0); scatterer offset from mobile
-    x = params.bs_distance_m + r * np.cos(theta)
-    y = r * np.sin(theta)
-    return np.arctan2(y, x)
+    return r, np.arctan2(r * np.sin(theta), params.bs_distance_m + r * np.cos(theta))
 
 
 def gbhds_doa_histogram(
     params: GbhdsParams, count: int, bins: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-mass histogram of DOA angles; returns (bin_edges, masses)."""
-    doa = gbhds_doa(params, count, seed)
     lim = float(np.arcsin(params.radius_m / params.bs_distance_m))
-    masses, edges = np.histogram(doa, bins=bins, range=(-lim, lim))
-    return edges, masses / count
+    edges = np.histogram_bin_edges(np.empty(0), bins, range=(-lim, lim))
+    # one stream holds all count radius uniforms, then all count angle
+    # uniforms; each uniform double takes one 64-bit output, so the angle
+    # generator starts count outputs in
+    seq = np.random.SeedSequence(seed)
+    radii = np.random.Generator(np.random.PCG64(seq))
+    angles = np.random.Generator(np.random.PCG64(seq).advance(count))
+    counts = np.zeros(bins, dtype=np.intp)
+    for start in range(0, count, _DOA_BLOCK):
+        _, doa = gbhds_block(params, min(_DOA_BLOCK, count - start), radii, angles)
+        counts += np.histogram(doa, bins, range=(-lim, lim))[0]
+    return edges, counts / count
 
 
 def apply_channel(

@@ -187,7 +187,7 @@ def run_mud_compare(cfg: ScenarioConfig):
                for name, taps in (("matched", w_mf), ("linear_mud", w_lin))]
     # warm-start the feedback history with the tail of the training block
     results.append(("dfe_mud", equalize.dfe_detect(
-        payload_rx, w_ff, w_fb, train[-nb:][::-1], scheme, n_sym, ns)))
+        payload_rx, w_ff, w_fb, train[n_train - nb:][::-1], scheme, n_sym, ns)))
 
     table = _table(cfg, ["receiver", "ser", "mse"])
     rows = []

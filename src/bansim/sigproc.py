@@ -208,6 +208,11 @@ def slice_symbols(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 def noise_sigma(ebn0_db: float, scheme: ModulationScheme) -> float:
     """Per-dimension noise standard deviation at unit symbol energy."""
     ebn0 = 10.0 ** (ebn0_db / 10.0)
+    # Eb/N0 underflowed, to zero or a subnormal: the noise power
+    # 1/(2 bps Eb/N0) would divide by zero or sit at or near overflow
+    if ebn0 < np.finfo(float).tiny:
+        raise ValueError(f"ebn0_db {ebn0_db:g} underflows: Eb/N0 = 10**(ebn0_db/10) "
+                         "is below the smallest normal float")
     return float(np.sqrt(1.0 / (2.0 * scheme.bits_per_symbol * ebn0)))
 
 

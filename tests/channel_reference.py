@@ -1,17 +1,20 @@
-"""Per-component references for the BAN channel draws in ``bansim.channels``
-and the per-draw slope fit in ``bansim.harness.experiments``.
+"""Per-component references for the BAN channel draws in ``bansim.channels``,
+the per-draw slope fit in ``bansim.harness.experiments``, and the full-array
+GBHDS scatterer and DOA draws.
 
 The generators build one validated ``ChannelImpulseResponse`` per cluster
 component and superpose them two at a time; ``first_cluster_slope`` fits one
 draw with ``np.polyfit``.  ``gen_outdoor_ban`` and ``gen_indoor_ban`` must
 reproduce their taps and cluster starts bit for bit, and the batched slope
 fit must agree with ``first_cluster_slope`` to rounding; ``test_channels.py``
-checks that with fading on and off.
+checks that with fading on and off.  ``gbhds_doa`` builds all ``count``
+DOA angles at once; ``np.histogram`` over them must equal the block-streamed
+``gbhds_doa_histogram`` byte for byte.
 """
 
 import numpy as np
 
-from bansim.channels import BanModelParams, ChannelImpulseResponse
+from bansim.channels import BanModelParams, ChannelImpulseResponse, GbhdsParams
 
 
 def _delayed_cluster(params: BanModelParams, delay_ns: float,
@@ -118,3 +121,30 @@ def first_cluster_slope(cir: ChannelImpulseResponse, delta_ns: float) -> float:
     delays = np.arange(seg.size)[mask] * delta_ns
     amp_db = 20.0 * np.log10(np.abs(seg[mask]))
     return float(np.polyfit(delays, amp_db, 1)[0])
+
+
+def gbhds_streams(count: int, seed) -> tuple[np.random.Generator, np.random.Generator]:
+    """The radius and angle generators behind ``gbhds_doa(params, count,
+    seed)``: one stream, with the angles starting after the count radii."""
+    angles = np.random.default_rng(seed)
+    angles.bit_generator.advance(count)
+    return np.random.default_rng(seed), angles
+
+
+def sample_gbhds(params: GbhdsParams, count: int, seed) -> np.ndarray:
+    """Scatterer positions around the mobile: array of (r, theta) rows."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, size=count)
+    r = np.arctanh(u * np.tanh(params.a * params.radius_m)) / params.a
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return np.column_stack([r, theta])
+
+
+def gbhds_doa(params: GbhdsParams, count: int, seed) -> np.ndarray:
+    """DOA angles at a base station bs_distance_m from the mobile."""
+    samples = sample_gbhds(params, count, seed)
+    r, theta = samples[:, 0], samples[:, 1]
+    # base station at origin, mobile at (D, 0); scatterer offset from mobile
+    x = params.bs_distance_m + r * np.cos(theta)
+    y = r * np.sin(theta)
+    return np.arctan2(y, x)

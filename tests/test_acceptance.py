@@ -17,6 +17,7 @@ from bansim import channels, equalize, sigproc, zigbee
 from bansim.harness import cli
 from bansim.harness.config import parse_config
 from bansim.harness.experiments import run_experiment
+import channel_reference
 from bitstream import random_bits
 from graphutil import (
     connected_atlas_graphs,
@@ -128,7 +129,8 @@ def test_criterion_04_path_loss_anchor_and_shadowing_spread():
 
 def test_criterion_05_gbhds_ks_and_doa_shape():
     params = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
-    radii = channels.sample_gbhds(params, 100_000, seed=99)[:, 0]
+    radii, doa = channels.gbhds_block(
+        params, 100_000, *channel_reference.gbhds_streams(100_000, 99))
 
     def cdf(r):
         return np.tanh(params.a * np.clip(r, 0.0, params.radius_m)) / np.tanh(
@@ -140,7 +142,6 @@ def test_criterion_05_gbhds_ks_and_doa_shape():
     edges, masses = channels.gbhds_doa_histogram(params, 100_000, bins, seed=99)
     los_bin = int(np.searchsorted(edges, 0.0) - 1)
     assert int(np.argmax(masses)) == los_bin
-    doa = channels.gbhds_doa(params, 100_000, seed=99)
     lim = np.arcsin(params.radius_m / params.bs_distance_m)
     assert np.max(np.abs(doa)) <= lim + 1e-12
 

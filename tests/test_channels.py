@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -223,9 +225,9 @@ def test_path_loss_anchor_and_log_distance():
 
 def test_gbhds_sampler_range_and_doa_bound():
     p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
-    samples = channels.sample_gbhds(p, 10_000, 17)
-    assert np.all((samples[:, 0] >= 0) & (samples[:, 0] <= p.radius_m))
-    doa = channels.gbhds_doa(p, 10_000, 17)
+    r, doa = channels.gbhds_block(p, 10_000,
+                                  *channel_reference.gbhds_streams(10_000, 17))
+    assert np.all((r >= 0) & (r <= p.radius_m))
     assert np.max(np.abs(doa)) <= np.arcsin(p.radius_m / p.bs_distance_m) + 1e-12
 
 
@@ -238,6 +240,39 @@ def test_gbhds_doa_histogram_symmetric():
         left, right = masses[i], masses[bins - 1 - i]
         stderr = np.sqrt((left + right) / count)
         assert abs(left - right) <= 3 * stderr + 3 / count
+
+
+@pytest.mark.parametrize("seed", [4, 99])
+@pytest.mark.parametrize("count", [1, 7, 65_535, 65_536, 65_537, 100_003, 1_000_000])
+def test_gbhds_doa_histogram_equals_the_full_array_histogram(count, seed):
+    # the histogram streams in blocks of 2**16 samples; the counts sit on and
+    # around the block edges
+    p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
+    doa = channel_reference.gbhds_doa(p, count, seed)
+    lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
+    for bins in (1, 61):
+        masses, edges = np.histogram(doa, bins, range=(-lim, lim))
+        got_edges, got_masses = channels.gbhds_doa_histogram(p, count, bins, seed)
+        assert got_edges.tobytes() == edges.tobytes()
+        assert got_masses.tobytes() == (masses / count).tobytes()
+
+
+def test_gbhds_doa_histogram_memory_is_flat_in_count():
+    # all 2e6 DOA angles at once take ~76 MB; the stream holds a few blocks
+    p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
+    count, bins, seed = 2_000_000, 61, 8
+    tracemalloc.start()
+    try:
+        edges, masses = channels.gbhds_doa_histogram(p, count, bins, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
+    ref_masses, ref_edges = np.histogram(channel_reference.gbhds_doa(p, count, seed),
+                                         bins, range=(-lim, lim))
+    assert edges.tobytes() == ref_edges.tobytes()
+    assert masses.tobytes() == (ref_masses / count).tobytes()
 
 
 def test_gbhds_invalid_params():

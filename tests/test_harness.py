@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bansim import zigbee
+from bansim import equalize, zigbee
 from bansim.harness import cli
 from bansim.harness.config import EXPERIMENTS, ConfigError, parse_config
 from bansim.harness.experiments import run_experiment
@@ -260,15 +260,6 @@ def test_la_sim_length_mismatch():
         run_experiment(cfg)
 
 
-@pytest.mark.parametrize("setting", ["rounds = 0", "window = -1", "window = 0"])
-def test_la_sim_impossible_setting_exits_2(tmp_path, setting):
-    cfg = tmp_path / "la.cfg"
-    cfg.write_text(f"[common]\nseed = 1\n[la_sim]\n{setting}\n")
-    out = tmp_path / "out"
-    assert cli.main(["la_sim", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not (out / "la_trace.csv").exists()
-
-
 def test_float_format_stability():
     table = ResultTable(["v"])
     table.append(np.float64(0.1234567890123))
@@ -326,7 +317,12 @@ MALFORMED = [
     ("cma_convergence", "[cma_convergence]\nchannel = 1e200",
      "cma_convergence: overflow"),
     ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: arithmetic overflow"),
-    ("ber_sweep", "[ber_sweep]\nebn0_db = -1e200", "ber_sweep: "),
+    # an Eb/N0 that underflows to zero or a subnormal leaves no noise power
+    ("ber_sweep", "[ber_sweep]\nebn0_db = -1e200",
+     "ber_sweep: ebn0_db -1e+200 underflows"),
+    ("ber_sweep", "[ber_sweep]\nebn0_db = -3100", "ber_sweep: ebn0_db -3100 underflows"),
+    ("mud_compare", "[mud_compare]\nebn0_db = -1e200",
+     "mud_compare: ebn0_db -1e+200 underflows"),
     ("la_sim", "[la_sim]\ntx_power_dbm = 1e200, 0", "la_sim: arithmetic overflow"),
     ("la_sim", "[la_sim]\ndistance_m = 1e-300", "la_sim: arithmetic overflow"),
     ("mud_compare", "[mud_compare]\nridge = -1", "ridge"),
@@ -397,6 +393,29 @@ def test_single_bin_clusters_write_nan_slopes(tmp_path, model):
     rows = (out / "channel_stats.csv").read_text().splitlines()[4:]
     assert len(rows) == 50
     assert all(row.split(",")[2] == "nan" for row in rows)
+
+
+@pytest.mark.parametrize("nb", [0, 3])
+def test_mud_compare_dfe_history_is_the_last_nb_training_symbols(monkeypatch, nb):
+    seen = {}
+    dfe_train, dfe_detect = equalize.dfe_train, equalize.dfe_detect
+
+    def spy_train(received, training, *args):
+        seen["training"] = training
+        return dfe_train(received, training, *args)
+
+    def spy_detect(received, w_ff, w_fb, history, *args):
+        seen["history"] = history
+        return dfe_detect(received, w_ff, w_fb, history, *args)
+
+    monkeypatch.setattr(equalize, "dfe_train", spy_train)
+    monkeypatch.setattr(equalize, "dfe_detect", spy_detect)
+    run_experiment(parse_config("[common]\nseed = 1\n[mud_compare]\nsymbols = 200\n"
+                                f"training = 100\nnb = {nb}\n", "mud_compare"))
+    # newest first
+    expected = seen["training"][::-1][:nb]
+    assert seen["history"].size == nb
+    assert seen["history"].tobytes() == expected.tobytes()
 
 
 def test_mud_compare_silent_second_user_runs():
