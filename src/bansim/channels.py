@@ -8,6 +8,8 @@ symbol streams with a channel response.
 Conventions: tap amplitudes decay in dB (decay rates enter with negative
 sign), fading perturbations n_l/n_k are zero-mean unit-variance Gaussians
 in dB, and the reflection model is energy-normalized before shadowing.
+The BAN generators take PCG64 stream states from ``bansim.seeding``, one per
+cluster component, and draw each stream to its end before the next.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import seeding
 
 _TINY = np.finfo(float).tiny
 
@@ -108,17 +112,21 @@ def _rays(amp_db: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
     return amps * np.exp(1j * (2.0 * np.pi * unit_phases))
 
 
-def gen_clusters(params: BanModelParams, seeds) -> np.ndarray:
-    """One cluster of rays per seed stream, as the rows of a (streams, bins)
+def gen_clusters(params: BanModelParams, streams) -> np.ndarray:
+    """One cluster of rays per stream state, as the rows of a (streams, bins)
     array; each decays at gamma_ray from its first bin."""
     n_bins = params.num_bins_per_cluster
     amp_db = -params.gamma_ray_db_per_ns * (np.arange(n_bins) * params.delta_ns)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    if params.sigma_ray_db > 0:
+    fading, unit_phases = [], []
+    for stream in streams:
+        rng = seeding.generator(stream)
         # each stream draws its fading before its phases
-        fading = np.array([rng.standard_normal(n_bins) for rng in rngs])
-        amp_db = amp_db + params.sigma_ray_db * fading
-    return _rays(amp_db, np.array([rng.random(n_bins) for rng in rngs]))
+        if params.sigma_ray_db > 0:
+            fading.append(rng.standard_normal(n_bins))
+        unit_phases.append(rng.random(n_bins))
+    if fading:
+        amp_db = amp_db + params.sigma_ray_db * np.array(fading)
+    return _rays(amp_db, np.array(unit_phases))
 
 
 def _ground_shift(params: BanModelParams) -> int:
@@ -131,27 +139,28 @@ def _ground_shift(params: BanModelParams) -> int:
 
 
 def _add_outdoor(taps: np.ndarray, params: BanModelParams, shift: int,
-                 seed: np.random.SeedSequence) -> None:
+                 streams) -> None:
     """Add the body cluster at bin 0, then the ground cluster at bin shift."""
     # ground reflections are uncorrelated with the around-body wave:
-    # independent seed streams for the two components
-    body, ground = gen_clusters(params, seed.spawn(2))
+    # independent streams for the two components
+    body, ground = gen_clusters(params, streams)
     taps[: body.size] += body
     taps[shift : shift + ground.size] += ground
 
 
-def gen_outdoor_ban(params: BanModelParams,
-                    seed: np.random.SeedSequence) -> ChannelImpulseResponse:
+def gen_outdoor_ban(params: BanModelParams, streams) -> ChannelImpulseResponse:
+    """Body and ground clusters from the (body, ground) stream states."""
     shift = _ground_shift(params)
     taps = np.zeros(shift + params.num_bins_per_cluster, dtype=complex)
-    _add_outdoor(taps, params, shift, seed)
+    _add_outdoor(taps, params, shift, streams)
     return ChannelImpulseResponse(taps, [0, shift])
 
 
 def gen_ref(params: BanModelParams, num_clusters: int,
-            seed) -> tuple[np.ndarray, list[int]]:
-    """Energy-normalized, shadowed reflection taps and their cluster start bins."""
-    rng = np.random.default_rng(seed)
+            stream) -> tuple[np.ndarray, list[int]]:
+    """Energy-normalized, shadowed reflection taps and their cluster start
+    bins, from one stream state."""
+    rng = seeding.generator(stream)
     # Poisson cluster process: exponential inter-arrivals, first cluster at 0
     gaps = rng.exponential(params.mean_cluster_interarrival_ns, size=num_clusters - 1)
     tau = np.zeros(num_clusters)
@@ -189,14 +198,15 @@ def gen_ref(params: BanModelParams, num_clusters: int,
     return taps, starts
 
 
-def gen_indoor_ban(
-    params: BanModelParams, num_clusters: int, seed: np.random.SeedSequence
-) -> ChannelImpulseResponse:
+def gen_indoor_ban(params: BanModelParams, num_clusters: int,
+                   streams) -> ChannelImpulseResponse:
+    """Body, ground and reflection clusters from the (body, ground,
+    reflection) stream states."""
     shift = _ground_shift(params)
-    child_out, child_ref = seed.spawn(2)
-    ref, ref_starts = gen_ref(params, num_clusters, child_ref)
+    body, ground, reflection = streams
+    ref, ref_starts = gen_ref(params, num_clusters, reflection)
     taps = np.zeros(max(shift + params.num_bins_per_cluster, ref.size), dtype=complex)
-    _add_outdoor(taps, params, shift, child_out)
+    _add_outdoor(taps, params, shift, (body, ground))
     taps[: ref.size] += ref
     starts = sorted({0, shift, *ref_starts})
     return ChannelImpulseResponse(taps, starts)

@@ -11,7 +11,7 @@ import os
 import sys
 
 from ..equalize import DivergenceError
-from .config import EXPERIMENTS, ConfigError, parse_config
+from .config import COMMON, EXPERIMENTS, ConfigError, parse_config, parse_value
 from .experiments import run_experiment
 from .svg import emit_svg
 
@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="scenario config file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+    parser.add_argument("--seed", default=None,
+                        help="override the config seed (a non-negative integer)")
     parser.add_argument("--out", default=None, help="output directory")
     return parser
 
@@ -40,7 +40,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text, args.experiment)
         if args.seed is not None:
-            cfg.seed = args.seed
+            # checked as the config's own seed is
+            cfg.seed = parse_value(COMMON["seed"][0], args.seed, "--seed")
         if args.out is not None:
             cfg.output_dir = args.out
         os.makedirs(cfg.output_dir, exist_ok=True)

@@ -52,7 +52,7 @@ def nonnegative_float(text: str) -> float:
 
 # section -> key -> (type, default).  A list type `[t]` takes one or more
 # comma-separated values; a callable default is computed from the keys above it.
-COMMON = {"seed": (int, None), "out": (str, ".")}
+COMMON = {"seed": (nonnegative_int, None), "out": (str, ".")}
 SCHEMAS = {
     "ber_sweep": {"ber_sweep": {
         "scheme": (str, "QAM16"),
@@ -116,9 +116,10 @@ class ScenarioConfig:
         return self.sections[name]
 
 
-def _typed(kind, text: str, where: str):
+def parse_value(kind, text: str, where: str):
+    """``text`` as a value of a schema type; ``where`` names it in errors."""
     if isinstance(kind, list):
-        return [_typed(kind[0], part.strip(), where) for part in text.split(",")]
+        return [parse_value(kind[0], part.strip(), where) for part in text.split(",")]
     if "," in text:
         raise ConfigError(f"{where} takes one value, got {text!r}")
     if not text:
@@ -154,8 +155,8 @@ def parse_config(text: str, experiment: str) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in schema[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
-        sections[current][key] = _typed(schema[current][key][0], value,
-                                        f"line {lineno}: [{current}] {key}")
+        sections[current][key] = parse_value(schema[current][key][0], value,
+                                             f"line {lineno}: [{current}] {key}")
     for name, keys in schema.items():
         sec = sections[name]
         for key, (_kind, default) in keys.items():

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .. import channels, equalize, linkadapt, sigproc, zigbee
+from .. import channels, equalize, linkadapt, seeding, sigproc, zigbee
 from .config import ConfigError, ScenarioConfig
 from .svg import PlotSpec
 from .table import ResultTable
@@ -77,23 +77,31 @@ def _first_cluster_slopes(mag: np.ndarray, bin_size_ns: float) -> np.ndarray:
     return slopes
 
 
+# spawn-key tails of a draw's streams: draw i is SeedSequence(seed).spawn(
+# draws)[i], its children (i, 0) and (i, 1) seed the body and ground
+# clusters, and indoors (i, 0) spawns body and ground again and (i, 1) seeds
+# the reflections
+_STREAM_TAILS = {"outdoor_ban": [(0,), (1,)], "indoor_ban": [(0, 0), (0, 1), (1,)]}
+
+
 def run_channel_stats(cfg: ScenarioConfig):
     sec = cfg.section("channel_stats")
     model = sec["model"]
-    if model not in ("outdoor_ban", "indoor_ban"):
+    if model not in _STREAM_TAILS:
         raise ConfigError(f"unknown channel model {model!r}")
     draws, num_clusters = sec["draws"], sec["num_clusters"]
     params = _params(channels.BanModelParams, cfg.section("ban"))
-    seeds = np.random.SeedSequence(cfg.seed).spawn(draws)
     clusters, energies = [], []
+    # allocated before any seeding: a draws count too large for memory fails here
     first_cluster = np.zeros((draws, params.num_bins_per_cluster))
-    for i, child in enumerate(seeds):
+    draw_streams = seeding.child_streams(cfg.seed, draws, _STREAM_TAILS[model])
+    for i, streams in enumerate(draw_streams):
         # one call per draw, through the module attribute: the benchmark's
         # tracer meters draws on exactly these calls
         if model == "outdoor_ban":
-            cir = channels.gen_outdoor_ban(params, child)
+            cir = channels.gen_outdoor_ban(params, streams)
         else:
-            cir = channels.gen_indoor_ban(params, num_clusters, child)
+            cir = channels.gen_indoor_ban(params, num_clusters, streams)
         starts = cir.cluster_starts
         clusters.append(len(starts))
         # the first cluster's rays end at the next start or after its bins
@@ -258,6 +266,10 @@ def run_experiment(cfg: ScenarioConfig):
             return runner(cfg)
     except ConfigError:
         raise
+    except MemoryError as exc:
+        # numpy's error names the allocation: its size, shape and dtype
+        raise ConfigError(f"{cfg.experiment}: allocation too large for memory "
+                          f"({str(exc) or 'size not reported'})") from exc
     except OverflowError as exc:
         # Python's float ** raises OverflowError(errno, text): keep the text
         raise ConfigError(

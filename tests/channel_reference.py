@@ -7,7 +7,9 @@ component and superpose them two at a time; ``first_cluster_slope`` fits one
 draw with ``np.polyfit``.  ``gen_outdoor_ban`` and ``gen_indoor_ban`` must
 reproduce their taps and cluster starts bit for bit, and the batched slope
 fit must agree with ``first_cluster_slope`` to rounding; ``test_channels.py``
-checks that with fading on and off.  ``gbhds_doa`` builds all ``count``
+checks that with fading on and off.  ``pcg64_state`` and ``draw_streams``
+give the stream states the program's generators take, from numpy's own
+seeding.  ``gbhds_doa`` builds all ``count``
 DOA angles at once; ``np.histogram`` over them must equal the block-streamed
 ``gbhds_doa_histogram`` byte for byte.
 """
@@ -108,6 +110,23 @@ def gen_indoor_ban(
     child_out, child_ref = seed.spawn(2)
     return _superpose(gen_outdoor_ban(params, child_out),
                       gen_ref(params, num_clusters, child_ref))
+
+
+def pcg64_state(seed) -> tuple[int, int]:
+    """The PCG64 ``(state, inc)`` that ``default_rng(seed)`` starts from, by
+    numpy's own seeding: the stream state the channel generators take."""
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
+def draw_streams(seed: np.random.SeedSequence, indoor: bool) -> list[tuple[int, int]]:
+    """The stream states of the draw that ``gen_outdoor_ban`` or
+    ``gen_indoor_ban`` here makes from ``seed``: body and ground, then the
+    reflections indoors."""
+    if not indoor:
+        return [pcg64_state(child) for child in seed.spawn(2)]
+    child_out, child_ref = seed.spawn(2)
+    return [*draw_streams(child_out, False), pcg64_state(child_ref)]
 
 
 def first_cluster_slope(cir: ChannelImpulseResponse, delta_ns: float) -> float:

@@ -303,6 +303,16 @@ MALFORMED = [
     ("channel_stats", "[ban]\nshadowing_sigma_db = -3", "shadowing_sigma_db"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
+    # numpy's seeding takes no negative entropy
+    ("ber_sweep", "seed = -1", "[common] seed:"),
+    ("ber_sweep", "--seed -5", "--seed:"),
+    # counts whose arrays need more than 2**50 bytes: no host allocates them
+    ("mud_compare", "[mud_compare]\nsymbols = 1000000000000000",
+     "mud_compare: allocation too large for memory"),
+    ("cma_convergence", "[cma_convergence]\niterations = 1000000000000000",
+     "cma_convergence: allocation too large for memory"),
+    ("channel_stats", "[channel_stats]\ndraws = 1000000000000000",
+     "channel_stats: allocation too large for memory"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0, 0", "template1"),
     ("mud_compare", "[mud_compare]\nnb = -1", "nb"),
@@ -371,11 +381,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
                        bad_topology=bad_topology, cycle_topology=cycle_topology,
                        foreign_topology=foreign_topology,
                        self_loop_topology=self_loop_topology)
+    # a body of command-line flags overrides a valid config
+    flags = body.split() if body.startswith("--") else []
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[common]\n" + (body if body.startswith("seed") else
+                                    "seed = 1\n" if flags else
                                     f"seed = 1\n{body}") + "\n")
     out = tmp_path / "out"
-    assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(out), *flags]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("bansim: config error: ")
     assert names in line

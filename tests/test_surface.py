@@ -6,7 +6,9 @@ belongs in the tests.  Every field of a ``bansim`` dataclass must be read as
 an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
 The harness turns config values into arrays, and the models take those
-arrays as they are: ``np.asarray`` is called only under ``harness/``.
+arrays as they are: ``np.asarray`` is called only under ``harness/``.  The
+channel generators take stream states from ``bansim.seeding``: ``channels``
+calls no ``default_rng`` and no ``spawn``.
 """
 
 import ast
@@ -149,3 +151,37 @@ def test_asarray_only_at_the_config_boundary():
     models = [site for path, sites in calls.items() if harness not in path.parents
               for site in sites]
     assert models == [], f"np.asarray outside harness/: {models}"
+
+
+
+def _seeding_calls(tree: ast.AST) -> list[int]:
+    """Lines of the calls that build a seed object or a generator per stream:
+    ``default_rng(...)`` and ``<x>.spawn(...)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = (callee.attr if isinstance(callee, ast.Attribute) else
+                    callee.id if isinstance(callee, ast.Name) else None)
+            if name in ("default_rng", "spawn"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_seeding_calls_scan_sees_both_forms():
+    code = ("def gen_a(seed):\n    return np.random.default_rng(seed)\n"
+            "def gen_b(seed):\n    return seed.spawn(2)\n"
+            "def gen_c(seed):\n    return default_rng(seed)\n")
+    assert _seeding_calls(ast.parse(code)) == [2, 4, 6]
+
+
+def test_channel_generators_take_stream_states():
+    # the channel draws are seeded in one pass by bansim.seeding; a seed object
+    # or generator built per stream in channels (the gen_* functions or the
+    # helpers they call) would bring the per-draw seeding cost back
+    path = PACKAGE / "channels.py"
+    tree = ast.parse(path.read_text(), str(path))
+    generators = {node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("gen_")}
+    assert {"gen_clusters", "gen_ref", "gen_outdoor_ban", "gen_indoor_ban"} <= generators
+    assert _seeding_calls(tree) == [], f"per-stream seeding in {path.name}"
