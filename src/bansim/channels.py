@@ -8,8 +8,7 @@ symbol streams with a channel response.
 Conventions: tap amplitudes decay in dB (decay rates enter with negative
 sign), fading perturbations n_l/n_k are zero-mean unit-variance Gaussians
 in dB, and the reflection model is energy-normalized before shadowing.
-The BAN generators take PCG64 stream states from ``bansim.seeding``, one per
-cluster component, and draw each stream to its end before the next.
+The BAN generators take one ``np.random.Generator`` per cluster component.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import seeding
 
 _TINY = np.finfo(float).tiny
 
@@ -112,15 +109,14 @@ def _rays(amp_db: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
     return amps * np.exp(1j * (2.0 * np.pi * unit_phases))
 
 
-def gen_clusters(params: BanModelParams, streams) -> np.ndarray:
-    """One cluster of rays per stream state, as the rows of a (streams, bins)
+def gen_clusters(params: BanModelParams, rngs) -> np.ndarray:
+    """One cluster of rays per Generator, as the rows of a (generators, bins)
     array; each decays at gamma_ray from its first bin."""
     n_bins = params.num_bins_per_cluster
     amp_db = -params.gamma_ray_db_per_ns * (np.arange(n_bins) * params.delta_ns)
     fading, unit_phases = [], []
-    for stream in streams:
-        rng = seeding.generator(stream)
-        # each stream draws its fading before its phases
+    for rng in rngs:
+        # each generator draws its fading before its phases
         if params.sigma_ray_db > 0:
             fading.append(rng.standard_normal(n_bins))
         unit_phases.append(rng.random(n_bins))
@@ -139,28 +135,27 @@ def _ground_shift(params: BanModelParams) -> int:
 
 
 def _add_outdoor(taps: np.ndarray, params: BanModelParams, shift: int,
-                 streams) -> None:
+                 rngs) -> None:
     """Add the body cluster at bin 0, then the ground cluster at bin shift."""
     # ground reflections are uncorrelated with the around-body wave:
     # independent streams for the two components
-    body, ground = gen_clusters(params, streams)
+    body, ground = gen_clusters(params, rngs)
     taps[: body.size] += body
     taps[shift : shift + ground.size] += ground
 
 
-def gen_outdoor_ban(params: BanModelParams, streams) -> ChannelImpulseResponse:
-    """Body and ground clusters from the (body, ground) stream states."""
+def gen_outdoor_ban(params: BanModelParams, rngs) -> ChannelImpulseResponse:
+    """Body and ground clusters from the (body, ground) Generators."""
     shift = _ground_shift(params)
     taps = np.zeros(shift + params.num_bins_per_cluster, dtype=complex)
-    _add_outdoor(taps, params, shift, streams)
+    _add_outdoor(taps, params, shift, rngs)
     return ChannelImpulseResponse(taps, [0, shift])
 
 
 def gen_ref(params: BanModelParams, num_clusters: int,
-            stream) -> tuple[np.ndarray, list[int]]:
+            rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
     """Energy-normalized, shadowed reflection taps and their cluster start
-    bins, from one stream state."""
-    rng = seeding.generator(stream)
+    bins, from one Generator."""
     # Poisson cluster process: exponential inter-arrivals, first cluster at 0
     gaps = rng.exponential(params.mean_cluster_interarrival_ns, size=num_clusters - 1)
     tau = np.zeros(num_clusters)
@@ -199,11 +194,11 @@ def gen_ref(params: BanModelParams, num_clusters: int,
 
 
 def gen_indoor_ban(params: BanModelParams, num_clusters: int,
-                   streams) -> ChannelImpulseResponse:
+                   rngs) -> ChannelImpulseResponse:
     """Body, ground and reflection clusters from the (body, ground,
-    reflection) stream states."""
+    reflection) Generators."""
     shift = _ground_shift(params)
-    body, ground, reflection = streams
+    body, ground, reflection = rngs
     ref, ref_starts = gen_ref(params, num_clusters, reflection)
     taps = np.zeros(max(shift + params.num_bins_per_cluster, ref.size), dtype=complex)
     _add_outdoor(taps, params, shift, (body, ground))

@@ -77,10 +77,10 @@ def _first_cluster_slopes(mag: np.ndarray, bin_size_ns: float) -> np.ndarray:
     return slopes
 
 
-# spawn-key tails of a draw's streams: draw i is SeedSequence(seed).spawn(
+# spawn-key tails of a draw's Generators: draw i is SeedSequence(seed).spawn(
 # draws)[i], its children (i, 0) and (i, 1) seed the body and ground
 # clusters, and indoors (i, 0) spawns body and ground again and (i, 1) seeds
-# the reflections
+# the reflections; seeding.child_streams builds the Generator of each key
 _STREAM_TAILS = {"outdoor_ban": [(0,), (1,)], "indoor_ban": [(0, 0), (0, 1), (1,)]}
 
 

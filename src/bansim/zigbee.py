@@ -188,24 +188,27 @@ def self_pruning_broadcast(
 
 
 def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastState:
+    """Sweep the tree top to bottom, left to right by address, adding each
+    covered node with an uncovered radio neighbour to the forward set, until
+    every tree node is covered or a sweep adds none.  The source and every
+    radio neighbour are tree nodes, as ``parse_topology`` and
+    ``broadcast_compare`` ensure: then the covered set is a subset of the
+    tree, so its size tells when the tree is covered."""
     nbr = radio.neighbors
-    # top-to-bottom, left-to-right by address
     order = sorted(tree.nodes, key=lambda k: (tree.nodes[k].depth, tree.address(k)))
     covered = {source} | nbr[source]
-    to_cover = set(tree.nodes) - covered
     forward_set = {source}
     log = [EventLogRow(0, source, "tx")]
     sweep = 0
-    while to_cover:
+    while len(covered) < len(tree.nodes):
         progressed = False
         sweep += 1
         for x in order:
             if x in forward_set:
                 continue
-            if x in covered and nbr[x] & to_cover:
+            if x in covered and not nbr[x] <= covered:
                 forward_set.add(x)
                 covered |= nbr[x]
-                to_cover -= nbr[x]
                 log.append(EventLogRow(sweep, x, "tx"))
                 progressed = True
         if not progressed:

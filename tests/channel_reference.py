@@ -7,11 +7,11 @@ component and superpose them two at a time; ``first_cluster_slope`` fits one
 draw with ``np.polyfit``.  ``gen_outdoor_ban`` and ``gen_indoor_ban`` must
 reproduce their taps and cluster starts bit for bit, and the batched slope
 fit must agree with ``first_cluster_slope`` to rounding; ``test_channels.py``
-checks that with fading on and off.  ``pcg64_state`` and ``draw_streams``
-give the stream states the program's generators take, from numpy's own
-seeding.  ``gbhds_doa`` builds all ``count``
-DOA angles at once; ``np.histogram`` over them must equal the block-streamed
-``gbhds_doa_histogram`` byte for byte.
+checks that with fading on and off.  ``draw_streams`` gives the
+``default_rng`` Generators the program's generators take for one draw, each
+seeded from a ``SeedSequence`` child as the references seed theirs.
+``gbhds_doa`` builds all ``count`` DOA angles at once; ``np.histogram`` over
+them must equal the block-streamed ``gbhds_doa_histogram`` byte for byte.
 """
 
 import numpy as np
@@ -112,21 +112,15 @@ def gen_indoor_ban(
                       gen_ref(params, num_clusters, child_ref))
 
 
-def pcg64_state(seed) -> tuple[int, int]:
-    """The PCG64 ``(state, inc)`` that ``default_rng(seed)`` starts from, by
-    numpy's own seeding: the stream state the channel generators take."""
-    state = np.random.PCG64(seed).state["state"]
-    return state["state"], state["inc"]
-
-
-def draw_streams(seed: np.random.SeedSequence, indoor: bool) -> list[tuple[int, int]]:
-    """The stream states of the draw that ``gen_outdoor_ban`` or
+def draw_streams(seed: np.random.SeedSequence, indoor: bool) -> list[np.random.Generator]:
+    """The ``default_rng`` Generators of the draw that ``gen_outdoor_ban`` or
     ``gen_indoor_ban`` here makes from ``seed``: body and ground, then the
-    reflections indoors."""
+    reflections indoors.  Spawning advances ``seed``, so each call on one
+    ``SeedSequence`` gives the next draw's Generators."""
     if not indoor:
-        return [pcg64_state(child) for child in seed.spawn(2)]
+        return [np.random.default_rng(child) for child in seed.spawn(2)]
     child_out, child_ref = seed.spawn(2)
-    return [*draw_streams(child_out, False), pcg64_state(child_ref)]
+    return [*draw_streams(child_out, False), np.random.default_rng(child_ref)]
 
 
 def first_cluster_slope(cir: ChannelImpulseResponse, delta_ns: float) -> float:

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import channel_reference
-from channel_reference import draw_streams, pcg64_state
+from channel_reference import draw_streams
 from bansim import channels
 from bansim.harness.config import parse_config
 from bansim.harness.experiments import run_experiment
@@ -29,13 +29,13 @@ def make_params(**kw):
 
 def test_body_no_decay_no_fading_equal_magnitudes():
     [rays] = channels.gen_clusters(make_params(gamma_ray_db_per_ns=0.0),
-                                   [pcg64_state(1)])
+                                   [np.random.default_rng(1)])
     assert np.allclose(np.abs(rays), np.abs(rays[0]))
 
 
 def test_body_decay_law():
     [rays] = channels.gen_clusters(make_params(gamma_ray_db_per_ns=1.0),
-                                   [pcg64_state(2)])
+                                   [np.random.default_rng(2)])
     rel_db = 20 * np.log10(np.abs(rays) / np.abs(rays[0]))
     assert np.allclose(rel_db, -np.arange(16), atol=1e-9)
 
@@ -43,7 +43,7 @@ def test_body_decay_law():
 def test_body_phase_uniformity():
     phases = np.angle(
         channels.gen_clusters(make_params(num_bins_per_cluster=1000),
-                              [pcg64_state(seed) for seed in range(100)])
+                              [np.random.default_rng(seed) for seed in range(100)])
     ).ravel()
     counts, _ = np.histogram(phases, bins=20, range=(-np.pi, np.pi))
     assert stats.chisquare(counts).pvalue > 0.01
@@ -51,14 +51,17 @@ def test_body_phase_uniformity():
 
 def test_generators_deterministic():
     p = make_params(sigma_ray_db=2.0, sigma_cluster_db=1.0, shadowing_sigma_db=3.0)
-    streams = [pcg64_state(5), pcg64_state(6), pcg64_state(7)]
-    assert np.array_equal(channels.gen_clusters(p, streams[:2]),
-                          channels.gen_clusters(p, streams[:2]))
+
+    # a Generator moves on as it draws: each call gets fresh ones of the seeds
+    def streams():
+        return [np.random.default_rng(seed) for seed in (5, 6, 7)]
+    assert np.array_equal(channels.gen_clusters(p, streams()[:2]),
+                          channels.gen_clusters(p, streams()[:2]))
     for gen in (lambda p, streams: channels.gen_outdoor_ban(p, streams[:2]),
                 lambda p, streams: channels.gen_indoor_ban(p, 3, streams)):
-        assert np.array_equal(gen(p, streams).taps, gen(p, streams).taps)
-    (taps_a, starts_a), (taps_b, starts_b) = (channels.gen_ref(p, 4, streams[0]),
-                                              channels.gen_ref(p, 4, streams[0]))
+        assert np.array_equal(gen(p, streams()).taps, gen(p, streams()).taps)
+    (taps_a, starts_a), (taps_b, starts_b) = (channels.gen_ref(p, 4, streams()[0]),
+                                              channels.gen_ref(p, 4, streams()[0]))
     assert np.array_equal(taps_a, taps_b) and starts_a == starts_b
 
 
@@ -66,9 +69,11 @@ def test_ground_is_shifted_body():
     # a ground delay past the body cluster leaves a gap of empty bins
     p = make_params(tau_ground_ns=30.0)
     seed = 3
-    streams = draw_streams(np.random.SeedSequence(seed), indoor=False)
-    _, ground = channels.gen_clusters(p, streams)
-    cir = channels.gen_outdoor_ban(p, streams)
+
+    def streams():
+        return draw_streams(np.random.SeedSequence(seed), indoor=False)
+    _, ground = channels.gen_clusters(p, streams())
+    cir = channels.gen_outdoor_ban(p, streams())
     assert cir.cluster_starts == [0, 30]
     assert np.all(cir.taps[16:30] == 0)
     assert np.array_equal(cir.taps[30:], ground)
@@ -95,9 +100,11 @@ def test_outdoor_two_clusters_with_deterministic_gap():
 def test_outdoor_is_superposition_of_components():
     p = make_params()
     seed = 11
-    streams = draw_streams(np.random.SeedSequence(seed), indoor=False)
-    body, ground = channels.gen_clusters(p, streams)
-    outdoor = channels.gen_outdoor_ban(p, streams)
+
+    def streams():
+        return draw_streams(np.random.SeedSequence(seed), indoor=False)
+    body, ground = channels.gen_clusters(p, streams())
+    outdoor = channels.gen_outdoor_ban(p, streams())
     expect = np.zeros(outdoor.taps.size, dtype=complex)
     expect[:16] += body
     expect[5:] += ground
@@ -108,19 +115,19 @@ def test_ref_interarrival_mean():
     p = make_params(num_bins_per_cluster=1)
     gaps = []
     for seed in range(10_000):
-        _, starts = channels.gen_ref(p, 3, pcg64_state(seed))
+        _, starts = channels.gen_ref(p, 3, np.random.default_rng(seed))
         gaps.extend(np.diff(np.asarray(starts) * p.delta_ns))
     assert np.mean(gaps) == pytest.approx(10.0, rel=0.03)
 
 
 def test_ref_energy_normalized_without_shadowing():
-    taps, _ = channels.gen_ref(make_params(), 4, pcg64_state(9))
+    taps, _ = channels.gen_ref(make_params(), 4, np.random.default_rng(9))
     assert np.sum(np.abs(taps) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ref_intra_cluster_regression_recovers_decay():
     p = make_params(gamma_cluster_db_per_ns=0.0)
-    taps, _ = channels.gen_ref(p, 1, pcg64_state(13))
+    taps, _ = channels.gen_ref(p, 1, np.random.default_rng(13))
     seg = taps[:16]
     delays = np.arange(16) * p.delta_ns
     amp_db = 20 * np.log10(np.abs(seg))
@@ -132,10 +139,12 @@ def test_ref_intra_cluster_regression_recovers_decay():
 def test_indoor_is_superposition():
     p = make_params()
     seed = 21
-    body, ground, reflection = draw_streams(np.random.SeedSequence(seed), indoor=True)
-    outdoor = channels.gen_outdoor_ban(p, (body, ground))
-    ref, ref_starts = channels.gen_ref(p, 3, reflection)
-    indoor = channels.gen_indoor_ban(p, 3, (body, ground, reflection))
+
+    def streams():
+        return draw_streams(np.random.SeedSequence(seed), indoor=True)
+    outdoor = channels.gen_outdoor_ban(p, streams()[:2])
+    ref, ref_starts = channels.gen_ref(p, 3, streams()[2])
+    indoor = channels.gen_indoor_ban(p, 3, streams())
     expect = np.zeros(indoor.taps.size, dtype=complex)
     expect[: outdoor.taps.size] += outdoor.taps
     expect[: ref.size] += ref
@@ -215,10 +224,11 @@ def test_start_bin_rounding_matches_numpy():
 def test_ray_underflow_is_rejected():
     # a last ray at -6000 dB is still a normal float; at -10500 dB it would
     # underflow to a zero tap, which raises no floating-point flag
-    streams = draw_streams(np.random.SeedSequence(1), indoor=False)
-    channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=400.0), streams)
+    def streams():
+        return draw_streams(np.random.SeedSequence(1), indoor=False)
+    channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=400.0), streams())
     with pytest.raises(ValueError, match="gamma_ray_db_per_ns"):
-        channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=700.0), streams)
+        channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=700.0), streams())
 
 
 def test_path_loss_anchor_and_log_distance():

@@ -7,8 +7,9 @@ an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
 The harness turns config values into arrays, and the models take those
 arrays as they are: ``np.asarray`` is called only under ``harness/``.  The
-channel generators take stream states from ``bansim.seeding``: ``channels``
-calls no ``default_rng`` and no ``spawn``.
+channel generators take the Generators ``bansim.seeding`` builds: ``channels``
+calls no ``default_rng`` and no ``spawn``, and ``seeding`` computes
+``SeedSequence``'s hash itself, so it builds no ``SeedSequence`` either.
 """
 
 import ast
@@ -154,16 +155,20 @@ def test_asarray_only_at_the_config_boundary():
 
 
 
-def _seeding_calls(tree: ast.AST) -> list[int]:
-    """Lines of the calls that build a seed object or a generator per stream:
-    ``default_rng(...)`` and ``<x>.spawn(...)``."""
+# the calls that build a generator or a seed object per stream
+PER_STREAM = ("default_rng", "spawn")
+SEED_OBJECTS = (*PER_STREAM, "SeedSequence")
+
+
+def _seeding_calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
+    """Lines of the calls ``<name>(...)`` and ``<x>.<name>(...)``."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             callee = node.func
             name = (callee.attr if isinstance(callee, ast.Attribute) else
                     callee.id if isinstance(callee, ast.Name) else None)
-            if name in ("default_rng", "spawn"):
+            if name in names:
                 lines.append(node.lineno)
     return sorted(lines)
 
@@ -171,17 +176,28 @@ def _seeding_calls(tree: ast.AST) -> list[int]:
 def test_seeding_calls_scan_sees_both_forms():
     code = ("def gen_a(seed):\n    return np.random.default_rng(seed)\n"
             "def gen_b(seed):\n    return seed.spawn(2)\n"
-            "def gen_c(seed):\n    return default_rng(seed)\n")
-    assert _seeding_calls(ast.parse(code)) == [2, 4, 6]
+            "def gen_c(seed):\n    return default_rng(seed)\n"
+            "def gen_d(seed):\n    return np.random.SeedSequence(seed)\n")
+    assert _seeding_calls(ast.parse(code), PER_STREAM) == [2, 4, 6]
+    assert _seeding_calls(ast.parse(code), SEED_OBJECTS) == [2, 4, 6, 8]
 
 
 def test_channel_generators_take_stream_states():
-    # the channel draws are seeded in one pass by bansim.seeding; a seed object
-    # or generator built per stream in channels (the gen_* functions or the
-    # helpers they call) would bring the per-draw seeding cost back
+    # the channel draws are seeded by bansim.seeding, a block of draws at a
+    # time; a seed object or generator built per stream in channels (the gen_*
+    # functions or the helpers they call) would bring the per-draw seeding
+    # cost back
     path = PACKAGE / "channels.py"
     tree = ast.parse(path.read_text(), str(path))
     generators = {node.name for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name.startswith("gen_")}
     assert {"gen_clusters", "gen_ref", "gen_outdoor_ban", "gen_indoor_ban"} <= generators
-    assert _seeding_calls(tree) == [], f"per-stream seeding in {path.name}"
+    assert _seeding_calls(tree, PER_STREAM) == [], f"per-stream seeding in {path.name}"
+
+
+def test_seeding_builds_no_seed_sequence():
+    # seeding hashes a block of spawn keys at once; numpy's SeedSequence,
+    # default_rng or spawn there would hash one key per object again
+    path = PACKAGE / "seeding.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert _seeding_calls(tree, SEED_OBJECTS) == [], f"seed objects in {path.name}"

@@ -7,7 +7,7 @@ import pytest
 from bansim import zigbee
 from bansim.harness import cli
 from graphutil import graph_to_scene, random_connected_graphs, relatives
-from zigbee_reference import self_pruning_reference
+from zigbee_reference import oos_reference, self_pruning_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -188,6 +188,23 @@ def test_self_pruning_matches_reference(monkeypatch, kind):
                     assert got.forward_set == want.forward_set
 
 
+def _assert_oos_matches_reference(tree, radio, source):
+    got, want = zigbee.oos_select(tree, radio, source), oos_reference(tree, radio, source)
+    assert _events(got) == _events(want)
+    assert got.covered == want.covered
+    assert got.forward_set == want.forward_set
+
+
+@pytest.mark.parametrize("kind", ["perfbench300", "perfbench1500", "random"])
+def test_oos_matches_reference(monkeypatch, kind):
+    """Testing each node's neighbours against the covered set selects what
+    the shrinking set of nodes still to cover selected."""
+    for tree, radio in _scenes(kind, monkeypatch):
+        # about 16 sources per scene, spread over the node keys
+        for source in sorted(tree.nodes)[:: max(1, len(tree.nodes) // 16)]:
+            _assert_oos_matches_reference(tree, radio, source)
+
+
 BACKOFF_RANGES = [0, 1, 2, 3, 5, 6, 7, 8, 9, 15, 16, 31, 100, 255, 1000, 65535,
                   2**31 - 1, 2**32 - 2, 2**32 - 1, 2**32, 2**40, 2**62]
 
@@ -240,6 +257,7 @@ def test_disconnected_radio_reports_partial_coverage():
     radio = zigbee.RadioGraph({0: {1}, 1: {0}, 2: set()})
     state = zigbee.oos_select(tree, radio, 0)
     assert 2 not in state.covered
+    _assert_oos_matches_reference(tree, radio, 0)
     sp = zigbee.self_pruning_broadcast(tree, radio, 0, 3, seed=0)
     assert 2 not in sp.covered
 
