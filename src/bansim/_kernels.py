@@ -7,6 +7,23 @@ to the per-step references in ``tests/kernel_reference.py`` (``cma_step``
 and a scalar per-symbol DFE loop); ``tests/test_kernels.py`` asserts that
 bit-identity.  ``perfbench/run.py --trace 1`` reports their
 cost per step (``kernels.*.ns_per_iter``).
+
+The CMA loops step one sample at a time.  DFE detection, whose decisions
+feed the next symbol's feedback, is done by look-ahead in numpy sweeps:
+
+- speculate: the sliced feedforward outputs are the first guesses;
+- verify: a sweep recomputes a block's soft outputs from the guessed
+  history, rounded as the loop rounds them.  Each symbol up to and
+  including the first whose cell differs from its guess has an exact
+  history, so its output is exact; the sweep's cells after it are the new
+  guesses.  The first sweep covers every symbol;
+- repair: from there the scalar loop runs until the last nb decisions of
+  a chunk equal their guesses; then the next sweep.
+
+A sweep of SWEEP_BLOCK symbols costs about EARLY_FAIL scalar steps.  One
+that verifies fewer doubles the least length of the next repair, whose
+chunks double too, so where nearly every guess is wrong (feedback that
+propagates errors) the kernel costs about what the loop costs.
 """
 
 from __future__ import annotations
@@ -24,6 +41,11 @@ from .sigproc import rail_slicer
 USE_NUMBA = False
 
 DIVERGENCE_LIMIT = 1.0e3
+
+# DFE verify sweeps: each that finds a wrong guess halves the next, down to
+# SWEEP_BLOCK symbols
+SWEEP_BLOCK = 4096
+EARLY_FAIL = 128
 
 
 def frames(received, count, stride, width):
@@ -102,6 +124,61 @@ def dse_cma_run(received, taps, mu, r2, alpha_d, dither_u, max_steps, stride):
                       (alpha_d, dither_u))
 
 
+def _feedback(re, im, h_re, h_im, fb, start, stop):
+    """Soft outputs of symbols start..stop-1: their feedforward outputs
+    ``re + 1j*im`` plus ``w_b * h[nb + k - 1 - b]``, added for b = 0, 1,
+    ..., nb - 1 as the scalar loop adds ``xk += w * h``.  Each product runs
+    in real arithmetic, as Python's complex product rounds it: a complex
+    array multiply may fuse multiply-adds (FMA) and round differently."""
+    xr = re[start:stop].copy()
+    xi = im[start:stop].copy()
+    # in place: a whole-array sweep's temporaries would each be fresh pages
+    t = np.empty_like(xr)
+    u = np.empty_like(xr)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    nb = len(fb)
+    for b, w in enumerate(fb):
+        hr = h_re[nb - 1 - b + start:nb - 1 - b + stop]
+        hi = h_im[nb - 1 - b + start:nb - 1 - b + stop]
+        multiply(hr, w.real, t)
+        multiply(hi, w.imag, u)
+        subtract(t, u, t)
+        add(xr, t, xr)
+        multiply(hi, w.real, t)
+        multiply(hr, w.imag, u)
+        add(t, u, t)
+        add(xi, t, xi)
+    return xr, xi
+
+
+def _repair(ff, guesses, fb, hist, slicer, cell_points, least):
+    """The scalar DFE loop over the feedforward outputs ``ff``, from the
+    decisions before its first symbol in ``hist`` (a deque, newest first).
+    It decides a chunk of max(least, nb) symbols, then chunks twice as long
+    as the one before, and stops after the first chunk whose last nb cells
+    equal their ``guesses``, or at the end of ``ff``.  Returns the soft
+    outputs and the cells it decided, as lists."""
+    (re_lo, re_hi), (im_lo, im_hi), cols = slicer.re, slicer.im, slicer.cols
+    nb = len(fb)
+    soft, cells = [], []
+    stop, length = 0, max(least, nb)
+    while stop < ff.size:
+        start, stop = stop, min(ff.size, stop + length)
+        for xk in ff[start:stop].tolist():
+            for w, h in zip(fb, hist):
+                xk += w * h
+            soft.append(xk)
+            xr, xi = xk.real, xk.imag
+            cell = ((bisect_left(re_lo, xr) + bisect_right(re_hi, xr)) * cols
+                    + bisect_left(im_lo, xi) + bisect_right(im_hi, xi))
+            cells.append(cell)
+            hist.appendleft(cell_points[cell])
+        if cells[-nb:] == guesses[stop - nb:stop].tolist():
+            break
+        length *= 2
+    return soft, cells
+
+
 def dfe_detect_run(received, w_ff, w_fb, constellation, history, stride,
                    n_sym):
     # Feedforward for every symbol at once.  The feedforward window advances
@@ -120,26 +197,54 @@ def dfe_detect_run(received, w_ff, w_fb, constellation, history, stride,
     ff = np.empty(n_sym, dtype=np.complex128)
     ff.real = re
     ff.imag = im
-    # feedback, slicing as sigproc slices (per rail, see RailSlicer) and
-    # history shift
     slicer = rail_slicer(constellation)
-    (re_lo, re_hi), (im_lo, im_hi), cols = slicer.re, slicer.im, slicer.cols
-    cell_points = constellation[slicer.cell_labels].tolist()
+    points = constellation[slicer.cell_labels]  # the decision of each cell
+    cell_points = points.tolist()
     fb = w_fb.tolist()
-    hist = deque(history.tolist(), maxlen=len(fb))  # newest decision first
-    soft = ff.tolist()
-    cells = []
-    for k, xk in enumerate(soft):
-        for w, h in zip(fb, hist):
-            xk += w * h
-        soft[k] = xk
-        xr, xi = xk.real, xk.imag
-        cell = ((bisect_left(re_lo, xr) + bisect_right(re_hi, xr)) * cols
-                + bisect_left(im_lo, xi) + bisect_right(im_hi, xi))
-        cells.append(cell)
-        hist.appendleft(cell_points[cell])
-    soft = np.array(soft, dtype=np.complex128)
+    nb = len(fb)
+    # Speculate: slice the feedforward outputs.  cells holds each symbol's
+    # guessed cell, exact from the front; h = h_re + 1j*h_im is the caller's
+    # history, oldest first, then the decisions of those cells.
+    cells = slicer.cells(re, im)
+    p_re, p_im = points.real.copy(), points.imag.copy()
+    h_re = np.concatenate([history.real[::-1], p_re[cells]])
+    h_im = np.concatenate([history.imag[::-1], p_im[cells]])
+    soft = np.empty(n_sym, dtype=np.complex128)
+    done = 0  # the decisions before symbol `done` are exact
+    block = n_sym
+    least = 0  # the least length of the next repair
+    # Python's complex arithmetic in the loop warns on nothing; nor may the
+    # sweeps, whose guessed histories reach values the loop never computes
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_sym:
+            # Verify
+            start, stop = done, min(n_sym, done + block)
+            xr, xi = _feedback(re, im, h_re, h_im, fb, start, stop)
+            swept = slicer.cells(xr, xi)
+            miss = np.flatnonzero(swept != cells[start:stop])
+            done = start + int(miss[0]) + 1 if miss.size else stop
+            soft.real[start:done] = xr[:done - start]
+            soft.imag[start:done] = xi[:done - start]
+            if not miss.size:
+                least = 0
+                continue
+            cells[start:stop] = swept
+            h_re[nb + start:nb + stop] = p_re[swept]
+            h_im[nb + start:nb + stop] = p_im[swept]
+            block = max(SWEEP_BLOCK, block // 2)
+            # Bound the cost: a sweep that fails early doubles the next repair
+            least = max(nb, 2 * least) if done - start < EARLY_FAIL else 0
+            # Repair: the scalar loop, until it agrees with the guesses again
+            hist = deque(map(complex, h_re[done:nb + done][::-1].tolist(),
+                             h_im[done:nb + done][::-1].tolist()), maxlen=nb)
+            walked_soft, walked = _repair(ff[done:], cells[done:], fb, hist,
+                                          slicer, cell_points, least)
+            stop = done + len(walked)
+            soft[done:stop] = walked_soft
+            cells[done:stop] = walked
+            h_re[nb + done:nb + stop] = p_re[cells[done:stop]]
+            h_im[nb + done:nb + stop] = p_im[cells[done:stop]]
+            done = stop
     if not np.isfinite(soft).all():
         raise ValueError("cannot slice a non-finite DFE output")
-    decisions = constellation[slicer.cell_labels[np.array(cells, dtype=np.intp)]]
-    return soft, decisions
+    return soft, constellation[slicer.cell_labels[cells]]

@@ -185,6 +185,9 @@ def agc(received: np.ndarray) -> np.ndarray:
     """Scale a signal to unit average power (automatic gain control)."""
     power = float(np.mean(np.abs(received) ** 2))
     if power <= 0:
+        if received.any():
+            raise ValueError("cannot normalize a signal whose power |x|**2 "
+                             "underflows to zero")
         raise ValueError("cannot normalize an all-zero signal")
     return received / np.sqrt(power)
 

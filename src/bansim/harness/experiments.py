@@ -139,6 +139,10 @@ def run_cma_convergence(cfg: ScenarioConfig):
     mu, taps, stride = sec["mu"], sec["channel"], sec["samples_per_symbol"]
     nf, iterations, window = sec["nf"], sec["iterations"], sec["window"]
     variant = sec["variant"]
+    if 2 * window > iterations:
+        raise ConfigError(f"[cma_convergence] window {window} is more than half "
+                          f"of iterations {iterations}: the initial and final "
+                          "MSE windows would overlap")
     rng = np.random.default_rng(cfg.seed)
     n_sym = iterations + nf + len(taps) + 16
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)

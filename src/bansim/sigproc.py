@@ -70,12 +70,16 @@ class RailSlicer:
         imag = np.ascontiguousarray(symbols.imag)
         if not (np.isfinite(real).all() and np.isfinite(imag).all()):
             raise ValueError("cannot slice a non-finite sample")
-        # the smallest unsigned type that holds every cell index
+        return self.cell_labels.take(self.cells(real, imag))
+
+    def cells(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+        """Cell index per sample, in the smallest unsigned type that holds
+        every one.  Nothing is checked: a NaN rail reads as cell 0."""
         dtype = np.min_scalar_type(self.cell_labels.size - 1)
         cells = _rail_cells(real, *self.re, dtype)
         cells *= self.cols
         cells += _rail_cells(imag, *self.im, dtype)
-        return self.cell_labels.take(cells)
+        return cells
 
 
 def _rail_cells(values, lo, hi, dtype) -> np.ndarray:

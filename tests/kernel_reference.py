@@ -6,6 +6,16 @@ Each takes the arguments of its kernel and returns what the kernel returns:
 slices each symbol by ``sigproc_reference.exact_label``.  The numpy kernels
 must reproduce them bit for bit; ``test_kernels.py`` checks that on random,
 divergent and edge-case inputs.
+
+``dfe_detect_run`` does not step like ``dfe_reference``: it speculates every
+decision (slices the feedforward outputs), verifies a block of guesses in
+one sweep (every symbol up to the first wrong guess has an exact history),
+and repairs from the first wrong guess with the scalar loop until nb
+decisions in a row match their guesses.  Sweeps that fail early double the
+next repair, which bounds the cost where nearly every guess is wrong.  Only
+the outputs must match this loop; a property test draws schemes, rounding
+grids, strides, feedback up to error-propagating size and small sweep
+blocks, so the repair and the backoff run too.
 """
 
 import numpy as np

@@ -163,6 +163,19 @@ def test_cma_flat_trace_at_zero_mu():
     assert abs(summary["improvement_db"]) < 1.0
 
 
+def test_cma_windows_may_meet_at_half():
+    # window = iterations / 2 splits the trace in two; one more would overlap
+    cfg = parse_config(
+        "[common]\nseed = 3\n[cma_convergence]\niterations = 400\nwindow = 200\n",
+        "cma_convergence",
+    )
+    (_, trace, _), (_, summary, _) = run_experiment(cfg)
+    mse = trace.column("mse")
+    initial, final = summary.rows[0][:2]
+    assert initial == float(np.mean(mse[:200]))
+    assert final == float(np.mean(mse[200:]))
+
+
 def test_cli_exit_codes(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text(
@@ -326,6 +339,14 @@ MALFORMED = [
      "mud_compare: arithmetic overflow"),
     ("cma_convergence", "[cma_convergence]\nchannel = 1e200",
      "cma_convergence: overflow"),
+    # a channel whose output power underflows is not an all-zero signal
+    ("cma_convergence", "[cma_convergence]\nchannel = 1e-320",
+     "cma_convergence: cannot normalize a signal whose power |x|**2 underflows"),
+    # initial and final MSE windows that share samples
+    ("cma_convergence", "[cma_convergence]\niterations = 100\nwindow = 1000",
+     "[cma_convergence] window 1000 is more than half of iterations 100"),
+    ("cma_convergence", "[cma_convergence]\niterations = 999\nwindow = 500",
+     "[cma_convergence] window 500 is more than half of iterations 999"),
     ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: arithmetic overflow"),
     # an Eb/N0 that underflows to zero or a subnormal leaves no noise power
     ("ber_sweep", "[ber_sweep]\nebn0_db = -1e200",

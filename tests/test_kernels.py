@@ -1,8 +1,13 @@
 """The receiver kernels against their per-step references (kernel_reference),
 which they must match bit for bit."""
 
+from collections import deque
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bansim import _kernels, sigproc
 from kernel_reference import cma_reference, dfe_reference, dse_cma_reference
@@ -168,6 +173,103 @@ def test_dfe_rejects_non_finite_outputs(bad, nb):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                           match="non-finite"):
             detect(*args)
+
+
+def sweep_starts(*args):
+    """Where each verify sweep of dfe_detect_run(*args) starts."""
+    with patch.object(_kernels, "_feedback", wraps=_kernels._feedback) as sweep:
+        _kernels.dfe_detect_run(*args)
+    return [call.args[5] for call in sweep.call_args_list]
+
+
+@pytest.mark.parametrize("where", ["first", "edge", "last"])
+@pytest.mark.parametrize("bad", [np.nan, complex(0.3, np.nan), np.inf])
+def test_dfe_rejects_non_finite_outputs_anywhere(bad, where):
+    received = random_signal(64, 12)
+    args = [received, np.array([1.0 + 0j]), np.full(2, 0.1 + 0j), QPSK,
+            np.zeros(2, dtype=complex), 1, 64]
+    # a sweep after the first starts at a block edge; the finite input
+    # before it decides the same, so the bad sample's run sweeps from it too
+    edges = sweep_starts(*args)[1:]
+    assert edges
+    received[{"first": 0, "edge": edges[0], "last": 63}[where]] = bad
+    for detect in (_kernels.dfe_detect_run, dfe_reference):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="non-finite"):
+            detect(*args)
+
+
+def spacing(points):
+    """The least gap between two levels of a rail, or 1 with one level."""
+    gaps = []
+    for rail in (points.real, points.imag):
+        levels = sorted(set(rail.tolist()))
+        gaps += [b - a for a, b in zip(levels, levels[1:])]
+    return min(gaps, default=1.0)
+
+
+# |w_fb| in units of the largest point: none, about one level gap, and up to
+# feedback that propagates errors (|w_fb| >= 1)
+FEEDBACK = ("zero", "gap", 0.3, 1.0, 3.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SLICED)),
+       stride=st.integers(1, 3), nb=st.integers(0, 8), nf=st.integers(1, 6),
+       n_sym=st.integers(0, 500), feedback=st.sampled_from(FEEDBACK),
+       block=st.sampled_from([1, 2, 7, 64, _kernels.SWEEP_BLOCK]),
+       early=st.sampled_from([1, 5, _kernels.EARLY_FAIL]))
+def test_dfe_matches_reference_bit_for_bit(data, name, stride, nb, nf, n_sym,
+                                           feedback, block, early):
+    points = SLICED[name]
+    scale, gap = float(np.abs(points).max()), spacing(points)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # points plus noise of about a level gap; the last windows may run past
+    # the end of the input, or every window may
+    short = data.draw(st.integers(0, nf + stride))
+    size = max(0, (n_sym - 1) * stride + nf - short)
+    noise = data.draw(st.sampled_from([0.0, 0.3, 1.0])) * gap
+    received = (points[rng.integers(0, points.size, size)]
+                + noise * random_signal(size, rng.integers(2**32)))
+    w_ff = center_spike(nf)
+    w_ff[1:] += data.draw(st.sampled_from([0.0, gap / scale, 0.3])) \
+        * random_signal(nf - 1, rng.integers(2**32))
+    magnitude = {"zero": 0.0, "gap": gap / scale}.get(feedback, feedback)
+    w_fb = magnitude * random_signal(nb, rng.integers(2**32)) / np.sqrt(2.0)
+    history = points[rng.integers(0, points.size, nb)]
+    # small blocks and thresholds take the halving and the backoff too
+    with patch.object(_kernels, "SWEEP_BLOCK", block), \
+            patch.object(_kernels, "EARLY_FAIL", early):
+        check_dfe(received, w_ff, w_fb, points, history, stride, n_sym)
+
+
+def test_dfe_repairs_from_the_first_wrong_guess():
+    # one feedback tap of -1 on feedforward outputs of 0.5: the loop decides
+    # -1, +1, -1, ..., but the speculation slices 0.5 to +1, so the first
+    # sweep finds symbol 0 wrong and the repair runs
+    with patch.object(_kernels, "_repair", wraps=_kernels._repair) as repair:
+        _, decisions = check_dfe(np.full(300, 0.5 + 0j), np.array([1.0 + 0j]),
+                                 np.array([-1.0 + 0j]), BPSK,
+                                 np.array([1.0 + 0j]), 1, 300)
+    assert repair.called
+    assert decisions.tolist() == [-1, 1] * 150
+
+
+@pytest.mark.parametrize("least, walked", [(0, 14), (5, 15)])
+def test_dfe_repair_stops_after_the_first_chunk_that_agrees(least, walked):
+    # no feedback, so each cell slices its own output; with nb = 2 the chunks
+    # end at 2, 6, 14 (least 0) or at 5, 15 (least 5).  The guesses are
+    # wrong at symbols 0 and 4 only: the chunks ending at 2, 5 and 6 each
+    # have a wrong guess among their last two symbols
+    slicer = sigproc.rail_slicer(BPSK)
+    ff = np.ones(40, dtype=complex)
+    guesses = slicer.cells(ff.real, ff.imag)
+    guesses[[0, 4]] = slicer.cells(-ff[:2].real, ff[:2].imag)
+    soft, cells = _kernels._repair(ff, guesses, [0j, 0j], deque([0j, 0j], 2),
+                                   slicer, BPSK[slicer.cell_labels].tolist(),
+                                   least)
+    assert len(cells) == walked
+    assert soft == ff[:walked].tolist()
 
 
 def test_divergence_step_agrees():
