@@ -93,8 +93,8 @@ SCHEMAS = {
         "tx_power_dbm": ([float], lambda sec: [0.0] * len(sec["distance_m"])),
         **_fields(channels.PathLossParams, sigma_db=0.0),
         **_fields(linkadapt.LaThresholds),
-        "window": (positive_int, linkadapt.DEFAULT_FAILURE_WINDOW),
-        "noise_floor_dbm": (float, linkadapt.DEFAULT_NOISE_FLOOR_DBM),
+        "window": (positive_int, 16),
+        "noise_floor_dbm": (float, -100.0),
     }},
     "broadcast_sim": {"broadcast_sim": {
         "topology": (str, None), "source": (int, 0), "trials": (positive_int, 100),

@@ -218,18 +218,15 @@ def run_la_sim(cfg: ScenarioConfig):
     distances, tx_powers = sec["distance_m"], sec["tx_power_dbm"]
     if len(tx_powers) != len(distances):
         raise ConfigError("tx_power_dbm and distance_m must have equal length")
-    nodes = [linkadapt.LaNode(i, p, d)
-             for i, (p, d) in enumerate(zip(tx_powers, distances))]
     trace = linkadapt.simulate_la(
-        nodes, sec["rounds"], _params(channels.PathLossParams, sec),
-        _params(linkadapt.LaThresholds, sec), cfg.seed, window=sec["window"],
-        noise_floor_dbm=sec["noise_floor_dbm"],
+        list(zip(tx_powers, distances)), sec["rounds"],
+        _params(channels.PathLossParams, sec), _params(linkadapt.LaThresholds, sec),
+        cfg.seed, sec["window"], sec["noise_floor_dbm"],
     )
     table = _table(cfg, ["round", "node", "rate_level", "snr_db", "p_f", "received"])
-    for row in trace:
-        table.append(row.round, row.node, row.rate_level,
-                     float(round(row.snr_db, 6)), float(round(row.p_f, 6)),
-                     row.received)
+    for rnd, node, level, snr_db, p_f, received in trace:
+        table.append(rnd, node, level, float(round(snr_db, 6)), float(round(p_f, 6)),
+                     received)
     return [("la_trace", table, None)]
 
 
@@ -239,14 +236,12 @@ def run_broadcast_sim(cfg: ScenarioConfig):
         raise ConfigError("broadcast_sim needs a `topology` file path")
     with open(sec["topology"]) as fh:
         tree, radio = zigbee.parse_topology(fh.read())
-    summary = zigbee.broadcast_compare(tree, radio, sec["source"], sec["trials"],
-                                       cfg.seed, sec["max_backoff"])
+    sp_mean, sp_coverage, oos_tx, oos_coverage = zigbee.broadcast_compare(
+        tree, radio, sec["source"], sec["trials"], cfg.seed, sec["max_backoff"])
     table = _table(cfg, ["strategy", "mean_rebroadcasts", "coverage",
                          "forward_set_size"])
-    table.append("self_pruning", summary.mean_self_pruning_rebroadcasts,
-                 summary.self_pruning_coverage, float("nan"))
-    table.append("oos", float(summary.oos_rebroadcasts), summary.oos_coverage,
-                 float(summary.oos_rebroadcasts + 1))
+    table.append("self_pruning", sp_mean, sp_coverage, float("nan"))
+    table.append("oos", float(oos_tx), oos_coverage, float(oos_tx + 1))
     return [("broadcast_compare", table, None)]
 
 

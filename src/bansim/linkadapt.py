@@ -8,14 +8,12 @@ round, clamped to the rate table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import PathLossParams, path_loss_db
-
-DEFAULT_NOISE_FLOOR_DBM = -100.0
-DEFAULT_FAILURE_WINDOW = 16
 
 
 @dataclass
@@ -28,16 +26,6 @@ class LaThresholds:
     def __post_init__(self) -> None:
         if not (0.0 <= self.th_pf <= 1.0):
             raise ValueError("failure-probability threshold must be in [0, 1]")
-
-
-@dataclass
-class LaNode:
-    id: int
-    tx_power_dbm: float
-    distance_m: float
-    rate_level: int = 0
-    p_f: float = 0.0
-    failure_history: list = field(default_factory=list, repr=False)
 
 
 def packet_received(
@@ -56,54 +44,47 @@ def packet_received(
     return bool(ci_db >= thresholds.ci_min_db[rate_level])
 
 
-def la_update(node: LaNode, measured_snr_db: float, thresholds: LaThresholds) -> LaNode:
-    max_level = len(thresholds.ci_min_db) - 1
-    if measured_snr_db < thresholds.th_snr_db or node.p_f > thresholds.th_pf:
-        node.rate_level = max(0, node.rate_level - 1)
-    elif measured_snr_db >= thresholds.th_snr_db and node.p_f <= thresholds.th_pf:
-        node.rate_level = min(max_level, node.rate_level + 1)
-    return node
-
-
-@dataclass
-class LaTraceRow:
-    round: int
-    node: int
-    rate_level: int
-    snr_db: float
-    p_f: float
-    received: bool
+def la_update(level: int, snr_db: float, p_f: float, thresholds: LaThresholds) -> int:
+    """The rate level after ``level``: one down on a bad channel, one up on a
+    good one; a NaN SNR or failure fraction is neither, and holds the level."""
+    if snr_db < thresholds.th_snr_db or p_f > thresholds.th_pf:
+        return max(0, level - 1)
+    if snr_db >= thresholds.th_snr_db and p_f <= thresholds.th_pf:
+        return min(len(thresholds.ci_min_db) - 1, level + 1)
+    return level
 
 
 def simulate_la(
-    nodes: list[LaNode],
+    nodes: list[tuple[float, float]],
     rounds: int,
     pl: PathLossParams,
     thresholds: LaThresholds,
     seed,
-    window: int = DEFAULT_FAILURE_WINDOW,
-    noise_floor_dbm: float = DEFAULT_NOISE_FLOOR_DBM,
-) -> list[LaTraceRow]:
+    window: int,
+    noise_floor_dbm: float,
+) -> list[tuple[int, int, int, float, float, bool]]:
+    """Run `rounds` rounds over `nodes`, (tx power dBm, distance m) pairs;
+    every node starts at rate level 0 and transmits each round.  One row per
+    (round, node): (round, node index, rate level, SNR dB, failure fraction
+    of the last `window` packets, received).  The arguments are not changed."""
     rng = np.random.default_rng(seed)
-    trace: list[LaTraceRow] = []
+    levels = [0] * len(nodes)
+    failures = [deque(maxlen=window) for _ in nodes]
+    trace = []
     for rnd in range(rounds):
         # every node transmits each round; shadowing redrawn per (round, node)
-        received_powers = [node.tx_power_dbm - path_loss_db(node.distance_m, pl, rng)
-                           for node in nodes]
+        received_powers = [tx_power - path_loss_db(distance, pl, rng)
+                           for tx_power, distance in nodes]
         linear = [10.0 ** (p / 10.0) for p in received_powers]
-        for i, node in enumerate(nodes):
-            p_r = received_powers[i]
+        for i, p_r in enumerate(received_powers):
             interf_lin = sum(linear[:i] + linear[i + 1 :])
             snr_db = p_r - noise_floor_dbm
             # `== 0.0`, not `> 0.0`: a NaN sum must reach the C/I test
             interf_dbm = (float("-inf") if interf_lin == 0.0
                           else 10.0 * np.log10(interf_lin))
-            ok = packet_received(p_r, interf_dbm, node.rate_level, thresholds)
-            node.failure_history.append(0 if ok else 1)
-            recent = node.failure_history[-window:]
-            node.p_f = sum(recent) / len(recent)
-            trace.append(
-                LaTraceRow(rnd, node.id, node.rate_level, snr_db, node.p_f, ok)
-            )
-            la_update(node, snr_db, thresholds)
+            ok = packet_received(p_r, interf_dbm, levels[i], thresholds)
+            failures[i].append(0 if ok else 1)
+            p_f = sum(failures[i]) / len(failures[i])
+            trace.append((rnd, i, levels[i], snr_db, p_f, ok))
+            levels[i] = la_update(levels[i], snr_db, p_f, thresholds)
     return trace

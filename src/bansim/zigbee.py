@@ -4,13 +4,14 @@ and the deterministic on-tree forward-node selection sweep.
 
 Nodes carry integer keys; the tree assigns each key a block address from
 the Cskip recurrence so parent/child relations are recoverable from the
-address alone.
+address alone.  A tree is ``{key: (address, depth)}`` and a radio graph is
+``{key: set of neighbour keys}``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,26 +29,18 @@ def address_space(n_chl: int, d_l: int) -> int:
     return 1 + n_chl * cskip(0, n_chl, d_l)
 
 
-@dataclass
-class ZigbeeNode:
-    address: int
-    depth: int
-
-
-@dataclass
-class ZigbeeTree:
-    nodes: dict[int, ZigbeeNode]
-
-    def address(self, key: int) -> int:
-        return self.nodes[key].address
-
-
 class TreeShapeError(ValueError):
     """Parent/child structure violates n_chl or d_l."""
 
 
-def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> ZigbeeTree:
-    """Build a tree from {node key: [child keys]} and assign block addresses."""
+def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int):
+    """Build a tree from {node key: [child keys]}: {key: (block address,
+    depth)}, in pre-order.  Block addresses must fit in 64 bits."""
+    # with n_chl >= 2 the space exceeds n_chl ** d_l: a d_l past 64 fails
+    # without the power, whose big-int cost grows with d_l
+    if n_chl >= 2 and (d_l > 64 or address_space(n_chl, d_l) >= 2**64):
+        raise TreeShapeError(f"n_chl {n_chl} and d_l {d_l} need block "
+                             "addresses past 64 bits")
     all_children = [c for kids in shape.values() for c in kids]
     child_set = set(all_children)
     if len(child_set) != len(all_children):
@@ -55,7 +48,7 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
     roots = [k for k in shape if k not in child_set]
     if len(roots) != 1:
         raise TreeShapeError(f"expected exactly one root, found {len(roots)}")
-    nodes: dict[int, ZigbeeNode] = {}
+    tree: dict[int, tuple[int, int]] = {}
     # pre-order with an explicit stack: a chain as deep as d_l allows must
     # not hit the interpreter's recursion limit
     stack: list[tuple[int, int, int]] = [(roots[0], 0, 0)]
@@ -68,16 +61,16 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int) -> Zigbe
             raise TreeShapeError(f"node {key} has {len(kids)} children > {n_chl}")
         if kids and depth >= d_l:
             raise TreeShapeError(f"node {key} at depth {d_l} cannot have children")
-        nodes[key] = ZigbeeNode(address, depth)
+        tree[key] = (address, depth)
         stride = cskip(depth, n_chl, d_l)
         # reversed, so the first child is visited next
         for i in reversed(range(len(kids))):
             stack.append((kids[i], address + 1 + i * stride, depth + 1))
     # a detached cycle has no root of its own, so it passes the root count
-    unreached = next((k for k in shape if k not in nodes), None)
+    unreached = next((k for k in shape if k not in tree), None)
     if unreached is not None:
         raise TreeShapeError(f"node {unreached} is not reachable from root {roots[0]}")
-    return ZigbeeTree(nodes)
+    return tree
 
 
 def identify_relatives(address: int, n_chl: int, d_l: int):
@@ -101,19 +94,6 @@ def identify_relatives(address: int, n_chl: int, d_l: int):
 
 
 @dataclass
-class RadioGraph:
-    neighbors: dict[int, set[int]]
-
-    @classmethod
-    def from_edges(cls, edges, nodes=None) -> "RadioGraph":
-        nbrs: dict[int, set[int]] = {n: set() for n in (nodes or [])}
-        for a, b in edges:
-            nbrs.setdefault(a, set()).add(b)
-            nbrs.setdefault(b, set()).add(a)
-        return cls(nbrs)
-
-
-@dataclass
 class EventLogRow:
     slot: int
     node: int
@@ -124,31 +104,27 @@ class EventLogRow:
 class BroadcastState:
     covered: set[int]
     forward_set: set[int]  # transmitting nodes, source included
-    event_log: list[EventLogRow] = field(default_factory=list)
+    event_log: list[EventLogRow]
 
 
-def self_pruning_broadcast(
-    tree: ZigbeeTree,
-    radio: RadioGraph,
-    source: int,
-    max_backoff: int,
-    seed,
-) -> BroadcastState:
+def self_pruning_broadcast(tree, radio, source: int, max_backoff: int,
+                           seed) -> BroadcastState:
     """Flood from `source`: a node that hears the packet waits a random
     backoff, then transmits only if the transmissions it heard left some
     neighbour of it uncovered.
 
-    `source` and every radio node must be tree nodes.  `seed` is anything
-    ``np.random.default_rng`` takes; a Generator is advanced by one draw per
-    tree node.
+    `tree` is ``{key: (address, depth)}`` and `radio` is ``{key: set of
+    neighbour keys}``; `source` and every radio node must be tree nodes.
+    `seed` is anything ``np.random.default_rng`` takes; a Generator is
+    advanced by one draw per tree node.
     """
-    nbr = radio.neighbors
-    address = {key: node.address for key, node in tree.nodes.items()}.__getitem__
+    # addresses are unique, so (address, depth) pairs sort as addresses do
+    address = tree.__getitem__
     # a node waits at most once, so one draw per tree node is enough; the
     # array gives the values that scalar draws would, in the same order
     backoffs = iter(np.random.default_rng(seed).integers(
-        0, max_backoff + 1, size=len(tree.nodes)).tolist())
-    covered = {source} | nbr[source]
+        0, max_backoff + 1, size=len(tree)).tolist())
+    covered = {source} | radio[source]
     forward_set = {source}
     log = [EventLogRow(0, source, "tx")]
     pending: dict[int, set[int]] = {}  # waiting node -> residual neighbours
@@ -158,7 +134,7 @@ def self_pruning_broadcast(
     def wait(nodes, heard: set[int], slot: int) -> None:
         # the draws go to the nodes in address order
         for y in sorted(nodes, key=address):
-            pending[y] = nbr[y] - heard
+            pending[y] = radio[y] - heard
             expiry = slot + 1 + next(backoffs)
             if expiry in due:
                 due[expiry].append(y)
@@ -166,7 +142,7 @@ def self_pruning_broadcast(
                 due[expiry] = [y]
                 heapq.heappush(slots, expiry)
 
-    wait(nbr[source], nbr[source] | {source}, 0)
+    wait(radio[source], radio[source] | {source}, 0)
     while slots:
         # every expiry lies after the slot that set it: the bucket is complete
         slot = heapq.heappop(slots)
@@ -176,9 +152,9 @@ def self_pruning_broadcast(
                 continue
             forward_set.add(x)
             log.append(EventLogRow(slot, x, "tx"))
-            closed = nbr[x] | {x}
+            closed = radio[x] | {x}
             # a set difference: unlike the draws, it does not depend on order
-            for y in nbr[x]:
+            for y in radio[x]:
                 if y in pending:
                     pending[y] -= closed
             newly = closed - covered
@@ -187,28 +163,28 @@ def self_pruning_broadcast(
     return BroadcastState(covered, forward_set, log)
 
 
-def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastState:
+def oos_select(tree, radio, source: int) -> BroadcastState:
     """Sweep the tree top to bottom, left to right by address, adding each
     covered node with an uncovered radio neighbour to the forward set, until
-    every tree node is covered or a sweep adds none.  The source and every
-    radio neighbour are tree nodes, as ``parse_topology`` and
+    every tree node is covered or a sweep adds none.  `tree` and `radio` are
+    as ``parse_topology`` returns them.  The source and every radio
+    neighbour are tree nodes, as ``parse_topology`` and
     ``broadcast_compare`` ensure: then the covered set is a subset of the
     tree, so its size tells when the tree is covered."""
-    nbr = radio.neighbors
-    order = sorted(tree.nodes, key=lambda k: (tree.nodes[k].depth, tree.address(k)))
-    covered = {source} | nbr[source]
+    order = sorted(tree, key=lambda k: tree[k][::-1])
+    covered = {source} | radio[source]
     forward_set = {source}
     log = [EventLogRow(0, source, "tx")]
     sweep = 0
-    while len(covered) < len(tree.nodes):
+    while len(covered) < len(tree):
         progressed = False
         sweep += 1
         for x in order:
             if x in forward_set:
                 continue
-            if x in covered and not nbr[x] <= covered:
+            if x in covered and not radio[x] <= covered:
                 forward_set.add(x)
-                covered |= nbr[x]
+                covered |= radio[x]
                 log.append(EventLogRow(sweep, x, "tx"))
                 progressed = True
         if not progressed:
@@ -216,21 +192,14 @@ def oos_select(tree: ZigbeeTree, radio: RadioGraph, source: int) -> BroadcastSta
     return BroadcastState(covered, forward_set, log)
 
 
-@dataclass
-class BroadcastSummary:
-    mean_self_pruning_rebroadcasts: float
-    self_pruning_coverage: float
-    oos_rebroadcasts: int
-    oos_coverage: float
-
-
-def broadcast_compare(
-    tree: ZigbeeTree, radio: RadioGraph, source: int, trials: int,
-    seed, max_backoff: int,
-) -> BroadcastSummary:
-    if source not in tree.nodes:
+def broadcast_compare(tree, radio, source: int, trials: int, seed,
+                      max_backoff: int):
+    """(mean self-pruning rebroadcasts over `trials` seeded trials, their
+    mean coverage, OOS rebroadcasts, OOS coverage); coverage is the share of
+    tree nodes reached."""
+    if source not in tree:
         raise ValueError(f"source {source} not in tree")
-    n = len(tree.nodes)
+    n = len(tree)
     children = np.random.SeedSequence(seed).spawn(trials)
     counts, coverage = [], []
     for child in children:
@@ -238,12 +207,8 @@ def broadcast_compare(
         counts.append(len(state.forward_set) - 1)
         coverage.append(len(state.covered) / n)
     oos = oos_select(tree, radio, source)
-    return BroadcastSummary(
-        float(np.mean(counts)),
-        float(np.mean(coverage)),
-        len(oos.forward_set) - 1,
-        len(oos.covered) / n,
-    )
+    return (float(np.mean(counts)), float(np.mean(coverage)),
+            len(oos.forward_set) - 1, len(oos.covered) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +219,9 @@ _TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
 
 
 def parse_topology(text: str):
-    """Parse a topology file into (ZigbeeTree, RadioGraph).  The radio links
-    join distinct tree nodes and include every tree edge."""
+    """Parse a topology file into the tree ``{key: (address, depth)}`` and
+    the radio graph ``{key: set of neighbour keys}``.  The radio links join
+    distinct tree nodes and include every tree edge."""
     section = None
     params = {"n_chl": 4, "d_l": 5}
     edges: dict[str, list[tuple[int, int]]] = {"tree": [], "radio": []}
@@ -288,9 +254,12 @@ def parse_topology(text: str):
         shape.setdefault(parent, []).append(child)
         shape.setdefault(child, [])
     tree = assign_addresses(shape, params["n_chl"], params["d_l"])
-    for a, b in edges["radio"]:
+    radio: dict[int, set[int]] = {key: set() for key in tree}
+    # every tree edge joins tree nodes, so only a radio edge can fail here
+    for a, b in edges["tree"] + edges["radio"]:
         for key in (a, b):
-            if key not in tree.nodes:
+            if key not in tree:
                 raise ValueError(f"radio edge {a} {b}: node {key} is not in [tree]")
-    radio = RadioGraph.from_edges(edges["tree"] + edges["radio"], nodes=tree.nodes)
+        radio[a].add(b)
+        radio[b].add(a)
     return tree, radio

@@ -11,7 +11,7 @@ from bansim import zigbee
 
 
 def graph_to_scene(graph: nx.Graph, source: int = 0):
-    """Build (ZigbeeTree, RadioGraph) from a graph via a BFS spanning tree."""
+    """Build (tree, radio neighbours) from a graph via a BFS spanning tree."""
     nodes = sorted(graph.nodes)
     shape = {n: [] for n in nodes}
     depth = {source: 0}
@@ -26,11 +26,11 @@ def graph_to_scene(graph: nx.Graph, source: int = 0):
     n_chl = max(1, max(len(kids) for kids in shape.values()))
     d_l = max(1, max(depth.values()))
     tree = zigbee.assign_addresses(shape, n_chl, d_l)
-    radio = zigbee.RadioGraph.from_edges(graph.edges, nodes=nodes)
+    radio = {n: set(graph.neighbors(n)) for n in nodes}
     return tree, radio
 
 
-def relatives(tree: zigbee.ZigbeeTree):
+def relatives(tree: dict[int, tuple[int, int]]):
     """(parent, children) of every node key, read off the tree edges that
     the block addresses encode.  Addresses run in pre-order (each router's
     block follows it and holds exactly its descendants), so a node's parent
@@ -38,8 +38,8 @@ def relatives(tree: zigbee.ZigbeeTree):
     in address order, the order of the shape the tree was built from."""
     parent, children = {}, {}
     path = []  # the ancestors of the next node, deepest last
-    for key in sorted(tree.nodes, key=tree.address):
-        while path and tree.nodes[path[-1]].depth >= tree.nodes[key].depth:
+    for key in sorted(tree, key=tree.get):
+        while path and tree[path[-1]][1] >= tree[key][1]:
             path.pop()
         parent[key] = path[-1] if path else None
         children[key] = []

@@ -364,6 +364,9 @@ MALFORMED = [
      "node 99 is not in [tree]"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {self_loop_topology}",
      "topology line 4"),
+    # block addresses past 64 bits, whose Cskip power would take minutes
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {deep_topology}",
+     "n_chl 4 and d_l 100000000000"),
     # counts the models take unchecked: the schema rejects them first
     ("la_sim", "[la_sim]\nwindow = 0", "[la_sim] window:"),
     ("la_sim", "[la_sim]\nwindow = -1", "[la_sim] window:"),
@@ -398,10 +401,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     foreign_topology.write_text("[tree]\n0 1\n[radio]\n0 99\n")
     self_loop_topology = tmp_path / "self_loop_topology.txt"
     self_loop_topology.write_text("[tree]\n0 1\n[radio]\n0 0\n")
+    deep_topology = tmp_path / "deep_topology.txt"
+    deep_topology.write_text("[params]\nn_chl = 4\nd_l = 100000000000\n"
+                             "[tree]\n0 1\n1 2\n")
     body = body.format(example=ROOT / "configs" / "topology_example.txt",
                        bad_topology=bad_topology, cycle_topology=cycle_topology,
                        foreign_topology=foreign_topology,
-                       self_loop_topology=self_loop_topology)
+                       self_loop_topology=self_loop_topology,
+                       deep_topology=deep_topology)
     # a body of command-line flags overrides a valid config
     flags = body.split() if body.startswith("--") else []
     cfg = tmp_path / "bad.cfg"
@@ -474,7 +481,7 @@ def test_benchmark_inputs_parse(tmp_path, monkeypatch):
             topology = cfg.section(op["experiment"]).get("topology")
             if topology is not None:
                 tree, _ = zigbee.parse_topology(Path(topology).read_text())
-                assert len(tree.nodes) == workloads.TREE_NODES
+                assert len(tree) == workloads.TREE_NODES
                 topologies += 1
     assert experiments == set(EXPERIMENTS) and topologies == 1
 

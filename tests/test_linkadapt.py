@@ -7,6 +7,7 @@ from bansim.harness.experiments import run_experiment
 
 PL = channels.PathLossParams(35.2, 0.1, 3.11, 0.0)
 TH = linkadapt.LaThresholds(15.0, 0.1, -85.0, (-5.0, 0.0, 5.0, 10.0))
+WINDOW, NOISE_FLOOR_DBM = 16, -100.0  # the la_sim config defaults
 
 
 def received_dbm(distance_m):
@@ -32,44 +33,44 @@ def test_packet_received_boundary_ci_accepted():
 
 
 def test_la_update_directions_and_clamps():
-    node = linkadapt.LaNode(0, 0.0, 1.0, rate_level=2)
-    linkadapt.la_update(node, TH.th_snr_db - 5.0, TH)
-    assert node.rate_level == 1
-    node.p_f = 0.5
-    linkadapt.la_update(node, TH.th_snr_db + 5.0, TH)
-    assert node.rate_level == 0  # high failure rate forces down
-    linkadapt.la_update(node, TH.th_snr_db - 5.0, TH)
-    assert node.rate_level == 0  # clamped at floor
-    node.p_f = 0.0
+    good, bad = TH.th_snr_db + 5.0, TH.th_snr_db - 5.0
+    assert linkadapt.la_update(2, bad, 0.0, TH) == 1
+    assert linkadapt.la_update(1, good, 0.5, TH) == 0  # high failure rate forces down
+    assert linkadapt.la_update(0, bad, 0.5, TH) == 0  # clamped at floor
+    level = 0
     for _ in range(10):
-        linkadapt.la_update(node, TH.th_snr_db + 5.0, TH)
-    assert node.rate_level == 3  # clamped at ceiling
+        level = linkadapt.la_update(level, good, 0.0, TH)
+    assert level == 3  # clamped at ceiling
+    # a NaN reading is neither bad nor good: the level holds
+    assert linkadapt.la_update(2, float("nan"), 0.0, TH) == 2
+    assert linkadapt.la_update(2, good, float("nan"), TH) == 2
 
 
 def test_single_good_node_climbs_to_max():
-    nodes = [linkadapt.LaNode(0, 0.0, 1.0)]
-    trace = linkadapt.simulate_la(nodes, 8, PL, TH, seed=0)
-    levels = [row.rate_level for row in trace]
+    trace = linkadapt.simulate_la([(0.0, 1.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
+    levels = [level for _round, _node, level, _snr, _p_f, _ok in trace]
     assert levels == [0, 1, 2, 3, 3, 3, 3, 3]
-    assert all(row.received for row in trace)
+    assert all(ok for *_, ok in trace)
 
 
 def test_out_of_range_node_pinned_at_minimum():
-    nodes = [linkadapt.LaNode(0, 0.0, 50.0)]
-    trace = linkadapt.simulate_la(nodes, 8, PL, TH, seed=0)
-    assert all(not row.received for row in trace)
-    assert all(row.rate_level == 0 for row in trace)
-    assert trace[-1].p_f == 1.0
+    trace = linkadapt.simulate_la([(0.0, 50.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
+    assert all(not ok for *_, ok in trace)
+    assert all(level == 0 for _round, _node, level, *_ in trace)
+    assert trace[-1][4] == 1.0  # p_f
 
 
 def test_simulate_deterministic_under_seed():
     shadowed = channels.PathLossParams(35.2, 0.1, 3.11, 6.1)
+    # one list for both calls: the rows are a function of the arguments
+    nodes = [(0.0, 1.0), (0.0, 2.0)]
 
     def run():
-        nodes = [linkadapt.LaNode(0, 0.0, 1.0), linkadapt.LaNode(1, 0.0, 2.0)]
-        return linkadapt.simulate_la(nodes, 20, shadowed, TH, seed=99)
+        return linkadapt.simulate_la(nodes, 20, shadowed, TH, 99, WINDOW,
+                                     NOISE_FLOOR_DBM)
 
     assert run() == run()
+    assert nodes == [(0.0, 1.0), (0.0, 2.0)]
 
 
 def test_reception_monotone_in_distance():

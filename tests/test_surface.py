@@ -29,6 +29,7 @@ FIELDS_ALLOWED = {
     # the self-pruning event log is compared slot by slot with the per-slot
     # reference in tests/zigbee_reference.py
     ("zigbee", "EventLogRow", "slot"),
+    ("zigbee", "EventLogRow", "node"),
 }
 
 

@@ -17,8 +17,8 @@ def star_scene(n_leaves=6):
     for leaf in range(1, n_leaves + 1):
         shape[leaf] = []
     tree = zigbee.assign_addresses(shape, n_leaves, 1)
-    edges = [(0, leaf) for leaf in range(1, n_leaves + 1)]
-    radio = zigbee.RadioGraph.from_edges(edges, nodes=tree.nodes)
+    radio = {0: set(range(1, n_leaves + 1))}
+    radio.update((leaf, {0}) for leaf in range(1, n_leaves + 1))
     return tree, radio
 
 
@@ -26,8 +26,7 @@ def chain_scene(n=5):
     shape = {i: [i + 1] for i in range(n - 1)}
     shape[n - 1] = []
     tree = zigbee.assign_addresses(shape, 1, n - 1)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    radio = zigbee.RadioGraph.from_edges(edges, nodes=tree.nodes)
+    radio = {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
     return tree, radio
 
 
@@ -60,10 +59,10 @@ def test_root_and_children_addresses():
     shape = {0: [10, 11], 10: [], 11: []}
     tree = zigbee.assign_addresses(shape, 2, 2)
     parent, children = relatives(tree)
-    assert tree.address(0) == 0
+    assert tree[0] == (0, 0)
     assert parent[0] is None
-    assert tree.address(10) == 1
-    assert tree.address(11) == 1 + zigbee.cskip(0, 2, 2)
+    assert tree[10] == (1, 1)
+    assert tree[11] == (1 + zigbee.cskip(0, 2, 2), 1)
     assert parent[10] == 0 and children[10] == []
 
 
@@ -79,6 +78,10 @@ def test_tree_shape_errors():
     # a detached cycle: one root, but nodes 2 and 3 hang off nothing
     with pytest.raises(zigbee.TreeShapeError, match="node 2 is not reachable"):
         zigbee.assign_addresses({0: [1, 4], 1: [], 4: [], 2: [3], 3: [2]}, 2, 2)
+    # block addresses past 64 bits: n_chl 2 reaches 2**64 at d_l 64
+    assert zigbee.assign_addresses({0: []}, 2, 63) == {0: (0, 0)}
+    with pytest.raises(zigbee.TreeShapeError, match="n_chl 2 and d_l 64 "):
+        zigbee.assign_addresses({0: []}, 2, 64)
 
 
 def test_addresses_unique_and_in_range():
@@ -87,7 +90,7 @@ def test_addresses_unique_and_in_range():
         n_chl, d_l = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         shape = random_shape(rng, int(rng.integers(2, 15)), n_chl, d_l)
         tree = zigbee.assign_addresses(shape, n_chl, d_l)
-        addresses = [n.address for n in tree.nodes.values()]
+        addresses = [address for address, _depth in tree.values()]
         assert len(set(addresses)) == len(addresses)
         space = zigbee.address_space(n_chl, d_l)
         assert all(0 <= a < space for a in addresses)
@@ -101,14 +104,14 @@ def test_identify_relatives_roundtrip():
         tree = zigbee.assign_addresses(shape, n_chl, d_l)
         parent_of, children = relatives(tree)
         assert children == shape  # the helper reads back the tree edges
-        for key, node in tree.nodes.items():
-            parent, ranges = zigbee.identify_relatives(node.address, n_chl, d_l)
+        for key, (address, _depth) in tree.items():
+            parent, ranges = zigbee.identify_relatives(address, n_chl, d_l)
             if parent_of[key] is None:
                 assert parent is None
             else:
-                assert parent == tree.address(parent_of[key])
+                assert parent == tree[parent_of[key]][0]
             for child in children[key]:
-                addr = tree.address(child)
+                addr = tree[child][0]
                 assert any(lo <= addr < hi for lo, hi in ranges)
 
 
@@ -126,13 +129,13 @@ def test_self_pruning_star_leaves_stay_silent():
     tree, radio = star_scene()
     state = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=3)
     assert state.forward_set == {0}
-    assert state.covered == set(tree.nodes)
+    assert state.covered == set(tree)
 
 
 def test_self_pruning_chain_interior_forwards():
     tree, radio = chain_scene(5)
     state = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=4)
-    assert state.covered == set(tree.nodes)
+    assert state.covered == set(tree)
     assert state.forward_set == {0, 1, 2, 3}  # every interior node forwards
 
 
@@ -171,9 +174,9 @@ def test_self_pruning_matches_reference(monkeypatch, kind):
     per-slot scan with scalar draws: same events, coverage and forwarders."""
     for tree, radio in _scenes(kind, monkeypatch):
         parent, children = relatives(tree)
-        root = next(k for k in tree.nodes if parent[k] is None)
-        leaf = next(k for k in tree.nodes if not children[k])
-        mid = max((k for k in tree.nodes if children[k] and parent[k] is not None),
+        root = next(k for k in tree if parent[k] is None)
+        leaf = next(k for k in tree if not children[k])
+        mid = max((k for k in tree if children[k] and parent[k] is not None),
                   key=lambda k: len(children[k]))
         for source in (root, leaf, mid):
             for max_backoff in (0, 1, 7, 30):
@@ -201,7 +204,7 @@ def test_oos_matches_reference(monkeypatch, kind):
     the shrinking set of nodes still to cover selected."""
     for tree, radio in _scenes(kind, monkeypatch):
         # about 16 sources per scene, spread over the node keys
-        for source in sorted(tree.nodes)[:: max(1, len(tree.nodes) // 16)]:
+        for source in sorted(tree)[:: max(1, len(tree) // 16)]:
             _assert_oos_matches_reference(tree, radio, source)
 
 
@@ -226,7 +229,7 @@ def test_self_pruning_jumps_empty_slots():
     # backoffs near 2**62 slots: visiting each slot in turn would never end
     tree, radio = chain_scene(5)
     state = zigbee.self_pruning_broadcast(tree, radio, 0, 2**62, seed=4)
-    assert state.covered == set(tree.nodes)
+    assert state.covered == set(tree)
     assert state.forward_set == {0, 1, 2, 3}
     slots = [r.slot for r in state.event_log]
     assert slots == sorted(slots) and slots[-1] > 2**62
@@ -236,7 +239,7 @@ def test_oos_star_source_only():
     tree, radio = star_scene()
     state = zigbee.oos_select(tree, radio, 0)
     assert state.forward_set == {0}
-    assert state.covered == set(tree.nodes)
+    assert state.covered == set(tree)
 
 
 def test_oos_deterministic_and_complete_on_chain():
@@ -244,17 +247,13 @@ def test_oos_deterministic_and_complete_on_chain():
     a = zigbee.oos_select(tree, radio, 0)
     b = zigbee.oos_select(tree, radio, 0)
     assert a.forward_set == b.forward_set
-    assert a.covered == set(tree.nodes)
+    assert a.covered == set(tree)
 
 
 def test_disconnected_radio_reports_partial_coverage():
     # node 2 is in the tree structure but unreachable by radio
-    tree = zigbee.ZigbeeTree({
-        0: zigbee.ZigbeeNode(0, 0),
-        1: zigbee.ZigbeeNode(1, 1),
-        2: zigbee.ZigbeeNode(4, 1),
-    })
-    radio = zigbee.RadioGraph({0: {1}, 1: {0}, 2: set()})
+    tree = {0: (0, 0), 1: (1, 1), 2: (4, 1)}
+    radio = {0: {1}, 1: {0}, 2: set()}
     state = zigbee.oos_select(tree, radio, 0)
     assert 2 not in state.covered
     _assert_oos_matches_reference(tree, radio, 0)
@@ -266,10 +265,8 @@ def test_broadcast_compare_star():
     tree, radio = star_scene()
     summary = zigbee.broadcast_compare(tree, radio, 0, trials=20, seed=7,
                                        max_backoff=7)
-    assert summary.mean_self_pruning_rebroadcasts == 0.0
-    assert summary.oos_rebroadcasts == 0
-    assert summary.self_pruning_coverage == 1.0
-    assert summary.oos_coverage == 1.0
+    # (self-pruning rebroadcasts, its coverage, OOS rebroadcasts, its coverage)
+    assert summary == (0.0, 1.0, 0, 1.0)
 
 
 def test_parse_topology_and_event_log():
@@ -284,8 +281,8 @@ def test_parse_topology_and_event_log():
     1 2
     """
     tree, radio = zigbee.parse_topology(text)
-    assert set(tree.nodes) == {0, 1, 2}
-    assert radio.neighbors[1] == {0, 2}
+    assert set(tree) == {0, 1, 2}
+    assert radio[1] == {0, 2}
     state = zigbee.oos_select(tree, radio, 0)
     with pytest.raises(ValueError, match="^topology line 1: content outside"):
         zigbee.parse_topology("0 1")  # content outside any section
@@ -306,8 +303,8 @@ def test_deep_chain_runs_through_cli(tmp_path):
     topology = tmp_path / "chain.txt"
     topology.write_text(f"[params]\nn_chl = 1\nd_l = {n}\n[tree]\n{edges}\n")
     tree, _ = zigbee.parse_topology(topology.read_text())
-    assert list(tree.nodes) == list(range(n))
-    assert [node.address for node in tree.nodes.values()] == list(range(n))
+    assert list(tree) == list(range(n))
+    assert [address for address, _depth in tree.values()] == list(range(n))
     cfg = tmp_path / "chain.cfg"
     cfg.write_text(f"[common]\nseed = 1\n[broadcast_sim]\ntopology = {topology}\n"
                    "trials = 2\n")

@@ -18,22 +18,23 @@ from bansim.zigbee import BroadcastState, EventLogRow
 
 
 def self_pruning_reference(tree, radio, source, max_backoff, seed):
-    if source not in tree.nodes:
+    if source not in tree:
         raise ValueError(f"source {source} not in tree")
     rng = np.random.default_rng(seed)
-    nbr = radio.neighbors
+    nbr = radio
+    address = {key: a for key, (a, _depth) in tree.items()}.__getitem__
     covered = {source} | nbr[source]
     forward_set = {source}
     log = [EventLogRow(0, source, "tx")]
     # pending: node -> [expiry slot, residual neighbor set]
     pending: dict[int, list] = {}
-    for x in sorted(nbr[source], key=tree.address):
+    for x in sorted(nbr[source], key=address):
         residual = nbr[x] - nbr[source] - {source}
         pending[x] = [1 + int(rng.integers(0, max_backoff + 1)), residual]
     slot = 1
     while pending:
         due = sorted(
-            (x for x, (t, _) in pending.items() if t == slot), key=tree.address
+            (x for x, (t, _) in pending.items() if t == slot), key=address
         )
         for x in due:
             residual = pending.pop(x)[1]
@@ -44,7 +45,7 @@ def self_pruning_reference(tree, radio, source, max_backoff, seed):
             newly = (nbr[x] | {x}) - covered
             covered |= nbr[x] | {x}
             log.append(EventLogRow(slot, x, "tx"))
-            for y in sorted(nbr[x], key=tree.address):
+            for y in sorted(nbr[x], key=address):
                 if y in forward_set:
                     continue
                 if y in pending:
@@ -58,11 +59,11 @@ def self_pruning_reference(tree, radio, source, max_backoff, seed):
 
 
 def oos_reference(tree, radio, source):
-    nbr = radio.neighbors
+    nbr = radio
     # top-to-bottom, left-to-right by address
-    order = sorted(tree.nodes, key=lambda k: (tree.nodes[k].depth, tree.address(k)))
+    order = sorted(tree, key=lambda k: (tree[k][1], tree[k][0]))
     covered = {source} | nbr[source]
-    to_cover = set(tree.nodes) - covered
+    to_cover = set(tree) - covered
     forward_set = {source}
     log = [EventLogRow(0, source, "tx")]
     sweep = 0
