@@ -207,15 +207,18 @@ def gen_indoor_ban(params: BanModelParams, num_clusters: int,
     return ChannelImpulseResponse(taps, starts)
 
 
-def path_loss_db(d_m: float, params: PathLossParams, rng=None) -> float:
-    """Log-distance path loss; with a Generator and sigma_db > 0, plus one
-    lognormal shadowing draw from it."""
-    if not 0.0 < d_m < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"distance must be finite and positive, got {d_m}")
+def path_loss_db(d_m, params: PathLossParams, rng=None):
+    """Log-distance path loss of each distance in `d_m`, an array or a
+    float; with a Generator and sigma_db > 0, plus one lognormal shadowing
+    draw per distance, in order (the stream of one scalar draw each)."""
+    bad = np.logical_not((0.0 < d_m) & (d_m < np.inf))  # NaN fails both
+    if np.any(bad):
+        raise ValueError("distance must be finite and positive, "
+                         f"got {np.extract(bad, d_m)[0]}")
     loss = params.a0_db + 10.0 * params.exponent * np.log10(d_m / params.d0_m)
     if rng is not None and params.sigma_db > 0:
-        loss += params.sigma_db * rng.standard_normal()
-    return float(loss)
+        loss += params.sigma_db * rng.standard_normal(np.shape(d_m))
+    return loss
 
 
 # samples per block of the DOA histogram: the block np.histogram itself uses,
@@ -249,7 +252,10 @@ def gbhds_doa_histogram(
     counts = np.zeros(bins, dtype=np.intp)
     for start in range(0, count, _DOA_BLOCK):
         _, doa = gbhds_block(params, min(_DOA_BLOCK, count - start), radii, angles)
-        counts += np.histogram(doa, bins, range=(-lim, lim))[0]
+        # binned against the edge array, which sorts the block: the bins of
+        # the range form (edges[i] <= x < edges[i + 1], the last one closed)
+        # in about half its time
+        counts += np.histogram(doa, edges)[0]
     return edges, counts / count
 
 

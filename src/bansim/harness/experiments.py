@@ -7,6 +7,7 @@ triples; the CLI writes ``<stem>.csv`` and, when a plot spec is present,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -218,15 +219,18 @@ def run_la_sim(cfg: ScenarioConfig):
     distances, tx_powers = sec["distance_m"], sec["tx_power_dbm"]
     if len(tx_powers) != len(distances):
         raise ConfigError("tx_power_dbm and distance_m must have equal length")
-    trace = linkadapt.simulate_la(
+    levels, snr_db, p_f, received = linkadapt.simulate_la(
         list(zip(tx_powers, distances)), sec["rounds"],
         _params(channels.PathLossParams, sec), _params(linkadapt.LaThresholds, sec),
         cfg.seed, sec["window"], sec["noise_floor_dbm"],
     )
     table = _table(cfg, ["round", "node", "rate_level", "snr_db", "p_f", "received"])
-    for rnd, node, level, snr_db, p_f, received in trace:
-        table.append(rnd, node, level, float(round(snr_db, 6)), float(round(p_f, 6)),
-                     received)
+    # Python floats and Python's round: np.round rounds differently
+    cells = zip(itertools.product(range(sec["rounds"]), range(len(distances))),
+                levels.ravel().tolist(), snr_db.ravel().tolist(),
+                p_f.ravel().tolist(), received.ravel().tolist())
+    for (rnd, node), level, snr, pf, ok in cells:
+        table.append(rnd, node, level, round(snr, 6), round(pf, 6), ok)
     return [("la_trace", table, None)]
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
+
 
 def cskip(depth: int, n_chl: int, d_l: int) -> int:
     """Address-block stride for a router at the given depth (all-routers)."""
@@ -200,10 +202,11 @@ def broadcast_compare(tree, radio, source: int, trials: int, seed,
     if source not in tree:
         raise ValueError(f"source {source} not in tree")
     n = len(tree)
-    children = np.random.SeedSequence(seed).spawn(trials)
     counts, coverage = [], []
-    for child in children:
-        state = self_pruning_broadcast(tree, radio, source, max_backoff, child)
+    # the Generators of SeedSequence(seed).spawn(trials), each seeded only
+    # when its trial runs, a block at a time
+    for (rng,) in seeding.child_streams(seed, trials, [()]):
+        state = self_pruning_broadcast(tree, radio, source, max_backoff, rng)
         counts.append(len(state.forward_set) - 1)
         coverage.append(len(state.covered) / n)
     oos = oos_select(tree, radio, source)

@@ -275,6 +275,24 @@ def test_gbhds_doa_histogram_equals_the_full_array_histogram(count, seed):
         assert got_masses.tobytes() == (masses / count).tobytes()
 
 
+@pytest.mark.parametrize("bins", [1, 2, 7, 61])
+def test_doa_binning_against_edges_equals_the_range_form(bins):
+    # gbhds_doa_histogram bins against its edge array; on every edge, at
+    # +-lim, just inside and outside them, both forms count alike
+    p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
+    lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
+    edges = np.histogram_bin_edges(np.empty(0), bins, range=(-lim, lim))
+    assert (edges[0], edges[-1]) == (-lim, lim)
+    samples = np.concatenate([edges, np.nextafter(edges, np.inf),
+                              np.nextafter(edges, -np.inf), [-lim, lim, lim, 0.0],
+                              np.random.default_rng(bins).uniform(-lim, lim, 1000)])
+    by_edges, _ = np.histogram(samples, edges)
+    by_range, _ = np.histogram(samples, bins, range=(-lim, lim))
+    assert by_edges.tolist() == by_range.tolist()
+    # the two samples past +-lim fall in no bin
+    assert by_edges.sum() == samples.size - 2
+
+
 def test_gbhds_doa_histogram_memory_is_flat_in_count():
     # all 2e6 DOA angles at once take ~76 MB; the stream holds a few blocks
     p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)

@@ -356,6 +356,10 @@ MALFORMED = [
      "mud_compare: ebn0_db -1e+200 underflows"),
     ("la_sim", "[la_sim]\ntx_power_dbm = 1e200, 0", "la_sim: arithmetic overflow"),
     ("la_sim", "[la_sim]\ndistance_m = 1e-300", "la_sim: arithmetic overflow"),
+    # received powers of 1e308 mW each, whose interference sum overflows
+    ("la_sim", "[la_sim]\ndistance_m = 1.0, 1.0, 1.0\n"
+     "tx_power_dbm = 3146.3, 3146.3, 3146.3",
+     "la_sim: overflow encountered in accumulate"),
     ("mud_compare", "[mud_compare]\nridge = -1", "ridge"),
     # tree nodes the root cannot reach, and a radio node outside the tree
     ("broadcast_sim", "[broadcast_sim]\ntopology = {cycle_topology}",

@@ -1,9 +1,16 @@
+import importlib
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bansim import channels, linkadapt
 from bansim.harness.config import parse_config
 from bansim.harness.experiments import run_experiment
+from linkadapt_reference import simulate_la_reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PL = channels.PathLossParams(35.2, 0.1, 3.11, 0.0)
 TH = linkadapt.LaThresholds(15.0, 0.1, -85.0, (-5.0, 0.0, 5.0, 10.0))
@@ -47,17 +54,20 @@ def test_la_update_directions_and_clamps():
 
 
 def test_single_good_node_climbs_to_max():
-    trace = linkadapt.simulate_la([(0.0, 1.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
-    levels = [level for _round, _node, level, _snr, _p_f, _ok in trace]
-    assert levels == [0, 1, 2, 3, 3, 3, 3, 3]
-    assert all(ok for *_, ok in trace)
+    # a lone node has no interference: -inf dBm, with no divide-by-zero
+    # warning (the test configuration turns warnings into errors)
+    levels, _snr, _p_f, received = linkadapt.simulate_la(
+        [(0.0, 1.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
+    assert levels[:, 0].tolist() == [0, 1, 2, 3, 3, 3, 3, 3]
+    assert received.all()
 
 
 def test_out_of_range_node_pinned_at_minimum():
-    trace = linkadapt.simulate_la([(0.0, 50.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
-    assert all(not ok for *_, ok in trace)
-    assert all(level == 0 for _round, _node, level, *_ in trace)
-    assert trace[-1][4] == 1.0  # p_f
+    levels, _snr, p_f, received = linkadapt.simulate_la(
+        [(0.0, 50.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
+    assert not received.any()
+    assert (levels == 0).all()
+    assert p_f[-1, 0] == 1.0
 
 
 def test_simulate_deterministic_under_seed():
@@ -69,8 +79,60 @@ def test_simulate_deterministic_under_seed():
         return linkadapt.simulate_la(nodes, 20, shadowed, TH, 99, WINDOW,
                                      NOISE_FLOOR_DBM)
 
-    assert run() == run()
+    first, second = run(), run()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
     assert nodes == [(0.0, 1.0), (0.0, 2.0)]
+
+
+def rows(columns):
+    """The per-node reference's row tuples, from simulate_la's columns."""
+    levels, snr_db, p_f, received = (c.tolist() for c in columns)
+    return [(rnd, node, levels[rnd][node], snr_db[rnd][node], p_f[rnd][node],
+             received[rnd][node])
+            for rnd in range(len(levels)) for node in range(len(levels[rnd]))]
+
+
+def test_simulate_matches_reference_on_benchmark_nodes(monkeypatch):
+    # perfbench's la_sim placement; the interference bits differ from the
+    # reference's left-to-right sum(), every row must not
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    distances, powers = workloads.gen_la_nodes(np.random.default_rng(7),
+                                               workloads.LA_NODES)
+    shadowed = channels.PathLossParams(35.2, 0.1, 3.11, 4.0)
+    args = (list(zip(powers, distances)), 20, shadowed, TH, 31, WINDOW,
+            NOISE_FLOOR_DBM)
+    assert rows(linkadapt.simulate_la(*args)) == simulate_la_reference(*args)
+
+
+@pytest.mark.parametrize("n_nodes,rounds", [(2, 40), (3, 40), (17, 40), (200, 20),
+                                            (800, 4)])
+@pytest.mark.parametrize("sigma_db", [0.0, 4.0, 6.1])
+@pytest.mark.parametrize("window", [1, 3, 16])
+def test_simulate_matches_reference_on_random_nodes(n_nodes, rounds, sigma_db,
+                                                    window):
+    rng = np.random.default_rng([n_nodes, window, int(10 * sigma_db)])
+    # some nodes out of range (past ~4 m at 0 dBm), most in
+    nodes = list(zip(rng.choice([-10.0, -5.0, 0.0, 3.0], n_nodes).tolist(),
+                     rng.uniform(0.2, 5.0, n_nodes).tolist()))
+    pl = channels.PathLossParams(35.2, 0.1, 3.11, sigma_db)
+    for seed in (0, 5):
+        args = (nodes, rounds, pl, TH, seed, window, NOISE_FLOOR_DBM)
+        assert rows(linkadapt.simulate_la(*args)) == simulate_la_reference(*args)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 50, 2000])
+@pytest.mark.parametrize("spread_db", [0.0, 30.0, 300.0])
+def test_interference_is_a_recursive_sum_of_the_other_nodes(n_nodes, spread_db):
+    rng = np.random.default_rng([n_nodes, int(spread_db)])
+    linear = 10.0 ** (spread_db * rng.uniform(-0.05, 0.05, n_nodes))
+    # one node far above the rest: a total minus that node would cancel
+    linear[n_nodes // 2] *= 1e12
+    interference = linkadapt._interference(linear)
+    values = linear.tolist()
+    for i, got in enumerate(interference.tolist()):
+        exact = math.fsum(values[:i] + values[i + 1:])
+        assert abs(got - exact) <= n_nodes * 2.0**-53 * exact
 
 
 def test_reception_monotone_in_distance():

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,35 @@ def test_broadcast_compare_star():
                                        max_backoff=7)
     # (self-pruning rebroadcasts, its coverage, OOS rebroadcasts, its coverage)
     assert summary == (0.0, 1.0, 0, 1.0)
+
+
+def test_broadcast_compare_seeds_each_trial_when_it_runs(monkeypatch):
+    # a trial count no host could hold the seeds of: the first three trials
+    # still run, in little memory, on the children spawn(3) would give
+    class Stop(Exception):
+        pass
+
+    seeds = []
+
+    def three_trials(tree, radio, source, max_backoff, seed):
+        seeds.append(seed)
+        if len(seeds) == 3:
+            raise Stop
+        return zigbee.BroadcastState({source}, {source}, [])
+
+    monkeypatch.setattr(zigbee, "self_pruning_broadcast", three_trials)
+    tree, radio = star_scene()
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            zigbee.broadcast_compare(tree, radio, 0, 10**12, 7, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    children = np.random.SeedSequence(7).spawn(3)
+    assert ([rng.bit_generator.state for rng in seeds]
+            == [np.random.default_rng(child).bit_generator.state for child in children])
 
 
 def test_parse_topology_and_event_log():
