@@ -7,7 +7,6 @@ triples; the CLI writes ``<stem>.csv`` and, when a plot spec is present,
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .svg import PlotSpec
 from .table import ResultTable
 
 
-def _table(cfg: ScenarioConfig, columns: list[str]) -> ResultTable:
+def _table(cfg: ScenarioConfig, **columns: list) -> ResultTable:
     return ResultTable(columns, seed=cfg.seed, config_hash=cfg.config_hash)
 
 
@@ -34,9 +33,9 @@ def run_ber_sweep(cfg: ScenarioConfig):
     if max_bits < scheme.bits_per_symbol:
         raise ConfigError(f"max_bits {max_bits} is below one {scheme.kind} symbol")
     chunk_bits = 100_000 - 100_000 % scheme.bits_per_symbol
-    table = _table(cfg, ["ebn0_db", "ber", "bits"])
+    ebn0_db, ber, bits_run = sorted(grid), [], []
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(grid))
-    for point_seed, ebn0 in zip(seeds, sorted(grid)):
+    for point_seed, ebn0 in zip(seeds, ebn0_db):
         rng = np.random.default_rng(point_seed)
         errors = total = 0
         while total < max_bits and errors < min_errors:
@@ -50,11 +49,13 @@ def run_ber_sweep(cfg: ScenarioConfig):
             rx = sigproc.demodulate(noisy, scheme)
             errors += int(np.sum(bits != rx))
             total += n
-        table.append(ebn0, errors / total, total)
+        ber.append(errors / total)
+        bits_run.append(total)
+    table = _table(cfg, ebn0_db=ebn0_db, ber=ber, bits=bits_run)
     plot = None
-    if sum(r[1] > 0 for r in table.rows) >= 2:
+    if sum(b > 0 for b in ber) >= 2:
         plot = PlotSpec("ebn0_db", "ber", title=f"{scheme.kind} BER over AWGN",
-                        log_y=all(r[1] > 0 for r in table.rows), markers=True)
+                        log_y=all(b > 0 for b in ber), markers=True)
     return [("ber_sweep", table, plot)]
 
 
@@ -113,9 +114,8 @@ def run_channel_stats(cfg: ScenarioConfig):
         first_cluster[i, : rays.size] = rays
         energies.append(cir.energy)
     slopes = _first_cluster_slopes(first_cluster, params.delta_ns)
-    table = _table(cfg, ["draw", "clusters", "intra_slope_db_per_ns", "energy"])
-    for i, row in enumerate(zip(clusters, slopes.tolist(), energies)):
-        table.append(i, *row)
+    table = _table(cfg, draw=list(range(draws)), clusters=clusters,
+                   intra_slope_db_per_ns=slopes.tolist(), energy=energies)
     return [("channel_stats", table, None)]
 
 
@@ -125,9 +125,7 @@ def run_doa_hist(cfg: ScenarioConfig):
     edges, masses = channels.gbhds_doa_histogram(params, sec["count"], sec["bins"],
                                                  cfg.seed)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    table = _table(cfg, ["doa_rad", "mass"])
-    for c, m in zip(centers, masses):
-        table.append(float(c), float(m))
+    table = _table(cfg, doa_rad=centers.tolist(), mass=masses.tolist())
     plot = PlotSpec("doa_rad", "mass", title="GBHDS DOA histogram")
     return [("doa_hist", table, plot)]
 
@@ -153,13 +151,12 @@ def run_cma_convergence(cfg: ScenarioConfig):
         nf, mu, equalize.dispersion_constant(scheme), variant=variant)
     trace, delay = equalize.run_blind(received, eq, iterations, truth=symbols,
                                       seed=rng.integers(2**63), stride=stride)
-    table = _table(cfg, ["iteration", "mse"])
-    table.rows = list(map(list, enumerate(trace.tolist())))
+    table = _table(cfg, iteration=list(range(trace.size)), mse=trace.tolist())
     initial = float(np.mean(trace[:window]))
     final = float(np.mean(trace[-window:]))
-    summary = _table(cfg, ["initial_mse", "final_mse", "improvement_db", "delay"])
     impr = 10.0 * np.log10(initial / final) if final > 0 else float("inf")
-    summary.append(initial, final, float(impr), delay)
+    summary = _table(cfg, initial_mse=[initial], final_mse=[final],
+                     improvement_db=[float(impr)], delay=[delay])
     plot = PlotSpec("iteration", "mse",
                     title=f"{variant} convergence, {scheme.kind}, mu={mu:g}",
                     log_y=bool(np.all(trace > 0)))
@@ -202,15 +199,14 @@ def run_mud_compare(cfg: ScenarioConfig):
     results.append(("dfe_mud", equalize.dfe_detect(
         payload_rx, w_ff, w_fb, train[n_train - nb:][::-1], scheme, n_sym, ns)))
 
-    table = _table(cfg, ["receiver", "ser", "mse"])
     rows = []
     for name, (soft, decided) in results:
         decided = decided[:n_sym]
         ser = float(np.mean(decided != payload[: decided.size]))
         mse = float(np.mean(np.abs(soft[:n_sym] - payload[: decided.size]) ** 2))
         rows.append((name, ser, mse))
-    for name, ser, mse in sorted(rows, key=lambda r: r[1]):
-        table.append(name, ser, mse)
+    receiver, ser, mse = map(list, zip(*sorted(rows, key=lambda r: r[1])))
+    table = _table(cfg, receiver=receiver, ser=ser, mse=mse)
     return [("mud_compare", table, None)]
 
 
@@ -224,13 +220,14 @@ def run_la_sim(cfg: ScenarioConfig):
         _params(channels.PathLossParams, sec), _params(linkadapt.LaThresholds, sec),
         cfg.seed, sec["window"], sec["noise_floor_dbm"],
     )
-    table = _table(cfg, ["round", "node", "rate_level", "snr_db", "p_f", "received"])
-    # Python floats and Python's round: np.round rounds differently
-    cells = zip(itertools.product(range(sec["rounds"]), range(len(distances))),
-                levels.ravel().tolist(), snr_db.ravel().tolist(),
-                p_f.ravel().tolist(), received.ravel().tolist())
-    for (rnd, node), level, snr, pf, ok in cells:
-        table.append(rnd, node, level, round(snr, 6), round(pf, 6), ok)
+    rounds, n = levels.shape
+    table = _table(
+        cfg, round=np.repeat(np.arange(rounds), n).tolist(),
+        node=list(range(n)) * rounds, rate_level=levels.ravel().tolist(),
+        # Python floats and Python's round: np.round rounds differently
+        snr_db=[round(x, 6) for x in snr_db.ravel().tolist()],
+        p_f=[round(x, 6) for x in p_f.ravel().tolist()],
+        received=received.ravel().astype(int).tolist())
     return [("la_trace", table, None)]
 
 
@@ -242,10 +239,10 @@ def run_broadcast_sim(cfg: ScenarioConfig):
         tree, radio = zigbee.parse_topology(fh.read())
     sp_mean, sp_coverage, oos_tx, oos_coverage = zigbee.broadcast_compare(
         tree, radio, sec["source"], sec["trials"], cfg.seed, sec["max_backoff"])
-    table = _table(cfg, ["strategy", "mean_rebroadcasts", "coverage",
-                         "forward_set_size"])
-    table.append("self_pruning", sp_mean, sp_coverage, float("nan"))
-    table.append("oos", float(oos_tx), oos_coverage, float(oos_tx + 1))
+    table = _table(cfg, strategy=["self_pruning", "oos"],
+                   mean_rebroadcasts=[sp_mean, float(oos_tx)],
+                   coverage=[sp_coverage, oos_coverage],
+                   forward_set_size=[float("nan"), float(oos_tx + 1)])
     return [("broadcast_compare", table, None)]
 
 

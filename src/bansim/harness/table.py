@@ -6,60 +6,44 @@ from dataclasses import dataclass, field
 
 from .. import __version__
 
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+# a column's one exact type and its cells' format: a bool, though an int,
+# would print as True, and a numpy scalar's text is numpy's, not Python's
+_FORMATS = {float: "%.10g", int: "%s", str: "%s"}
 
 
 @dataclass
 class ResultTable:
-    columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    """Named columns of equal length, each all float, all int or all str."""
+
+    columns: dict[str, list]
     seed: int = 0
     config_hash: str = ""
+    _row_format: str = field(init=False, repr=False, compare=False)
 
-    def append(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row has {len(values)} cells, table has {len(self.columns)} columns"
-            )
-        self.rows.append(list(values))
+    def __post_init__(self) -> None:
+        lengths = {name: len(cells) for name, cells in self.columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+        formats = []
+        for name, cells in self.columns.items():
+            kinds = set(map(type, cells))
+            if len(kinds) > 1 or not kinds <= _FORMATS.keys():
+                raise ValueError(
+                    f"column {name!r} holds {sorted(k.__name__ for k in kinds)}; "
+                    "a column holds floats, ints or strs alone"
+                )
+            formats.append(_FORMATS[kinds.pop()] if kinds else "%s")
+        self._row_format = ",".join(formats)
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.columns.values()))
 
     def column(self, name: str) -> list:
         try:
-            idx = self.columns.index(name)
-        except ValueError:
+            return self.columns[name]
+        except KeyError:
             raise KeyError(f"no column named {name!r}") from None
-        return [row[idx] for row in self.rows]
-
-    def _body(self) -> list[str]:
-        """One CSV line per row, each rendered by one ``%`` call with one
-        format picked per column; bool, numpy scalar and mixed-type columns
-        go through ``_format_cell`` first."""
-        width = len(self.columns)
-        if set(map(len, self.rows)) - {width}:
-            # the transpose below would drop the cells past the shortest row
-            i, n = next((i, len(r)) for i, r in enumerate(self.rows)
-                        if len(r) != width)
-            raise ValueError(f"row {i} has {n} cells, table has {width} columns")
-        cols = list(zip(*self.rows))
-        formats = []
-        for i, cells in enumerate(cols):
-            # all float: %.10g is _format_cell's text; all int or all str: %s
-            kinds = set(map(type, cells))
-            if kinds == {float}:
-                formats.append("%.10g")
-                continue
-            if kinds != {int} and kinds != {str}:
-                cols[i] = tuple(map(_format_cell, cells))
-            formats.append("%s")
-        # a table without columns still writes one empty line per row
-        rows = zip(*cols) if cols else [()] * len(self.rows)
-        return list(map(",".join(formats).__mod__, rows))
 
     def to_csv(self) -> str:
         header = [
@@ -68,7 +52,8 @@ class ResultTable:
             f"# config_hash={self.config_hash}",
             ",".join(self.columns),
         ]
-        return "\n".join(header + self._body()) + "\n"
+        body = map(self._row_format.__mod__, zip(*self.columns.values()))
+        return "\n".join([*header, *body]) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

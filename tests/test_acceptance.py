@@ -219,13 +219,13 @@ def test_criterion_09_link_adaptation_golden_trace():
     cfg = parse_config((ROOT / "configs" / "la_sim.cfg").read_text(), "la_sim")
     [(_stem, table, _plot)] = run_experiment(cfg)
     header, *golden = (FIXTURES / "la_golden_trace.csv").read_text().splitlines()
-    assert table.columns == header.split(",")
+    assert list(table.columns) == header.split(",")
     assert len(table.rows) == len(golden)
     for row, line in zip(table.rows, golden):
         rnd, node, level, snr_db, p_f, received = line.split(",")
-        assert row[:3] == [int(rnd), int(node), int(level)]
+        assert row[:3] == (int(rnd), int(node), int(level))
         assert row[3] == float(snr_db) and row[4] == float(p_f)
-        assert row[5] is (received == "1")
+        assert received in ("0", "1") and row[5] == int(received)
     # rate never increases while the failure fraction exceeds its threshold
     th_pf = cfg.section("la_sim")["th_pf"]
     by_node = {}

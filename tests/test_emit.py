@@ -12,19 +12,16 @@ from emit_reference import emit_svg_reference, to_csv_reference
 
 FLOATS = [0.1, 1 / 3, -2.5, float("nan"), float("inf"), float("-inf"), -0.0,
           0.0, 1e300, 5e-324, 1e16, 123456789012.0]
-# one cell of every kind a table may hold, two of them holding a '%'
-CELLS = FLOATS + [
-    True, False, np.bool_(True), np.bool_(False), np.float64(0.1234567890123),
-    np.float64("nan"), np.int64(-7), np.int64(2**62), 0, -3, 10**30,
-    "text", "50%", "%s%%", "", None,
-]
+# one cell of every kind a column may hold, two of them holding a '%'
+CELLS = FLOATS + [0, -3, 10**30, "text", "50%", "%s%%", ""]
+# cells of kinds no column holds: bools, numpy scalars and None
+REFUSED = [True, False, np.bool_(True), np.bool_(False),
+           np.float64(0.1234567890123), np.float64("nan"), np.int64(-7),
+           np.int64(2**62), None]
 
 
-def table_of(columns, rows):
-    table = ResultTable(columns, seed=3, config_hash="feed")
-    for row in rows:
-        table.append(*row)
-    return table
+def table_of(**columns):
+    return ResultTable(columns, seed=3, config_hash="feed")
 
 
 def assert_csv_matches(table):
@@ -35,7 +32,7 @@ def trace(n, seed):
     """A CMA-like trace: iterations and squared errors over six decades."""
     rng = np.random.default_rng(seed)
     mse = 10.0 ** rng.uniform(-5.0, 1.0, size=n)
-    return table_of(["iteration", "mse"], zip(range(n), mse.tolist()))
+    return table_of(iteration=list(range(n)), mse=mse.tolist())
 
 
 @pytest.mark.parametrize("log_y", [False, True])
@@ -50,17 +47,22 @@ def test_long_trace_matches_reference(log_y, markers):
 
 @pytest.mark.parametrize("cell", CELLS, ids=repr)
 def test_single_kind_columns_match_reference(cell):
-    # the cell alone, next to each other kind, and in a column of its own kind
-    rows = [[cell, other, cell] for other in CELLS]
-    assert_csv_matches(table_of(["a", "b", "c"], rows))
+    # the cell alone, and next to a column of every cell of its kind
+    assert_csv_matches(table_of(a=[cell]))
+    kin = [c for c in CELLS if type(c) is type(cell)]
+    assert_csv_matches(table_of(a=[cell] * len(kin), b=kin))
 
 
-def test_mixed_tables_match_reference():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        picks = rng.integers(len(CELLS), size=(30, 4))
-        assert_csv_matches(table_of(list("abcd"), [[CELLS[i] for i in row]
-                                                   for row in picks.tolist()]))
+MIXED = {"int+float": [0, 0.5], "float+str": [0.5, "x"], "int+str": [1, "1"],
+         "float+None": [0.5, None], "float+np.float64": [0.5, np.float64(0.5)]}
+
+
+@pytest.mark.parametrize("cells", [pytest.param([c], id=repr(c)) for c in REFUSED]
+                         + [pytest.param(c, id=k) for k, c in MIXED.items()])
+def test_unsupported_columns_raise(cells):
+    # a bool, a numpy scalar, None or a mix of kinds has no one format
+    with pytest.raises(ValueError, match="^column 'b' holds "):
+        table_of(a=[0.5] * len(cells), b=cells)
 
 
 def test_float_column_formats_like_reference():
@@ -70,34 +72,23 @@ def test_float_column_formats_like_reference():
         rng.integers(-10**6, 10**6, size=500).astype(float),
         np.nextafter(0.0, 1.0) * rng.integers(1, 9, size=50),
     ])
-    assert_csv_matches(table_of(["v"], ([v] for v in values.tolist())))
+    assert_csv_matches(table_of(v=values.tolist()))
 
 
-@pytest.mark.parametrize("rows", [[], [[1, 0.5, "x"]]], ids=["0 rows", "1 row"])
-def test_short_tables_match_reference(rows):
-    assert_csv_matches(table_of(["i", "f", "s"], rows))
+@pytest.mark.parametrize("columns", [
+    {"i": [], "f": [], "s": []}, {"i": [1], "f": [0.5], "s": ["x"]}, {},
+], ids=["0 rows", "1 row", "no columns"])
+def test_short_tables_match_reference(columns):
+    assert_csv_matches(table_of(**columns))
 
 
-def test_tables_without_columns_match_reference():
-    table = ResultTable([])
-    table.rows += [[], []]
-    assert_csv_matches(table)
-
-
-def test_rows_appended_directly_match_reference():
-    table = table_of(["i", "f"], [(0, 0.5)])
-    table.rows += [(1, 0.25), [2, np.float64(0.125)]]
-    assert_csv_matches(table)
-
-
-@pytest.mark.parametrize("ragged", [[5], [5, 0.5, "extra"], []])
+@pytest.mark.parametrize("ragged", [[0.5], [0.5, 0.25, 0.125], []])
 def test_ragged_rows_raise(ragged):
-    # a row of the wrong width is an error, never a row cut to fit
-    table = table_of(["i", "f"], [(0, 0.5)])
-    table.rows.append(ragged)
-    with pytest.raises(ValueError, match=f"row 1 has {len(ragged)} cells, "
-                                         "table has 2 columns"):
-        table.to_csv()
+    # columns of unequal length, whose rows would be ragged, are an error,
+    # never rows cut to fit
+    with pytest.raises(ValueError, match=re.escape(
+            f"columns differ in length: {{'i': 2, 'f': {len(ragged)}}}")):
+        table_of(i=[0, 1], f=ragged)
 
 
 @pytest.mark.parametrize("ys", [
@@ -109,8 +100,8 @@ def test_ragged_rows_raise(ragged):
 ], ids=repr)
 @pytest.mark.parametrize("log_y", [False, True])
 def test_special_values_plot_like_reference(ys, log_y):
-    # x holds ints, numpy scalars and bools; float() reads them all
-    table = table_of(["x", "y"], zip([0, np.int64(2), True], ys))
+    # x holds ints, which float() reads
+    table = table_of(x=[0, 2, 1], y=ys)
     spec = PlotSpec("x", "y", log_y=log_y, markers=True)
     try:
         want = emit_svg_reference(table, spec)
@@ -121,17 +112,18 @@ def test_special_values_plot_like_reference(ys, log_y):
         assert emit_svg(table, spec) == want
 
 
-@pytest.mark.parametrize("rows", [[(2.0, 3.0)], [(1.0, 4.0), (1.0, 4.0)]],
+@pytest.mark.parametrize("columns", [{"x": [2.0], "y": [3.0]},
+                                     {"x": [1.0, 1.0], "y": [4.0, 4.0]}],
                          ids=["1 row", "flat"])
-def test_flat_axes_plot_like_reference(rows):
-    table = table_of(["x", "y"], rows)
+def test_flat_axes_plot_like_reference(columns):
+    table = table_of(**columns)
     for log_y in (False, True):
         spec = PlotSpec("x", "y", log_y=log_y, markers=True)
         assert emit_svg(table, spec) == emit_svg_reference(table, spec)
 
 
 def test_empty_table_plot_raises_like_reference():
-    table = table_of(["x", "y"], [])
+    table = table_of(x=[], y=[])
     for log_y in (False, True):
         for emit in (emit_svg, emit_svg_reference):
             with pytest.raises(ValueError, match="empty table"):

@@ -28,18 +28,16 @@ def test_parse_config_sections_and_lists():
 
 
 def test_parse_config_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'not_an_experiment'"):
         parse_config("[common]\nseed = 1\n", "not_an_experiment")
-    with pytest.raises(ConfigError):
-        parse_config("[common]\nx = 1\n", "ber_sweep")  # seed missing
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="must set `seed`"):
+        parse_config("[common]\nout = x\n", "ber_sweep")
+    with pytest.raises(ConfigError, match="'broken line'"):
         parse_config("[common]\nseed = 1\nbroken line\n", "ber_sweep")
 
 
 def test_result_table_csv_and_provenance():
-    table = ResultTable(["a", "b"], seed=4, config_hash="cafe")
-    table.append(1, 0.5)
-    table.append(2, 0.25)
+    table = ResultTable({"a": [1, 2], "b": [0.5, 0.25]}, seed=4, config_hash="cafe")
     lines = table.to_csv().splitlines()
     assert lines[0].startswith("# bansim_version=")
     assert lines[1] == "# seed=4"
@@ -47,17 +45,17 @@ def test_result_table_csv_and_provenance():
     assert lines[3] == "a,b"
     assert lines[4] == "1,0.5"
     assert table.column("b") == [0.5, 0.25]
-    with pytest.raises(ValueError):
-        table.append(1)
+    assert table.rows == [(1, 0.5), (2, 0.25)]
+    with pytest.raises(AttributeError):
+        table.rows = []
+    with pytest.raises(ValueError, match="'b': 1"):
+        ResultTable({"a": [1, 2], "b": [0.5]})
     with pytest.raises(KeyError):
         table.column("missing")
 
 
 def make_table():
-    table = ResultTable(["x", "y"])
-    table.append(0.0, 1.0)
-    table.append(1.0, 10.0)
-    return table
+    return ResultTable({"x": [0.0, 1.0], "y": [1.0, 10.0]})
 
 
 def test_emit_svg_polyline_and_determinism():
@@ -70,9 +68,7 @@ def test_emit_svg_polyline_and_determinism():
 
 
 def test_emit_svg_log_zero_error_names_location():
-    table = ResultTable(["x", "y"])
-    table.append(0.0, 1.0)
-    table.append(1.0, 0.0)
+    table = ResultTable({"x": [0.0, 1.0], "y": [1.0, 0.0]})
     with pytest.raises(ValueError, match="'y' row 1"):
         emit_svg(table, PlotSpec("x", "y", log_y=True))
 
@@ -102,9 +98,8 @@ SVG_DIGESTS = [
 
 @pytest.mark.parametrize("rows,options,digest", SVG_DIGESTS)
 def test_emit_svg_bytes_pinned(rows, options, digest):
-    table = ResultTable(["x", "y"])
-    for x, y in rows:
-        table.append(x, y)
+    x, y = map(list, zip(*rows))
+    table = ResultTable({"x": x, "y": y})
     svg = emit_svg(table, PlotSpec("x", "y", **options))
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
@@ -147,7 +142,7 @@ def test_small_ber_sweep_structure():
     )
     [(stem, table, _plot)] = run_experiment(cfg)
     assert stem == "ber_sweep"
-    assert table.columns == ["ebn0_db", "ber", "bits"]
+    assert list(table.columns) == ["ebn0_db", "ber", "bits"]
     bers = table.column("ber")
     assert bers[0] > bers[1] > 0
 
@@ -274,8 +269,7 @@ def test_la_sim_length_mismatch():
 
 
 def test_float_format_stability():
-    table = ResultTable(["v"])
-    table.append(np.float64(0.1234567890123))
+    table = ResultTable({"v": [0.1234567890123]})
     assert table.to_csv().splitlines()[-1] == "0.123456789"
 
 
@@ -287,7 +281,9 @@ MALFORMED = [
     ("ber_sweep", "[ber_sweep]\nmax_bits = 1000, 2000", "max_bits"),
     ("ber_sweep", "[ber_sweep]\nmax_bit = 1000", "max_bit"),
     ("ber_sweep", "[ber_sweep]\nmax_bits = 1.5e3", "max_bits"),
+    ("ber_sweep", "[ber_sweep]\nscheme = QAM16\nmax_bits = 3", "max_bits 3"),
     ("cma_convergence", "[cma_convergence]\nnf = 12", "nf"),
+    ("cma_convergence", "[cma_convergence]\nscheme = BPSK", "QAM8 or QAM16"),
     ("doa_hist", "[doa_hist]\nbins = 0", "bins"),
     ("doa_hist", "[doa_hist]\ncount = 0", "count"),
     ("mud_compare", "[mud_compare]\ntraining = 10", "training"),
@@ -298,6 +294,7 @@ MALFORMED = [
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\nnum_clusters = 0",
      "num_clusters"),
     ("channel_stats", "[ban]\ndelta_ns = 3, 4", "delta_ns"),
+    ("channel_stats", "[channel_stats]\nmodel = rayleigh", "'rayleigh'"),
     # a ground delay that rounds to bin 0 would merge the two outdoor clusters
     ("channel_stats", "[ban]\ndelta_ns = 20", "tau_ground_ns"),
     ("channel_stats", "[bann]", "[bann]"),
@@ -488,6 +485,24 @@ def test_benchmark_inputs_parse(tmp_path, monkeypatch):
                 assert len(tree) == workloads.TREE_NODES
                 topologies += 1
     assert experiments == set(EXPERIMENTS) and topologies == 1
+
+
+def test_benchmark_checks_pass(tmp_path, monkeypatch):
+    """Every benchmark operation at seed 1 passes the benchmark's own output
+    checks, which read the result tables row by row and by column name."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS:
+        work_dir = tmp_path / workload
+        work_dir.mkdir()
+        for op in workloads.generate(workload, 1, str(work_dir)):
+            cfg = parse_config(Path(op["config"]).read_text(), op["experiment"])
+            outputs = run_experiment(cfg)
+            for _stem, table, plot in outputs:
+                assert table.to_csv()
+                if plot is not None:
+                    assert emit_svg(table, plot)
+            assert workloads.check_op(op, outputs) == [], op["name"]
 
 
 def _shipped(experiment: str, name: str, counts: list[str]):

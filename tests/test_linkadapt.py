@@ -156,6 +156,6 @@ def test_trace_csv_format():
     )
     [(stem, table, _plot)] = run_experiment(cfg)
     assert stem == "la_trace"
-    assert table.columns == ["round", "node", "rate_level", "snr_db", "p_f",
-                             "received"]
+    assert list(table.columns) == ["round", "node", "rate_level", "snr_db", "p_f",
+                                   "received"]
     assert table.to_csv().splitlines()[-1].split(",")[-1] in ("0", "1")
