@@ -5,13 +5,15 @@ and the deterministic on-tree forward-node selection sweep.
 Nodes carry integer keys; the tree assigns each key a block address from
 the Cskip recurrence so parent/child relations are recoverable from the
 address alone.  A tree is ``{key: (address, depth)}`` and a radio graph is
-``{key: set of neighbour keys}``.
+``{key: set of neighbour keys}``.  Self pruning runs on the graph form that
+``neighbour_masks`` prepares from the two, once for any number of floods.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -109,60 +111,91 @@ class BroadcastState:
     event_log: list[EventLogRow]
 
 
-def self_pruning_broadcast(tree, radio, source: int, max_backoff: int,
-                           seed) -> BroadcastState:
+def neighbour_masks(tree, radio):
+    """Prepare a tree and radio graph for ``self_pruning_broadcast``: the
+    tuple ``(keys, rank, edges)``.  ``keys`` lists the node keys in address
+    order and ``rank`` maps each key to its index there.  ``edges[x]`` lists
+    ``(y, mask)`` for the neighbours ``y`` of rank ``x``, in ascending rank;
+    bit j of ``mask`` is set when y's j-th neighbour, by rank, lies outside
+    x's closed neighbourhood.  A waiting node's residual neighbours are a
+    mask over its own neighbour list: x's transmission leaves ``mask`` of
+    them to a node that starts waiting on it, and ``&= mask`` of them to one
+    that already waits.
+
+    `tree` and `radio` are as ``parse_topology`` returns them; every radio
+    node must be a tree node.  No seed enters the graph, so one serves every
+    trial of a comparison."""
+    # addresses are unique, so (address, depth) pairs sort as addresses do
+    keys = sorted(tree, key=tree.__getitem__)
+    rank = {key: i for i, key in enumerate(keys)}
+    # each node's neighbours in ascending rank, the j-th with bit j
+    bits = [{y: 1 << j for j, y in enumerate(sorted([rank[k] for k in radio[key]]))}
+            for key in keys]
+    edges: list[list[tuple[int, int]]] = [[] for _ in keys]
+    # one pass per radio edge x < y: the neighbours the two share give both
+    # masks, and each row still fills in ascending rank
+    for x, near in enumerate(bits):
+        for y in near:
+            if y < x:
+                continue
+            theirs = bits[y]
+            inside_x, inside_y = near[y], theirs[x]
+            for z in near.keys() & theirs.keys():
+                inside_x += near[z]
+                inside_y += theirs[z]
+            edges[x].append((y, (1 << len(theirs)) - 1 - inside_y))
+            edges[y].append((x, (1 << len(near)) - 1 - inside_x))
+    return keys, rank, edges
+
+
+def self_pruning_broadcast(graph, source: int, max_backoff: int,
+                           rng: np.random.Generator) -> BroadcastState:
     """Flood from `source`: a node that hears the packet waits a random
     backoff, then transmits only if the transmissions it heard left some
     neighbour of it uncovered.
 
-    `tree` is ``{key: (address, depth)}`` and `radio` is ``{key: set of
-    neighbour keys}``; `source` and every radio node must be tree nodes.
-    `seed` is anything ``np.random.default_rng`` takes; a Generator is
-    advanced by one draw per tree node.
+    `graph` is what ``neighbour_masks`` returns and `source` a tree node
+    key.  `rng` is advanced by one array draw of one backoff per tree node;
+    the nodes that start waiting on one transmission take theirs in address
+    order.
     """
-    # addresses are unique, so (address, depth) pairs sort as addresses do
-    address = tree.__getitem__
+    keys, rank, edges = graph
     # a node waits at most once, so one draw per tree node is enough; the
     # array gives the values that scalar draws would, in the same order
-    backoffs = iter(np.random.default_rng(seed).integers(
-        0, max_backoff + 1, size=len(tree)).tolist())
-    covered = {source} | radio[source]
-    forward_set = {source}
-    log = [EventLogRow(0, source, "tx")]
-    pending: dict[int, set[int]] = {}  # waiting node -> residual neighbours
-    due: dict[int, list[int]] = {}  # expiry slot -> nodes waiting for it
-    slots: list[int] = []  # heap of the slots in `due`
-
-    def wait(nodes, heard: set[int], slot: int) -> None:
-        # the draws go to the nodes in address order
-        for y in sorted(nodes, key=address):
-            pending[y] = radio[y] - heard
-            expiry = slot + 1 + next(backoffs)
-            if expiry in due:
-                due[expiry].append(y)
-            else:
-                due[expiry] = [y]
-                heapq.heappush(slots, expiry)
-
-    wait(radio[source], radio[source] | {source}, 0)
+    backoffs = iter(rng.integers(0, max_backoff + 1, size=len(keys)).tolist())
+    source = rank[source]
+    covered = bytearray(len(keys))
+    covered[source] = 1
+    pending = [0] * len(keys)  # residual neighbour bits of each waiting node
+    pending[source] = 1  # the source transmits at slot 0
+    due = {0: [source]}  # expiry slot -> nodes waiting for it
+    slots = [0]  # heap of the slots in `due`
+    events = []
     while slots:
         # every expiry lies after the slot that set it: the bucket is complete
         slot = heapq.heappop(slots)
-        for x in sorted(due.pop(slot), key=address):
-            if not pending.pop(x):
-                log.append(EventLogRow(slot, x, "skip"))
+        for x in sorted(due.pop(slot)):
+            if not pending[x]:
+                events.append((slot, x, "skip"))
                 continue
-            forward_set.add(x)
-            log.append(EventLogRow(slot, x, "tx"))
-            closed = radio[x] | {x}
-            # a set difference: unlike the draws, it does not depend on order
-            for y in radio[x]:
-                if y in pending:
-                    pending[y] -= closed
-            newly = closed - covered
-            covered |= closed
-            wait(newly, closed, slot)
-    return BroadcastState(covered, forward_set, log)
+            events.append((slot, x, "tx"))
+            # ascending rank: new waiters take their draws in address order;
+            # clearing bits of a node that has decided changes nothing
+            for y, mask in edges[x]:
+                if covered[y]:
+                    pending[y] &= mask
+                    continue
+                covered[y] = 1
+                pending[y] = mask
+                expiry = slot + 1 + next(backoffs)
+                if expiry in due:
+                    due[expiry].append(y)
+                else:
+                    due[expiry] = [y]
+                    heapq.heappush(slots, expiry)
+    log = [EventLogRow(slot, keys[x], action) for slot, x, action in events]
+    forward_set = {row.node for row in log if row.action == "tx"}
+    return BroadcastState(set(compress(keys, covered)), forward_set, log)
 
 
 def oos_select(tree, radio, source: int) -> BroadcastState:
@@ -198,15 +231,16 @@ def broadcast_compare(tree, radio, source: int, trials: int, seed,
                       max_backoff: int):
     """(mean self-pruning rebroadcasts over `trials` seeded trials, their
     mean coverage, OOS rebroadcasts, OOS coverage); coverage is the share of
-    tree nodes reached."""
+    tree nodes reached.  The trials share one ``neighbour_masks`` graph."""
     if source not in tree:
         raise ValueError(f"source {source} not in tree")
     n = len(tree)
+    graph = neighbour_masks(tree, radio)
     counts, coverage = [], []
     # the Generators of SeedSequence(seed).spawn(trials), each seeded only
     # when its trial runs, a block at a time
     for (rng,) in seeding.child_streams(seed, trials, [()]):
-        state = self_pruning_broadcast(tree, radio, source, max_backoff, rng)
+        state = self_pruning_broadcast(graph, source, max_backoff, rng)
         counts.append(len(state.forward_set) - 1)
         coverage.append(len(state.covered) / n)
     oos = oos_select(tree, radio, source)

@@ -1,6 +1,7 @@
 """Shared helpers for broadcast tests: wrap arbitrary connected graphs in a
-logical tree (breadth-first spanning tree from the source) and brute-force
-the minimum forward set for comparison against the deterministic sweep."""
+logical tree (breadth-first spanning tree from the source), flood a tree and
+radio graph by self pruning from a seed, and brute-force the minimum forward
+set for comparison against the deterministic sweep."""
 
 from itertools import combinations
 
@@ -28,6 +29,14 @@ def graph_to_scene(graph: nx.Graph, source: int = 0):
     tree = zigbee.assign_addresses(shape, n_chl, d_l)
     radio = {n: set(graph.neighbors(n)) for n in nodes}
     return tree, radio
+
+
+def flood(tree, radio, source, max_backoff, seed):
+    """Self-pruning flood over a tree and radio graph, with backoffs drawn
+    from ``np.random.default_rng(seed)``, as the per-slot reference draws
+    them."""
+    return zigbee.self_pruning_broadcast(zigbee.neighbour_masks(tree, radio), source,
+                                         max_backoff, np.random.default_rng(seed))
 
 
 def relatives(tree: dict[int, tuple[int, int]]):

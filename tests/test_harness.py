@@ -368,6 +368,9 @@ MALFORMED = [
     # block addresses past 64 bits, whose Cskip power would take minutes
     ("broadcast_sim", "[broadcast_sim]\ntopology = {deep_topology}",
      "n_chl 4 and d_l 100000000000"),
+    # a maximum depth below the root's
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {shallow_topology}",
+     "node 0 exceeds maximum depth -1"),
     # counts the models take unchecked: the schema rejects them first
     ("la_sim", "[la_sim]\nwindow = 0", "[la_sim] window:"),
     ("la_sim", "[la_sim]\nwindow = -1", "[la_sim] window:"),
@@ -405,11 +408,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     deep_topology = tmp_path / "deep_topology.txt"
     deep_topology.write_text("[params]\nn_chl = 4\nd_l = 100000000000\n"
                              "[tree]\n0 1\n1 2\n")
+    shallow_topology = tmp_path / "shallow_topology.txt"
+    shallow_topology.write_text("[params]\nd_l = -1\n[tree]\n0 1\n")
     body = body.format(example=ROOT / "configs" / "topology_example.txt",
                        bad_topology=bad_topology, cycle_topology=cycle_topology,
                        foreign_topology=foreign_topology,
                        self_loop_topology=self_loop_topology,
-                       deep_topology=deep_topology)
+                       deep_topology=deep_topology, shallow_topology=shallow_topology)
     # a body of command-line flags overrides a valid config
     flags = body.split() if body.startswith("--") else []
     cfg = tmp_path / "bad.cfg"

@@ -7,9 +7,10 @@ an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
 The harness turns config values into arrays, and the models take those
 arrays as they are: ``np.asarray`` is called only under ``harness/``.  The
-channel generators take the Generators ``bansim.seeding`` builds: ``channels``
-calls no ``default_rng`` and no ``spawn``, and ``seeding`` computes
-``SeedSequence``'s hash itself, so it builds no ``SeedSequence`` either.
+channel generators and the self-pruning flood take the Generators
+``bansim.seeding`` builds: ``channels`` and ``zigbee`` call no ``default_rng``
+and no ``spawn``, and ``seeding`` computes ``SeedSequence``'s hash itself, so
+it builds no ``SeedSequence`` either.
 """
 
 import ast
@@ -193,6 +194,16 @@ def test_channel_generators_take_stream_states():
     generators = {node.name for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name.startswith("gen_")}
     assert {"gen_clusters", "gen_ref", "gen_outdoor_ban", "gen_indoor_ban"} <= generators
+    assert _seeding_calls(tree, PER_STREAM) == [], f"per-stream seeding in {path.name}"
+
+
+def test_self_pruning_takes_generators():
+    # broadcast_compare hands each trial the Generator bansim.seeding built
+    # for it; a generator built from a seed inside zigbee would seed twice
+    path = PACKAGE / "zigbee.py"
+    tree = ast.parse(path.read_text(), str(path))
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"self_pruning_broadcast", "broadcast_compare"} <= functions
     assert _seeding_calls(tree, PER_STREAM) == [], f"per-stream seeding in {path.name}"
 
 

@@ -2,12 +2,13 @@ import importlib
 import tracemalloc
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from bansim import zigbee
 from bansim.harness import cli
-from graphutil import graph_to_scene, random_connected_graphs, relatives
+from graphutil import flood, graph_to_scene, random_connected_graphs, relatives
 from zigbee_reference import oos_reference, self_pruning_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,24 +129,22 @@ def test_identify_relatives_root_and_leaf():
 
 def test_self_pruning_star_leaves_stay_silent():
     tree, radio = star_scene()
-    state = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=3)
+    state = flood(tree, radio, 0, 7, seed=3)
     assert state.forward_set == {0}
     assert state.covered == set(tree)
 
 
 def test_self_pruning_chain_interior_forwards():
     tree, radio = chain_scene(5)
-    state = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=4)
+    state = flood(tree, radio, 0, 7, seed=4)
     assert state.covered == set(tree)
     assert state.forward_set == {0, 1, 2, 3}  # every interior node forwards
 
 
 def test_self_pruning_deterministic_given_seed():
-    tree, radio = graph_to_scene(
-        __import__("networkx").erdos_renyi_graph(12, 0.4, seed=5)
-    )
-    a = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=6)
-    b = zigbee.self_pruning_broadcast(tree, radio, 0, 7, seed=6)
+    tree, radio = graph_to_scene(nx.erdos_renyi_graph(12, 0.4, seed=5))
+    a = flood(tree, radio, 0, 7, seed=6)
+    b = flood(tree, radio, 0, 7, seed=6)
     assert a.forward_set == b.forward_set
     assert [
         (r.slot, r.node, r.action) for r in a.event_log
@@ -183,13 +182,38 @@ def test_self_pruning_matches_reference(monkeypatch, kind):
             for max_backoff in (0, 1, 7, 30):
                 seeds = np.random.SeedSequence([source, max_backoff]).spawn(2)
                 for seed in seeds:
-                    got = zigbee.self_pruning_broadcast(tree, radio, source,
-                                                        max_backoff, seed)
+                    got = flood(tree, radio, source, max_backoff, seed)
                     want = self_pruning_reference(tree, radio, source,
                                                   max_backoff, seed)
                     assert _events(got) == _events(want)
                     assert got.covered == want.covered
                     assert got.forward_set == want.forward_set
+
+
+def test_self_pruning_masks_past_64_bits_match_reference():
+    """Masks wider than a machine word.  The source's 64 other neighbours
+    also neighbour the hub and come before it in address order, so when the
+    hub decides, only its 10 leaves, its neighbours past the 65th, are left
+    to cover.  Keys are negative and out of address order: the leaves come
+    last by address and first by key."""
+    source, hub = 5, 1000
+    shared, leaves = list(range(100, 164)), list(range(-10, 0))
+    shape = {source: [*shared, hub], hub: leaves}
+    shape.update((k, []) for k in shared + leaves)
+    tree = zigbee.assign_addresses(shape, 65, 2)
+    radio = {source: {*shared, hub}, hub: {source, *shared, *leaves}}
+    radio.update((k, {source, hub}) for k in shared)
+    radio.update((k, {hub}) for k in leaves)
+    assert len(radio[hub]) >= 70 and sorted(tree) != sorted(tree, key=tree.get)
+    for start in (source, leaves[0]):
+        for max_backoff in (0, 7, 30):
+            for seed in range(3):
+                got = flood(tree, radio, start, max_backoff, seed)
+                want = self_pruning_reference(tree, radio, start, max_backoff, seed)
+                assert _events(got) == _events(want)
+                assert got.covered == want.covered == set(tree)
+                assert got.forward_set == want.forward_set
+                assert hub in got.forward_set
 
 
 def _assert_oos_matches_reference(tree, radio, source):
@@ -229,7 +253,7 @@ def test_backoff_array_draw_matches_scalar_draws(max_backoff):
 def test_self_pruning_jumps_empty_slots():
     # backoffs near 2**62 slots: visiting each slot in turn would never end
     tree, radio = chain_scene(5)
-    state = zigbee.self_pruning_broadcast(tree, radio, 0, 2**62, seed=4)
+    state = flood(tree, radio, 0, 2**62, seed=4)
     assert state.covered == set(tree)
     assert state.forward_set == {0, 1, 2, 3}
     slots = [r.slot for r in state.event_log]
@@ -258,7 +282,7 @@ def test_disconnected_radio_reports_partial_coverage():
     state = zigbee.oos_select(tree, radio, 0)
     assert 2 not in state.covered
     _assert_oos_matches_reference(tree, radio, 0)
-    sp = zigbee.self_pruning_broadcast(tree, radio, 0, 3, seed=0)
+    sp = flood(tree, radio, 0, 3, seed=0)
     assert 2 not in sp.covered
 
 
@@ -278,8 +302,8 @@ def test_broadcast_compare_seeds_each_trial_when_it_runs(monkeypatch):
 
     seeds = []
 
-    def three_trials(tree, radio, source, max_backoff, seed):
-        seeds.append(seed)
+    def three_trials(graph, source, max_backoff, rng):
+        seeds.append(rng)
         if len(seeds) == 3:
             raise Stop
         return zigbee.BroadcastState({source}, {source}, [])
