@@ -238,17 +238,13 @@ def gbhds_block(params: GbhdsParams, n: int, radii: np.random.Generator,
 
 
 def gbhds_doa_histogram(
-    params: GbhdsParams, count: int, bins: int, seed
+    params: GbhdsParams, count: int, bins: int, radii: np.random.Generator,
+    angles: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-mass histogram of DOA angles; returns (bin_edges, masses)."""
+    """Unit-mass histogram of count DOA angles, drawn as ``gbhds_block``
+    draws them; returns (bin_edges, masses)."""
     lim = float(np.arcsin(params.radius_m / params.bs_distance_m))
     edges = np.histogram_bin_edges(np.empty(0), bins, range=(-lim, lim))
-    # one stream holds all count radius uniforms, then all count angle
-    # uniforms; each uniform double takes one 64-bit output, so the angle
-    # generator starts count outputs in
-    seq = np.random.SeedSequence(seed)
-    radii = np.random.Generator(np.random.PCG64(seq))
-    angles = np.random.Generator(np.random.PCG64(seq).advance(count))
     counts = np.zeros(bins, dtype=np.intp)
     for start in range(0, count, _DOA_BLOCK):
         _, doa = gbhds_block(params, min(_DOA_BLOCK, count - start), radii, angles)

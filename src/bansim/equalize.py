@@ -29,7 +29,7 @@ class TrainingDataError(ValueError):
 
 
 def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
-                    ns: int, sigma: float, seed) -> np.ndarray:
+                    ns: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Composite of every user's symbols, one per ns samples, convolved with
     its template (channel * signature), plus complex white noise of
     per-dimension deviation sigma; user 0 is the desired user."""
@@ -44,7 +44,7 @@ def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
         target[: contrib.size] += contrib
     # desired + mui first, then the noise: the order sets the rounding
     composite = desired + mui
-    composite += _complex_normal(np.random.default_rng(seed), sigma, total)
+    composite += _complex_normal(rng, sigma, total)
     return composite
 
 
@@ -194,12 +194,12 @@ def agc(received: np.ndarray) -> np.ndarray:
 
 def run_blind(
     received: np.ndarray, eq: CmaEqualizer, iterations: int,
-    truth: np.ndarray, seed=0, stride: int = 1,
+    truth: np.ndarray, rng: np.random.Generator, stride: int = 1,
 ) -> tuple[np.ndarray, int]:
     """Adapt ``eq`` on the stream scaled to unit power (``agc``) and score
     each output against the transmitted symbols ``truth``: returns the
     per-iteration squared error and the equalizer delay that aligns the
-    output with the symbols."""
+    output with the symbols.  DSE-CMA draws its dither from ``rng``."""
     received = agc(received)
     nf = eq.taps.size
     if eq.variant == "CMA":
@@ -207,11 +207,9 @@ def run_blind(
             received, eq.taps, eq.step, eq.dispersion, iterations, stride,
         )
     else:
-        rng = np.random.default_rng(seed)
-        dither_u = rng.uniform(0.0, 1.0, size=2 * iterations)
         y, _, bad = _kernels.dse_cma_run(
             received, eq.taps, eq.step, eq.dispersion, eq.dispersion,
-            dither_u, iterations, stride,
+            rng.uniform(0.0, 1.0, size=2 * iterations), iterations, stride,
         )
     if bad >= 0:
         raise DivergenceError(bad)

@@ -44,8 +44,9 @@ def main(argv=None) -> int:
             cfg.seed = parse_value(COMMON["seed"][0], args.seed, "--seed")
         if args.out is not None:
             cfg.output_dir = args.out
-        os.makedirs(cfg.output_dir, exist_ok=True)
         outputs = run_experiment(cfg)
+        # made once the run succeeds: a failed run leaves no empty directory
+        os.makedirs(cfg.output_dir, exist_ok=True)
         for stem, table, plot in outputs:
             csv_path = os.path.join(cfg.output_dir, f"{stem}.csv")
             table.write_csv(csv_path)

@@ -2,6 +2,8 @@
 and optional plots.  Runners return a list of (stem, table, plot_spec)
 triples; the CLI writes ``<stem>.csv`` and, when a plot spec is present,
 ``<stem>.svg`` into the output directory.
+
+Only the runners turn the config seed into streams; the models take Generators.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from .table import ResultTable
 
 def _table(cfg: ScenarioConfig, **columns: list) -> ResultTable:
     return ResultTable(columns, seed=cfg.seed, config_hash=cfg.config_hash)
+
+
+def _child(rng: np.random.Generator) -> np.random.Generator:
+    """A Generator seeded by one draw of `rng`."""
+    return np.random.default_rng(rng.integers(2**63))
 
 
 def _params(cls, sec: dict):
@@ -45,7 +52,7 @@ def run_ber_sweep(cfg: ScenarioConfig):
                 break
             bits = rng.integers(0, 2, size=n, dtype=np.int8)
             tx = sigproc.modulate(bits, scheme)
-            noisy = sigproc.add_awgn(tx, ebn0, scheme, rng.integers(2**63))
+            noisy = sigproc.add_awgn(tx, ebn0, scheme, _child(rng))
             rx = sigproc.demodulate(noisy, scheme)
             errors += int(np.sum(bits != rx))
             total += n
@@ -122,8 +129,11 @@ def run_channel_stats(cfg: ScenarioConfig):
 def run_doa_hist(cfg: ScenarioConfig):
     sec = cfg.section("doa_hist")
     params = _params(channels.GbhdsParams, sec)
-    edges, masses = channels.gbhds_doa_histogram(params, sec["count"], sec["bins"],
-                                                 cfg.seed)
+    # one stream holds all count radius uniforms, then all count angle
+    # uniforms; a uniform double takes one output, so the angles start count in
+    edges, masses = channels.gbhds_doa_histogram(
+        params, sec["count"], sec["bins"], np.random.default_rng(cfg.seed),
+        np.random.Generator(np.random.PCG64(cfg.seed).advance(sec["count"])))
     centers = 0.5 * (edges[:-1] + edges[1:])
     table = _table(cfg, doa_rad=centers.tolist(), mass=masses.tolist())
     plot = PlotSpec("doa_rad", "mass", title="GBHDS DOA histogram")
@@ -150,7 +160,7 @@ def run_cma_convergence(cfg: ScenarioConfig):
     eq = equalize.CmaEqualizer.center_spike(
         nf, mu, equalize.dispersion_constant(scheme), variant=variant)
     trace, delay = equalize.run_blind(received, eq, iterations, truth=symbols,
-                                      seed=rng.integers(2**63), stride=stride)
+                                      rng=_child(rng), stride=stride)
     table = _table(cfg, iteration=list(range(trace.size)), mse=trace.tolist())
     initial = float(np.mean(trace[:window]))
     final = float(np.mean(trace[-window:]))
@@ -184,7 +194,7 @@ def run_mud_compare(cfg: ScenarioConfig):
     w_mf = np.conj(tpl) / energy
     composite = equalize.synth_multiuser(
         streams, templates, ns, sigproc.noise_sigma(sec["ebn0_db"], scheme),
-        rng.integers(2**63))
+        _child(rng))
     truth = streams[0]
     train, payload = truth[:n_train], truth[n_train:]
     payload_rx = composite[n_train * ns :]
@@ -218,7 +228,7 @@ def run_la_sim(cfg: ScenarioConfig):
     levels, snr_db, p_f, received = linkadapt.simulate_la(
         list(zip(tx_powers, distances)), sec["rounds"],
         _params(channels.PathLossParams, sec), _params(linkadapt.LaThresholds, sec),
-        cfg.seed, sec["window"], sec["noise_floor_dbm"],
+        np.random.default_rng(cfg.seed), sec["window"], sec["noise_floor_dbm"],
     )
     rounds, n = levels.shape
     table = _table(
@@ -237,8 +247,11 @@ def run_broadcast_sim(cfg: ScenarioConfig):
         raise ConfigError("broadcast_sim needs a `topology` file path")
     with open(sec["topology"]) as fh:
         tree, radio = zigbee.parse_topology(fh.read())
+    # trial i draws from SeedSequence(seed).spawn(trials)[i], a Generator
+    # built only when the trial runs, so a large `trials` holds no seed list
+    trials = seeding.child_streams(cfg.seed, sec["trials"], [()])
     sp_mean, sp_coverage, oos_tx, oos_coverage = zigbee.broadcast_compare(
-        tree, radio, sec["source"], sec["trials"], cfg.seed, sec["max_backoff"])
+        tree, radio, sec["source"], (rng for (rng,) in trials), sec["max_backoff"])
     table = _table(cfg, strategy=["self_pruning", "oos"],
                    mean_rebroadcasts=[sp_mean, float(oos_tx)],
                    coverage=[sp_coverage, oos_coverage],

@@ -66,7 +66,7 @@ def simulate_la(
     rounds: int,
     pl: PathLossParams,
     thresholds: LaThresholds,
-    seed,
+    rng: np.random.Generator,
     window: int,
     noise_floor_dbm: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -74,11 +74,10 @@ def simulate_la(
     every node starts at rate level 0 and transmits each round.  Returns
     (rate level, SNR dB, failure fraction of the last `window` packets,
     received), each a (rounds, nodes) array whose row r holds round r.  The
-    arguments are not changed."""
+    shadowing is drawn from ``rng``; the other arguments are not changed."""
     tx_power = np.array([tx for tx, _ in nodes])
     distance = np.array([d for _, d in nodes])
     n = len(nodes)
-    rng = np.random.default_rng(seed)
     level = np.zeros(n, dtype=np.intp)
     # the failures of the last `window` rounds, and their count per node;
     # a ring no deeper than `rounds` drops nothing a deeper one would keep

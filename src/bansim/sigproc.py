@@ -226,8 +226,6 @@ def _complex_normal(rng: np.random.Generator, sigma: float, n: int) -> np.ndarra
     return rng.normal(0.0, sigma, size=(n, 2)).view(np.complex128)[:, 0]
 
 
-def add_awgn(
-    symbols: np.ndarray, ebn0_db: float, scheme: ModulationScheme, seed: int
-) -> np.ndarray:
-    sigma = noise_sigma(ebn0_db, scheme)
-    return symbols + _complex_normal(np.random.default_rng(seed), sigma, symbols.size)
+def add_awgn(symbols: np.ndarray, ebn0_db: float, scheme: ModulationScheme,
+             rng: np.random.Generator) -> np.ndarray:
+    return symbols + _complex_normal(rng, noise_sigma(ebn0_db, scheme), symbols.size)

@@ -17,8 +17,6 @@ from itertools import compress
 
 import numpy as np
 
-from . import seeding
-
 
 def cskip(depth: int, n_chl: int, d_l: int) -> int:
     """Address-block stride for a router at the given depth (all-routers)."""
@@ -227,19 +225,17 @@ def oos_select(tree, radio, source: int) -> BroadcastState:
     return BroadcastState(covered, forward_set, log)
 
 
-def broadcast_compare(tree, radio, source: int, trials: int, seed,
-                      max_backoff: int):
-    """(mean self-pruning rebroadcasts over `trials` seeded trials, their
-    mean coverage, OOS rebroadcasts, OOS coverage); coverage is the share of
-    tree nodes reached.  The trials share one ``neighbour_masks`` graph."""
+def broadcast_compare(tree, radio, source: int, rngs, max_backoff: int):
+    """(mean self-pruning rebroadcasts over one trial per Generator of the
+    iterable `rngs`, their mean coverage, OOS rebroadcasts, OOS coverage);
+    coverage is the share of tree nodes reached.  The trials share one
+    ``neighbour_masks`` graph; each takes its Generator only when it runs."""
     if source not in tree:
         raise ValueError(f"source {source} not in tree")
     n = len(tree)
     graph = neighbour_masks(tree, radio)
     counts, coverage = [], []
-    # the Generators of SeedSequence(seed).spawn(trials), each seeded only
-    # when its trial runs, a block at a time
-    for (rng,) in seeding.child_streams(seed, trials, [()]):
+    for rng in rngs:
         state = self_pruning_broadcast(graph, source, max_backoff, rng)
         counts.append(len(state.forward_set) - 1)
         coverage.append(len(state.covered) / n)

@@ -44,9 +44,8 @@ def la_update(level: int, snr_db: float, p_f: float, thresholds) -> int:
     return level
 
 
-def simulate_la_reference(nodes, rounds, pl, thresholds, seed, window,
+def simulate_la_reference(nodes, rounds, pl, thresholds, rng, window,
                           noise_floor_dbm):
-    rng = np.random.default_rng(seed)
     levels = [0] * len(nodes)
     failures = [deque(maxlen=window) for _ in nodes]
     trace = []

@@ -17,7 +17,7 @@ def bpsk_symbols(n, seed):
 def test_synth_identity_scene():
     sym = bpsk_symbols(100, 0)
     composite = equalize.synth_multiuser([sym], [np.array([1.0 + 0j])], 1, 0.0,
-                                         seed=0)
+                                         np.random.default_rng(0))
     assert composite.tobytes() == sym.tobytes()
 
 
@@ -28,7 +28,8 @@ def test_synth_decomposition_identity():
     templates = [np.array([1.0, 0.5, 0.3], complex),
                  np.array([0.6, 0.9, 0.2, 0.1], complex)]
     sigma = sigproc.noise_sigma(10.0, scheme)
-    composite = equalize.synth_multiuser(streams, templates, ns, sigma, seed)
+    composite = equalize.synth_multiuser(streams, templates, ns, sigma,
+                                         np.random.default_rng(seed))
     # reference: each user upsampled and convolved on its own, noise drawn
     # as N(0, sigma) pairs of (real, imaginary)
     parts = []
@@ -95,7 +96,7 @@ def test_wiener_singular_raises():
 def test_wiener_beats_taps_on_isi_channel():
     sym = bpsk_symbols(4000, 9)
     rx = channels.apply_channel(sym, np.array([1.0, 0.5], complex))
-    rx = sigproc.add_awgn(rx, 20.0, sigproc.BPSK, 10)
+    rx = sigproc.add_awgn(rx, 20.0, sigproc.BPSK, np.random.default_rng(10))
     gamma_rr, gamma_ar = equalize.estimate_correlations(rx, sym, 5)
     taps = equalize.wiener_solve(gamma_rr, gamma_ar)
     est = row_loop_regressors(rx, sym.size, 1, taps.size) @ taps
@@ -172,7 +173,7 @@ def test_dfe_beats_linear_on_isi():
     full = np.concatenate([train, payload])
     cir = np.array([1.0, 0.6], complex)
     rx = sigproc.add_awgn(
-        channels.apply_channel(full, cir), 15.0, sigproc.BPSK, 16
+        channels.apply_channel(full, cir), 15.0, sigproc.BPSK, np.random.default_rng(16)
     )
     n_w = 5
     gamma_rr, gamma_ar = equalize.estimate_correlations(rx, train, n_w)
@@ -208,7 +209,7 @@ def test_dfe_train_singular_without_ridge():
 
 def test_dfe_without_feedback_equals_linear():
     sym = bpsk_symbols(500, 17)
-    rx = sigproc.add_awgn(sym, 10.0, sigproc.BPSK, 18)
+    rx = sigproc.add_awgn(sym, 10.0, sigproc.BPSK, np.random.default_rng(18))
     w_ff, empty = np.array([0.9 + 0.1j]), np.zeros(0, dtype=complex)
     soft, decided = equalize.dfe_detect(rx, w_ff, empty, empty, sigproc.BPSK,
                                         num_symbols=sym.size)
@@ -281,7 +282,8 @@ def test_run_blind_identity_channel_fast_convergence():
     sym = sigproc.modulate(random_bits(3 * 2100, 19), scheme)
     r2 = equalize.dispersion_constant(scheme)
     eq = equalize.CmaEqualizer.center_spike(11, 0.0006, r2)
-    trace, _ = equalize.run_blind(sym, eq, 2000, truth=sym)
+    trace, _ = equalize.run_blind(sym, eq, 2000, truth=sym,
+                                  rng=np.random.default_rng(0))
     assert float(np.mean(trace[-200:])) < 1e-3
 
 
@@ -293,7 +295,8 @@ def test_run_blind_divergence_raises_with_step():
         13, 0.05, equalize.dispersion_constant(scheme)
     )
     with pytest.raises(equalize.DivergenceError) as err:
-        equalize.run_blind(rx, eq, 2500, truth=sym, stride=3)
+        equalize.run_blind(rx, eq, 2500, truth=sym, rng=np.random.default_rng(0),
+                           stride=3)
     assert err.value.step >= 0
 
 
@@ -302,7 +305,8 @@ def test_run_blind_dse_variant_converges_on_identity():
     sym = sigproc.modulate(random_bits(3 * 5100, 22), scheme)
     r2 = equalize.dispersion_constant(scheme)
     eq = equalize.CmaEqualizer.center_spike(11, 0.0006, r2, variant="DSE_CMA")
-    trace, _ = equalize.run_blind(sym, eq, 5000, truth=sym, seed=1)
+    trace, _ = equalize.run_blind(sym, eq, 5000, truth=sym,
+                                  rng=np.random.default_rng(1))
     # the sign-quantized dithered update carries a gradient-noise floor, so
     # steady state hovers near (not at) zero error
     assert float(np.mean(trace[-500:])) < 0.15

@@ -57,14 +57,14 @@ def test_single_good_node_climbs_to_max():
     # a lone node has no interference: -inf dBm, with no divide-by-zero
     # warning (the test configuration turns warnings into errors)
     levels, _snr, _p_f, received = linkadapt.simulate_la(
-        [(0.0, 1.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
+        [(0.0, 1.0)], 8, PL, TH, np.random.default_rng(0), WINDOW, NOISE_FLOOR_DBM)
     assert levels[:, 0].tolist() == [0, 1, 2, 3, 3, 3, 3, 3]
     assert received.all()
 
 
 def test_out_of_range_node_pinned_at_minimum():
     levels, _snr, p_f, received = linkadapt.simulate_la(
-        [(0.0, 50.0)], 8, PL, TH, 0, WINDOW, NOISE_FLOOR_DBM)
+        [(0.0, 50.0)], 8, PL, TH, np.random.default_rng(0), WINDOW, NOISE_FLOOR_DBM)
     assert not received.any()
     assert (levels == 0).all()
     assert p_f[-1, 0] == 1.0
@@ -76,7 +76,8 @@ def test_simulate_deterministic_under_seed():
     nodes = [(0.0, 1.0), (0.0, 2.0)]
 
     def run():
-        return linkadapt.simulate_la(nodes, 20, shadowed, TH, 99, WINDOW,
+        return linkadapt.simulate_la(nodes, 20, shadowed, TH,
+                                     np.random.default_rng(99), WINDOW,
                                      NOISE_FLOOR_DBM)
 
     first, second = run(), run()
@@ -100,9 +101,10 @@ def test_simulate_matches_reference_on_benchmark_nodes(monkeypatch):
     distances, powers = workloads.gen_la_nodes(np.random.default_rng(7),
                                                workloads.LA_NODES)
     shadowed = channels.PathLossParams(35.2, 0.1, 3.11, 4.0)
-    args = (list(zip(powers, distances)), 20, shadowed, TH, 31, WINDOW,
-            NOISE_FLOOR_DBM)
-    assert rows(linkadapt.simulate_la(*args)) == simulate_la_reference(*args)
+    # a Generator each: one shared object would move on between the calls
+    args = [(list(zip(powers, distances)), 20, shadowed, TH,
+             np.random.default_rng(31), WINDOW, NOISE_FLOOR_DBM) for _ in range(2)]
+    assert rows(linkadapt.simulate_la(*args[0])) == simulate_la_reference(*args[1])
 
 
 @pytest.mark.parametrize("n_nodes,rounds", [(2, 40), (3, 40), (17, 40), (200, 20),
@@ -117,8 +119,10 @@ def test_simulate_matches_reference_on_random_nodes(n_nodes, rounds, sigma_db,
                      rng.uniform(0.2, 5.0, n_nodes).tolist()))
     pl = channels.PathLossParams(35.2, 0.1, 3.11, sigma_db)
     for seed in (0, 5):
-        args = (nodes, rounds, pl, TH, seed, window, NOISE_FLOOR_DBM)
-        assert rows(linkadapt.simulate_la(*args)) == simulate_la_reference(*args)
+        # a Generator each: one shared object would move on between the calls
+        args = [(nodes, rounds, pl, TH, np.random.default_rng(seed), window,
+                 NOISE_FLOOR_DBM) for _ in range(2)]
+        assert rows(linkadapt.simulate_la(*args[0])) == simulate_la_reference(*args[1])
 
 
 @pytest.mark.parametrize("n_nodes", [1, 2, 3, 50, 2000])

@@ -87,22 +87,23 @@ def test_demodulate_tie_breaks_to_lowest_label():
 
 def test_awgn_infinite_ebn0_is_identity():
     tx = sigproc.modulate(random_bits(64, 0), sigproc.QAM16)
-    assert np.array_equal(sigproc.add_awgn(tx, np.inf, sigproc.QAM16, 1), tx)
+    noiseless = sigproc.add_awgn(tx, np.inf, sigproc.QAM16, np.random.default_rng(1))
+    assert np.array_equal(noiseless, tx)
 
 
 def test_awgn_variance_calibration():
     # QAM16 at 10 dB: per-dimension variance 1/(2*4*10) = 0.0125
     assert sigproc.noise_sigma(10.0, sigproc.QAM16) ** 2 == pytest.approx(0.0125)
     tx = np.zeros(10**6, dtype=complex)
-    noisy = sigproc.add_awgn(tx, 10.0, sigproc.QAM16, 7)
+    noisy = sigproc.add_awgn(tx, 10.0, sigproc.QAM16, np.random.default_rng(7))
     for part in (noisy.real, noisy.imag):
         assert np.var(part) == pytest.approx(0.0125, rel=0.01)
 
 
 def test_awgn_deterministic_under_seed():
     tx = sigproc.modulate(random_bits(400, 3), sigproc.QAM16)
-    a = sigproc.add_awgn(tx, 5.0, sigproc.QAM16, 42)
-    b = sigproc.add_awgn(tx, 5.0, sigproc.QAM16, 42)
+    a = sigproc.add_awgn(tx, 5.0, sigproc.QAM16, np.random.default_rng(42))
+    b = sigproc.add_awgn(tx, 5.0, sigproc.QAM16, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 

@@ -7,10 +7,11 @@ an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
 The harness turns config values into arrays, and the models take those
 arrays as they are: ``np.asarray`` is called only under ``harness/``.  The
-channel generators and the self-pruning flood take the Generators
-``bansim.seeding`` builds: ``channels`` and ``zigbee`` call no ``default_rng``
-and no ``spawn``, and ``seeding`` computes ``SeedSequence``'s hash itself, so
-it builds no ``SeedSequence`` either.
+harness alone turns the config seed into random streams, and the models take
+``np.random.Generator``s: no module outside ``harness/`` and ``seeding``
+calls ``default_rng``, ``spawn``, ``SeedSequence``, ``PCG64`` or
+``Generator``, or imports ``seeding``.  ``seeding`` computes
+``SeedSequence``'s hash itself, so it builds no ``SeedSequence`` either.
 """
 
 import ast
@@ -157,9 +158,10 @@ def test_asarray_only_at_the_config_boundary():
 
 
 
-# the calls that build a generator or a seed object per stream
-PER_STREAM = ("default_rng", "spawn")
-SEED_OBJECTS = (*PER_STREAM, "SeedSequence")
+# the calls that build a seed object or a generator from a seed, and the ones
+# that also build a bit generator or a Generator around it
+SEED_OBJECTS = ("default_rng", "spawn", "SeedSequence")
+STREAM_CALLS = (*SEED_OBJECTS, "PCG64", "Generator")
 
 
 def _seeding_calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
@@ -175,36 +177,77 @@ def _seeding_calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
     return sorted(lines)
 
 
+def _seeding_imports(tree: ast.AST) -> list[int]:
+    """Lines that import ``seeding`` or a name from it, in any form."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[-1] == "seeding" or any(a.name == "seeding" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "seeding" for a in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_seeding_calls_scan_sees_both_forms():
     code = ("def gen_a(seed):\n    return np.random.default_rng(seed)\n"
             "def gen_b(seed):\n    return seed.spawn(2)\n"
             "def gen_c(seed):\n    return default_rng(seed)\n"
-            "def gen_d(seed):\n    return np.random.SeedSequence(seed)\n")
-    assert _seeding_calls(ast.parse(code), PER_STREAM) == [2, 4, 6]
+            "def gen_d(seed):\n    return np.random.SeedSequence(seed)\n"
+            "def gen_e(seed):\n    return Generator(np.random.PCG64(seed))\n")
     assert _seeding_calls(ast.parse(code), SEED_OBJECTS) == [2, 4, 6, 8]
+    assert _seeding_calls(ast.parse(code), STREAM_CALLS) == [2, 4, 6, 8, 10, 10]
+
+
+def test_seeding_imports_scan_sees_every_form():
+    imports = ("from . import seeding\nfrom .seeding import child_streams\n"
+               "import bansim.seeding\nfrom bansim import channels, seeding\n"
+               "from . import channels\nimport numpy\n")
+    assert _seeding_imports(ast.parse(imports)) == [1, 2, 3, 4]
+
+
+def _stream_sites(path) -> list[str]:
+    """The stream-building calls and ``seeding`` imports of one module."""
+    tree = ast.parse(path.read_text(), str(path))
+    return ([f"{path.name}:{line}" for line in _seeding_calls(tree, STREAM_CALLS)] +
+            [f"{path.name}:{line} imports seeding" for line in _seeding_imports(tree)])
 
 
 def test_channel_generators_take_stream_states():
-    # the channel draws are seeded by bansim.seeding, a block of draws at a
-    # time; a seed object or generator built per stream in channels (the gen_*
-    # functions or the helpers they call) would bring the per-draw seeding
-    # cost back
+    # the channel draws take the Generators the harness built; a seed object
+    # or generator built in channels (the gen_* functions or the helpers they
+    # call) would bring the per-draw seeding cost back
     path = PACKAGE / "channels.py"
     tree = ast.parse(path.read_text(), str(path))
     generators = {node.name for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name.startswith("gen_")}
     assert {"gen_clusters", "gen_ref", "gen_outdoor_ban", "gen_indoor_ban"} <= generators
-    assert _seeding_calls(tree, PER_STREAM) == [], f"per-stream seeding in {path.name}"
+    assert _stream_sites(path) == [], f"stream seeding in {path.name}"
 
 
 def test_self_pruning_takes_generators():
-    # broadcast_compare hands each trial the Generator bansim.seeding built
-    # for it; a generator built from a seed inside zigbee would seed twice
+    # broadcast_compare hands each trial the Generator the harness built for
+    # it; a generator built from a seed inside zigbee would seed twice
     path = PACKAGE / "zigbee.py"
     tree = ast.parse(path.read_text(), str(path))
     functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert {"self_pruning_broadcast", "broadcast_compare"} <= functions
-    assert _seeding_calls(tree, PER_STREAM) == [], f"per-stream seeding in {path.name}"
+    assert _stream_sites(path) == [], f"stream seeding in {path.name}"
+
+
+def test_models_take_generators():
+    # the harness alone turns a seed into streams, directly or through
+    # bansim.seeding; a model that built its own would be a second place
+    # deciding how a seed becomes a stream
+    harness = PACKAGE / "harness"
+    models = [path for path in sorted(PACKAGE.rglob("*.py"))
+              if harness not in path.parents and path.name != "seeding.py"]
+    assert {"sigproc.py", "equalize.py", "channels.py", "linkadapt.py",
+            "zigbee.py"} <= {path.name for path in models}
+    found = [site for path in models for site in _stream_sites(path)]
+    assert found == [], f"streams decided outside harness/: {found}"
 
 
 def test_seeding_builds_no_seed_sequence():

@@ -6,12 +6,18 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from bansim import zigbee
+from bansim import seeding, zigbee
 from bansim.harness import cli
 from graphutil import flood, graph_to_scene, random_connected_graphs, relatives
 from zigbee_reference import oos_reference, self_pruning_reference
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def trial_streams(seed, trials):
+    """The trials' Generators as run_broadcast_sim builds them: the children
+    of SeedSequence(seed).spawn(trials), each seeded when it is taken."""
+    return (rng for (rng,) in seeding.child_streams(seed, trials, [()]))
 
 
 def star_scene(n_leaves=6):
@@ -288,7 +294,7 @@ def test_disconnected_radio_reports_partial_coverage():
 
 def test_broadcast_compare_star():
     tree, radio = star_scene()
-    summary = zigbee.broadcast_compare(tree, radio, 0, trials=20, seed=7,
+    summary = zigbee.broadcast_compare(tree, radio, 0, trial_streams(7, 20),
                                        max_backoff=7)
     # (self-pruning rebroadcasts, its coverage, OOS rebroadcasts, its coverage)
     assert summary == (0.0, 1.0, 0, 1.0)
@@ -313,7 +319,7 @@ def test_broadcast_compare_seeds_each_trial_when_it_runs(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(Stop):
-            zigbee.broadcast_compare(tree, radio, 0, 10**12, 7, 7)
+            zigbee.broadcast_compare(tree, radio, 0, trial_streams(7, 10**12), 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
