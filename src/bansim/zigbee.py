@@ -12,6 +12,7 @@ address alone.  A tree is ``{key: (address, depth)}`` and a radio graph is
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress
 
@@ -106,7 +107,23 @@ class EventLogRow:
 class BroadcastState:
     covered: set[int]
     forward_set: set[int]  # transmitting nodes, source included
-    event_log: list[EventLogRow]
+    event_log: Iterable[EventLogRow]  # a list, or an _EventLog built on read
+
+
+class _EventLog:
+    """An event log whose ``EventLogRow``s `build` makes on the first
+    iteration; ``len`` is the event count, known without them."""
+
+    def __init__(self, count: int, build: Callable[[], list[EventLogRow]]):
+        self._count, self._build, self._rows = count, build, None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[EventLogRow]:
+        if self._rows is None:
+            self._rows = self._build()
+        return iter(self._rows)
 
 
 def neighbour_masks(tree, radio):
@@ -127,7 +144,8 @@ def neighbour_masks(tree, radio):
     keys = sorted(tree, key=tree.__getitem__)
     rank = {key: i for i, key in enumerate(keys)}
     # each node's neighbours in ascending rank, the j-th with bit j
-    bits = [{y: 1 << j for j, y in enumerate(sorted([rank[k] for k in radio[key]]))}
+    powers = [1 << j for j in range(max(map(len, radio.values()), default=0))]
+    bits = [dict(zip(sorted(map(rank.__getitem__, radio[key])), powers))
             for key in keys]
     edges: list[list[tuple[int, int]]] = [[] for _ in keys]
     # one pass per radio edge x < y: the neighbours the two share give both
@@ -155,7 +173,7 @@ def self_pruning_broadcast(graph, source: int, max_backoff: int,
     `graph` is what ``neighbour_masks`` returns and `source` a tree node
     key.  `rng` is advanced by one array draw of one backoff per tree node;
     the nodes that start waiting on one transmission take theirs in address
-    order.
+    order.  The state's ``event_log`` builds its rows when it is read.
     """
     keys, rank, edges = graph
     # a node waits at most once, so one draw per tree node is enough; the
@@ -174,9 +192,9 @@ def self_pruning_broadcast(graph, source: int, max_backoff: int,
         slot = heapq.heappop(slots)
         for x in sorted(due.pop(slot)):
             if not pending[x]:
-                events.append((slot, x, "skip"))
+                events.append((slot, x, False))
                 continue
-            events.append((slot, x, "tx"))
+            events.append((slot, x, True))
             # ascending rank: new waiters take their draws in address order;
             # clearing bits of a node that has decided changes nothing
             for y, mask in edges[x]:
@@ -191,8 +209,9 @@ def self_pruning_broadcast(graph, source: int, max_backoff: int,
                 else:
                     due[expiry] = [y]
                     heapq.heappush(slots, expiry)
-    log = [EventLogRow(slot, keys[x], action) for slot, x, action in events]
-    forward_set = {row.node for row in log if row.action == "tx"}
+    forward_set = {keys[x] for _slot, x, tx in events if tx}
+    log = _EventLog(len(events), lambda: [
+        EventLogRow(slot, keys[x], "tx" if tx else "skip") for slot, x, tx in events])
     return BroadcastState(set(compress(keys, covered)), forward_set, log)
 
 
@@ -207,7 +226,7 @@ def oos_select(tree, radio, source: int) -> BroadcastState:
     order = sorted(tree, key=lambda k: tree[k][::-1])
     covered = {source} | radio[source]
     forward_set = {source}
-    log = [EventLogRow(0, source, "tx")]
+    events = [(0, source)]  # (sweep, transmitter)
     sweep = 0
     while len(covered) < len(tree):
         progressed = False
@@ -218,10 +237,12 @@ def oos_select(tree, radio, source: int) -> BroadcastState:
             if x in covered and not radio[x] <= covered:
                 forward_set.add(x)
                 covered |= radio[x]
-                log.append(EventLogRow(sweep, x, "tx"))
+                events.append((sweep, x))
                 progressed = True
         if not progressed:
             break  # disconnected: residual left as diagnostic
+    log = _EventLog(len(events), lambda: [EventLogRow(sweep, x, "tx")
+                                          for sweep, x in events])
     return BroadcastState(covered, forward_set, log)
 
 
@@ -232,6 +253,10 @@ def broadcast_compare(tree, radio, source: int, rngs, max_backoff: int):
     ``neighbour_masks`` graph; each takes its Generator only when it runs."""
     if source not in tree:
         raise ValueError(f"source {source} not in tree")
+    # the backoffs are numpy int64 draws below max_backoff + 1
+    if max_backoff > 2**63 - 1:
+        raise ValueError(f"max_backoff {max_backoff} is above 2**63 - 1, "
+                         "the largest backoff numpy draws")
     n = len(tree)
     graph = neighbour_masks(tree, radio)
     counts, coverage = [], []
@@ -259,6 +284,18 @@ def parse_topology(text: str):
     params = {"n_chl": 4, "d_l": 5}
     edges: dict[str, list[tuple[int, int]]] = {"tree": [], "radio": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
+        # an edge line of two distinct integers stops here; a `#` leaves a
+        # field that is no integer, so comments take the checks below
+        parts = raw.split()
+        if len(parts) == 2 and section in edges:
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                if a != b:
+                    edges[section].append((a, b))
+                    continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

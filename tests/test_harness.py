@@ -147,6 +147,19 @@ def test_small_ber_sweep_structure():
     assert bers[0] > bers[1] > 0
 
 
+def test_ber_sweep_stops_short_of_a_partial_symbol(tmp_path):
+    # max_bits 5 on QAM16: each point runs one 4-bit symbol, and the bit
+    # left over, less than a symbol, ends it
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("[common]\nseed = 1\n[ber_sweep]\nscheme = QAM16\nmax_bits = 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["ber_sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in
+                     (out / "ber_sweep.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    assert [row[header.index("bits")] for row in rows] == ["4"] * 4
+
+
 def test_cma_flat_trace_at_zero_mu():
     cfg = parse_config(
         "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM16\nmu = 0.0\n"
@@ -328,6 +341,10 @@ MALFORMED = [
     ("mud_compare", "[mud_compare]\nnb = -1", "nb"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nmax_backoff = -1",
      "max_backoff"),
+    # a backoff range numpy's int64 draw cannot hold; 2**63 - 1 runs
+    ("broadcast_sim",
+     "[broadcast_sim]\ntopology = {example}\nmax_backoff = 100000000000000000000",
+     "max_backoff 100000000000000000000 is above 2**63 - 1"),
     # arithmetic that overflows: an error, never nan rows or a traceback; a
     # Python float overflow names itself too, not as an errno tuple
     ("mud_compare", "[mud_compare]\ntemplate1 = 1e200", "mud_compare: overflow"),

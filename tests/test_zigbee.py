@@ -5,11 +5,14 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bansim import seeding, zigbee
 from bansim.harness import cli
 from graphutil import flood, graph_to_scene, random_connected_graphs, relatives
-from zigbee_reference import oos_reference, self_pruning_reference
+from zigbee_reference import (oos_reference, parse_topology_reference,
+                              self_pruning_reference)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,7 +243,7 @@ def test_oos_matches_reference(monkeypatch, kind):
 
 
 BACKOFF_RANGES = [0, 1, 2, 3, 5, 6, 7, 8, 9, 15, 16, 31, 100, 255, 1000, 65535,
-                  2**31 - 1, 2**32 - 2, 2**32 - 1, 2**32, 2**40, 2**62]
+                  2**31 - 1, 2**32 - 2, 2**32 - 1, 2**32, 2**40, 2**62, 2**63 - 1]
 
 
 @pytest.mark.parametrize("max_backoff", BACKOFF_RANGES)
@@ -329,6 +332,24 @@ def test_broadcast_compare_seeds_each_trial_when_it_runs(monkeypatch):
             == [np.random.default_rng(child).bit_generator.state for child in children])
 
 
+def test_broadcast_compare_builds_no_event_rows(monkeypatch):
+    """A comparison reads coverage and forward sets alone, so neither the
+    floods nor the sweep build the rows of their event logs."""
+    [(tree, radio)] = _scenes("perfbench1500", monkeypatch)
+    want = zigbee.broadcast_compare(tree, radio, 0, trial_streams(9, 12), 7)
+
+    def no_rows(*_args):
+        raise AssertionError("an event log row was built")
+
+    monkeypatch.setattr(zigbee, "EventLogRow", no_rows)
+    assert zigbee.broadcast_compare(tree, radio, 0, trial_streams(9, 12), 7) == want
+    # reading a log builds its rows, which now raises
+    state = flood(tree, radio, 0, 7, seed=9)
+    assert len(state.event_log) > 1
+    with pytest.raises(AssertionError, match="row was built"):
+        next(iter(state.event_log))
+
+
 def test_parse_topology_and_event_log():
     text = """
     [params]
@@ -354,6 +375,75 @@ def test_parse_topology_and_event_log():
             zigbee.parse_topology(bad)
     with pytest.raises(ValueError, match="^topology line 2: node 0 is linked to itself"):
         zigbee.parse_topology("[tree]\n0 0")
+
+
+@st.composite
+def topology_texts(draw):
+    """A topology file around a random tree and radio links, with the layout
+    varied line by line, and now and then one line the parser must reject
+    or a header the parser does not know."""
+    n = draw(st.integers(1, 12))
+    keys = draw(st.lists(st.integers(-20, 40), min_size=n, max_size=n, unique=True))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    kids, depth = [0] * n, [0] * n
+    for i, parent in enumerate(parents, 1):
+        kids[parent] += 1
+        depth[i] = depth[parent] + 1
+    # a radio key outside the tree, now and then
+    radio_keys = st.sampled_from(keys + [99])
+    radio_edges = draw(st.lists(st.tuples(radio_keys, radio_keys).filter(
+        lambda e: e[0] != e[1]), max_size=8))
+    blank = st.sampled_from(["", "  ", "\t", "# note", "  # [tree]", "#1 2"])
+
+    def edge(a, b):
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        tail = draw(st.sampled_from(["", " ", "\t", " # link", "#7", "\t# 1 2"]))
+        return f"{pad}{a}{sep}{b}{tail}"
+
+    def section(header, lines):
+        lines = [header, *lines]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(1, len(lines))), draw(blank))
+        return lines
+
+    slack = draw(st.integers(-1, 1))  # -1: too wide or too deep a tree
+    params = [f"n_chl = {max(kids) + slack}", f"d_l={max(max(depth), 1) + slack}"]
+    sections = [
+        section(draw(st.sampled_from(["[params]", "[ Params ]"])), params),
+        section(draw(st.sampled_from(["[tree]", "[TREE]", "[ tree ]\t# spanning"])),
+                [edge(keys[p], keys[i]) for i, p in enumerate(parents, 1)]),
+        section(draw(st.sampled_from(["[radio]", "[ Radio ]", "[bogus]"])),
+                [edge(a, b) for a, b in radio_edges]),
+    ]
+    lines = [line for sec in draw(st.permutations(sections)) for line in sec]
+    if draw(st.booleans()):
+        # one bad line: before any header, or in a section after its header
+        # and any number of its lines
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(
+            st.sampled_from(keys).map(lambda key: f"{key}\t{key}"),
+            st.tuples(*[st.sampled_from(keys)] * 3).map(lambda e: "%d %d %d" % e),
+            st.sampled_from(["5", "1 x", "x 1", "1.0 2", "[1] 2", "n_chl = 2",
+                             "n_chl 2", "fanout = 3", "d_l = two", "[tree", "1 = 2"]))))
+    ends = draw(st.sampled_from(["\n", "\r\n"]))
+    return ends.join(lines) + draw(st.sampled_from(["", ends]))
+
+
+def _parsed(parse, text):
+    try:
+        tree, radio = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list(tree.items()), radio
+
+
+@settings(max_examples=200, deadline=None)
+@given(topology_texts())
+def test_parse_topology_matches_reference(text):
+    """Edge lines on their own path give the tree, radio graph or error
+    message of the parser that sent every line through every check."""
+    assert _parsed(zigbee.parse_topology, text) == _parsed(parse_topology_reference,
+                                                           text)
 
 
 def test_deep_chain_runs_through_cli(tmp_path):

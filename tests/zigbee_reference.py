@@ -10,11 +10,16 @@ benchmark topologies and random graphs.  ``oos_reference`` keeps the set of
 nodes still to cover and shrinks it as each forwarder covers more;
 ``oos_select``, which tests coverage against the covered set alone, must
 return the same forward set, coverage and event log.
+
+``parse_topology_reference`` is ``bansim.zigbee.parse_topology`` as it was
+before edge lines took a path of their own: every line goes through the
+comment strip, the header test and the section checks.  The parser must
+return the same tree and radio graph, or raise the same message.
 """
 
 import numpy as np
 
-from bansim.zigbee import BroadcastState, EventLogRow
+from bansim.zigbee import BroadcastState, EventLogRow, assign_addresses
 
 
 def self_pruning_reference(tree, radio, source, max_backoff, seed):
@@ -82,3 +87,49 @@ def oos_reference(tree, radio, source):
         if not progressed:
             break  # disconnected: residual left as diagnostic
     return BroadcastState(covered, forward_set, log)
+
+
+_TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
+                  "tree": "two integer node keys", "radio": "two integer node keys"}
+
+
+def parse_topology_reference(text: str):
+    section = None
+    params = {"n_chl": 4, "d_l": 5}
+    edges: dict[str, list[tuple[int, int]]] = {"tree": [], "radio": []}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            continue
+        if section not in _TOPOLOGY_LINE:
+            raise ValueError(f"topology line {lineno}: content outside a known section")
+        parts = [p.strip() for p in line.split("=" if section == "params" else None)]
+        try:
+            if len(parts) != 2 or (section == "params" and parts[0] not in params):
+                raise ValueError
+            if section == "params":
+                params[parts[0]] = int(parts[1])
+                continue
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"topology line {lineno}: expected "
+                             f"{_TOPOLOGY_LINE[section]}, got {line!r}") from None
+        if a == b:
+            raise ValueError(f"topology line {lineno}: node {a} is linked to itself")
+        edges[section].append((a, b))
+    shape: dict[int, list[int]] = {}
+    for parent, child in edges["tree"]:
+        shape.setdefault(parent, []).append(child)
+        shape.setdefault(child, [])
+    tree = assign_addresses(shape, params["n_chl"], params["d_l"])
+    radio: dict[int, set[int]] = {key: set() for key in tree}
+    for a, b in edges["tree"] + edges["radio"]:
+        for key in (a, b):
+            if key not in tree:
+                raise ValueError(f"radio edge {a} {b}: node {key} is not in [tree]")
+        radio[a].add(b)
+        radio[b].add(a)
+    return tree, radio
