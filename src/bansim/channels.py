@@ -13,31 +13,20 @@ The BAN generators take one ``np.random.Generator`` per cluster component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _TINY = np.finfo(float).tiny
 
 
-@dataclass
-class ChannelImpulseResponse:
-    taps: np.ndarray  # complex amplitudes on a uniform delay grid
-    cluster_starts: list[int] = field(default_factory=lambda: [0])
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.taps).all():
-            raise ValueError("taps must be finite")
-        if any(b <= a for a, b in zip(self.cluster_starts, self.cluster_starts[1:])):
-            raise ValueError("cluster starts must be strictly increasing")
-        if self.cluster_starts and not (
-            0 <= self.cluster_starts[0] and self.cluster_starts[-1] < self.taps.size
-        ):
-            raise ValueError("cluster starts out of range")
-
-    @property
-    def energy(self) -> float:
-        return float((np.abs(self.taps) ** 2).sum())
+def _require(params, rule: str, ok, names: tuple[str, ...]) -> None:
+    """Reject the first field in `names` whose value fails `ok`, naming the
+    field, which is also its config key, and the value it got."""
+    for name in names:
+        value = getattr(params, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -53,20 +42,13 @@ class BanModelParams:
     shadowing_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delta_ns <= 0:
-            raise ValueError("bin size must be positive")
-        if self.num_bins_per_cluster < 1:
-            raise ValueError("num_bins_per_cluster must be at least 1")
-        if self.mean_cluster_interarrival_ns <= 0:
-            raise ValueError("mean cluster inter-arrival must be positive")
-        if self.tau_ground_ns < 0:
-            raise ValueError("ground delay must be non-negative")
-        if min(self.gamma_cluster_db_per_ns, self.gamma_ray_db_per_ns) < 0:
-            raise ValueError("decay rates must be non-negative")
-        for name in ("sigma_cluster_db", "sigma_ray_db", "shadowing_sigma_db"):
-            # the generators would read a negative spread as no fading
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        _require(self, "positive", lambda v: v > 0,
+                 ("delta_ns", "mean_cluster_interarrival_ns"))
+        _require(self, "at least 1", lambda v: v >= 1, ("num_bins_per_cluster",))
+        # the generators would read a negative spread as no fading
+        _require(self, "non-negative", lambda v: v >= 0,
+                 ("tau_ground_ns", "gamma_cluster_db_per_ns", "gamma_ray_db_per_ns",
+                  "sigma_cluster_db", "sigma_ray_db", "shadowing_sigma_db"))
 
 
 @dataclass
@@ -77,8 +59,8 @@ class PathLossParams:
     sigma_db: float = 6.1
 
     def __post_init__(self) -> None:
-        if self.d0_m <= 0 or self.exponent <= 0 or self.sigma_db < 0:
-            raise ValueError("invalid path-loss parameters")
+        _require(self, "positive", lambda v: v > 0, ("d0_m", "exponent"))
+        _require(self, "non-negative", lambda v: v >= 0, ("sigma_db",))
 
 
 @dataclass
@@ -88,12 +70,11 @@ class GbhdsParams:
     bs_distance_m: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a < 1.0):
-            raise ValueError("spread parameter must lie in (0, 1)")
-        if self.radius_m <= 0:
-            raise ValueError("scatterer radius must be positive")
-        if self.bs_distance_m <= self.radius_m:
-            raise ValueError("base station must be outside the scatterer disc")
+        _require(self, "in (0, 1)", lambda v: 0.0 < v < 1.0, ("a",))
+        _require(self, "positive", lambda v: v > 0, ("radius_m",))
+        # the base station lies outside the scatterer disc
+        _require(self, f"above radius_m {self.radius_m!r}",
+                 lambda v: v > self.radius_m, ("bs_distance_m",))
 
 
 def _rays(amp_db: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
@@ -144,12 +125,13 @@ def _add_outdoor(taps: np.ndarray, params: BanModelParams, shift: int,
     taps[shift : shift + ground.size] += ground
 
 
-def gen_outdoor_ban(params: BanModelParams, rngs) -> ChannelImpulseResponse:
-    """Body and ground clusters from the (body, ground) Generators."""
+def gen_outdoor_ban(params: BanModelParams, rngs) -> tuple[np.ndarray, list[int]]:
+    """Taps and cluster start bins of the body and ground clusters, from the
+    (body, ground) Generators."""
     shift = _ground_shift(params)
     taps = np.zeros(shift + params.num_bins_per_cluster, dtype=complex)
     _add_outdoor(taps, params, shift, rngs)
-    return ChannelImpulseResponse(taps, [0, shift])
+    return taps, [0, shift]
 
 
 def gen_ref(params: BanModelParams, num_clusters: int,
@@ -194,17 +176,16 @@ def gen_ref(params: BanModelParams, num_clusters: int,
 
 
 def gen_indoor_ban(params: BanModelParams, num_clusters: int,
-                   rngs) -> ChannelImpulseResponse:
-    """Body, ground and reflection clusters from the (body, ground,
-    reflection) Generators."""
+                   rngs) -> tuple[np.ndarray, list[int]]:
+    """Taps and cluster start bins of the body, ground and reflection
+    clusters, from the (body, ground, reflection) Generators."""
     shift = _ground_shift(params)
     body, ground, reflection = rngs
     ref, ref_starts = gen_ref(params, num_clusters, reflection)
     taps = np.zeros(max(shift + params.num_bins_per_cluster, ref.size), dtype=complex)
     _add_outdoor(taps, params, shift, (body, ground))
     taps[: ref.size] += ref
-    starts = sorted({0, shift, *ref_starts})
-    return ChannelImpulseResponse(taps, starts)
+    return taps, sorted({0, shift, *ref_starts})
 
 
 def path_loss_db(d_m, params: PathLossParams, rng=None):

@@ -24,10 +24,6 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-class TrainingDataError(ValueError):
-    """Not enough training symbols for a stable correlation estimate."""
-
-
 def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
                     ns: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Composite of every user's symbols, one per ns samples, convolved with
@@ -58,7 +54,8 @@ def _correlations(rows: np.ndarray, training: np.ndarray):
     """(Gamma_rr, gamma_ar) of one regressor row per training symbol."""
     n_w = rows.shape[1]
     if training.size < 10 * n_w:
-        raise TrainingDataError(
+        # too few for a stable correlation estimate
+        raise ValueError(
             f"need at least {10 * n_w} training symbols, got {training.size}"
         )
     gamma_rr = rows.conj().T @ rows / training.size

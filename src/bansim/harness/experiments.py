@@ -39,17 +39,15 @@ def run_ber_sweep(cfg: ScenarioConfig):
     max_bits, min_errors = sec["max_bits"], sec["min_errors"]
     if max_bits < scheme.bits_per_symbol:
         raise ConfigError(f"max_bits {max_bits} is below one {scheme.kind} symbol")
+    # whole symbols only: every chunk below is then a positive whole number
+    max_bits -= max_bits % scheme.bits_per_symbol
     chunk_bits = 100_000 - 100_000 % scheme.bits_per_symbol
     ebn0_db, ber, bits_run = sorted(grid), [], []
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(grid))
-    for point_seed, ebn0 in zip(seeds, ebn0_db):
-        rng = np.random.default_rng(point_seed)
+    # point i draws from SeedSequence(seed).spawn(len(grid))[i]
+    for (rng,), ebn0 in zip(seeding.child_streams(cfg.seed, len(grid), [()]), ebn0_db):
         errors = total = 0
         while total < max_bits and errors < min_errors:
             n = min(chunk_bits, max_bits - total)
-            n -= n % scheme.bits_per_symbol
-            if n == 0:
-                break
             bits = rng.integers(0, 2, size=n, dtype=np.int8)
             tx = sigproc.modulate(bits, scheme)
             noisy = sigproc.add_awgn(tx, ebn0, scheme, _child(rng))
@@ -108,18 +106,16 @@ def run_channel_stats(cfg: ScenarioConfig):
         # one call per draw, through the module attribute: the benchmark's
         # tracer meters draws on exactly these calls
         if model == "outdoor_ban":
-            cir = channels.gen_outdoor_ban(params, streams)
+            taps, starts = channels.gen_outdoor_ban(params, streams)
         else:
-            cir = channels.gen_indoor_ban(params, num_clusters, streams)
-        starts = cir.cluster_starts
+            taps, starts = channels.gen_indoor_ban(params, num_clusters, streams)
         clusters.append(len(starts))
-        # the first cluster's rays end at the next start or after its bins
-        stop = starts[0] + params.num_bins_per_cluster
-        if len(starts) > 1:
-            stop = min(stop, starts[1])
-        rays = np.abs(cir.taps[starts[0] : stop])
+        # the first cluster starts at bin 0 and its rays end at the second
+        # cluster's start (the ground's, or an earlier reflection's) or after
+        # its bins
+        rays = np.abs(taps[: min(params.num_bins_per_cluster, starts[1])])
         first_cluster[i, : rays.size] = rays
-        energies.append(cir.energy)
+        energies.append(float((np.abs(taps) ** 2).sum()))
     slopes = _first_cluster_slopes(first_cluster, params.delta_ns)
     table = _table(cfg, draw=list(range(draws)), clusters=clusters,
                    intra_slope_db_per_ns=slopes.tolist(), energy=energies)

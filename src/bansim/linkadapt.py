@@ -24,7 +24,8 @@ class LaThresholds:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.th_pf <= 1.0):
-            raise ValueError("failure-probability threshold must be in [0, 1]")
+            raise ValueError("th_pf, the failure-probability threshold, must be in "
+                             f"[0, 1], got {self.th_pf!r}")
 
 
 def packet_received(p_r_dbm, interference_power_dbm, rate_level,

@@ -32,25 +32,22 @@ def address_space(n_chl: int, d_l: int) -> int:
     return 1 + n_chl * cskip(0, n_chl, d_l)
 
 
-class TreeShapeError(ValueError):
-    """Parent/child structure violates n_chl or d_l."""
-
-
 def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int):
     """Build a tree from {node key: [child keys]}: {key: (block address,
-    depth)}, in pre-order.  Block addresses must fit in 64 bits."""
+    depth)}, in pre-order.  Block addresses must fit in 64 bits; a shape that
+    breaks n_chl or d_l raises ValueError."""
     # with n_chl >= 2 the space exceeds n_chl ** d_l: a d_l past 64 fails
     # without the power, whose big-int cost grows with d_l
     if n_chl >= 2 and (d_l > 64 or address_space(n_chl, d_l) >= 2**64):
-        raise TreeShapeError(f"n_chl {n_chl} and d_l {d_l} need block "
+        raise ValueError(f"n_chl {n_chl} and d_l {d_l} need block "
                              "addresses past 64 bits")
     all_children = [c for kids in shape.values() for c in kids]
     child_set = set(all_children)
     if len(child_set) != len(all_children):
-        raise TreeShapeError("a node appears as a child twice")
+        raise ValueError("a node appears as a child twice")
     roots = [k for k in shape if k not in child_set]
     if len(roots) != 1:
-        raise TreeShapeError(f"expected exactly one root, found {len(roots)}")
+        raise ValueError(f"expected exactly one root, found {len(roots)}")
     tree: dict[int, tuple[int, int]] = {}
     # pre-order with an explicit stack: a chain as deep as d_l allows must
     # not hit the interpreter's recursion limit
@@ -58,12 +55,12 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int):
     while stack:
         key, address, depth = stack.pop()
         if depth > d_l:
-            raise TreeShapeError(f"node {key} exceeds maximum depth {d_l}")
+            raise ValueError(f"node {key} exceeds maximum depth {d_l}")
         kids = shape.get(key, [])
         if len(kids) > n_chl:
-            raise TreeShapeError(f"node {key} has {len(kids)} children > {n_chl}")
+            raise ValueError(f"node {key} has {len(kids)} children > {n_chl}")
         if kids and depth >= d_l:
-            raise TreeShapeError(f"node {key} at depth {d_l} cannot have children")
+            raise ValueError(f"node {key} at depth {d_l} cannot have children")
         tree[key] = (address, depth)
         stride = cskip(depth, n_chl, d_l)
         # reversed, so the first child is visited next
@@ -72,7 +69,7 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int):
     # a detached cycle has no root of its own, so it passes the root count
     unreached = next((k for k in shape if k not in tree), None)
     if unreached is not None:
-        raise TreeShapeError(f"node {unreached} is not reachable from root {roots[0]}")
+        raise ValueError(f"node {unreached} is not reachable from root {roots[0]}")
     return tree
 
 

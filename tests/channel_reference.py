@@ -2,12 +2,14 @@
 the per-draw slope fit in ``bansim.harness.experiments``, and the full-array
 GBHDS scatterer and DOA draws.
 
-The generators build one validated ``ChannelImpulseResponse`` per cluster
-component and superpose them two at a time; ``first_cluster_slope`` fits one
-draw with ``np.polyfit``.  ``gen_outdoor_ban`` and ``gen_indoor_ban`` must
-reproduce their taps and cluster starts bit for bit, and the batched slope
-fit must agree with ``first_cluster_slope`` to rounding; ``test_channels.py``
-checks that with fading on and off.  ``draw_streams`` gives the
+The generators build one ``(taps, cluster starts)`` pair per cluster
+component, check that its taps are finite and its starts strictly increasing
+within the taps, and superpose the pairs two at a time, checking each sum;
+``first_cluster_slope`` fits one draw with ``np.polyfit``.
+``gen_outdoor_ban`` and ``gen_indoor_ban`` must reproduce their taps and
+cluster starts bit for bit, and the batched slope fit must agree with
+``first_cluster_slope`` to rounding; ``test_channels.py`` checks that with
+fading on and off.  ``draw_streams`` gives the
 ``default_rng`` Generators the program's generators take for one draw, each
 seeded from a ``SeedSequence`` child as the references seed theirs.
 ``gbhds_doa`` builds all ``count`` DOA angles at once; ``np.histogram`` over
@@ -16,11 +18,23 @@ them must equal the block-streamed ``gbhds_doa_histogram`` byte for byte.
 
 import numpy as np
 
-from bansim.channels import BanModelParams, ChannelImpulseResponse, GbhdsParams
+from bansim.channels import BanModelParams, GbhdsParams
+
+# a draw: complex taps on a uniform delay grid and its cluster start bins
+Response = tuple[np.ndarray, list[int]]
+
+
+def _checked(taps: np.ndarray, starts: list[int]) -> Response:
+    """The draw, once its taps are finite and its starts strictly increasing
+    bins within the taps."""
+    assert np.isfinite(taps).all(), "taps must be finite"
+    assert all(a < b for a, b in zip(starts, starts[1:])), starts
+    assert 0 <= starts[0] and starts[-1] < taps.size, (starts, taps.size)
+    return taps, starts
 
 
 def _delayed_cluster(params: BanModelParams, delay_ns: float,
-                     seed) -> ChannelImpulseResponse:
+                     seed) -> Response:
     """One cluster of rays decaying at gamma_ray, delay_ns after time zero."""
     rng = np.random.default_rng(seed)
     n_bins = params.num_bins_per_cluster
@@ -31,28 +45,27 @@ def _delayed_cluster(params: BanModelParams, delay_ns: float,
     shift = int(round(delay_ns / params.delta_ns))
     taps = np.concatenate([np.zeros(shift, dtype=complex),
                            10.0 ** (amp_db / 20.0) * np.exp(1j * phases)])
-    return ChannelImpulseResponse(taps, [shift])
+    return _checked(taps, [shift])
 
 
-def _superpose(a: ChannelImpulseResponse,
-               b: ChannelImpulseResponse) -> ChannelImpulseResponse:
+def _superpose(a: Response, b: Response) -> Response:
     """Sum of two responses on the same delay grid, with both cluster sets."""
-    taps = np.zeros(max(a.taps.size, b.taps.size), dtype=complex)
-    taps[: a.taps.size] += a.taps
-    taps[: b.taps.size] += b.taps
-    starts = sorted(set(a.cluster_starts) | set(b.cluster_starts))
-    return ChannelImpulseResponse(taps, starts)
+    (taps_a, starts_a), (taps_b, starts_b) = a, b
+    taps = np.zeros(max(taps_a.size, taps_b.size), dtype=complex)
+    taps[: taps_a.size] += taps_a
+    taps[: taps_b.size] += taps_b
+    return _checked(taps, sorted(set(starts_a) | set(starts_b)))
 
 
-def gen_body(params: BanModelParams, seed) -> ChannelImpulseResponse:
+def gen_body(params: BanModelParams, seed) -> Response:
     return _delayed_cluster(params, 0.0, seed)
 
 
-def gen_ground(params: BanModelParams, seed) -> ChannelImpulseResponse:
+def gen_ground(params: BanModelParams, seed) -> Response:
     return _delayed_cluster(params, params.tau_ground_ns, seed)
 
 
-def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
+def gen_outdoor_ban(params: BanModelParams, seed) -> Response:
     # the shift _delayed_cluster applies: at 0 bins the two clusters would merge
     if round(params.tau_ground_ns / params.delta_ns) == 0:
         raise ValueError(f"tau_ground_ns {params.tau_ground_ns:g} rounds to bin 0 at "
@@ -64,7 +77,7 @@ def gen_outdoor_ban(params: BanModelParams, seed) -> ChannelImpulseResponse:
     return _superpose(gen_body(params, child_body), gen_ground(params, child_ground))
 
 
-def gen_ref(params: BanModelParams, num_clusters: int, seed) -> ChannelImpulseResponse:
+def gen_ref(params: BanModelParams, num_clusters: int, seed) -> Response:
     if num_clusters < 1:
         raise ValueError("num_clusters must be at least 1")
     rng = np.random.default_rng(seed)
@@ -101,12 +114,12 @@ def gen_ref(params: BanModelParams, num_clusters: int, seed) -> ChannelImpulseRe
     if params.shadowing_sigma_db > 0:
         shadow_db = params.shadowing_sigma_db * rng.standard_normal()
         taps *= 10.0 ** (shadow_db / 20.0)
-    return ChannelImpulseResponse(taps, list(start_bins))
+    return _checked(taps, start_bins.tolist())
 
 
 def gen_indoor_ban(
     params: BanModelParams, num_clusters: int, seed
-) -> ChannelImpulseResponse:
+) -> Response:
     child_out, child_ref = seed.spawn(2)
     return _superpose(gen_outdoor_ban(params, child_out),
                       gen_ref(params, num_clusters, child_ref))
@@ -123,11 +136,10 @@ def draw_streams(seed: np.random.SeedSequence, indoor: bool) -> list[np.random.G
     return [*draw_streams(child_out, False), np.random.default_rng(child_ref)]
 
 
-def first_cluster_slope(cir: ChannelImpulseResponse, delta_ns: float) -> float:
+def first_cluster_slope(draw: Response, delta_ns: float) -> float:
     """Fitted dB-per-ns slope of the first cluster, on bins delta_ns apart."""
-    start = cir.cluster_starts[0]
-    stop = cir.cluster_starts[1] if len(cir.cluster_starts) > 1 else cir.taps.size
-    seg = cir.taps[start:stop]
+    taps, starts = draw
+    seg = taps[starts[0] : starts[1] if len(starts) > 1 else taps.size]
     mask = np.abs(seg) > 0
     if mask.sum() < 2:
         return float("nan")

@@ -81,7 +81,7 @@ def test_criterion_02_outdoor_always_two_clusters():
     start = time.perf_counter()
     seeds = np.random.SeedSequence(2024).spawn(10_000)
     assert all(
-        len(channels.gen_outdoor_ban(params, draw_streams(s, False)).cluster_starts) == 2
+        len(channels.gen_outdoor_ban(params, draw_streams(s, False))[1]) == 2
         for s in seeds
     )
     assert time.perf_counter() - start < 10.0

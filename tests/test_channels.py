@@ -59,7 +59,8 @@ def test_generators_deterministic():
                           channels.gen_clusters(p, streams()[:2]))
     for gen in (lambda p, streams: channels.gen_outdoor_ban(p, streams[:2]),
                 lambda p, streams: channels.gen_indoor_ban(p, 3, streams)):
-        assert np.array_equal(gen(p, streams()).taps, gen(p, streams()).taps)
+        (taps_a, starts_a), (taps_b, starts_b) = gen(p, streams()), gen(p, streams())
+        assert np.array_equal(taps_a, taps_b) and starts_a == starts_b
     (taps_a, starts_a), (taps_b, starts_b) = (channels.gen_ref(p, 4, streams()[0]),
                                               channels.gen_ref(p, 4, streams()[0]))
     assert np.array_equal(taps_a, taps_b) and starts_a == starts_b
@@ -73,10 +74,10 @@ def test_ground_is_shifted_body():
     def streams():
         return draw_streams(np.random.SeedSequence(seed), indoor=False)
     _, ground = channels.gen_clusters(p, streams())
-    cir = channels.gen_outdoor_ban(p, streams())
-    assert cir.cluster_starts == [0, 30]
-    assert np.all(cir.taps[16:30] == 0)
-    assert np.array_equal(cir.taps[30:], ground)
+    taps, starts = channels.gen_outdoor_ban(p, streams())
+    assert starts == [0, 30]
+    assert np.all(taps[16:30] == 0)
+    assert np.array_equal(taps[30:], ground)
 
 
 def test_outdoor_rejects_ground_delay_of_bin_0():
@@ -91,10 +92,10 @@ def test_outdoor_rejects_ground_delay_of_bin_0():
 
 def test_outdoor_two_clusters_with_deterministic_gap():
     for seed in range(20):
-        cir = channels.gen_outdoor_ban(make_params(),
-                                       draw_streams(np.random.SeedSequence(seed), False))
-        assert len(cir.cluster_starts) == 2
-        assert cir.cluster_starts[1] - cir.cluster_starts[0] == 5
+        _, starts = channels.gen_outdoor_ban(
+            make_params(), draw_streams(np.random.SeedSequence(seed), False))
+        assert len(starts) == 2
+        assert starts[1] - starts[0] == 5
 
 
 def test_outdoor_is_superposition_of_components():
@@ -104,11 +105,11 @@ def test_outdoor_is_superposition_of_components():
     def streams():
         return draw_streams(np.random.SeedSequence(seed), indoor=False)
     body, ground = channels.gen_clusters(p, streams())
-    outdoor = channels.gen_outdoor_ban(p, streams())
-    expect = np.zeros(outdoor.taps.size, dtype=complex)
+    outdoor, _ = channels.gen_outdoor_ban(p, streams())
+    expect = np.zeros(outdoor.size, dtype=complex)
     expect[:16] += body
     expect[5:] += ground
-    assert np.array_equal(outdoor.taps, expect)
+    assert np.array_equal(outdoor, expect)
 
 
 def test_ref_interarrival_mean():
@@ -142,14 +143,14 @@ def test_indoor_is_superposition():
 
     def streams():
         return draw_streams(np.random.SeedSequence(seed), indoor=True)
-    outdoor = channels.gen_outdoor_ban(p, streams()[:2])
+    outdoor, outdoor_starts = channels.gen_outdoor_ban(p, streams()[:2])
     ref, ref_starts = channels.gen_ref(p, 3, streams()[2])
-    indoor = channels.gen_indoor_ban(p, 3, streams())
-    expect = np.zeros(indoor.taps.size, dtype=complex)
-    expect[: outdoor.taps.size] += outdoor.taps
+    indoor, indoor_starts = channels.gen_indoor_ban(p, 3, streams())
+    expect = np.zeros(indoor.size, dtype=complex)
+    expect[: outdoor.size] += outdoor
     expect[: ref.size] += ref
-    assert np.array_equal(indoor.taps, expect)
-    assert indoor.cluster_starts == sorted(set(outdoor.cluster_starts) | set(ref_starts))
+    assert np.array_equal(indoor, expect)
+    assert indoor_starts == sorted(set(outdoor_starts) | set(ref_starts))
 
 
 # channel_stats draws against the per-component reference: fading off and
@@ -180,16 +181,17 @@ def test_channel_stats_matches_reference(model, ban):
             np.random.SeedSequence(seed).spawn(draws),
             np.random.SeedSequence(seed).spawn(draws))):
         if model == "outdoor_ban":
-            cir = channels.gen_outdoor_ban(params, draw_streams(new_seed, False))
+            taps, starts = channels.gen_outdoor_ban(params, draw_streams(new_seed, False))
             ref = channel_reference.gen_outdoor_ban(params, ref_seed)
         else:
-            cir = channels.gen_indoor_ban(params, num_clusters,
-                                          draw_streams(new_seed, True))
+            taps, starts = channels.gen_indoor_ban(params, num_clusters,
+                                                   draw_streams(new_seed, True))
             ref = channel_reference.gen_indoor_ban(params, num_clusters, ref_seed)
-        assert np.array_equal(cir.taps, ref.taps), i
-        assert cir.cluster_starts == ref.cluster_starts, i
-        assert table.rows[i][1] == len(ref.cluster_starts)
-        assert table.rows[i][3] == float(np.sum(np.abs(ref.taps) ** 2))
+        ref_taps, ref_starts = ref
+        assert np.array_equal(taps, ref_taps), i
+        assert starts == ref_starts, i
+        assert table.rows[i][1] == len(ref_starts)
+        assert table.rows[i][3] == float(np.sum(np.abs(ref_taps) ** 2))
         ref_slopes.append(channel_reference.first_cluster_slope(ref, params.delta_ns))
     slopes = np.array(table.column("intra_slope_db_per_ns"))
     assert np.array_equal(np.isnan(slopes), np.isnan(ref_slopes))
@@ -334,10 +336,3 @@ def test_apply_channel_basics():
     assert np.allclose(channels.apply_channel(np.array([1.0, 2.0], complex),
                                               np.array([1.0, 0.5], complex), 2),
                        [1.0, 0.5, 2.0, 1.0, 0.0])
-
-
-def test_cir_validation_and_csv():
-    with pytest.raises(ValueError):
-        channels.ChannelImpulseResponse(np.array([1.0, 1.0], complex), [1, 1])
-    # strictly increasing starts inside the response are accepted
-    channels.ChannelImpulseResponse(np.array([1.0, 2.0, 3.0], complex), [0, 2])

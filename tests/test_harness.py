@@ -160,6 +160,21 @@ def test_ber_sweep_stops_short_of_a_partial_symbol(tmp_path):
     assert [row[header.index("bits")] for row in rows] == ["4"] * 4
 
 
+def test_cma_two_iterations_write_two_rows(tmp_path):
+    # a trace shorter than the delay search: delays whose aligned span is
+    # empty are skipped, and each of the two outputs is scored
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("[common]\nseed = 1\n[cma_convergence]\niterations = 2\nwindow = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["cma_convergence", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in
+                     (out / "cma_trace.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    assert header == ["iteration", "mse"]
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert all(np.isfinite(float(row[1])) for row in rows)
+
+
 def test_cma_flat_trace_at_zero_mu():
     cfg = parse_config(
         "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM16\nmu = 0.0\n"
@@ -318,12 +333,35 @@ MALFORMED = [
      "gamma_ray_db_per_ns = 700", "gamma_ray_db_per_ns"),
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
      "gamma_cluster_db_per_ns = 1e200", "gamma_cluster_db_per_ns"),
-    ("channel_stats", "[ban]\nnum_bins_per_cluster = 0", "num_bins_per_cluster"),
+    ("channel_stats", "[ban]\nnum_bins_per_cluster = 0",
+     "num_bins_per_cluster must be at least 1, got 0"),
     # a negative fading spread: an error, never the rows of no fading
-    ("channel_stats", "[ban]\nsigma_ray_db = -3", "sigma_ray_db"),
+    ("channel_stats", "[ban]\nsigma_ray_db = -3",
+     "sigma_ray_db must be non-negative, got -3.0"),
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
-     "sigma_cluster_db = -3", "sigma_cluster_db"),
-    ("channel_stats", "[ban]\nshadowing_sigma_db = -3", "shadowing_sigma_db"),
+     "sigma_cluster_db = -3", "sigma_cluster_db must be non-negative, got -3.0"),
+    ("channel_stats", "[ban]\nshadowing_sigma_db = -3",
+     "shadowing_sigma_db must be non-negative, got -3.0"),
+    # each parameter-dataclass rejection names its key and the value it got
+    ("channel_stats", "[ban]\ndelta_ns = 0",
+     "channel_stats: delta_ns must be positive, got 0.0"),
+    ("channel_stats", "[ban]\nmean_cluster_interarrival_ns = 0",
+     "channel_stats: mean_cluster_interarrival_ns must be positive, got 0.0"),
+    ("channel_stats", "[ban]\ntau_ground_ns = -1",
+     "channel_stats: tau_ground_ns must be non-negative, got -1.0"),
+    ("channel_stats", "[ban]\ngamma_cluster_db_per_ns = -0.5",
+     "channel_stats: gamma_cluster_db_per_ns must be non-negative, got -0.5"),
+    ("channel_stats", "[ban]\ngamma_ray_db_per_ns = -0.5",
+     "channel_stats: gamma_ray_db_per_ns must be non-negative, got -0.5"),
+    ("la_sim", "[la_sim]\nd0_m = 0", "la_sim: d0_m must be positive, got 0.0"),
+    ("la_sim", "[la_sim]\nexponent = -3", "la_sim: exponent must be positive, got -3.0"),
+    ("la_sim", "[la_sim]\nsigma_db = -1",
+     "la_sim: sigma_db must be non-negative, got -1.0"),
+    ("doa_hist", "[doa_hist]\na = 1.5", "doa_hist: a must be in (0, 1), got 1.5"),
+    ("doa_hist", "[doa_hist]\nradius_m = 0",
+     "doa_hist: radius_m must be positive, got 0.0"),
+    ("doa_hist", "[doa_hist]\nbs_distance_m = 50",
+     "doa_hist: bs_distance_m must be above radius_m 100.0, got 50.0"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
     # numpy's seeding takes no negative entropy
@@ -399,7 +437,8 @@ MALFORMED = [
     ("la_sim", "[la_sim]\ntx_power_dbm = 0.0, nan", "[la_sim] tx_power_dbm:"),
     ("la_sim", "[la_sim]\nnoise_floor_dbm = nan", "[la_sim] noise_floor_dbm:"),
     ("la_sim", "[la_sim]\na0_db = inf", "[la_sim] a0_db:"),
-    ("la_sim", "[la_sim]\nth_pf = 2", "failure-probability threshold"),
+    ("la_sim", "[la_sim]\nth_pf = 2",
+     "la_sim: th_pf, the failure-probability threshold, must be in [0, 1], got 2.0"),
     ("mud_compare", "[mud_compare]\nns = 0", "[mud_compare] ns:"),
     ("mud_compare", "[mud_compare]\nnw = 0", "[mud_compare] nw:"),
     ("cma_convergence", "[cma_convergence]\nsamples_per_symbol = 0",

@@ -5,6 +5,9 @@ the code under ``src/`` or ``perfbench/``; a name only the tests call
 belongs in the tests.  Every field of a ``bansim`` dataclass must be read as
 an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
+Every exception class a ``bansim`` module defines must be named in an
+``except`` of the same program code: a type that no handler tells apart from
+its base is one more name for the base.
 The harness turns config values into arrays, and the models take those
 arrays as they are: ``np.asarray`` is called only under ``harness/``.  The
 harness alone turns the config seed into random streams, and the models take
@@ -15,6 +18,7 @@ calls ``default_rng``, ``spawn``, ``SeedSequence``, ``PCG64`` or
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +141,63 @@ def test_every_dataclass_field_is_read():
     unread = sorted(f"{mod}.{cls}.{name}" for mod, cls, name in fields - FIELDS_ALLOWED
                     if name not in read)
     assert unread == [], f"dataclass fields nothing reads: {unread}"
+
+
+def _exception_classes(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, class) of each class deriving, directly or through other
+    classes found here, from a built-in exception or from a class named
+    ``*Error`` or ``*Exception``, such as numpy's ``LinAlgError``."""
+    classes = {(mod, node.name): [base.attr if isinstance(base, ast.Attribute) else
+                                  getattr(base, "id", None) for base in node.bases]
+               for mod, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    names = {name for name in dir(builtins)
+             if isinstance(getattr(builtins, name), type)
+             and issubclass(getattr(builtins, name), BaseException)}
+    found: set[tuple[str, str]] = set()
+    while True:
+        more = {key for key, bases in classes.items()
+                if any(base in names or str(base).endswith(("Error", "Exception"))
+                       for base in bases)}
+        if more <= found:
+            return found
+        found |= more
+        names |= {name for _, name in more}
+
+
+def _names_caught(tree: ast.AST) -> set[str]:
+    """The names an ``except`` clause catches: ``A``, ``m.A`` and each
+    element of a tuple of them."""
+    caught = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(t.attr if isinstance(t, ast.Attribute) else t.id
+                          for t in types if isinstance(t, (ast.Attribute, ast.Name)))
+    return caught
+
+
+def test_except_scan_sees_every_form():
+    code = ("try:\n    f()\nexcept A:\n    pass\nexcept m.B as exc:\n    pass\n"
+            "except (C, n.D):\n    pass\nexcept:\n    pass\n")
+    assert _names_caught(ast.parse(code)) == {"A", "B", "C", "D"}
+    classes = ("class E(ValueError): pass\nclass F(E): pass\n"
+               "class G(np.linalg.LinAlgError): pass\nclass H: pass\n")
+    assert _exception_classes({"m": ast.parse(classes)}) == {("m", "E"), ("m", "F"),
+                                                             ("m", "G")}
+
+
+def test_every_exception_class_is_caught_by_name():
+    trees = {_module(path): ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    errors = _exception_classes(trees)
+    assert ("harness.config", "ConfigError") in errors  # the scan sees them
+    program = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    caught = set()
+    for path in program:
+        caught |= _names_caught(ast.parse(path.read_text(), str(path)))
+    uncaught = sorted(f"{mod}.{name}" for mod, name in errors if name not in caught)
+    assert uncaught == [], f"exception classes no program except names: {uncaught}"
 
 
 def _asarray_calls(path: Path) -> list[str]:

@@ -78,20 +78,20 @@ def test_root_and_children_addresses():
 
 
 def test_tree_shape_errors():
-    with pytest.raises(zigbee.TreeShapeError):
-        zigbee.assign_addresses({0: [1], 2: [1]}, 2, 2)  # child claimed twice
-    with pytest.raises(zigbee.TreeShapeError):
-        zigbee.assign_addresses({0: [], 1: []}, 2, 2)  # two roots
-    with pytest.raises(zigbee.TreeShapeError):
+    with pytest.raises(ValueError, match="^a node appears as a child twice$"):
+        zigbee.assign_addresses({0: [1], 2: [1]}, 2, 2)
+    with pytest.raises(ValueError, match="^expected exactly one root, found 2$"):
+        zigbee.assign_addresses({0: [], 1: []}, 2, 2)
+    with pytest.raises(ValueError, match="^node 0 has 3 children > 2$"):
         zigbee.assign_addresses({0: [1, 2, 3], 1: [], 2: [], 3: []}, 2, 2)
-    with pytest.raises(zigbee.TreeShapeError):
+    with pytest.raises(ValueError, match="^node 2 at depth 2 cannot have children$"):
         zigbee.assign_addresses({0: [1], 1: [2], 2: [3], 3: []}, 2, 2)  # too deep
     # a detached cycle: one root, but nodes 2 and 3 hang off nothing
-    with pytest.raises(zigbee.TreeShapeError, match="node 2 is not reachable"):
+    with pytest.raises(ValueError, match="node 2 is not reachable"):
         zigbee.assign_addresses({0: [1, 4], 1: [], 4: [], 2: [3], 3: [2]}, 2, 2)
     # block addresses past 64 bits: n_chl 2 reaches 2**64 at d_l 64
     assert zigbee.assign_addresses({0: []}, 2, 63) == {0: (0, 0)}
-    with pytest.raises(zigbee.TreeShapeError, match="n_chl 2 and d_l 64 "):
+    with pytest.raises(ValueError, match="n_chl 2 and d_l 64 "):
         zigbee.assign_addresses({0: []}, 2, 64)
 
 
