@@ -8,8 +8,6 @@ tap vector stored so that no extra conjugation is needed at detection time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -18,10 +16,6 @@ from .sigproc import ModulationScheme, _complex_normal, slice_symbols
 
 class DivergenceError(RuntimeError):
     """Blind adaptation left the stable region."""
-
-    def __init__(self, step: int):
-        super().__init__(f"blind equalizer diverged at step {step}")
-        self.step = step
 
 
 def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
@@ -124,30 +118,6 @@ def dispersion_constant(scheme: ModulationScheme) -> float:
     return float(np.mean(mags**4) / np.mean(mags**2))
 
 
-@dataclass
-class CmaEqualizer:
-    taps: np.ndarray
-    step: float
-    dispersion: float
-    variant: str = "CMA"  # or "DSE_CMA", whose dither amplitude is dispersion
-
-    def __post_init__(self) -> None:
-        if self.step < 0:
-            raise ValueError("step size must be non-negative")
-        if self.taps.size % 2 == 0:
-            raise ValueError("tap count nf must be odd (center-spike initialization)")
-        if self.variant not in ("CMA", "DSE_CMA"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    @classmethod
-    def center_spike(
-        cls, nf: int, step: float, dispersion: float, variant: str = "CMA",
-    ) -> "CmaEqualizer":
-        taps = np.zeros(nf, dtype=complex)
-        taps[nf // 2] = 1.0
-        return cls(taps, step, dispersion, variant)
-
-
 def _aligned(y: np.ndarray, truth: np.ndarray, delay: int):
     """Pair y[n] with truth[n + delay]; delay may be negative."""
     if delay >= 0:
@@ -190,24 +160,31 @@ def agc(received: np.ndarray) -> np.ndarray:
 
 
 def run_blind(
-    received: np.ndarray, eq: CmaEqualizer, iterations: int,
-    truth: np.ndarray, rng: np.random.Generator, stride: int = 1,
+    received: np.ndarray, nf: int, mu: float, r2: float, variant: str,
+    iterations: int, truth: np.ndarray, rng: np.random.Generator,
+    stride: int = 1,
 ) -> tuple[np.ndarray, int]:
-    """Adapt ``eq`` on the stream scaled to unit power (``agc``) and score
-    each output against the transmitted symbols ``truth``: returns the
-    per-iteration squared error and the equalizer delay that aligns the
-    output with the symbols.  DSE-CMA draws its dither from ``rng``."""
+    """Adapt nf centre-spike taps, step size mu, dispersion constant r2, on
+    the stream scaled to unit power (``agc``); score each output against the
+    transmitted symbols ``truth``.  Returns the per-iteration squared error
+    and the delay that aligns the output with them.  The "DSE_CMA" variant
+    dithers at amplitude r2, drawn from ``rng``; "CMA" draws none."""
+    if mu < 0:
+        raise ValueError(f"mu must be non-negative, got {mu!r}")
+    if nf % 2 == 0:
+        raise ValueError(f"nf must be odd, got {nf!r}")
+    if variant not in ("CMA", "DSE_CMA"):
+        raise ValueError(f"variant must be CMA or DSE_CMA, got {variant!r}")
     received = agc(received)
-    nf = eq.taps.size
-    if eq.variant == "CMA":
-        y, _, bad = _kernels.cma_run(
-            received, eq.taps, eq.step, eq.dispersion, iterations, stride,
-        )
+    taps = np.zeros(nf, dtype=complex)
+    taps[nf // 2] = 1.0
+    if variant == "CMA":
+        y, _, bad = _kernels.cma_run(received, taps, mu, r2, iterations, stride)
     else:
         y, _, bad = _kernels.dse_cma_run(
-            received, eq.taps, eq.step, eq.dispersion, eq.dispersion,
+            received, taps, mu, r2, r2,
             rng.uniform(0.0, 1.0, size=2 * iterations), iterations, stride,
         )
     if bad >= 0:
-        raise DivergenceError(bad)
+        raise DivergenceError(f"blind equalizer diverged at step {bad}")
     return _derotate_and_delay(y, truth, nf)

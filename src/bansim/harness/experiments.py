@@ -153,10 +153,9 @@ def run_cma_convergence(cfg: ScenarioConfig):
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)
     symbols = sigproc.modulate(bits, scheme)
     received = channels.apply_channel(symbols, np.asarray(taps, complex), stride)
-    eq = equalize.CmaEqualizer.center_spike(
-        nf, mu, equalize.dispersion_constant(scheme), variant=variant)
-    trace, delay = equalize.run_blind(received, eq, iterations, truth=symbols,
-                                      rng=_child(rng), stride=stride)
+    trace, delay = equalize.run_blind(
+        received, nf, mu, equalize.dispersion_constant(scheme), variant,
+        iterations, truth=symbols, rng=_child(rng), stride=stride)
     table = _table(cfg, iteration=list(range(trace.size)), mse=trace.tolist())
     initial = float(np.mean(trace[:window]))
     final = float(np.mean(trace[-window:]))

@@ -31,7 +31,7 @@ def to_csv_reference(self) -> str:
         f"# config_hash={self.config_hash}",
         ",".join(self.columns),
     ]
-    for row in self.rows:
+    for row in zip(*self.columns.values()):
         lines.append(",".join(_format_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 

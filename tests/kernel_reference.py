@@ -20,61 +20,61 @@ blocks, so the repair and the backoff run too.
 
 import numpy as np
 
-from bansim import _kernels, equalize
+from bansim import _kernels
 from sigproc_reference import exact_label
 
 
-def cma_step(eq, regressor, dither_u=None, alpha_d=None):
-    """One adaptation step of an ``equalize.CmaEqualizer``; returns
-    (y, updated equalizer).  A DSE-CMA step dithers with amplitude
-    ``alpha_d``, by default the dispersion R2 that ``equalize.run_blind``
-    uses."""
+def cma_step(taps, mu, r2, variant, regressor, dither_u=None, alpha_d=None):
+    """One adaptation step of the blind equalizer ``equalize.run_blind``
+    runs: taps at step size mu toward the dispersion constant r2, variant
+    "CMA" or "DSE_CMA".  Returns (y, updated taps).  A DSE-CMA step dithers
+    with amplitude ``alpha_d``, by default r2, as ``run_blind`` does."""
     regressor = np.asarray(regressor, dtype=complex)
-    if regressor.size != eq.taps.size:
+    if regressor.size != taps.size:
         raise ValueError("regressor length must equal tap count")
-    y = np.vdot(eq.taps, regressor)
-    err = y * (eq.dispersion - abs(y) ** 2)
-    if eq.variant == "CMA":
+    y = np.vdot(taps, regressor)
+    err = y * (r2 - abs(y) ** 2)
+    if variant == "CMA":
         psi = err
     else:
         if dither_u is None:
             raise ValueError("DSE-CMA step needs two uniform dither draws")
         if alpha_d is None:
-            alpha_d = eq.dispersion
+            alpha_d = r2
         d_r = alpha_d * np.sin(2.0 * np.pi * dither_u[0])
         d_i = alpha_d * np.sin(2.0 * np.pi * dither_u[1])
         psi = alpha_d * (
             np.sign(err.real + d_r) + 1j * np.sign(err.imag + d_i)
         )
-    taps = eq.taps + eq.step * np.conj(psi) * regressor
-    return y, equalize.CmaEqualizer(taps, eq.step, eq.dispersion, eq.variant)
+    return y, taps + mu * np.conj(psi) * regressor
 
 
-def _blind_reference(received, eq, max_steps, stride, dither_u, alpha_d=None):
+def _blind_reference(received, taps, mu, r2, variant, max_steps, stride,
+                     dither_u, alpha_d=None):
     """On divergence y stops at the diverging step, with the taps that
     produced it."""
-    nf = eq.taps.size
+    nf = taps.size
     y = []
     for n in range(max_steps):
         reg = received[n * stride : n * stride + nf][::-1]
         u = None if dither_u is None else dither_u[2 * n : 2 * n + 2]
-        yn, nxt = cma_step(eq, reg, u, alpha_d)
+        yn, nxt = cma_step(taps, mu, r2, variant, reg, u, alpha_d)
         y.append(yn)
         if abs(yn) > _kernels.DIVERGENCE_LIMIT:
-            return np.array(y, dtype=np.complex128), eq.taps, n
-        eq = nxt
-    return np.array(y, dtype=np.complex128), eq.taps, -1
+            return np.array(y, dtype=np.complex128), taps, n
+        taps = nxt
+    return np.array(y, dtype=np.complex128), taps, -1
 
 
 def cma_reference(received, taps, mu, r2, max_steps, stride):
-    eq = equalize.CmaEqualizer(taps, mu, r2)
-    return _blind_reference(received, eq, max_steps, stride, None)
+    return _blind_reference(received, taps, mu, r2, "CMA", max_steps, stride,
+                            None)
 
 
 def dse_cma_reference(received, taps, mu, r2, alpha_d, dither_u, max_steps,
                       stride):
-    eq = equalize.CmaEqualizer(taps, mu, r2, "DSE_CMA")
-    return _blind_reference(received, eq, max_steps, stride, dither_u, alpha_d)
+    return _blind_reference(received, taps, mu, r2, "DSE_CMA", max_steps,
+                            stride, dither_u, alpha_d)
 
 
 def dfe_reference(received, w_ff, w_fb, constellation, history, stride, n_sym):

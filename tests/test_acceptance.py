@@ -3,6 +3,7 @@ independent oracle or committed fixture.  Run with ``pytest -v`` to get one
 pass/fail line per criterion."""
 
 import filecmp
+import hashlib
 import math
 import re
 import time
@@ -27,6 +28,7 @@ from graphutil import (
     min_forward_set_size,
     random_connected_graphs,
 )
+from test_harness import SHIPPED_CSVS
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -158,11 +160,9 @@ def _blind_run(scheme_name: str, mu: float, seed: int):
     symbols = sigproc.modulate(bits, scheme)
     received = channels.apply_channel(symbols, np.asarray(REF_CHANNEL, complex),
                                       stride)
-    eq = equalize.CmaEqualizer.center_spike(
-        nf, mu, equalize.dispersion_constant(scheme)
-    )
-    trace, _ = equalize.run_blind(received, eq, iterations, truth=symbols,
-                                  rng=np.random.default_rng(0), stride=stride)
+    trace, _ = equalize.run_blind(
+        received, nf, mu, equalize.dispersion_constant(scheme), "CMA",
+        iterations, truth=symbols, rng=np.random.default_rng(0), stride=stride)
     initial = float(np.mean(trace[:window]))
     final = float(np.mean(trace[-window:]))
     return 10.0 * np.log10(initial / final)
@@ -183,7 +183,8 @@ def test_criterion_07_receiver_ordering():
         "mud_compare",
     )
     [(_, table, _plot)] = run_experiment(cfg)
-    rows = {name: (ser, mse) for name, ser, mse in table.rows}
+    rows = {name: (ser, mse) for name, ser, mse in zip(
+        table.column("receiver"), table.column("ser"), table.column("mse"))}
     assert rows["linear_mud"][0] < rows["matched"][0]
     assert rows["dfe_mud"][1] <= rows["linear_mud"][1]
 
@@ -221,22 +222,23 @@ def test_criterion_09_link_adaptation_golden_trace():
     cfg = parse_config((ROOT / "configs" / "la_sim.cfg").read_text(), "la_sim")
     [(_stem, table, _plot)] = run_experiment(cfg)
     header, *golden = (FIXTURES / "la_golden_trace.csv").read_text().splitlines()
-    assert list(table.columns) == header.split(",")
-    assert len(table.rows) == len(golden)
-    for row, line in zip(table.rows, golden):
-        rnd, node, level, snr_db, p_f, received = line.split(",")
-        assert row[:3] == (int(rnd), int(node), int(level))
-        assert row[3] == float(snr_db) and row[4] == float(p_f)
-        assert received in ("0", "1") and row[5] == int(received)
+    names = header.split(",")
+    assert list(table.columns) == names
+    assert len(table.column("round")) == len(golden)
+    cells = list(zip(*(line.split(",") for line in golden)))
+    assert set(cells[names.index("received")]) <= {"0", "1"}
+    for name, kind, want in zip(names, (int, int, int, float, float, int), cells):
+        assert table.column(name) == [kind(c) for c in want], name
     # rate never increases while the failure fraction exceeds its threshold
     th_pf = cfg.section("la_sim")["th_pf"]
     by_node = {}
-    for row in table.rows:
-        by_node.setdefault(row[1], []).append(row)
-    for rows in by_node.values():
-        for prev, cur in zip(rows, rows[1:]):
-            if prev[4] > th_pf:
-                assert cur[2] <= prev[2]
+    for node, level, p_f in zip(table.column("node"), table.column("rate_level"),
+                                table.column("p_f")):
+        by_node.setdefault(node, []).append((level, p_f))
+    for steps in by_node.values():
+        for (prev_level, prev_pf), (level, _) in zip(steps, steps[1:]):
+            if prev_pf > th_pf:
+                assert level <= prev_level
 
 
 def _replay_soundness(radio: dict[int, set[int]], state: zigbee.BroadcastState):
@@ -308,7 +310,8 @@ CLI_RUNS = [
 def assert_matches_golden(csv_path: Path, golden_path: Path) -> None:
     """Compare a CSV with its committed golden: provenance lines, header,
     integer and text cells exact, float cells at rtol 1e-9.  A golden that
-    starts with ``# golden stride=S rows=N`` holds every S-th of N rows."""
+    starts with ``# golden stride=S rows=N`` holds every S-th of N rows.
+    Then every byte must match the golden's pin in ``SHIPPED_CSVS``."""
     want = golden_path.read_text().splitlines()
     got = csv_path.read_text().splitlines()
     stride, rows = 1, None
@@ -336,6 +339,8 @@ def assert_matches_golden(csv_path: Path, golden_path: Path) -> None:
                 continue
             assert (gf == wf or math.isclose(gf, wf, rel_tol=1e-9)
                     or (math.isnan(gf) and math.isnan(wf))), (csv_path.name, row, g, w)
+    pin = SHIPPED_CSVS[f"{golden_path.parent.name}/{golden_path.name}"]
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == pin, csv_path.name
 
 
 def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch):

@@ -190,8 +190,8 @@ def test_channel_stats_matches_reference(model, ban):
         ref_taps, ref_starts = ref
         assert np.array_equal(taps, ref_taps), i
         assert starts == ref_starts, i
-        assert table.rows[i][1] == len(ref_starts)
-        assert table.rows[i][3] == float(np.sum(np.abs(ref_taps) ** 2))
+        assert table.column("clusters")[i] == len(ref_starts)
+        assert table.column("energy")[i] == float(np.sum(np.abs(ref_taps) ** 2))
         ref_slopes.append(channel_reference.first_cluster_slope(ref, params.delta_ns))
     slopes = np.array(table.column("intra_slope_db_per_ns"))
     assert np.array_equal(np.isnan(slopes), np.isnan(ref_slopes))

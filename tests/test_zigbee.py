@@ -160,6 +160,17 @@ def test_self_pruning_deterministic_given_seed():
     ] == [(r.slot, r.node, r.action) for r in b.event_log]
 
 
+def test_event_log_reads_the_same_rows_twice():
+    # the rows are built on the first read and kept for every later one
+    tree, radio = chain_scene(5)
+    log = flood(tree, radio, 0, 7, seed=4).event_log
+    first, second = list(log), list(log)
+    assert len(first) == len(log) > 0
+    assert [(r.slot, r.node, r.action) for r in second] == [
+        (r.slot, r.node, r.action) for r in first]
+    assert all(a is b for a, b in zip(first, second))
+
+
 def _events(state):
     return [(r.slot, r.node, r.action) for r in state.event_log]
 
