@@ -115,22 +115,16 @@ def _ground_shift(params: BanModelParams) -> int:
     return shift
 
 
-def _add_outdoor(taps: np.ndarray, params: BanModelParams, shift: int,
-                 rngs) -> None:
-    """Add the body cluster at bin 0, then the ground cluster at bin shift."""
+def gen_outdoor_ban(params: BanModelParams, rngs) -> tuple[np.ndarray, list[int]]:
+    """Taps and cluster start bins of the body cluster at bin 0 and the
+    ground cluster at its delay, from the (body, ground) Generators."""
+    shift = _ground_shift(params)
     # ground reflections are uncorrelated with the around-body wave:
     # independent streams for the two components
     body, ground = gen_clusters(params, rngs)
-    taps[: body.size] += body
-    taps[shift : shift + ground.size] += ground
-
-
-def gen_outdoor_ban(params: BanModelParams, rngs) -> tuple[np.ndarray, list[int]]:
-    """Taps and cluster start bins of the body and ground clusters, from the
-    (body, ground) Generators."""
-    shift = _ground_shift(params)
     taps = np.zeros(shift + params.num_bins_per_cluster, dtype=complex)
-    _add_outdoor(taps, params, shift, rngs)
+    taps[: body.size] += body
+    taps[shift:] += ground
     return taps, [0, shift]
 
 
@@ -177,15 +171,17 @@ def gen_ref(params: BanModelParams, num_clusters: int,
 
 def gen_indoor_ban(params: BanModelParams, num_clusters: int,
                    rngs) -> tuple[np.ndarray, list[int]]:
-    """Taps and cluster start bins of the body, ground and reflection
-    clusters, from the (body, ground, reflection) Generators."""
-    shift = _ground_shift(params)
+    """The outdoor draw plus the reflections: taps and cluster start bins,
+    from the (body, ground, reflection) Generators."""
     body, ground, reflection = rngs
+    # the outdoor draw first: a ground delay at bin 0 fails before any
+    # reflection is drawn
+    outdoor, starts = gen_outdoor_ban(params, (body, ground))
     ref, ref_starts = gen_ref(params, num_clusters, reflection)
-    taps = np.zeros(max(shift + params.num_bins_per_cluster, ref.size), dtype=complex)
-    _add_outdoor(taps, params, shift, (body, ground))
+    taps = np.zeros(max(outdoor.size, ref.size), dtype=complex)
+    taps[: outdoor.size] += outdoor
     taps[: ref.size] += ref
-    return taps, sorted({0, shift, *ref_starts})
+    return taps, sorted({*starts, *ref_starts})
 
 
 def path_loss_db(d_m, params: PathLossParams, rng=None):

@@ -1,8 +1,12 @@
 """Modulation/demodulation, hard-decision slicing and AWGN injection.
 
-All constellations are normalized to unit average symbol energy and carry
-Gray-coded bit labels; the constellation array is indexed by the integer
-bit label.
+Every constellation is one rectangular Gray grid, indexed by the integer
+bit label: the label's high bits pick the level of one rail (real or
+imaginary part) and its low bits the level of the other, each rail's levels
+Gray-coded from one table.  The points are divided by fixed scales, 1, √2,
+√6 and √10, which give unit average symbol energy.  O-QPSK is the QPSK grid
+at symbol rate: its half-symbol offset needs waveform simulation and is
+dropped here.
 
 Every hard decision picks the exact nearest constellation point, and the
 lowest label among points exactly as near.  All constellations here are
@@ -20,14 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _gray_inverse(g: int) -> int:
-    n = 0
-    while g:
-        n ^= g
-        g >>= 1
-    return n
 
 
 def _thresholds(levels: list[float]) -> tuple[list[float], list[float]]:
@@ -115,65 +111,43 @@ def rail_slicer(constellation: np.ndarray) -> RailSlicer:
 @dataclass(frozen=True)
 class ModulationScheme:
     kind: str
-    bits_per_symbol: int
     constellation: np.ndarray = field(repr=False)  # indexed by bit label
+    bits_per_symbol: int = field(init=False)
     slicer: RailSlicer = field(init=False, repr=False)
     label_bits: np.ndarray = field(init=False, repr=False)  # (label, bit) int8
 
     def __post_init__(self) -> None:
-        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        bits = (np.arange(self.constellation.size)[:, None] >> shifts) & 1
+        size = self.constellation.size
+        bps = size.bit_length() - 1
+        if bps < 1 or size != 1 << bps:
+            raise ValueError(f"a constellation needs 2**k points with k >= 1, got {size}")
+        shifts = np.arange(bps - 1, -1, -1)
+        bits = (np.arange(size)[:, None] >> shifts) & 1
+        object.__setattr__(self, "bits_per_symbol", bps)
         object.__setattr__(self, "slicer", rail_slicer(self.constellation))
         object.__setattr__(self, "label_bits", bits.astype(np.int8))
 
 
-def _pam_levels(n_levels: int) -> np.ndarray:
-    # symmetric odd-integer grid: -3,-1,1,3 for 4 levels
-    return np.arange(-(n_levels - 1), n_levels, 2, dtype=float)
+# a rail's levels, indexed by its Gray bits, for 0, 1 and 2 bits
+_GRAY_LEVELS = ([0.0], [1.0, -1.0], [-3.0, -1.0, 3.0, 1.0])
 
 
-def _build_bpsk() -> np.ndarray:
-    # bit 0 -> +1, bit 1 -> -1 (antipodal)
-    return np.array([1.0 + 0j, -1.0 + 0j])
+def _gray_grid(high_bits: int, low_bits: int, high_rail: str,
+               scale: float) -> np.ndarray:
+    """Points indexed by label: its high bits pick the level of `high_rail`
+    ("real" or "imag"), its low bits the other rail's; divided by scale."""
+    labels = np.arange(1 << (high_bits + low_bits))
+    high = np.take(_GRAY_LEVELS[high_bits], labels >> low_bits)
+    low = np.take(_GRAY_LEVELS[low_bits], labels & ((1 << low_bits) - 1))
+    real, imag = (high, low) if high_rail == "real" else (low, high)
+    return (real + 1j * imag) / scale
 
 
-def _build_oqpsk() -> np.ndarray:
-    # QPSK mapping at symbol rate; the half-symbol offset needs waveform
-    # simulation and is dropped here.  One Gray bit per quadrature rail.
-    pts = np.empty(4, dtype=complex)
-    for label in range(4):
-        b_i, b_q = (label >> 1) & 1, label & 1
-        pts[label] = ((1 - 2 * b_i) + 1j * (1 - 2 * b_q)) / np.sqrt(2.0)
-    return pts
-
-
-def _build_qam16() -> np.ndarray:
-    levels = _pam_levels(4)
-    pts = np.empty(16, dtype=complex)
-    for label in range(16):
-        g_i, g_q = (label >> 2) & 3, label & 3
-        i_idx = _gray_inverse(g_i)
-        q_idx = _gray_inverse(g_q)
-        pts[label] = (levels[i_idx] + 1j * levels[q_idx]) / np.sqrt(10.0)
-    return pts
-
-
-def _build_qam8() -> np.ndarray:
-    # rectangular 2x4 cross: 4 Gray-coded in-phase levels, 1 quadrature bit
-    levels = _pam_levels(4)
-    pts = np.empty(8, dtype=complex)
-    for label in range(8):
-        b_row = (label >> 2) & 1
-        g_col = label & 3
-        i_idx = _gray_inverse(g_col)
-        pts[label] = (levels[i_idx] + 1j * (1 - 2 * b_row)) / np.sqrt(6.0)
-    return pts
-
-
-BPSK = ModulationScheme("BPSK", 1, _build_bpsk())
-OQPSK = ModulationScheme("OQPSK", 2, _build_oqpsk())
-QAM8 = ModulationScheme("QAM8", 3, _build_qam8())
-QAM16 = ModulationScheme("QAM16", 4, _build_qam16())
+BPSK = ModulationScheme("BPSK", _gray_grid(1, 0, "real", 1.0))
+OQPSK = ModulationScheme("OQPSK", _gray_grid(1, 1, "real", math.sqrt(2.0)))
+# a 2 x 4 rectangle: one quadrature bit, four Gray in-phase levels
+QAM8 = ModulationScheme("QAM8", _gray_grid(1, 2, "imag", math.sqrt(6.0)))
+QAM16 = ModulationScheme("QAM16", _gray_grid(2, 2, "real", math.sqrt(10.0)))
 
 SCHEMES = {s.kind: s for s in (BPSK, OQPSK, QAM8, QAM16)}
 

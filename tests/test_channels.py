@@ -86,8 +86,12 @@ def test_outdoor_rejects_ground_delay_of_bin_0():
         p = make_params(tau_ground_ns=tau)
         with pytest.raises(ValueError, match="tau_ground_ns"):
             channels.gen_outdoor_ban(p, draw_streams(np.random.SeedSequence(3), False))
+        streams = draw_streams(np.random.SeedSequence(3), True)
+        states = [rng.bit_generator.state for rng in streams]
         with pytest.raises(ValueError, match="tau_ground_ns"):
-            channels.gen_indoor_ban(p, 2, draw_streams(np.random.SeedSequence(3), True))
+            channels.gen_indoor_ban(p, 2, streams)
+        # it fails before any stream is drawn from
+        assert [rng.bit_generator.state for rng in streams] == states
 
 
 def test_outdoor_two_clusters_with_deterministic_gap():

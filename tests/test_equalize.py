@@ -222,9 +222,7 @@ def test_dfe_without_feedback_equals_linear():
 def test_dispersion_constant():
     assert equalize.dispersion_constant(sigproc.BPSK) == pytest.approx(1.0)
     assert equalize.dispersion_constant(sigproc.QAM16) == pytest.approx(1.32)
-    scaled = sigproc.ModulationScheme(
-        "SCALED", 1, 2.0 * sigproc.BPSK.constellation
-    )
+    scaled = sigproc.ModulationScheme("SCALED", 2.0 * sigproc.BPSK.constellation)
     assert equalize.dispersion_constant(scaled) == pytest.approx(4.0)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,13 +27,35 @@ def test_constellation_invariants(scheme):
     assert np.mean(np.abs(pts) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_qam16_gray_adjacency():
-    pts = sigproc.QAM16.constellation
-    spacing = 2.0 / np.sqrt(10.0)
-    for a in range(16):
-        for b in range(a + 1, 16):
-            if abs(pts[a] - pts[b]) == pytest.approx(spacing, abs=1e-9):
-                assert bin(a ^ b).count("1") == 1, (a, b)
+# sha256 of each constellation's bytes; BPSK is in no shipped config, so no
+# CSV pin covers its points
+CONSTELLATION_SHA256 = {
+    "BPSK": "f22632020555098d523f7f407516ba415cf32b8192c8759925bc03e305be5f56",
+    "OQPSK": "db860e05d78202f159e28f16fbe26c8e060fc8c65c4b872c8bb3f7fc5915071e",
+    "QAM8": "ffbb2a99234b2ccdb8f593f58885ac54e11921da3e187d2cc73654f7ccfac074",
+    "QAM16": "699fba4b7ac8e9cbd1ab323653e03e52682d97dfeb6d69d1a88a1c5731d29978",
+}
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_constellation_bytes_pinned(scheme):
+    digest = hashlib.sha256(scheme.constellation.tobytes()).hexdigest()
+    assert digest == CONSTELLATION_SHA256[scheme.kind]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_gray_adjacency(scheme):
+    """Points one grid step apart differ in exactly one label bit, and every
+    such pair of the rows x cols grid is found."""
+    pts = scheme.constellation
+    dists = np.abs(pts[:, None] - pts[None, :])
+    spacing = dists[dists > 0].min()
+    pairs = [(a, b) for a in range(pts.size) for b in range(a + 1, pts.size)
+             if dists[a, b] == pytest.approx(spacing, rel=1e-9)]
+    for a, b in pairs:
+        assert bin(a ^ b).count("1") == 1, (a, b)
+    rows, cols = len(set(pts.real.tolist())), len(set(pts.imag.tolist()))
+    assert len(pairs) == rows * (cols - 1) + cols * (rows - 1)
 
 
 def test_bpsk_mapping():
@@ -143,7 +166,7 @@ def test_slicing_near_midpoints_is_exact(scheme):
 
 @pytest.mark.parametrize("points", ROUNDING_GRIDS.values(), ids=ROUNDING_GRIDS)
 def test_slicing_is_exact_where_midpoints_round(points):
-    scheme = sigproc.ModulationScheme("GRID", 2, points)
+    scheme = sigproc.ModulationScheme("GRID", points)
     grid = near_midpoint_grid(points)
     got = sigproc.nearest_labels(grid, scheme)
     assert got.tolist() == [exact_label(x, points) for x in grid]
@@ -171,7 +194,24 @@ def test_slicer_rejects_non_rectangular_constellations(points):
     with pytest.raises(ValueError):
         sigproc.rail_slicer(np.array(points, dtype=complex))
     with pytest.raises(ValueError):
-        sigproc.ModulationScheme("X", 1, np.array(points, dtype=complex))
+        sigproc.ModulationScheme("X", np.array(points, dtype=complex))
+
+
+@pytest.mark.parametrize("points", [[1], [-1, 0, 1], [-3, -1, 1, 3, 5, 7]])
+def test_scheme_rejects_a_point_count_not_a_power_of_two(points):
+    """A 1-, 3- or 6-level rail is a rectangular grid the slicer takes, but
+    no whole number k >= 1 of bits labels its points."""
+    constellation = np.array(points, dtype=complex)
+    sigproc.rail_slicer(constellation)
+    with pytest.raises(ValueError, match=rf"^a constellation needs 2\*\*k points "
+                       rf"with k >= 1, got {len(points)}$"):
+        sigproc.ModulationScheme("X", constellation)
+
+
+def test_scheme_derives_bits_per_symbol():
+    assert [s.bits_per_symbol for s in ALL_SCHEMES] == [1, 2, 3, 4]
+    pam4 = np.array([-3, -1, 1, 3], dtype=complex)
+    assert sigproc.ModulationScheme("PAM4", pam4).bits_per_symbol == 2
 
 
 def test_slicing_leaves_numpy_ma_and_decimal_unimported():
