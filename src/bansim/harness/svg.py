@@ -28,31 +28,60 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+def _m4(col: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows to draw of a series whose pixel columns ``col`` never decrease:
+    each column's first, last, lowest and highest row (M4; Jugel et al.,
+    PVLDB 7(10), 2014), the first of equal values, in row order."""
+    n = len(col)
+    first = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    last = np.r_[first[1:], n] - 1
+    counts = last - first + 1
+    rows = np.arange(n)
+
+    def first_at(extreme):
+        hit = y == np.repeat(extreme.reduceat(y, first), counts)
+        return np.minimum.reduceat(np.where(hit, rows, n), first)
+
+    lo, hi = first_at(np.minimum), first_at(np.maximum)
+    kept = np.stack([first, np.minimum(lo, hi), np.maximum(lo, hi), last], 1).ravel()
+    return kept[np.r_[True, kept[1:] != kept[:-1]]]
+
+
 def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
     xs = list(map(float, table.column(spec.x)))
     ys = list(map(float, table.column(spec.y)))
+    y = np.array(ys)
     if spec.log_y:
-        bad = np.flatnonzero(np.array(ys) <= 0)
+        bad = np.flatnonzero(y <= 0)
         if bad.size:
             i = int(bad[0])
             raise ValueError(
                 f"log-y plot: column {spec.y!r} row {i} has "
                 f"non-positive value {ys[i]}"
             )
-        ys = list(map(math.log10, ys))
     if not xs:
         raise ValueError("empty table")
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
 
     # px and py map a float or a whole column; numpy rounds each operation
     # as Python floats do, and like them raises nothing on inf or nan
     def px(x):
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
+
+    if len(xs) > _WIDTH - 2 * _MARGIN:
+        # a long, sorted and finite series draws only each pixel column's
+        # extremes, which hold every axis extreme; log10 keeps their rows
+        x = np.array(xs)
+        if np.isfinite(x).all() and np.isfinite(y).all() and (x[1:] >= x[:-1]).all():
+            kept = _m4(np.floor(px(x)), y)
+            xs, ys = x[kept].tolist(), y[kept].tolist()
+    if spec.log_y:
+        ys = list(map(math.log10, ys))
+    y_lo, y_hi = min(ys), max(ys)
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
 
     def py(y):
         return _HEIGHT - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)

@@ -4,7 +4,8 @@
 time, and ``emit_svg_reference`` is ``emit_svg`` as it mapped and formatted
 one point at a time; both are kept verbatim, with the helpers and constants
 they read.  The emitters must reproduce their bytes; ``test_emit.py`` checks
-that on long traces and on tables of every cell type.
+that on long traces and on tables of every cell type.  ``kept_rows_reference``
+picks, one point at a time, the rows ``emit_svg`` draws of a long series.
 """
 
 import math
@@ -113,3 +114,34 @@ def emit_svg_reference(table, spec) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def pixel_columns_reference(xs: list[float]) -> list[int]:
+    """The whole pixel column each x falls in, as ``emit_svg_reference``'s
+    ``px`` places it."""
+    lo, hi = min(xs), max(xs)
+    if hi == lo:
+        hi = lo + 1.0
+    return [math.floor(_MARGIN + (x - lo) / (hi - lo) * (_WIDTH - 2 * _MARGIN))
+            for x in xs]
+
+
+def kept_rows_reference(table, spec) -> list[int]:
+    """The rows ``emit_svg`` draws, found one point at a time: every row, or
+    for a series longer than the plot is wide, sorted by x and finite, each
+    pixel column's first, last, lowest and highest row (the first of equal
+    values), in row order."""
+    xs = [float(v) for v in table.column(spec.x)]
+    ys = [float(v) for v in table.column(spec.y)]
+    if (len(xs) <= _WIDTH - 2 * _MARGIN
+            or not all(math.isfinite(v) for v in xs + ys)
+            or any(b < a for a, b in zip(xs, xs[1:]))):
+        return list(range(len(xs)))
+    columns: dict[int, list[int]] = {}
+    for i, col in enumerate(pixel_columns_reference(xs)):
+        columns.setdefault(col, []).append(i)
+    kept = set()
+    for rows in columns.values():
+        kept.update((rows[0], rows[-1], min(rows, key=ys.__getitem__),
+                     max(rows, key=ys.__getitem__)))
+    return sorted(kept)

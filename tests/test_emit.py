@@ -1,14 +1,21 @@
 """CSV and SVG emission against the per-cell references (emit_reference),
-whose bytes it must reproduce."""
+whose bytes it must reproduce; a long plot against the reference drawing the
+rows kept_rows_reference picks."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from bansim.harness.svg import PlotSpec, emit_svg
+from bansim.harness.svg import PlotSpec, _m4, emit_svg
 from bansim.harness.table import ResultTable
-from emit_reference import emit_svg_reference, to_csv_reference
+from emit_reference import (emit_svg_reference, kept_rows_reference,
+                            pixel_columns_reference, to_csv_reference)
+
+# the plot area is 528 px wide; x falls in the 529 whole pixel columns
+# from 56 to 584, the right edge its own
+PLOT_PX = 528
 
 FLOATS = [0.1, 1 / 3, -2.5, float("nan"), float("inf"), float("-inf"), -0.0,
           0.0, 1e300, 5e-324, 1e16, 123456789012.0]
@@ -35,14 +42,117 @@ def trace(n, seed):
     return table_of(iteration=list(range(n)), mse=mse.tolist())
 
 
+def rows_of(table, rows):
+    return table_of(**{name: [values[i] for i in rows]
+                       for name, values in table.columns.items()})
+
+
+def assert_svg_matches(table, spec, rows):
+    assert emit_svg(table, spec) == emit_svg_reference(rows_of(table, rows), spec)
+
+
 @pytest.mark.parametrize("log_y", [False, True])
 @pytest.mark.parametrize("markers", [False, True])
 def test_long_trace_matches_reference(log_y, markers):
+    # drawn as the reference draws the rows kept_rows_reference keeps
     table = trace(30_000, 1)
     spec = PlotSpec("iteration", "mse", title="trace", log_y=log_y,
                     markers=markers)
-    assert emit_svg(table, spec) == emit_svg_reference(table, spec)
+    rows = kept_rows_reference(table, spec)
+    assert len(rows) <= 4 * (PLOT_PX + 1)
+    assert_svg_matches(table, spec, rows)
     assert_csv_matches(table)
+
+
+def edited_trace(n, edit):
+    table = trace(n, 2)
+    iteration, mse = (table.column(name) for name in ("iteration", "mse"))
+    if edit == "crowded x":
+        # squares: the first 23 rows share the first pixel column
+        iteration = [i * i for i in iteration]
+    elif edit == "unsorted x":
+        iteration[100], iteration[101] = iteration[101], iteration[100]
+    elif edit == "inf x":
+        # sorted, and not finite
+        iteration = [*map(float, iteration[:-1]), float("inf")]
+    elif edit == "nan y":
+        mse[n // 2] = float("nan")
+    return table_of(iteration=iteration, mse=mse)
+
+
+# a series is decimated when it is longer than the plot is wide, sorted by x
+# and finite; each case breaks one condition, or none
+@pytest.mark.parametrize("n,edit,decimated", [
+    (PLOT_PX, "crowded x", False),
+    (PLOT_PX + 1, "crowded x", True),
+    (30_000, "unsorted x", False),
+    (30_000, "inf x", False),
+    (30_000, "nan y", False),
+])
+@pytest.mark.parametrize("log_y", [False, True])
+def test_decimation_conditions_match_reference(n, edit, decimated, log_y):
+    table = edited_trace(n, edit)
+    spec = PlotSpec("iteration", "mse", log_y=log_y, markers=True)
+    rows = kept_rows_reference(table, spec)
+    assert (len(rows) < n) == decimated
+    assert_svg_matches(table, spec, rows)
+
+
+def rows_by_column(xs):
+    columns = {}
+    for i, col in enumerate(pixel_columns_reference(xs)):
+        columns.setdefault(col, []).append(i)
+    return columns
+
+
+def m4_series(shape):
+    n = 5000
+    xs = list(range(n))
+    if shape == "flat":
+        ys = [2.0] * n
+    elif shape == "monotone":
+        ys = [0.001 * i for i in range(n)]
+    elif shape == "spiky":
+        # one outlier per column, up and down in turn, on low noise
+        ys = np.random.default_rng(4).normal(scale=0.01, size=n).tolist()
+        for k, rows in enumerate(rows_by_column(xs).values()):
+            ys[rows[len(rows) // 2]] = 5.0 if k % 2 else -5.0
+    elif shape == "log-axis":
+        ys = (10.0 ** np.random.default_rng(5).uniform(-6.0, 2.0, size=n)).tolist()
+    else:
+        # 40 distinct x, each repeated, so a column holds many equal x, and
+        # five levels of y, so its lowest and highest rows tie
+        xs = [i // 125 for i in range(n)]
+        ys = np.random.default_rng(6).integers(0, 5, size=n).astype(float).tolist()
+    return xs, ys
+
+
+@pytest.mark.parametrize("shape,n_columns", [
+    ("flat", PLOT_PX + 1), ("monotone", PLOT_PX + 1), ("spiky", PLOT_PX + 1),
+    ("log-axis", PLOT_PX + 1), ("repeated x", 40),
+])
+def test_m4_keeps_each_columns_extremes(shape, n_columns):
+    xs, ys = m4_series(shape)
+    cols = pixel_columns_reference(xs)
+    kept = _m4(np.array(cols), np.array(ys)).tolist()
+    assert all(a < b for a, b in zip(kept, kept[1:]))
+    columns = rows_by_column(xs)
+    assert len(columns) == n_columns
+    kept_in = {col: [] for col in columns}
+    for i in kept:
+        kept_in[cols[i]].append(i)
+    for col, rows in columns.items():
+        assert 1 <= len(kept_in[col]) <= 4
+        # the first of equal values is the one kept
+        assert {rows[0], rows[-1], min(rows, key=ys.__getitem__),
+                max(rows, key=ys.__getitem__)} <= set(kept_in[col])
+    if shape == "log-axis":
+        # log10 keeps the order, so the kept rows hold each column's extremes
+        logs = [math.log10(v) for v in ys]
+        for col, rows in columns.items():
+            for pick in (min, max):
+                assert (pick(logs[i] for i in kept_in[col])
+                        == pick(logs[i] for i in rows))
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=repr)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -106,16 +107,18 @@ def test_emit_svg_bytes_pinned(rows, options, digest):
 
 
 # sha256 of every SVG the shipped configs write, recorded before emit_svg
-# mapped and formatted whole columns at once; the CSVs have goldens
+# mapped and formatted whole columns at once; the CSVs have goldens.  The two
+# CMA traces were re-recorded when a polyline longer than the plot is wide
+# came to keep each pixel column's first, last, lowest and highest point
 SHIPPED_SVGS = [
     ("ber_sweep", "ber_sweep.cfg", "ber_sweep.svg",
      "76df4fddbc9fa5ae555c6cefb4a54bdc86138da32df568752bcd04f9db7a4f4e"),
     ("doa_hist", "doa_hist.cfg", "doa_hist.svg",
      "6bfabbbab0358d95d7e7a559852c72e5ea1344d797d0881a7aadfecf5769be89"),
     ("cma_convergence", "cma_convergence_qam16.cfg", "cma_trace.svg",
-     "0416cfe51e1ec86dab8bea7a18de42227a98f6ec847825a328510e4060d399f3"),
+     "7567c47b6e9baa1a235abec1ba257cc85a0f8cab7cce9ec97077d9988faf20d1"),
     ("cma_convergence", "cma_convergence_qam8.cfg", "cma_trace.svg",
-     "446895801784d63b9cb42b38c96eedd1178e7872e6826d3f75b9706031c4dfc4"),
+     "543deb29bc2166de23f5600e47d8bcf840caf491b1400894302eab211149f0cb"),
 ]
 
 # sha256 of every CSV the shipped configs and the indoor fixture write, keyed
@@ -163,6 +166,39 @@ def test_shipped_svgs_pinned(tmp_path, monkeypatch, experiment, config, svg,
     assert cli.main([experiment, "--config", str(ROOT / "configs" / config),
                      "--out", str(out)]) == 0
     assert hashlib.sha256((out / svg).read_bytes()).hexdigest() == digest
+
+
+def test_cma_svg_draws_the_trace_extremes(tmp_path, monkeypatch):
+    # the log-y polyline of a 20 000-row trace, against the CSV of the same run:
+    # at most four points per pixel column (529, from x = 56 to 584), and
+    # among them the first and last rows and the lowest and highest MSE
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    assert cli.main(["cma_convergence", "--config",
+                     str(ROOT / "configs" / "cma_convergence_qam16.cfg"),
+                     "--out", str(out)]) == 0
+    lines = (out / "cma_trace.csv").read_text().splitlines()
+    assert lines[3] == "iteration,mse"
+    rows = [line.split(",") for line in lines[4:]]
+    it = [int(i) for i, _ in rows]
+    log_mse = [math.log10(float(m)) for _, m in rows]
+    assert len(rows) == 20_000
+    [pts] = re.findall(r'<polyline points="([^"]*)"', (out / "cma_trace.svg").read_text())
+    drawn = [tuple(map(float, p.split(","))) for p in pts.split()]
+    assert 2 * 529 <= len(drawn) <= 4 * 529
+
+    lo, hi = min(log_mse), max(log_mse)
+
+    def pixel(i):
+        x = 56 + (it[i] - it[0]) / (it[-1] - it[0]) * 528
+        return x, 420 - 56 - (log_mse[i] - lo) / (hi - lo) * 308
+
+    # the CSV holds 10 digits, so a pixel may round the other way
+    def near(i):
+        return pytest.approx(pixel(i), abs=0.01)
+
+    assert drawn[0] == near(0) and drawn[-1] == near(len(rows) - 1)
+    assert near(log_mse.index(lo)) in drawn and near(log_mse.index(hi)) in drawn
 
 
 def test_run_experiment_unknown_section_errors():
