@@ -67,8 +67,9 @@ def _sign(x):
     return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0 if x == 0.0 else x
 
 
-def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
-    """CMA, or DSE-CMA when ``dse`` is ``(alpha_d, dither_u)``.
+def _blind_run(received, taps, mu, r2, max_steps, stride, dither_u=None):
+    """CMA, or DSE-CMA dithered at amplitude r2 when ``dither_u`` holds the
+    uniform draws, two per step.
 
     Keeps np.vdot and the numpy tap update ``taps + gain * reg`` of the
     per-step reference (``cma_step`` in ``tests/kernel_reference.py``): those
@@ -83,10 +84,9 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
     the steps run so far.
     """
     mu, r2 = float(mu), float(r2)
-    if dse is not None:
-        alpha_d = float(dse[0])
-        u = dse[1][:2 * max_steps]
-        dither = (alpha_d * np.sin(2.0 * np.pi * u)).tolist()
+    if dither_u is not None:
+        u = dither_u[:2 * max_steps]
+        dither = (r2 * np.sin(2.0 * np.pi * u)).tolist()
     nf = taps.size
     # regressors newest sample first; only steps whose window fits get one,
     # so a run that diverges before the stream runs out still returns
@@ -104,9 +104,9 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dse=None):
         if size > DIVERGENCE_LIMIT:
             return np.array(y, dtype=np.complex128), taps, n
         psi = complex(yn) * (r2 - size ** 2)
-        if dse is not None:
-            psi = alpha_d * (_sign(psi.real + dither[2 * n])
-                             + 1j * _sign(psi.imag + dither[2 * n + 1]))
+        if dither_u is not None:
+            psi = r2 * (_sign(psi.real + dither[2 * n])
+                        + 1j * _sign(psi.imag + dither[2 * n + 1]))
         gain[()] = mu * psi.conjugate()
         multiply(gain, reg, step)
         add(taps, step, taps)
@@ -119,9 +119,8 @@ def cma_run(received, taps, mu, r2, max_steps, stride):
     return _blind_run(received, taps, mu, r2, max_steps, stride)
 
 
-def dse_cma_run(received, taps, mu, r2, alpha_d, dither_u, max_steps, stride):
-    return _blind_run(received, taps, mu, r2, max_steps, stride,
-                      (alpha_d, dither_u))
+def dse_cma_run(received, taps, mu, r2, dither_u, max_steps, stride):
+    return _blind_run(received, taps, mu, r2, max_steps, stride, dither_u)
 
 
 def _feedback(re, im, h_re, h_im, fb, start, stop):

@@ -182,7 +182,7 @@ def run_blind(
         y, _, bad = _kernels.cma_run(received, taps, mu, r2, iterations, stride)
     else:
         y, _, bad = _kernels.dse_cma_run(
-            received, taps, mu, r2, r2,
+            received, taps, mu, r2,
             rng.uniform(0.0, 1.0, size=2 * iterations), iterations, stride,
         )
     if bad >= 0:

@@ -48,14 +48,14 @@ def main(argv=None) -> int:
         # made once the run succeeds: a failed run leaves no empty directory
         os.makedirs(cfg.output_dir, exist_ok=True)
         for stem, table, plot in outputs:
-            csv_path = os.path.join(cfg.output_dir, f"{stem}.csv")
-            table.write_csv(csv_path)
-            print(csv_path)
+            texts = {"csv": table.to_csv()}
             if plot is not None:
-                svg_path = os.path.join(cfg.output_dir, f"{stem}.svg")
-                with open(svg_path, "w", newline="\n") as fh:
-                    fh.write(emit_svg(table, plot))
-                print(svg_path)
+                texts["svg"] = emit_svg(table, plot)
+            for suffix, text in texts.items():
+                path = os.path.join(cfg.output_dir, f"{stem}.{suffix}")
+                with open(path, "w", newline="\n") as fh:
+                    fh.write(text)
+                print(path)
     except ConfigError as exc:
         print(f"bansim: config error: {exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,7 @@ def run_ber_sweep(cfg: ScenarioConfig):
     grid = sec["ebn0_db"]
     max_bits, min_errors = sec["max_bits"], sec["min_errors"]
     if max_bits < scheme.bits_per_symbol:
-        raise ConfigError(f"max_bits {max_bits} is below one {scheme.kind} symbol")
+        raise ValueError(f"max_bits {max_bits} is below one {scheme.kind} symbol")
     # whole symbols only: every chunk below is then a positive whole number
     max_bits -= max_bits % scheme.bits_per_symbol
     chunk_bits = 100_000 - 100_000 % scheme.bits_per_symbol
@@ -95,7 +95,7 @@ def run_channel_stats(cfg: ScenarioConfig):
     sec = cfg.section("channel_stats")
     model = sec["model"]
     if model not in _STREAM_TAILS:
-        raise ConfigError(f"unknown channel model {model!r}")
+        raise ValueError(f"unknown channel model {model!r}")
     draws, num_clusters = sec["draws"], sec["num_clusters"]
     params = _params(channels.BanModelParams, cfg.section("ban"))
     clusters, energies = [], []
@@ -140,14 +140,14 @@ def run_cma_convergence(cfg: ScenarioConfig):
     sec = cfg.section("cma_convergence")
     scheme = sigproc.get_scheme(sec["scheme"])
     if scheme.kind not in ("QAM8", "QAM16"):
-        raise ConfigError("cma_convergence runs on QAM8 or QAM16")
+        raise ValueError(f"scheme must be QAM8 or QAM16, got {scheme.kind!r}")
     mu, taps, stride = sec["mu"], sec["channel"], sec["samples_per_symbol"]
     nf, iterations, window = sec["nf"], sec["iterations"], sec["window"]
     variant = sec["variant"]
     if 2 * window > iterations:
-        raise ConfigError(f"[cma_convergence] window {window} is more than half "
-                          f"of iterations {iterations}: the initial and final "
-                          "MSE windows would overlap")
+        raise ValueError(f"window {window} is more than half of iterations "
+                         f"{iterations}: the initial and final MSE windows "
+                         "would overlap")
     rng = np.random.default_rng(cfg.seed)
     n_sym = iterations + nf + len(taps) + 16
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)
@@ -184,8 +184,8 @@ def run_mud_compare(cfg: ScenarioConfig):
     tpl = templates[0]
     energy = np.sum(np.abs(tpl) ** 2)
     if energy == 0:
-        raise ConfigError("template1 has zero energy: the desired user needs a "
-                          "nonzero template")
+        raise ValueError("template1 has zero energy: the desired user needs a "
+                         "nonzero template")
     w_mf = np.conj(tpl) / energy
     composite = equalize.synth_multiuser(
         streams, templates, ns, sigproc.noise_sigma(sec["ebn0_db"], scheme),
@@ -219,7 +219,7 @@ def run_la_sim(cfg: ScenarioConfig):
     sec = cfg.section("la_sim")
     distances, tx_powers = sec["distance_m"], sec["tx_power_dbm"]
     if len(tx_powers) != len(distances):
-        raise ConfigError("tx_power_dbm and distance_m must have equal length")
+        raise ValueError("tx_power_dbm and distance_m must have equal length")
     levels, snr_db, p_f, received = linkadapt.simulate_la(
         list(zip(tx_powers, distances)), sec["rounds"],
         _params(channels.PathLossParams, sec), _params(linkadapt.LaThresholds, sec),
@@ -239,7 +239,7 @@ def run_la_sim(cfg: ScenarioConfig):
 def run_broadcast_sim(cfg: ScenarioConfig):
     sec = cfg.section("broadcast_sim")
     if sec["topology"] is None:
-        raise ConfigError("broadcast_sim needs a `topology` file path")
+        raise ValueError("topology must name a file")
     with open(sec["topology"]) as fh:
         tree, radio = zigbee.parse_topology(fh.read())
     # trial i draws from SeedSequence(seed).spawn(trials)[i], a Generator
@@ -272,8 +272,6 @@ def run_experiment(cfg: ScenarioConfig):
         # reaching the output as nan/inf rows
         with np.errstate(over="raise", invalid="raise"):
             return runner(cfg)
-    except ConfigError:
-        raise
     except MemoryError as exc:
         # numpy's error names the allocation: its size, shape and dtype
         raise ConfigError(f"{cfg.experiment}: allocation too large for memory "
@@ -283,7 +281,7 @@ def run_experiment(cfg: ScenarioConfig):
         raise ConfigError(
             f"{cfg.experiment}: arithmetic overflow ({exc.args[-1]})") from exc
     except (OSError, ValueError, ArithmeticError) as exc:
-        # the models reject impossible settings with ValueError (numpy's
-        # LinAlgError included); an unreadable input file is a config error
-        # too, and so is a setting whose arithmetic overflows
+        # the runners and models reject impossible settings with ValueError
+        # (numpy's LinAlgError included); an unreadable input file is a
+        # config error too, and so is a setting whose arithmetic overflows
         raise ConfigError(f"{cfg.experiment}: {exc}") from exc

@@ -54,7 +54,3 @@ class ResultTable:
         ]
         body = map(self._row_format.__mod__, zip(*self.columns.values()))
         return "\n".join([*header, *body]) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())

@@ -12,8 +12,8 @@ address alone.  A tree is ``{key: (address, depth)}`` and a radio graph is
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -104,23 +104,13 @@ class EventLogRow:
 class BroadcastState:
     covered: set[int]
     forward_set: set[int]  # transmitting nodes, source included
-    event_log: Iterable[EventLogRow]  # a list, or an _EventLog built on read
+    events: list[tuple[int, int, bool]]  # (slot, node key, transmitted)
 
-
-class _EventLog:
-    """An event log whose ``EventLogRow``s `build` makes on the first
-    iteration; ``len`` is the event count, known without them."""
-
-    def __init__(self, count: int, build: Callable[[], list[EventLogRow]]):
-        self._count, self._build, self._rows = count, build, None
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[EventLogRow]:
-        if self._rows is None:
-            self._rows = self._build()
-        return iter(self._rows)
+    @cached_property
+    def event_log(self) -> list[EventLogRow]:
+        """``events`` as rows, built on the first read, for perfbench's meter."""
+        return [EventLogRow(slot, node, "tx" if tx else "skip")
+                for slot, node, tx in self.events]
 
 
 def neighbour_masks(tree, radio):
@@ -170,7 +160,7 @@ def self_pruning_broadcast(graph, source: int, max_backoff: int,
     `graph` is what ``neighbour_masks`` returns and `source` a tree node
     key.  `rng` is advanced by one array draw of one backoff per tree node;
     the nodes that start waiting on one transmission take theirs in address
-    order.  The state's ``event_log`` builds its rows when it is read.
+    order.  The state's ``events`` hold each decision in the order made.
     """
     keys, rank, edges = graph
     # a node waits at most once, so one draw per tree node is enough; the
@@ -189,9 +179,9 @@ def self_pruning_broadcast(graph, source: int, max_backoff: int,
         slot = heapq.heappop(slots)
         for x in sorted(due.pop(slot)):
             if not pending[x]:
-                events.append((slot, x, False))
+                events.append((slot, keys[x], False))
                 continue
-            events.append((slot, x, True))
+            events.append((slot, keys[x], True))
             # ascending rank: new waiters take their draws in address order;
             # clearing bits of a node that has decided changes nothing
             for y, mask in edges[x]:
@@ -206,10 +196,8 @@ def self_pruning_broadcast(graph, source: int, max_backoff: int,
                 else:
                     due[expiry] = [y]
                     heapq.heappush(slots, expiry)
-    forward_set = {keys[x] for _slot, x, tx in events if tx}
-    log = _EventLog(len(events), lambda: [
-        EventLogRow(slot, keys[x], "tx" if tx else "skip") for slot, x, tx in events])
-    return BroadcastState(set(compress(keys, covered)), forward_set, log)
+    forward_set = {x for _slot, x, tx in events if tx}
+    return BroadcastState(set(compress(keys, covered)), forward_set, events)
 
 
 def oos_select(tree, radio, source: int) -> BroadcastState:
@@ -223,7 +211,7 @@ def oos_select(tree, radio, source: int) -> BroadcastState:
     order = sorted(tree, key=lambda k: tree[k][::-1])
     covered = {source} | radio[source]
     forward_set = {source}
-    events = [(0, source)]  # (sweep, transmitter)
+    events = [(0, source, True)]  # (sweep, transmitter, True)
     sweep = 0
     while len(covered) < len(tree):
         progressed = False
@@ -234,13 +222,11 @@ def oos_select(tree, radio, source: int) -> BroadcastState:
             if x in covered and not radio[x] <= covered:
                 forward_set.add(x)
                 covered |= radio[x]
-                events.append((sweep, x))
+                events.append((sweep, x, True))
                 progressed = True
         if not progressed:
             break  # disconnected: residual left as diagnostic
-    log = _EventLog(len(events), lambda: [EventLogRow(sweep, x, "tx")
-                                          for sweep, x in events])
-    return BroadcastState(covered, forward_set, log)
+    return BroadcastState(covered, forward_set, events)
 
 
 def broadcast_compare(tree, radio, source: int, rngs, max_backoff: int):

@@ -24,11 +24,11 @@ from bansim import _kernels
 from sigproc_reference import exact_label
 
 
-def cma_step(taps, mu, r2, variant, regressor, dither_u=None, alpha_d=None):
+def cma_step(taps, mu, r2, variant, regressor, dither_u=None):
     """One adaptation step of the blind equalizer ``equalize.run_blind``
     runs: taps at step size mu toward the dispersion constant r2, variant
     "CMA" or "DSE_CMA".  Returns (y, updated taps).  A DSE-CMA step dithers
-    with amplitude ``alpha_d``, by default r2, as ``run_blind`` does."""
+    with amplitude r2."""
     regressor = np.asarray(regressor, dtype=complex)
     if regressor.size != taps.size:
         raise ValueError("regressor length must equal tap count")
@@ -39,18 +39,16 @@ def cma_step(taps, mu, r2, variant, regressor, dither_u=None, alpha_d=None):
     else:
         if dither_u is None:
             raise ValueError("DSE-CMA step needs two uniform dither draws")
-        if alpha_d is None:
-            alpha_d = r2
-        d_r = alpha_d * np.sin(2.0 * np.pi * dither_u[0])
-        d_i = alpha_d * np.sin(2.0 * np.pi * dither_u[1])
-        psi = alpha_d * (
+        d_r = r2 * np.sin(2.0 * np.pi * dither_u[0])
+        d_i = r2 * np.sin(2.0 * np.pi * dither_u[1])
+        psi = r2 * (
             np.sign(err.real + d_r) + 1j * np.sign(err.imag + d_i)
         )
     return y, taps + mu * np.conj(psi) * regressor
 
 
 def _blind_reference(received, taps, mu, r2, variant, max_steps, stride,
-                     dither_u, alpha_d=None):
+                     dither_u):
     """On divergence y stops at the diverging step, with the taps that
     produced it."""
     nf = taps.size
@@ -58,7 +56,7 @@ def _blind_reference(received, taps, mu, r2, variant, max_steps, stride,
     for n in range(max_steps):
         reg = received[n * stride : n * stride + nf][::-1]
         u = None if dither_u is None else dither_u[2 * n : 2 * n + 2]
-        yn, nxt = cma_step(taps, mu, r2, variant, reg, u, alpha_d)
+        yn, nxt = cma_step(taps, mu, r2, variant, reg, u)
         y.append(yn)
         if abs(yn) > _kernels.DIVERGENCE_LIMIT:
             return np.array(y, dtype=np.complex128), taps, n
@@ -71,10 +69,9 @@ def cma_reference(received, taps, mu, r2, max_steps, stride):
                             None)
 
 
-def dse_cma_reference(received, taps, mu, r2, alpha_d, dither_u, max_steps,
-                      stride):
+def dse_cma_reference(received, taps, mu, r2, dither_u, max_steps, stride):
     return _blind_reference(received, taps, mu, r2, "DSE_CMA", max_steps,
-                            stride, dither_u, alpha_d)
+                            stride, dither_u)
 
 
 def dfe_reference(received, w_ff, w_fb, constellation, history, stride, n_sym):

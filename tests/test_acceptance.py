@@ -243,11 +243,11 @@ def test_criterion_09_link_adaptation_golden_trace():
 
 def _replay_soundness(radio: dict[int, set[int]], state: zigbee.BroadcastState):
     covered = set()
-    for row in state.event_log:
-        if row.action == "tx":
-            covered |= {row.node} | radio[row.node]
+    for _slot, node, transmitted in state.events:
+        if transmitted:
+            covered |= {node} | radio[node]
         else:
-            assert radio[row.node] <= covered, row.node
+            assert radio[node] <= covered, node
 
 
 def test_criterion_10_broadcast_coverage_minimality_and_soundness():

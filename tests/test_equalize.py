@@ -264,11 +264,10 @@ def test_dse_cma_update_bounded(seed, u1, u2):
     nf = 5
     taps = rng.normal(size=nf) + 1j * rng.normal(size=nf)
     reg = rng.normal(size=nf) + 1j * rng.normal(size=nf)
-    mu, alpha_d = 0.01, 1.32
-    _, new = cma_step(taps, mu, 1.32, "DSE_CMA", reg, dither_u=(u1, u2),
-                      alpha_d=alpha_d)
+    mu, r2 = 0.01, 1.32
+    _, new = cma_step(taps, mu, r2, "DSE_CMA", reg, dither_u=(u1, u2))
     delta = np.linalg.norm(new - taps)
-    bound = mu * alpha_d * np.sqrt(2.0) * np.linalg.norm(reg)
+    bound = mu * r2 * np.sqrt(2.0) * np.linalg.norm(reg)
     assert delta <= bound + 1e-12
 
 

@@ -358,7 +358,7 @@ def test_bad_ban_section_is_config_error():
 
 def test_broadcast_requires_topology():
     cfg = parse_config("[common]\nseed = 5\n", "broadcast_sim")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^broadcast_sim: topology must name a file$"):
         run_experiment(cfg)
 
 
@@ -477,9 +477,9 @@ MALFORMED = [
      "cma_convergence: cannot normalize a signal whose power |x|**2 underflows"),
     # initial and final MSE windows that share samples
     ("cma_convergence", "[cma_convergence]\niterations = 100\nwindow = 1000",
-     "[cma_convergence] window 1000 is more than half of iterations 100"),
+     "cma_convergence: window 1000 is more than half of iterations 100"),
     ("cma_convergence", "[cma_convergence]\niterations = 999\nwindow = 500",
-     "[cma_convergence] window 500 is more than half of iterations 999"),
+     "cma_convergence: window 500 is more than half of iterations 999"),
     ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: arithmetic overflow"),
     # an Eb/N0 that underflows to zero or a subnormal leaves no noise power
     ("ber_sweep", "[ber_sweep]\nebn0_db = -1e200",

@@ -64,7 +64,7 @@ def test_cma_paths_agree(stride):
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_dse_cma_paths_agree(stride):
     dither = np.random.default_rng(2).uniform(size=200)
-    check_dse_cma(random_signal(400, 1), center_spike(5), 1e-3, 1.32, 1.32,
+    check_dse_cma(random_signal(400, 1), center_spike(5), 1e-3, 1.32,
                   dither, 100, stride)
 
 
@@ -74,7 +74,7 @@ def test_dse_cma_sign_of_zero_is_zero():
     # step, so psi is 0 and the taps never move
     received = random_signal(3 * 30 + 5, 5)
     received[2::3] = 0.0
-    y, taps, bad = check_dse_cma(received, center_spike(5), 1e-2, 1.32, 1.0,
+    y, taps, bad = check_dse_cma(received, center_spike(5), 1e-2, 1.32,
                                  np.zeros(60), 30, 3)
     assert bad == -1 and not np.any(y)
     assert taps.tobytes() == center_spike(5).tobytes()
@@ -86,7 +86,7 @@ def test_dse_cma_sign_of_nan_is_nan():
     dither = np.random.default_rng(7).uniform(size=60)
     dither[20] = np.nan
     _, taps, bad = check_dse_cma(random_signal(40, 6), center_spike(5), 1e-3,
-                                 1.32, 1.32, dither, 30, 1)
+                                 1.32, dither, 30, 1)
     assert bad == -1 and np.all(np.isnan(taps))
 
 
@@ -101,7 +101,7 @@ def test_blind_kernels_leave_caller_taps_unchanged(variant, steps):
         _, out, bad = _kernels.cma_run(received, taps, 1e-3, 1.32, steps, 2)
     else:
         dither = np.random.default_rng(3).uniform(size=2 * steps)
-        _, out, bad = _kernels.dse_cma_run(received, taps, 1e-3, 1.32, 1.32,
+        _, out, bad = _kernels.dse_cma_run(received, taps, 1e-3, 1.32,
                                            dither, steps, 2)
     assert bad == -1
     assert taps.tobytes() == before.tobytes()
@@ -285,7 +285,7 @@ def test_divergent_output_is_the_defined_prefix(variant):
         out = _kernels.cma_run(received, center_spike(5), 0.5, 1.32, 100, 1)
     else:
         dither = np.random.default_rng(6).uniform(size=200)
-        out = _kernels.dse_cma_run(received, center_spike(5), 0.5, 1.32, 1.32,
+        out = _kernels.dse_cma_run(received, center_spike(5), 0.5, 1.32,
                                    dither, 100, 1)
     y, _, bad = out
     assert 0 <= bad < 99
@@ -297,7 +297,7 @@ def test_divergent_output_is_the_defined_prefix(variant):
 def test_dse_cma_divergence_matches_reference():
     dither = np.random.default_rng(6).uniform(size=200)
     _, _, bad = check_dse_cma(50.0 * random_signal(200, 4), center_spike(5),
-                              0.5, 1.32, 1.32, dither, 100, 2)
+                              0.5, 1.32, dither, 100, 2)
     assert bad >= 0
 
 
@@ -307,7 +307,7 @@ def test_blind_kernels_reject_short_streams():
     with pytest.raises(ValueError):
         _kernels.cma_run(received, center_spike(5), 1e-3, 1.32, 10, 2)
     with pytest.raises(ValueError):
-        _kernels.dse_cma_run(received, center_spike(5), 1e-3, 1.32, 1.32,
+        _kernels.dse_cma_run(received, center_spike(5), 1e-3, 1.32,
                              np.full(20, 0.25), 10, 2)
 
 

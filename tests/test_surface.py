@@ -8,6 +8,9 @@ that only its own check or the tests read is state the program does not need.
 Every exception class a ``bansim`` module defines must be named in an
 ``except`` of the same program code: a type that no handler tells apart from
 its base is one more name for the base.
+``ConfigError`` is built only where a config is parsed and where
+``run_experiment`` turns a rejected setting into one: the runners and models
+raise ``ValueError``, and the experiment's name is prefixed once.
 The harness turns config values into arrays, and the models take those
 arrays as they are: ``np.asarray`` is called only under ``harness/``.  The
 harness alone turns the config seed into random streams, and the models take
@@ -32,8 +35,8 @@ ALLOWED = {
 
 # dataclass fields kept without a program reader
 FIELDS_ALLOWED = {
-    # the self-pruning event log is compared slot by slot with the per-slot
-    # reference in tests/zigbee_reference.py
+    # a broadcast's event_log rows are read only by perfbench's meter, and it
+    # reads their action alone
     ("zigbee", "EventLogRow", "slot"),
     ("zigbee", "EventLogRow", "node"),
 }
@@ -317,3 +320,39 @@ def test_seeding_builds_no_seed_sequence():
     path = PACKAGE / "seeding.py"
     tree = ast.parse(path.read_text(), str(path))
     assert _seeding_calls(tree, SEED_OBJECTS) == [], f"seed objects in {path.name}"
+
+
+def _config_error_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing top-level function or "<module>", line) of each call
+    ``ConfigError(...)`` or ``<x>.ConfigError(...)``."""
+    sites = []
+    for top in tree.body:
+        scope = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = (callee.attr if isinstance(callee, ast.Attribute) else
+                        callee.id if isinstance(callee, ast.Name) else None)
+                if name == "ConfigError":
+                    sites.append((scope, node.lineno))
+    return sites
+
+
+def test_config_error_scan_sees_both_forms():
+    code = ("raise ConfigError('a')\ndef f():\n    raise config.ConfigError('b')\n"
+            "def g():\n    raise ValueError('c')\n")
+    assert _config_error_sites(ast.parse(code)) == [("<module>", 1), ("f", 3)]
+
+
+def test_config_error_is_built_at_the_config_boundary():
+    # the runners reject a setting with ValueError, as the models do, and
+    # run_experiment names the experiment once; a ConfigError built in a
+    # runner would skip that prefix
+    sites = {_module(path): _config_error_sites(ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert sites["harness.config"]  # the scan sees the parser's own
+    assert {scope for scope, _ in sites["harness.experiments"]} == {"run_experiment"}
+    elsewhere = [f"{mod}:{line} in {scope}" for mod, found in sites.items()
+                 if mod not in ("harness.config", "harness.experiments")
+                 for scope, line in found]
+    assert elsewhere == [], f"ConfigError built outside the config boundary: {elsewhere}"

@@ -155,24 +155,23 @@ def test_self_pruning_deterministic_given_seed():
     a = flood(tree, radio, 0, 7, seed=6)
     b = flood(tree, radio, 0, 7, seed=6)
     assert a.forward_set == b.forward_set
-    assert [
-        (r.slot, r.node, r.action) for r in a.event_log
-    ] == [(r.slot, r.node, r.action) for r in b.event_log]
+    assert a.events == b.events
 
 
-def test_event_log_reads_the_same_rows_twice():
-    # the rows are built on the first read and kept for every later one
-    tree, radio = chain_scene(5)
-    log = flood(tree, radio, 0, 7, seed=4).event_log
-    first, second = list(log), list(log)
-    assert len(first) == len(log) > 0
-    assert [(r.slot, r.node, r.action) for r in second] == [
-        (r.slot, r.node, r.action) for r in first]
-    assert all(a is b for a, b in zip(first, second))
-
-
-def _events(state):
-    return [(r.slot, r.node, r.action) for r in state.event_log]
+@pytest.mark.parametrize("strategy", ["self_pruning", "oos"])
+def test_event_log_is_a_view_of_events(strategy):
+    # one row per event, in order, with its slot and node and the action its
+    # flag names; the rows are built once and kept for every later read
+    tree, radio = graph_to_scene(nx.erdos_renyi_graph(12, 0.4, seed=5))
+    state = (flood(tree, radio, 0, 7, seed=6) if strategy == "self_pruning"
+             else zigbee.oos_select(tree, radio, 0))
+    log = state.event_log
+    assert len(log) == len(state.events) > 1
+    assert [(r.slot, r.node, r.action) for r in log] == [
+        (slot, node, "tx" if tx else "skip") for slot, node, tx in state.events]
+    assert {r.action for r in log} == (
+        {"tx", "skip"} if strategy == "self_pruning" else {"tx"})
+    assert state.event_log is log
 
 
 def _scenes(kind, monkeypatch):
@@ -205,7 +204,7 @@ def test_self_pruning_matches_reference(monkeypatch, kind):
                     got = flood(tree, radio, source, max_backoff, seed)
                     want = self_pruning_reference(tree, radio, source,
                                                   max_backoff, seed)
-                    assert _events(got) == _events(want)
+                    assert got.events == want.events
                     assert got.covered == want.covered
                     assert got.forward_set == want.forward_set
 
@@ -230,7 +229,7 @@ def test_self_pruning_masks_past_64_bits_match_reference():
             for seed in range(3):
                 got = flood(tree, radio, start, max_backoff, seed)
                 want = self_pruning_reference(tree, radio, start, max_backoff, seed)
-                assert _events(got) == _events(want)
+                assert got.events == want.events
                 assert got.covered == want.covered == set(tree)
                 assert got.forward_set == want.forward_set
                 assert hub in got.forward_set
@@ -238,7 +237,7 @@ def test_self_pruning_masks_past_64_bits_match_reference():
 
 def _assert_oos_matches_reference(tree, radio, source):
     got, want = zigbee.oos_select(tree, radio, source), oos_reference(tree, radio, source)
-    assert _events(got) == _events(want)
+    assert got.events == want.events
     assert got.covered == want.covered
     assert got.forward_set == want.forward_set
 
@@ -276,7 +275,7 @@ def test_self_pruning_jumps_empty_slots():
     state = flood(tree, radio, 0, 2**62, seed=4)
     assert state.covered == set(tree)
     assert state.forward_set == {0, 1, 2, 3}
-    slots = [r.slot for r in state.event_log]
+    slots = [slot for slot, _node, _tx in state.events]
     assert slots == sorted(slots) and slots[-1] > 2**62
 
 
@@ -356,9 +355,9 @@ def test_broadcast_compare_builds_no_event_rows(monkeypatch):
     assert zigbee.broadcast_compare(tree, radio, 0, trial_streams(9, 12), 7) == want
     # reading a log builds its rows, which now raises
     state = flood(tree, radio, 0, 7, seed=9)
-    assert len(state.event_log) > 1
+    assert len(state.events) > 1
     with pytest.raises(AssertionError, match="row was built"):
-        next(iter(state.event_log))
+        state.event_log
 
 
 def test_parse_topology_and_event_log():
@@ -376,6 +375,8 @@ def test_parse_topology_and_event_log():
     assert set(tree) == {0, 1, 2}
     assert radio[1] == {0, 2}
     state = zigbee.oos_select(tree, radio, 0)
+    # the source covers both other nodes, so it is the one event
+    assert state.events == [(0, 0, True)] and state.covered == {0, 1, 2}
     with pytest.raises(ValueError, match="^topology line 1: content outside"):
         zigbee.parse_topology("0 1")  # content outside any section
     # each malformed line is named by its number, not by a raw unpack error

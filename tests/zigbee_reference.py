@@ -4,12 +4,13 @@ per-sweep reference for ``bansim.zigbee.oos_select``.
 ``self_pruning_reference`` takes the arguments of the function and returns
 what it returns.  Every slot it rescans all waiting nodes, draws one scalar
 backoff per newly covered node and visits every neighbour of a transmitter
-in address order.  The bucketed function must reproduce its event log,
+in address order.  The bucketed function must reproduce its ``events``,
+the ``(slot, node key, transmitted)`` tuples in the order the nodes decide,
 ``covered`` and ``forward_set`` exactly; ``test_zigbee.py`` checks that on
 benchmark topologies and random graphs.  ``oos_reference`` keeps the set of
 nodes still to cover and shrinks it as each forwarder covers more;
 ``oos_select``, which tests coverage against the covered set alone, must
-return the same forward set, coverage and event log.
+return the same forward set, coverage and events.
 
 ``parse_topology_reference`` is ``bansim.zigbee.parse_topology`` as it was
 before edge lines took a path of their own: every line goes through the
@@ -19,7 +20,7 @@ return the same tree and radio graph, or raise the same message.
 
 import numpy as np
 
-from bansim.zigbee import BroadcastState, EventLogRow, assign_addresses
+from bansim.zigbee import BroadcastState, assign_addresses
 
 
 def self_pruning_reference(tree, radio, source, max_backoff, seed):
@@ -30,7 +31,7 @@ def self_pruning_reference(tree, radio, source, max_backoff, seed):
     address = {key: a for key, (a, _depth) in tree.items()}.__getitem__
     covered = {source} | nbr[source]
     forward_set = {source}
-    log = [EventLogRow(0, source, "tx")]
+    events = [(0, source, True)]
     # pending: node -> [expiry slot, residual neighbor set]
     pending: dict[int, list] = {}
     for x in sorted(nbr[source], key=address):
@@ -44,12 +45,12 @@ def self_pruning_reference(tree, radio, source, max_backoff, seed):
         for x in due:
             residual = pending.pop(x)[1]
             if not residual:
-                log.append(EventLogRow(slot, x, "skip"))
+                events.append((slot, x, False))
                 continue
             forward_set.add(x)
             newly = (nbr[x] | {x}) - covered
             covered |= nbr[x] | {x}
-            log.append(EventLogRow(slot, x, "tx"))
+            events.append((slot, x, True))
             for y in sorted(nbr[x], key=address):
                 if y in forward_set:
                     continue
@@ -60,7 +61,7 @@ def self_pruning_reference(tree, radio, source, max_backoff, seed):
                     pending[y] = [slot + 1 + int(rng.integers(0, max_backoff + 1)),
                                   res]
         slot += 1
-    return BroadcastState(covered, forward_set, log)
+    return BroadcastState(covered, forward_set, events)
 
 
 def oos_reference(tree, radio, source):
@@ -70,7 +71,7 @@ def oos_reference(tree, radio, source):
     covered = {source} | nbr[source]
     to_cover = set(tree) - covered
     forward_set = {source}
-    log = [EventLogRow(0, source, "tx")]
+    events = [(0, source, True)]
     sweep = 0
     while to_cover:
         progressed = False
@@ -82,11 +83,11 @@ def oos_reference(tree, radio, source):
                 forward_set.add(x)
                 covered |= nbr[x]
                 to_cover -= nbr[x]
-                log.append(EventLogRow(sweep, x, "tx"))
+                events.append((sweep, x, True))
                 progressed = True
         if not progressed:
             break  # disconnected: residual left as diagnostic
-    return BroadcastState(covered, forward_set, log)
+    return BroadcastState(covered, forward_set, events)
 
 
 _TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
