@@ -20,15 +20,6 @@ import numpy as np
 _TINY = np.finfo(float).tiny
 
 
-def _require(params, rule: str, ok, names: tuple[str, ...]) -> None:
-    """Reject the first field in `names` whose value fails `ok`, naming the
-    field, which is also its config key, and the value it got."""
-    for name in names:
-        value = getattr(params, name)
-        if not ok(value):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
 @dataclass
 class BanModelParams:
     delta_ns: float = 1.0
@@ -41,15 +32,6 @@ class BanModelParams:
     tau_ground_ns: float = 5.0
     shadowing_sigma_db: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require(self, "positive", lambda v: v > 0,
-                 ("delta_ns", "mean_cluster_interarrival_ns"))
-        _require(self, "at least 1", lambda v: v >= 1, ("num_bins_per_cluster",))
-        # the generators would read a negative spread as no fading
-        _require(self, "non-negative", lambda v: v >= 0,
-                 ("tau_ground_ns", "gamma_cluster_db_per_ns", "gamma_ray_db_per_ns",
-                  "sigma_cluster_db", "sigma_ray_db", "shadowing_sigma_db"))
-
 
 @dataclass
 class PathLossParams:
@@ -58,23 +40,12 @@ class PathLossParams:
     exponent: float = 3.11
     sigma_db: float = 6.1
 
-    def __post_init__(self) -> None:
-        _require(self, "positive", lambda v: v > 0, ("d0_m", "exponent"))
-        _require(self, "non-negative", lambda v: v >= 0, ("sigma_db",))
-
 
 @dataclass
 class GbhdsParams:
     a: float = 0.5
     radius_m: float = 100.0
     bs_distance_m: float = 1000.0
-
-    def __post_init__(self) -> None:
-        _require(self, "in (0, 1)", lambda v: 0.0 < v < 1.0, ("a",))
-        _require(self, "positive", lambda v: v > 0, ("radius_m",))
-        # the base station lies outside the scatterer disc
-        _require(self, f"above radius_m {self.radius_m!r}",
-                 lambda v: v > self.radius_m, ("bs_distance_m",))
 
 
 def _rays(amp_db: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
@@ -106,19 +77,11 @@ def gen_clusters(params: BanModelParams, rngs) -> np.ndarray:
     return _rays(amp_db, np.array(unit_phases))
 
 
-def _ground_shift(params: BanModelParams) -> int:
-    shift = round(params.tau_ground_ns / params.delta_ns)
-    if shift == 0:
-        raise ValueError(f"tau_ground_ns {params.tau_ground_ns:g} rounds to bin 0 at "
-                         f"delta_ns {params.delta_ns:g}: the ground cluster would "
-                         "merge into the body cluster")
-    return shift
-
-
 def gen_outdoor_ban(params: BanModelParams, rngs) -> tuple[np.ndarray, list[int]]:
     """Taps and cluster start bins of the body cluster at bin 0 and the
-    ground cluster at its delay, from the (body, ground) Generators."""
-    shift = _ground_shift(params)
+    ground cluster at its delay, from the (body, ground) Generators; the
+    delay rounds to a bin after 0."""
+    shift = round(params.tau_ground_ns / params.delta_ns)
     # ground reflections are uncorrelated with the around-body wave:
     # independent streams for the two components
     body, ground = gen_clusters(params, rngs)
@@ -174,8 +137,6 @@ def gen_indoor_ban(params: BanModelParams, num_clusters: int,
     """The outdoor draw plus the reflections: taps and cluster start bins,
     from the (body, ground, reflection) Generators."""
     body, ground, reflection = rngs
-    # the outdoor draw first: a ground delay at bin 0 fails before any
-    # reflection is drawn
     outdoor, starts = gen_outdoor_ban(params, (body, ground))
     ref, ref_starts = gen_ref(params, num_clusters, reflection)
     taps = np.zeros(max(outdoor.size, ref.size), dtype=complex)
@@ -185,13 +146,10 @@ def gen_indoor_ban(params: BanModelParams, num_clusters: int,
 
 
 def path_loss_db(d_m, params: PathLossParams, rng=None):
-    """Log-distance path loss of each distance in `d_m`, an array or a
-    float; with a Generator and sigma_db > 0, plus one lognormal shadowing
-    draw per distance, in order (the stream of one scalar draw each)."""
-    bad = np.logical_not((0.0 < d_m) & (d_m < np.inf))  # NaN fails both
-    if np.any(bad):
-        raise ValueError("distance must be finite and positive, "
-                         f"got {np.extract(bad, d_m)[0]}")
+    """Log-distance path loss of each positive distance in `d_m`, an array
+    or a float; with a Generator and sigma_db > 0, plus one lognormal
+    shadowing draw per distance, in order (the stream of one scalar draw
+    each)."""
     loss = params.a0_db + 10.0 * params.exponent * np.log10(d_m / params.d0_m)
     if rng is not None and params.sigma_db > 0:
         loss += params.sigma_db * rng.standard_normal(np.shape(d_m))

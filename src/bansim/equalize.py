@@ -164,15 +164,11 @@ def run_blind(
     iterations: int, truth: np.ndarray, rng: np.random.Generator,
     stride: int = 1,
 ) -> tuple[np.ndarray, int]:
-    """Adapt nf centre-spike taps, step size mu, dispersion constant r2, on
-    the stream scaled to unit power (``agc``); score each output against the
-    transmitted symbols ``truth``.  Returns the per-iteration squared error
+    """Adapt nf centre-spike taps (nf odd), step size mu >= 0, dispersion
+    constant r2, on the stream scaled to unit power (``agc``); score each
+    output against the transmitted symbols ``truth``.  Returns the per-iteration squared error
     and the delay that aligns the output with them.  The "DSE_CMA" variant
     dithers at amplitude r2, drawn from ``rng``; "CMA" draws none."""
-    if mu < 0:
-        raise ValueError(f"mu must be non-negative, got {mu!r}")
-    if nf % 2 == 0:
-        raise ValueError(f"nf must be odd, got {nf!r}")
     if variant not in ("CMA", "DSE_CMA"):
         raise ValueError(f"variant must be CMA or DSE_CMA, got {variant!r}")
     received = agc(received)

@@ -4,6 +4,8 @@ triples; the CLI writes ``<stem>.csv`` and, when a plot spec is present,
 ``<stem>.svg`` into the output directory.
 
 Only the runners turn the config seed into streams; the models take Generators.
+A runner checks the rules that read two settings, before it allocates or
+seeds anything; the schema has checked each setting alone.
 """
 
 from __future__ import annotations
@@ -98,6 +100,10 @@ def run_channel_stats(cfg: ScenarioConfig):
         raise ValueError(f"unknown channel model {model!r}")
     draws, num_clusters = sec["draws"], sec["num_clusters"]
     params = _params(channels.BanModelParams, cfg.section("ban"))
+    if round(params.tau_ground_ns / params.delta_ns) == 0:
+        raise ValueError(f"tau_ground_ns {params.tau_ground_ns:g} rounds to bin 0 at "
+                         f"delta_ns {params.delta_ns:g}: the ground cluster would "
+                         "merge into the body cluster")
     clusters, energies = [], []
     # allocated before any seeding: a draws count too large for memory fails here
     first_cluster = np.zeros((draws, params.num_bins_per_cluster))
@@ -125,6 +131,10 @@ def run_channel_stats(cfg: ScenarioConfig):
 def run_doa_hist(cfg: ScenarioConfig):
     sec = cfg.section("doa_hist")
     params = _params(channels.GbhdsParams, sec)
+    # the base station lies outside the scatterer disc
+    if params.bs_distance_m <= params.radius_m:
+        raise ValueError(f"bs_distance_m must be above radius_m {params.radius_m!r}, "
+                         f"got {params.bs_distance_m!r}")
     # one stream holds all count radius uniforms, then all count angle
     # uniforms; a uniform double takes one output, so the angles start count in
     edges, masses = channels.gbhds_doa_histogram(
@@ -242,6 +252,8 @@ def run_broadcast_sim(cfg: ScenarioConfig):
         raise ValueError("topology must name a file")
     with open(sec["topology"]) as fh:
         tree, radio = zigbee.parse_topology(fh.read())
+    if sec["source"] not in tree:
+        raise ValueError(f"source {sec['source']} not in tree")
     # trial i draws from SeedSequence(seed).spawn(trials)[i], a Generator
     # built only when the trial runs, so a large `trials` holds no seed list
     trials = seeding.child_streams(cfg.seed, sec["trials"], [()])

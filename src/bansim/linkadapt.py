@@ -22,11 +22,6 @@ class LaThresholds:
     p_rmin_dbm: float = -85.0
     ci_min_db: tuple = (-5.0, 0.0, 5.0, 10.0)  # one entry per rate level
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.th_pf <= 1.0):
-            raise ValueError("th_pf, the failure-probability threshold, must be in "
-                             f"[0, 1], got {self.th_pf!r}")
-
 
 def packet_received(p_r_dbm, interference_power_dbm, rate_level,
                     thresholds: LaThresholds):

@@ -204,10 +204,10 @@ def oos_select(tree, radio, source: int) -> BroadcastState:
     """Sweep the tree top to bottom, left to right by address, adding each
     covered node with an uncovered radio neighbour to the forward set, until
     every tree node is covered or a sweep adds none.  `tree` and `radio` are
-    as ``parse_topology`` returns them.  The source and every radio
-    neighbour are tree nodes, as ``parse_topology`` and
-    ``broadcast_compare`` ensure: then the covered set is a subset of the
-    tree, so its size tells when the tree is covered."""
+    as ``parse_topology`` returns them, so every radio neighbour is a tree
+    node, and the source is one too (the ``broadcast_sim`` runner checks
+    it): then the covered set is a subset of the tree, so its size tells
+    when the tree is covered."""
     order = sorted(tree, key=lambda k: tree[k][::-1])
     covered = {source} | radio[source]
     forward_set = {source}
@@ -233,13 +233,9 @@ def broadcast_compare(tree, radio, source: int, rngs, max_backoff: int):
     """(mean self-pruning rebroadcasts over one trial per Generator of the
     iterable `rngs`, their mean coverage, OOS rebroadcasts, OOS coverage);
     coverage is the share of tree nodes reached.  The trials share one
-    ``neighbour_masks`` graph; each takes its Generator only when it runs."""
-    if source not in tree:
-        raise ValueError(f"source {source} not in tree")
-    # the backoffs are numpy int64 draws below max_backoff + 1
-    if max_backoff > 2**63 - 1:
-        raise ValueError(f"max_backoff {max_backoff} is above 2**63 - 1, "
-                         "the largest backoff numpy draws")
+    ``neighbour_masks`` graph; each takes its Generator only when it runs.
+    The source is a tree node, and max_backoff at most 2**63 - 1, the
+    largest backoff numpy's int64 draws hold."""
     n = len(tree)
     graph = neighbour_masks(tree, radio)
     counts, coverage = [], []

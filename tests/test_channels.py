@@ -80,20 +80,6 @@ def test_ground_is_shifted_body():
     assert np.array_equal(taps[30:], ground)
 
 
-def test_outdoor_rejects_ground_delay_of_bin_0():
-    # a ground delay that rounds to bin 0 would merge the two clusters
-    for tau in (0.0, 0.4):
-        p = make_params(tau_ground_ns=tau)
-        with pytest.raises(ValueError, match="tau_ground_ns"):
-            channels.gen_outdoor_ban(p, draw_streams(np.random.SeedSequence(3), False))
-        streams = draw_streams(np.random.SeedSequence(3), True)
-        states = [rng.bit_generator.state for rng in streams]
-        with pytest.raises(ValueError, match="tau_ground_ns"):
-            channels.gen_indoor_ban(p, 2, streams)
-        # it fails before any stream is drawn from
-        assert [rng.bit_generator.state for rng in streams] == states
-
-
 def test_outdoor_two_clusters_with_deterministic_gap():
     for seed in range(20):
         _, starts = channels.gen_outdoor_ban(
@@ -242,9 +228,6 @@ def test_path_loss_anchor_and_log_distance():
     assert channels.path_loss_db(0.1, p) == pytest.approx(35.2, abs=1e-12)
     assert channels.path_loss_db(1.0, p) == pytest.approx(66.3, abs=1e-9)
     assert channels.path_loss_db(2.0, p) == channels.path_loss_db(2.0, p)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            channels.path_loss_db(bad, p)
 
 
 def test_gbhds_sampler_range_and_doa_bound():
@@ -318,13 +301,6 @@ def test_gbhds_doa_histogram_memory_is_flat_in_count():
                                          bins, range=(-lim, lim))
     assert edges.tobytes() == ref_edges.tobytes()
     assert masses.tobytes() == (ref_masses / count).tobytes()
-
-
-def test_gbhds_invalid_params():
-    with pytest.raises(ValueError):
-        channels.GbhdsParams(a=1.5)
-    with pytest.raises(ValueError):
-        channels.GbhdsParams(radius_m=100.0, bs_distance_m=50.0)
 
 
 def test_apply_channel_basics():

@@ -242,15 +242,11 @@ def test_cma_step_zero_mu_keeps_taps():
 
 
 def test_run_blind_rejects_settings():
+    # the variant is run_blind's own name choice; the schema checks mu and nf
     sym = sigproc.modulate(random_bits(3 * 100, 19), sigproc.get_scheme("QAM8"))
-    for nf, mu, variant, message in [
-        (11, -0.0003, "CMA", r"^mu must be non-negative, got -0\.0003$"),
-        (12, 0.0006, "CMA", r"^nf must be odd, got 12$"),
-        (11, 0.0006, "NOPE", r"^variant must be CMA or DSE_CMA, got 'NOPE'$"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            equalize.run_blind(sym, nf, mu, 1.32, variant, 50, truth=sym,
-                               rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^variant must be CMA or DSE_CMA, got 'NOPE'$"):
+        equalize.run_blind(sym, 11, 0.0006, 1.32, "NOPE", 50, truth=sym,
+                           rng=np.random.default_rng(0))
 
 
 @settings(max_examples=50, deadline=None)

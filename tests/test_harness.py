@@ -9,7 +9,8 @@ import pytest
 
 from bansim import equalize, zigbee
 from bansim.harness import cli
-from bansim.harness.config import EXPERIMENTS, ConfigError, parse_config
+from bansim.harness.config import (COMMON, EXPERIMENTS, SCHEMAS, ConfigError, Kind,
+                                   parse_config)
 from bansim.harness.experiments import run_experiment
 from bansim.harness.svg import PlotSpec, emit_svg
 from bansim.harness.table import ResultTable
@@ -387,21 +388,24 @@ MALFORMED = [
     ("ber_sweep", "[ber_sweep]\nmax_bits = 1.5e3", "max_bits"),
     ("ber_sweep", "[ber_sweep]\nscheme = QAM16\nmax_bits = 3", "max_bits 3"),
     ("cma_convergence", "[cma_convergence]\nnf = 12",
-     "cma_convergence: nf must be odd, got 12"),
+     "line 4: [cma_convergence] nf must be an odd integer of at least 1, got '12'"),
     ("cma_convergence", "[cma_convergence]\nmu = -0.0003",
-     "cma_convergence: mu must be non-negative, got -0.0003"),
+     "line 4: [cma_convergence] mu must be a finite number of at least 0, got "
+     "'-0.0003'"),
     ("cma_convergence", "[cma_convergence]\nvariant = NOPE",
      "cma_convergence: variant must be CMA or DSE_CMA, got 'NOPE'"),
     ("cma_convergence", "[cma_convergence]\nscheme = BPSK", "QAM8 or QAM16"),
-    ("doa_hist", "[doa_hist]\nbins = 0", "bins"),
-    ("doa_hist", "[doa_hist]\ncount = 0", "count"),
+    ("doa_hist", "[doa_hist]\nbins = 0",
+     "line 4: [doa_hist] bins must be an integer of at least 1, got '0'"),
+    ("doa_hist", "[doa_hist]\ncount = 0",
+     "line 4: [doa_hist] count must be an integer of at least 1, got '0'"),
     ("mud_compare", "[mud_compare]\ntraining = 10", "training"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nsource = 99",
      "source 99"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {bad_topology}",
      "topology line 5"),
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\nnum_clusters = 0",
-     "num_clusters"),
+     "line 5: [channel_stats] num_clusters must be an integer of at least 1, got '0'"),
     ("channel_stats", "[ban]\ndelta_ns = 3, 4", "delta_ns"),
     ("channel_stats", "[channel_stats]\nmodel = rayleigh", "'rayleigh'"),
     # a ground delay that rounds to bin 0 would merge the two outdoor clusters
@@ -415,39 +419,48 @@ MALFORMED = [
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
      "gamma_cluster_db_per_ns = 1e200", "gamma_cluster_db_per_ns"),
     ("channel_stats", "[ban]\nnum_bins_per_cluster = 0",
-     "num_bins_per_cluster must be at least 1, got 0"),
+     "line 4: [ban] num_bins_per_cluster must be an integer of at least 1, got '0'"),
     # a negative fading spread: an error, never the rows of no fading
     ("channel_stats", "[ban]\nsigma_ray_db = -3",
-     "sigma_ray_db must be non-negative, got -3.0"),
+     "line 4: [ban] sigma_ray_db must be a finite number of at least 0, got '-3'"),
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
-     "sigma_cluster_db = -3", "sigma_cluster_db must be non-negative, got -3.0"),
+     "sigma_cluster_db = -3",
+     "line 6: [ban] sigma_cluster_db must be a finite number of at least 0, got '-3'"),
     ("channel_stats", "[ban]\nshadowing_sigma_db = -3",
-     "shadowing_sigma_db must be non-negative, got -3.0"),
-    # each parameter-dataclass rejection names its key and the value it got
+     "line 4: [ban] shadowing_sigma_db must be a finite number of at least 0, got "
+     "'-3'"),
+    # each rejection names the line, section and key, the rule and the text
     ("channel_stats", "[ban]\ndelta_ns = 0",
-     "channel_stats: delta_ns must be positive, got 0.0"),
+     "line 4: [ban] delta_ns must be a finite number above 0, got '0'"),
     ("channel_stats", "[ban]\nmean_cluster_interarrival_ns = 0",
-     "channel_stats: mean_cluster_interarrival_ns must be positive, got 0.0"),
+     "line 4: [ban] mean_cluster_interarrival_ns must be a finite number above 0, "
+     "got '0'"),
     ("channel_stats", "[ban]\ntau_ground_ns = -1",
-     "channel_stats: tau_ground_ns must be non-negative, got -1.0"),
+     "line 4: [ban] tau_ground_ns must be a finite number of at least 0, got '-1'"),
     ("channel_stats", "[ban]\ngamma_cluster_db_per_ns = -0.5",
-     "channel_stats: gamma_cluster_db_per_ns must be non-negative, got -0.5"),
+     "line 4: [ban] gamma_cluster_db_per_ns must be a finite number of at least 0, "
+     "got '-0.5'"),
     ("channel_stats", "[ban]\ngamma_ray_db_per_ns = -0.5",
-     "channel_stats: gamma_ray_db_per_ns must be non-negative, got -0.5"),
-    ("la_sim", "[la_sim]\nd0_m = 0", "la_sim: d0_m must be positive, got 0.0"),
-    ("la_sim", "[la_sim]\nexponent = -3", "la_sim: exponent must be positive, got -3.0"),
+     "line 4: [ban] gamma_ray_db_per_ns must be a finite number of at least 0, got "
+     "'-0.5'"),
+    ("la_sim", "[la_sim]\nd0_m = 0",
+     "line 4: [la_sim] d0_m must be a finite number above 0, got '0'"),
+    ("la_sim", "[la_sim]\nexponent = -3",
+     "line 4: [la_sim] exponent must be a finite number above 0, got '-3'"),
     ("la_sim", "[la_sim]\nsigma_db = -1",
-     "la_sim: sigma_db must be non-negative, got -1.0"),
-    ("doa_hist", "[doa_hist]\na = 1.5", "doa_hist: a must be in (0, 1), got 1.5"),
+     "line 4: [la_sim] sigma_db must be a finite number of at least 0, got '-1'"),
+    ("doa_hist", "[doa_hist]\na = 1.5",
+     "line 4: [doa_hist] a must be a number in (0, 1), got '1.5'"),
     ("doa_hist", "[doa_hist]\nradius_m = 0",
-     "doa_hist: radius_m must be positive, got 0.0"),
+     "line 4: [doa_hist] radius_m must be a finite number above 0, got '0'"),
     ("doa_hist", "[doa_hist]\nbs_distance_m = 50",
      "doa_hist: bs_distance_m must be above radius_m 100.0, got 50.0"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
     # numpy's seeding takes no negative entropy
-    ("ber_sweep", "seed = -1", "[common] seed:"),
-    ("ber_sweep", "--seed -5", "--seed:"),
+    ("ber_sweep", "seed = -1",
+     "line 2: [common] seed must be an integer of at least 0, got '-1'"),
+    ("ber_sweep", "--seed -5", "--seed must be an integer of at least 0, got '-5'"),
     # counts whose arrays need more than 2**50 bytes: no host allocates them
     ("mud_compare", "[mud_compare]\nsymbols = 1000000000000000",
      "mud_compare: allocation too large for memory"),
@@ -457,13 +470,16 @@ MALFORMED = [
      "channel_stats: allocation too large for memory"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0, 0", "template1"),
-    ("mud_compare", "[mud_compare]\nnb = -1", "nb"),
+    ("mud_compare", "[mud_compare]\nnb = -1",
+     "line 4: [mud_compare] nb must be an integer of at least 0, got '-1'"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nmax_backoff = -1",
-     "max_backoff"),
+     "line 5: [broadcast_sim] max_backoff must be an integer in [0, 2**63 - 1], got "
+     "'-1'"),
     # a backoff range numpy's int64 draw cannot hold; 2**63 - 1 runs
     ("broadcast_sim",
      "[broadcast_sim]\ntopology = {example}\nmax_backoff = 100000000000000000000",
-     "max_backoff 100000000000000000000 is above 2**63 - 1"),
+     "line 5: [broadcast_sim] max_backoff must be an integer in [0, 2**63 - 1], got "
+     "'100000000000000000000'"),
     # arithmetic that overflows: an error, never nan rows or a traceback; a
     # Python float overflow names itself too, not as an errno tuple
     ("mud_compare", "[mud_compare]\ntemplate1 = 1e200", "mud_compare: overflow"),
@@ -493,7 +509,8 @@ MALFORMED = [
     ("la_sim", "[la_sim]\ndistance_m = 1.0, 1.0, 1.0\n"
      "tx_power_dbm = 3146.3, 3146.3, 3146.3",
      "la_sim: overflow encountered in accumulate"),
-    ("mud_compare", "[mud_compare]\nridge = -1", "ridge"),
+    ("mud_compare", "[mud_compare]\nridge = -1",
+     "line 4: [mud_compare] ridge must be a finite number of at least 0, got '-1'"),
     # tree nodes the root cannot reach, and a radio node outside the tree
     ("broadcast_sim", "[broadcast_sim]\ntopology = {cycle_topology}",
      "node 2 is not reachable"),
@@ -508,26 +525,67 @@ MALFORMED = [
     ("broadcast_sim", "[broadcast_sim]\ntopology = {shallow_topology}",
      "node 0 exceeds maximum depth -1"),
     # counts the models take unchecked: the schema rejects them first
-    ("la_sim", "[la_sim]\nwindow = 0", "[la_sim] window:"),
-    ("la_sim", "[la_sim]\nwindow = -1", "[la_sim] window:"),
-    ("la_sim", "[la_sim]\nrounds = 0", "[la_sim] rounds:"),
-    # link settings the path loss and thresholds cannot take
-    ("la_sim", "[la_sim]\ndistance_m = 0", "distance must be finite and positive"),
-    ("la_sim", "[la_sim]\ndistance_m = -1", "distance must be finite and positive"),
-    ("la_sim", "[la_sim]\ndistance_m = nan", "[la_sim] distance_m:"),
-    ("la_sim", "[la_sim]\ntx_power_dbm = 0.0, nan", "[la_sim] tx_power_dbm:"),
-    ("la_sim", "[la_sim]\nnoise_floor_dbm = nan", "[la_sim] noise_floor_dbm:"),
-    ("la_sim", "[la_sim]\na0_db = inf", "[la_sim] a0_db:"),
+    ("la_sim", "[la_sim]\nwindow = 0",
+     "line 4: [la_sim] window must be an integer of at least 1, got '0'"),
+    ("la_sim", "[la_sim]\nwindow = -1",
+     "line 4: [la_sim] window must be an integer of at least 1, got '-1'"),
+    ("la_sim", "[la_sim]\nrounds = 0",
+     "line 4: [la_sim] rounds must be an integer of at least 1, got '0'"),
+    # link settings out of the path loss's and thresholds' ranges
+    ("la_sim", "[la_sim]\ndistance_m = 0",
+     "line 4: [la_sim] distance_m must be a finite number above 0, got '0'"),
+    ("la_sim", "[la_sim]\ndistance_m = -1",
+     "line 4: [la_sim] distance_m must be a finite number above 0, got '-1'"),
+    ("la_sim", "[la_sim]\ndistance_m = nan",
+     "line 4: [la_sim] distance_m must be a finite number above 0, got 'nan'"),
+    ("la_sim", "[la_sim]\ntx_power_dbm = 0.0, nan",
+     "line 4: [la_sim] tx_power_dbm must be a finite number, got 'nan'"),
+    ("la_sim", "[la_sim]\nnoise_floor_dbm = nan",
+     "line 4: [la_sim] noise_floor_dbm must be a finite number, got 'nan'"),
+    ("la_sim", "[la_sim]\na0_db = inf",
+     "line 4: [la_sim] a0_db must be a finite number, got 'inf'"),
     ("la_sim", "[la_sim]\nth_pf = 2",
-     "la_sim: th_pf, the failure-probability threshold, must be in [0, 1], got 2.0"),
-    ("mud_compare", "[mud_compare]\nns = 0", "[mud_compare] ns:"),
-    ("mud_compare", "[mud_compare]\nnw = 0", "[mud_compare] nw:"),
+     "line 4: [la_sim] th_pf must be a number in [0, 1], got '2'"),
+    ("mud_compare", "[mud_compare]\nns = 0",
+     "line 4: [mud_compare] ns must be an integer of at least 1, got '0'"),
+    ("mud_compare", "[mud_compare]\nnw = 0",
+     "line 4: [mud_compare] nw must be an integer of at least 1, got '0'"),
     ("cma_convergence", "[cma_convergence]\nsamples_per_symbol = 0",
-     "[cma_convergence] samples_per_symbol:"),
+     "line 4: [cma_convergence] samples_per_symbol must be an integer of at least 1, "
+     "got '0'"),
     ("cma_convergence", "[cma_convergence]\nchannel =",
      "[cma_convergence] channel has no value"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\ntrials = 0",
-     "[broadcast_sim] trials:"),
+     "line 5: [broadcast_sim] trials must be an integer of at least 1, got '0'"),
+    # a key set twice: an error, never its last value
+    ("ber_sweep", "[ber_sweep]\nmax_bits = 1000\nmax_bits = 2000",
+     "line 5: [ber_sweep] max_bits was already set on line 4"),
+    ("ber_sweep", "[ber_sweep]\nmax_bits = 0",
+     "line 4: [ber_sweep] max_bits must be an integer of at least 1, got '0'"),
+    ("ber_sweep", "[ber_sweep]\nmin_errors = 0",
+     "line 4: [ber_sweep] min_errors must be an integer of at least 1, got '0'"),
+    ("channel_stats", "[channel_stats]\ndraws = 0",
+     "line 4: [channel_stats] draws must be an integer of at least 1, got '0'"),
+    ("cma_convergence", "[cma_convergence]\niterations = 0",
+     "line 4: [cma_convergence] iterations must be an integer of at least 1, got '0'"),
+    ("cma_convergence", "[cma_convergence]\nwindow = 0",
+     "line 4: [cma_convergence] window must be an integer of at least 1, got '0'"),
+    ("mud_compare", "[mud_compare]\nsymbols = 0",
+     "line 4: [mud_compare] symbols must be an integer of at least 1, got '0'"),
+    ("mud_compare", "[mud_compare]\ntraining = 0",
+     "line 4: [mud_compare] training must be an integer of at least 1, got '0'"),
+    # the values just past the ends of a range
+    ("cma_convergence", "[cma_convergence]\nnf = 2",
+     "line 4: [cma_convergence] nf must be an odd integer of at least 1, got '2'"),
+    ("doa_hist", "[doa_hist]\na = 0",
+     "line 4: [doa_hist] a must be a number in (0, 1), got '0'"),
+    ("doa_hist", "[doa_hist]\na = 1",
+     "line 4: [doa_hist] a must be a number in (0, 1), got '1'"),
+    # a rule across two keys runs before the runner allocates anything
+    ("channel_stats",
+     "[channel_stats]\ndraws = 1000000000000000\n[ban]\ntau_ground_ns = 0",
+     "channel_stats: tau_ground_ns 0 rounds to bin 0 at delta_ns 1: the ground "
+     "cluster would merge into the body cluster"),
 ]
 
 
@@ -564,6 +622,81 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     assert line.startswith("bansim: config error: ")
     assert names in line
     assert not out.exists()
+
+
+def _out_of_range(experiment: str, body: str) -> set[tuple[str, str]]:
+    """(section, key) of each ranged setting a config body sets to a value
+    its kind's type reads but its range rejects."""
+    schema = {"common": COMMON, **SCHEMAS[experiment]}
+    section, found = "common", set()
+    for line in body.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            key, text = (part.strip() for part in line.split("=", 1))
+            kind = schema.get(section, {}).get(key, (None,))[0]
+            kind = kind[0] if isinstance(kind, list) else kind
+            if isinstance(kind, Kind) and any(_breaks(kind, part.strip())
+                                              for part in text.split(",")):
+                found.add((section, key))
+    return found
+
+
+def _breaks(kind: Kind, text: str) -> bool:
+    try:
+        return not kind.ok(kind.type(text))
+    except ValueError:
+        return False
+
+
+def test_out_of_range_scan():
+    assert _out_of_range("la_sim", "[la_sim]\nrounds = 2\ndistance_m = 1, 0\n"
+                         "th_pf = x\nwindow = 0") == {("la_sim", "distance_m"),
+                                                      ("la_sim", "window")}
+    assert _out_of_range("doa_hist", "seed = -1\n[doa_hist]\na = 0.5") == {
+        ("common", "seed")}
+
+
+def test_every_ranged_key_has_a_malformed_row():
+    # a [common] key may be set under any experiment
+    def owner(experiment, section):
+        return "*" if section == "common" else experiment
+
+    ranged = {(owner(experiment, section), section, key)
+              for experiment, sections in SCHEMAS.items()
+              for section, keys in {"common": COMMON, **sections}.items()
+              for key, (kind, _) in keys.items()
+              if isinstance(kind[0] if isinstance(kind, list) else kind, Kind)}
+    assert ("la_sim", "la_sim", "th_pf") in ranged  # the walk sees the fields
+    assert ("*", "common", "seed") in ranged
+    covered = {(owner(experiment, section), section, key)
+               for experiment, body, names in MALFORMED
+               for section, key in _out_of_range(experiment, body)
+               if f"[{section}] {key} must be" in names}
+    assert sorted(ranged - covered) == []
+
+
+# settings at the ends of their ranges, which run: -0.0 is not below 0
+AT_RANGE_ENDS = [
+    ("cma_convergence", "[cma_convergence]\nnf = 1\niterations = 200\nwindow = 50"),
+    ("cma_convergence", "[cma_convergence]\nmu = -0.0\niterations = 200\nwindow = 50"),
+    ("la_sim", "[la_sim]\nth_pf = 0\nrounds = 3"),
+    ("la_sim", "[la_sim]\nth_pf = 1\nrounds = 3"),
+    ("broadcast_sim", "[broadcast_sim]\nmax_backoff = 9223372036854775807\n"
+     "topology = {example}\ntrials = 2"),
+]
+
+
+@pytest.mark.parametrize("experiment,body", AT_RANGE_ENDS,
+                         ids=[f"{e}:{b.splitlines()[1]}" for e, b in AT_RANGE_ENDS])
+def test_settings_at_range_ends_run(tmp_path, experiment, body):
+    cfg = tmp_path / "edge.cfg"
+    body = body.format(example=ROOT / "configs" / "topology_example.txt")
+    cfg.write_text(f"[common]\nseed = 1\n{body}\n")
+    assert _out_of_range(experiment, body) == set()
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+    assert any(out.iterdir())
 
 
 @pytest.mark.parametrize("model", ["outdoor_ban", "indoor_ban"])

@@ -148,11 +148,6 @@ def test_reception_monotone_in_distance():
     assert outcomes == sorted(outcomes, reverse=True)
 
 
-def test_thresholds_validation():
-    with pytest.raises(ValueError):
-        linkadapt.LaThresholds(th_pf=1.5)
-
-
 def test_trace_csv_format():
     cfg = parse_config(
         "[common]\nseed = 0\n[la_sim]\nrounds = 1\ndistance_m = 1.0\n",

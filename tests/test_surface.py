@@ -5,6 +5,9 @@ the code under ``src/`` or ``perfbench/``; a name only the tests call
 belongs in the tests.  Every field of a ``bansim`` dataclass must be read as
 an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
+A dataclass whose fields ``SCHEMAS`` reads as config keys defines no
+``__post_init__``: each key's kind holds its range, and a check in the class
+would be a second home for the same rule.
 Every exception class a ``bansim`` module defines must be named in an
 ``except`` of the same program code: a type that no handler tells apart from
 its base is one more name for the base.
@@ -22,7 +25,11 @@ calls ``default_rng``, ``spawn``, ``SeedSequence``, ``PCG64`` or
 
 import ast
 import builtins
+import dataclasses
+import importlib
 from pathlib import Path
+
+from bansim.harness.config import SCHEMAS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bansim"
@@ -144,6 +151,22 @@ def test_every_dataclass_field_is_read():
     unread = sorted(f"{mod}.{cls}.{name}" for mod, cls, name in fields - FIELDS_ALLOWED
                     if name not in read)
     assert unread == [], f"dataclass fields nothing reads: {unread}"
+
+
+def test_schema_dataclasses_define_no_post_init():
+    sections = [set(keys) for schema in SCHEMAS.values() for keys in schema.values()]
+    classes = {
+        cls.__name__: cls
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for cls in vars(importlib.import_module(f"bansim.{_module(path)}")).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and any({f.name for f in dataclasses.fields(cls)} <= keys for keys in sections)}
+    # the scan sees the parameter classes
+    assert {"BanModelParams", "PathLossParams", "GbhdsParams",
+            "LaThresholds"} <= set(classes)
+    checked = sorted(name for name, cls in classes.items()
+                     if "__post_init__" in vars(cls))
+    assert checked == [], f"dataclasses that check config keys themselves: {checked}"
 
 
 def _exception_classes(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
