@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _TINY = np.finfo(float).tiny
+# the most complex128 taps numpy can allocate: their bytes fit in an intp
+MAX_TAPS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 @dataclass
@@ -99,12 +101,18 @@ def gen_ref(params: BanModelParams, num_clusters: int,
     gaps = rng.exponential(params.mean_cluster_interarrival_ns, size=num_clusters - 1)
     tau = np.zeros(num_clusters)
     np.cumsum(gaps, out=tau[1:])
-    # Python's round, like np.round, rounds half to even
-    starts = [round(t / params.delta_ns) for t in tau.tolist()]
+    # Python's round, like np.round, rounds half to even; a start past
+    # MAX_TAPS, infinite ones included, is rounded from MAX_TAPS instead
+    starts = [round(min(t / params.delta_ns, MAX_TAPS)) for t in tau.tolist()]
     # coincident starts after bin rounding would merge clusters; push apart
     for i in range(1, num_clusters):
         starts[i] = max(starts[i], starts[i - 1] + 1)
     n_bins = params.num_bins_per_cluster
+    if starts[-1] + n_bins > MAX_TAPS:
+        raise ValueError(
+            f"mean_cluster_interarrival_ns {params.mean_cluster_interarrival_ns:g} "
+            f"drew a reflection cluster {tau[-1]:g} ns in: at delta_ns "
+            f"{params.delta_ns:g} its taps pass the {MAX_TAPS} numpy can allocate")
     # per cluster, in this order: its fading draws, then its phases
     n_l, n_k, unit_phases = [], [], []
     for _ in range(num_clusters):

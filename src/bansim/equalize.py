@@ -14,6 +14,9 @@ from . import _kernels
 from .sigproc import ModulationScheme, _complex_normal, slice_symbols
 
 
+_TINY = np.finfo(float).tiny
+
+
 class DivergenceError(RuntimeError):
     """Blind adaptation left the stable region."""
 
@@ -131,16 +134,43 @@ def _aligned(y: np.ndarray, truth: np.ndarray, delay: int):
 
 
 def _derotate_and_delay(y: np.ndarray, truth: np.ndarray, nf: int):
-    """Resolve the quadrant ambiguity and pick the best equalizer delay."""
-    best = None
+    """Resolve the quadrant ambiguity and pick the best equalizer delay: the
+    (delay, rotation) pair, delay in -nf..nf and rotation 1, 1j, -1, -1j,
+    with the least settled-half MSE, the first in that order on a tie.
+
+    One pass per delay screens its four rotations: with E the energy
+    sum |ref|**2 + sum |est|**2 and s = sum ref conj(est), the n MSE terms
+    sum to E - 2 Re(conj(rot) s).  In units of u e, u = 2**-53 and e = E/n,
+    the screened mean errs by at most 4n + 7 (each dot sums 2n products in
+    some order, of magnitudes summing to E, or E/2 for s) and the MSE by at
+    most 2n + 14 (n terms of a few roundings each, summing to at most 2E).
+    The bound 16 (n + 4) u (e + tiny) is more than twice both, so a pair
+    whose screened mean minus bound is above another's plus bound has the
+    larger MSE; the rest are scored as before, in order.  y is finite or
+    NaN (the kernels stop past DIVERGENCE_LIMIT) and truth finite, so a NaN
+    MSE has a NaN screened mean, which keeps every pair."""
+    halves, screened, bounds = [], [], []
     for delay in range(-nf, nf + 1):
         est, ref = _aligned(y, truth, delay)
         if est.size == 0:
             continue
         # judge the settled half
         est, ref = est[est.size // 2 :], ref[ref.size // 2 :]
-        for rot in (1, 1j, -1, -1j):
-            score = float(np.mean(np.abs(ref - rot * est) ** 2))
+        energy = np.vdot(ref, ref).real + np.vdot(est, est).real
+        s = np.vdot(est, ref)
+        halves.append((delay, est, ref))
+        sums = energy - 2 * np.array([s.real, s.imag, -s.real, -s.imag])
+        screened.append(sums / est.size)
+        bounds.append(16 * (est.size + 4) * 2.0**-53 * (energy / est.size + _TINY))
+    screened, bounds = np.array(screened), np.array(bounds)[:, None]
+    # a NaN compares false, so it is kept, and fmin skips it
+    kept = ~(screened - bounds > np.fmin.reduce(screened + bounds, axis=None))
+    best = None
+    for (delay, est, ref), keep in zip(halves, kept):
+        for rot, k in zip((1, 1j, -1, -1j), keep):
+            score = np.inf  # screened out: above the least MSE
+            if k:
+                score = float(np.mean(np.abs(ref - rot * est) ** 2))
             if best is None or score < best[0]:
                 best = (score, delay, rot)
     _, delay, rot = best
@@ -166,9 +196,12 @@ def run_blind(
 ) -> tuple[np.ndarray, int]:
     """Adapt nf centre-spike taps (nf odd), step size mu >= 0, dispersion
     constant r2, on the stream scaled to unit power (``agc``); score each
-    output against the transmitted symbols ``truth``.  Returns the per-iteration squared error
-    and the delay that aligns the output with them.  The "DSE_CMA" variant
-    dithers at amplitude r2, drawn from ``rng``; "CMA" draws none."""
+    output against the transmitted symbols ``truth``.  Returns the
+    per-iteration squared error and the delay that aligns the output with
+    them: the delay in -nf..nf and the rotation in 1, 1j, -1, -1j that
+    minimize the MSE over the settled (second) half of the aligned output,
+    the first in delay-then-rotation order winning a tie.  The "DSE_CMA"
+    variant dithers at amplitude r2, drawn from ``rng``; "CMA" draws none."""
     if variant not in ("CMA", "DSE_CMA"):
         raise ValueError(f"variant must be CMA or DSE_CMA, got {variant!r}")
     received = agc(received)

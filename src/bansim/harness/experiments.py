@@ -100,7 +100,15 @@ def run_channel_stats(cfg: ScenarioConfig):
         raise ValueError(f"unknown channel model {model!r}")
     draws, num_clusters = sec["draws"], sec["num_clusters"]
     params = _params(channels.BanModelParams, cfg.section("ban"))
-    if round(params.tau_ground_ns / params.delta_ns) == 0:
+    ground = params.tau_ground_ns / params.delta_ns
+    # checked before it is rounded, which an infinite ratio cannot be
+    if ground > channels.MAX_TAPS - params.num_bins_per_cluster:
+        raise ValueError(f"tau_ground_ns {params.tau_ground_ns:g} at delta_ns "
+                         f"{params.delta_ns:g} starts the ground cluster at bin "
+                         f"{ground:g}: with num_bins_per_cluster "
+                         f"{params.num_bins_per_cluster} its taps pass the "
+                         f"{channels.MAX_TAPS} numpy can allocate")
+    if round(ground) == 0:
         raise ValueError(f"tau_ground_ns {params.tau_ground_ns:g} rounds to bin 0 at "
                          f"delta_ns {params.delta_ns:g}: the ground cluster would "
                          "merge into the body cluster")

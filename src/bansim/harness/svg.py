@@ -47,21 +47,30 @@ def _m4(col: np.ndarray, y: np.ndarray) -> np.ndarray:
     return kept[np.r_[True, kept[1:] != kept[:-1]]]
 
 
+def _first_extreme(values: np.ndarray, reduce: np.ufunc) -> float:
+    """Python's min (``reduce`` np.fmin) or max (np.fmax) of a column: NaN if
+    its first value is NaN, else its first value equal to the extreme of the
+    values that are not NaN, which keeps the sign of a zero."""
+    if values[0] != values[0]:
+        return float(values[0])
+    return float(values[np.argmax(values == reduce.reduce(values))])
+
+
 def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
-    xs = list(map(float, table.column(spec.x)))
-    ys = list(map(float, table.column(spec.y)))
-    y = np.array(ys)
+    # each column read once into floats, as float() reads each cell
+    x = np.array(table.column(spec.x), dtype=float)
+    y = np.array(table.column(spec.y), dtype=float)
     if spec.log_y:
         bad = np.flatnonzero(y <= 0)
         if bad.size:
             i = int(bad[0])
             raise ValueError(
                 f"log-y plot: column {spec.y!r} row {i} has "
-                f"non-positive value {ys[i]}"
+                f"non-positive value {float(y[i])}"
             )
-    if not xs:
+    if not x.size:
         raise ValueError("empty table")
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = _first_extreme(x, np.fmin), _first_extreme(x, np.fmax)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
@@ -70,16 +79,16 @@ def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
     def px(x):
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
 
-    if len(xs) > _WIDTH - 2 * _MARGIN:
-        # a long, sorted and finite series draws only each pixel column's
-        # extremes, which hold every axis extreme; log10 keeps their rows
-        x = np.array(xs)
-        if np.isfinite(x).all() and np.isfinite(y).all() and (x[1:] >= x[:-1]).all():
-            kept = _m4(np.floor(px(x)), y)
-            xs, ys = x[kept].tolist(), y[kept].tolist()
+    # a long, sorted and finite series draws only each pixel column's
+    # extremes, which hold every axis extreme; log10 keeps their rows
+    if (x.size > _WIDTH - 2 * _MARGIN and np.isfinite(x).all()
+            and np.isfinite(y).all() and (x[1:] >= x[:-1]).all()):
+        kept = _m4(np.floor(px(x)), y)
+        x, y = x[kept], y[kept]
     if spec.log_y:
-        ys = list(map(math.log10, ys))
-    y_lo, y_hi = min(ys), max(ys)
+        # math.log10, whose bits the plots were recorded with
+        y = np.array(list(map(math.log10, y.tolist())))
+    y_lo, y_hi = _first_extreme(y, np.fmin), _first_extreme(y, np.fmax)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
@@ -113,9 +122,7 @@ def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     with np.errstate(all="ignore"):
-        # pixels replace the data, so the two columns are never held at once
-        xs = px(np.array(xs)).tolist()
-        ys = py(np.array(ys)).tolist()
+        xs, ys = px(x).tolist(), py(y).tolist()
     pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="{_COLOR}" '

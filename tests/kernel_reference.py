@@ -5,7 +5,10 @@ Each takes the arguments of its kernel and returns what the kernel returns:
 ``dfe_reference`` is the scalar per-symbol decision-feedback loop, which
 slices each symbol by ``sigproc_reference.exact_label``.  The numpy kernels
 must reproduce them bit for bit; ``test_kernels.py`` checks that on random,
-divergent and edge-case inputs.
+divergent and edge-case inputs.  ``derotate_and_delay_reference`` scores
+every (delay, rotation) pair of a blind run's output, as
+``equalize._derotate_and_delay`` must choose them; ``test_equalize.py``
+checks that on near-ties and exact ties.
 
 ``dfe_detect_run`` does not step like ``dfe_reference``: it speculates every
 decision (slices the feedforward outputs), verifies a block of guesses in
@@ -21,6 +24,7 @@ blocks, so the repair and the backoff run too.
 import numpy as np
 
 from bansim import _kernels
+from bansim.equalize import _aligned
 from sigproc_reference import exact_label
 
 
@@ -96,3 +100,22 @@ def dfe_reference(received, w_ff, w_fb, constellation, history, stride, n_sym):
                 hist[b] = hist[b - 1]
             hist[0] = decisions[k]
     return soft, decisions
+
+
+def derotate_and_delay_reference(y, truth, nf):
+    """(trace, delay) as ``equalize._derotate_and_delay`` returns them: the
+    settled-half MSE of each pair, delay -nf..nf then rotation 1, 1j, -1,
+    -1j, and the first strictly least."""
+    best = None
+    for delay in range(-nf, nf + 1):
+        est, ref = _aligned(y, truth, delay)
+        if est.size == 0:
+            continue
+        est, ref = est[est.size // 2 :], ref[ref.size // 2 :]
+        for rot in (1, 1j, -1, -1j):
+            score = float(np.mean(np.abs(ref - rot * est) ** 2))
+            if best is None or score < best[0]:
+                best = (score, delay, rot)
+    _, delay, rot = best
+    est, ref = _aligned(y, truth, delay)
+    return np.abs(ref - rot * est) ** 2, delay

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bansim import channels, equalize, sigproc
 from bitstream import random_bits
-from kernel_reference import cma_step
+from kernel_reference import cma_step, derotate_and_delay_reference
 
 REF_CHANNEL = np.array([0.227, 0.460, 0.688, 0.460, 0.227])
 
@@ -311,3 +311,71 @@ def test_agc_normalizes_power():
     assert float(np.mean(np.abs(y) ** 2)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         equalize.agc(np.zeros(4, dtype=complex))
+
+
+# symbols on the axes: |t|**2 is exactly 1, so every MSE below is exact
+AXES = np.array([1, 1j, -1, -1j])
+ROTATIONS = [1, 1j, -1, -1j]
+
+
+def assert_search_matches_reference(y, truth, nf):
+    trace, delay = equalize._derotate_and_delay(y, truth, nf)
+    ref_trace, ref_delay = derotate_and_delay_reference(y, truth, nf)
+    assert (trace.tobytes(), delay) == (ref_trace.tobytes(), ref_delay)
+    return delay
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nf=st.sampled_from([1, 3, 5, 13]),
+       n_y=st.integers(1, 400), extra=st.integers(-30, 30),
+       period=st.integers(1, 40), shift=st.integers(-16, 16),
+       rot=st.sampled_from(ROTATIONS), noise=st.floats(-14.0, 0.5))
+def test_screened_delay_search_matches_exhaustive(seed, nf, n_y, extra, period,
+                                                  shift, rot, noise):
+    # y a rotated, delayed copy of a periodic truth, plus noise from 1e-14
+    # to about 3: the delays a period apart tie but for the noise, whose
+    # MSEs then differ by less than, near and more than the screen's bound
+    rng = np.random.default_rng(seed)
+    n_truth = max(1, n_y + extra)
+    truth = np.resize(sigproc.QAM16.constellation[rng.integers(0, 16, period)],
+                      n_truth)
+    y = rot * truth[(np.arange(n_y) + shift) % n_truth]
+    y = y + 10.0 ** noise * (rng.normal(size=n_y) + 1j * rng.normal(size=n_y))
+    assert_search_matches_reference(y, truth, nf)
+
+
+def test_delay_search_all_pairs_tied_picks_the_first():
+    # y all zero: each of the 27 delays x 4 rotations scores mean |truth|**2,
+    # exactly 1, so the first pair, delay -nf and rotation 1, wins
+    truth = AXES[np.random.default_rng(3).integers(0, 4, 300)]
+    delay = assert_search_matches_reference(np.zeros(280, complex), truth, 13)
+    assert delay == -13
+
+
+@pytest.mark.parametrize("rot", ROTATIONS)
+@pytest.mark.parametrize("shift", [-9, 0, 4])
+def test_delay_search_tied_delays_pick_the_first(rot, shift):
+    # a truth of period 5 and y its rotated copy: every delay in -13..13
+    # that is shift plus a multiple of 5 scores exactly 0
+    truth = np.resize(AXES[[0, 1, 1, 3, 2]], 400)
+    y = rot * truth[(np.arange(380) + shift) % 400]
+    delay = assert_search_matches_reference(y, truth, 13)
+    assert delay == min(d for d in range(-13, 14) if (d - shift) % 5 == 0)
+
+
+@pytest.mark.parametrize("side", [0.25, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("later_lower", [False, True])
+def test_delay_search_scores_at_the_bound(side, later_lower):
+    # y[k] = truth[k - 7], of period 20: delays -7 and 13 score 0 but for
+    # one spike, sized so that their MSEs differ by side times the screen's
+    # bound, 16 (n + 4) 2**-53 times the mean energy 2, at n = 280.  Their
+    # settled halves are y[283:] and y[280:]: a spike at y[281] counts at
+    # delay 13 alone, one at y[559] at both, over 277 and 280 terms
+    truth = np.resize(AXES[np.random.default_rng(8).integers(0, 4, 20)], 600)
+    y = truth[(np.arange(560) - 7) % 600]
+    gap = side * 16 * (280 + 4) * 2.0**-53 * 2.0
+    if later_lower:
+        y[559] += np.sqrt(gap * 277 * 280 / 3)
+    else:
+        y[281] += np.sqrt(gap * 280)
+    assert assert_search_matches_reference(y, truth, 13) == (13 if later_lower else -7)

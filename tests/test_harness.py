@@ -97,6 +97,26 @@ SVG_DIGESTS = [
     ([(2.0, 3.0)], {"markers": True},
      "906b759aceac172496976ab788f1e7d03443c6cc37617d37c6063f56a5f6610d"),
 ]
+# recorded before emit_svg read each column into one array: series longer
+# than the plot is wide (528 pixel columns) that the M4 thinning skips, for
+# a NaN y after the first row or at it (Python's min and max skip a NaN
+# unless it comes first) and for an unsorted x; an int x, thinned; and
+# zeros of both signs, of which Python's min and max keep the first
+_LONG = 600
+_WAVE = [1.0 + 0.5 * math.sin(0.05 * i) for i in range(_LONG)]
+SVG_DIGESTS += [
+    ([(float(i), math.nan if i == 300 else v) for i, v in enumerate(_WAVE)], {},
+     "0458d6ba240c736a456c0af758b4cfc593c62e76353223187c9325de1eaf4fd8"),
+    ([(float(i), math.nan if i == 0 else v) for i, v in enumerate(_WAVE)],
+     {"markers": True},
+     "f46de02a0a1d23765db8ef5a3e06877baef35e3d3eb250b240ccf1f912d741e1"),
+    ([(float(i * 37 % _LONG), math.cos(0.01 * i)) for i in range(_LONG)], {},
+     "8d4b4842b7ec3345b639674fbce088d2bb4ef768b6bb20e2af8bb5f477ad6b59"),
+    ([(2**60 + 3 * i, 10.0 ** (-(i % 50) / 10)) for i in range(_LONG)], {"log_y": True},
+     "04d806b10e6ed8fa0afe528c2364032c3bc571e4d38542ef92efe2bb0c8c8426"),
+    ([(0.0, -0.0), (-0.0, 0.0), (1.0, 1.0), (2.0, -0.0)], {"markers": True},
+     "173ee8472a8fe44938b320a8664377e030a6ecfe2f29bb1dd006ad3b10401400"),
+]
 
 
 @pytest.mark.parametrize("rows,options,digest", SVG_DIGESTS)
@@ -410,6 +430,23 @@ MALFORMED = [
     ("channel_stats", "[channel_stats]\nmodel = rayleigh", "'rayleigh'"),
     # a ground delay that rounds to bin 0 would merge the two outdoor clusters
     ("channel_stats", "[ban]\ndelta_ns = 20", "tau_ground_ns"),
+    # taps longer than numpy can allocate, named before any allocation: past
+    # numpy's largest dimension, or past its largest array in bytes
+    ("channel_stats", "[ban]\ndelta_ns = 1e-300",
+     "channel_stats: tau_ground_ns 5 at delta_ns 1e-300 starts the ground cluster "
+     "at bin 5e+300: with num_bins_per_cluster 16 its taps pass the "
+     "576460752303423487 numpy can allocate"),
+    ("channel_stats", "[ban]\ntau_ground_ns = 1e300",
+     "tau_ground_ns 1e+300 at delta_ns 1 starts the ground cluster at bin 1e+300"),
+    ("channel_stats", "[ban]\ndelta_ns = 4.336808689942018e-18",
+     "tau_ground_ns 5 at delta_ns 4.33681e-18 starts the ground cluster at bin "
+     "1.15292e+18: with num_bins_per_cluster 16"),
+    # a drawn reflection start as long
+    ("channel_stats", "[channel_stats]\nmodel = indoor_ban\n[ban]\n"
+     "mean_cluster_interarrival_ns = 1e300",
+     "channel_stats: mean_cluster_interarrival_ns 1e+300 drew a reflection cluster "
+     "3.4615e+300 ns in: at delta_ns 1 its taps pass the 576460752303423487 numpy "
+     "can allocate"),
     ("channel_stats", "[bann]", "[bann]"),
     # decays whose rays underflow to zero taps: an error, never nan or
     # plausible slopes fitted around the missing rays
@@ -785,6 +822,26 @@ def _shipped(experiment: str, name: str, counts: list[str]):
                         id=name)
 
 
+# the receivers workload's DSE-CMA run, which no shipped config makes
+DSE_CMA_QAM8 = ("[common]\nseed = 3\n[cma_convergence]\nscheme = QAM8\n"
+                "variant = DSE_CMA\nmu = 0.00005\niterations = 2000\nwindow = 100\n")
+
+
+def test_dse_cma_outputs_pinned(tmp_path):
+    # sha256 recorded before the delay search screened its pairs in one
+    # pass per delay; the summary's delay is 1
+    cfg = tmp_path / "dse.cfg"
+    cfg.write_text(DSE_CMA_QAM8)
+    out = tmp_path / "out"
+    assert cli.main(["cma_convergence", "--config", str(cfg), "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("cma_trace.csv", "cma_summary.csv", "cma_trace.svg")} == {
+        "cma_trace.csv": "f2f3aa1d36cf56b3a9827a3555cbfb0f6d1a8fd856641cf225f0640282a7a099",
+        "cma_summary.csv": "688e6b65de5f60dcdf97d6cd54a8d2c8199f193850c0ddc113fe7f5ef9c69763",
+        "cma_trace.svg": "56bcc2f765254a0c7ae9eebc38148f0a2043c27de199c096edcf854126ee29a0",
+    }
+
+
 # config runs under the benchmark's tracer and the meter counts each must
 # record; no shipped config runs DSE-CMA, which the receivers workload does
 TRACED_RUNS = [
@@ -800,9 +857,7 @@ TRACED_RUNS = [
              ["kernels.cma_run.cma_iters"]),
     _shipped("cma_convergence", "cma_convergence_qam16.cfg",
              ["kernels.cma_run.cma_iters"]),
-    pytest.param("cma_convergence",
-                 "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM8\n"
-                 "variant = DSE_CMA\nmu = 0.00005\niterations = 2000\nwindow = 100\n",
+    pytest.param("cma_convergence", DSE_CMA_QAM8,
                  ["kernels.dse_cma_run.dse_iters"], id="dse_cma_qam8"),
     _shipped("mud_compare", "mud_compare.cfg", ["equalize.linear_mud_detect.symbols",
                                                 "kernels.dfe_detect_run.dfe_symbols",

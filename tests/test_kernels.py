@@ -272,6 +272,28 @@ def test_dfe_repair_stops_after_the_first_chunk_that_agrees(least, walked):
     assert soft == ff[:walked].tolist()
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_cma_output_is_a_fixed_order_sum(stride):
+    # the regressors are reversed views (a negative stride), on which np.vdot
+    # runs numpy's own loop, not BLAS: each y is sum(conj(f_k) * r_k) added
+    # for k = 0, 1, ..., nf - 1 in Python's complex arithmetic, whatever
+    # kernel the host's BLAS picks
+    mu, r2, steps = 1e-3, 1.32, 300
+    received = random_signal(steps * stride + 13, 12)
+    y, _, bad = _kernels.cma_run(received, center_spike(13), mu, r2, steps, stride)
+    assert bad == -1
+    taps, expected = center_spike(13), []
+    for n in range(steps):
+        reg = received[n * stride : n * stride + 13][::-1]
+        yn = 0j
+        for f, r in zip(taps.tolist(), reg.tolist()):
+            yn += f.conjugate() * r
+        expected.append(yn)
+        # cma_step's update, from this y
+        taps = taps + mu * np.conj(yn * (r2 - abs(yn) ** 2)) * reg
+    assert y.tobytes() == np.array(expected).tobytes()
+
+
 def test_divergence_step_agrees():
     received = 50.0 * random_signal(200, 4)
     _, _, bad = check_cma(received, center_spike(5), 0.5, 1.32, 100, 1)
