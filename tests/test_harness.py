@@ -14,6 +14,7 @@ from bansim.harness.config import (COMMON, EXPERIMENTS, SCHEMAS, ConfigError, Ki
 from bansim.harness.experiments import run_experiment
 from bansim.harness.svg import PlotSpec, emit_svg
 from bansim.harness.table import ResultTable
+import readme
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -304,7 +305,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (out / "ber_sweep.svg").exists()
 
     missing = tmp_path / "missing.cfg"
+    capsys.readouterr()
     assert cli.main(["ber_sweep", "--config", str(missing)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert readme.form("bansim: cannot read config").fullmatch(line)
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("[common]\nno_seed = 1\n")
@@ -320,7 +324,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["cma_convergence", "--config", str(divergent), "--out", str(out)]
     ) == 3
     [line] = capsys.readouterr().err.splitlines()
-    assert re.fullmatch(r"bansim: blind equalizer diverged at step \d+", line)
+    assert readme.form("bansim: blind equalizer").fullmatch(line)
 
 
 @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "csv_is_dir"])
@@ -336,7 +340,7 @@ def test_cli_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)  # `out = afile/x` is relative
     assert cli.main(["la_sim", "--config", str(cfg), *out]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("bansim: cannot write output: ")
+    assert readme.form("bansim: cannot write output").fullmatch(line)
 
 
 def test_cli_seed_override_changes_output(tmp_path):
@@ -404,7 +408,6 @@ MALFORMED = [
     ("ber_sweep", "[ber_sweep]\nscheme = QAM64", "scheme 'QAM64'"),
     ("ber_sweep", "[ber_sweep]\nebn0_db = nan", "ebn0_db"),
     ("ber_sweep", "[ber_sweep]\nmax_bits = 1000, 2000", "max_bits"),
-    ("ber_sweep", "[ber_sweep]\nmax_bit = 1000", "max_bit"),
     ("ber_sweep", "[ber_sweep]\nmax_bits = 1.5e3", "max_bits"),
     ("ber_sweep", "[ber_sweep]\nscheme = QAM16\nmax_bits = 3", "max_bits 3"),
     ("cma_convergence", "[cma_convergence]\nnf = 12",
@@ -419,7 +422,6 @@ MALFORMED = [
      "line 4: [doa_hist] bins must be an integer of at least 1, got '0'"),
     ("doa_hist", "[doa_hist]\ncount = 0",
      "line 4: [doa_hist] count must be an integer of at least 1, got '0'"),
-    ("mud_compare", "[mud_compare]\ntraining = 10", "training"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nsource = 99",
      "source 99"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {bad_topology}",
@@ -529,8 +531,6 @@ MALFORMED = [
     ("cma_convergence", "[cma_convergence]\nchannel = 1e-320",
      "cma_convergence: cannot normalize a signal whose power |x|**2 underflows"),
     # initial and final MSE windows that share samples
-    ("cma_convergence", "[cma_convergence]\niterations = 100\nwindow = 1000",
-     "cma_convergence: window 1000 is more than half of iterations 100"),
     ("cma_convergence", "[cma_convergence]\niterations = 999\nwindow = 500",
      "cma_convergence: window 500 is more than half of iterations 999"),
     ("ber_sweep", "[ber_sweep]\nebn0_db = 1e200", "ber_sweep: arithmetic overflow"),
@@ -581,8 +581,6 @@ MALFORMED = [
      "line 4: [la_sim] noise_floor_dbm must be a finite number, got 'nan'"),
     ("la_sim", "[la_sim]\na0_db = inf",
      "line 4: [la_sim] a0_db must be a finite number, got 'inf'"),
-    ("la_sim", "[la_sim]\nth_pf = 2",
-     "line 4: [la_sim] th_pf must be a number in [0, 1], got '2'"),
     ("mud_compare", "[mud_compare]\nns = 0",
      "line 4: [mud_compare] ns must be an integer of at least 1, got '0'"),
     ("mud_compare", "[mud_compare]\nnw = 0",
@@ -594,9 +592,6 @@ MALFORMED = [
      "[cma_convergence] channel has no value"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\ntrials = 0",
      "line 5: [broadcast_sim] trials must be an integer of at least 1, got '0'"),
-    # a key set twice: an error, never its last value
-    ("ber_sweep", "[ber_sweep]\nmax_bits = 1000\nmax_bits = 2000",
-     "line 5: [ber_sweep] max_bits was already set on line 4"),
     ("ber_sweep", "[ber_sweep]\nmax_bits = 0",
      "line 4: [ber_sweep] max_bits must be an integer of at least 1, got '0'"),
     ("ber_sweep", "[ber_sweep]\nmin_errors = 0",
@@ -624,6 +619,8 @@ MALFORMED = [
      "channel_stats: tau_ground_ns 0 rounds to bin 0 at delta_ns 1: the ground "
      "cluster would merge into the body cluster"),
 ]
+# the README's example of each message form, with the whole stderr line
+MALFORMED += readme.examples()
 
 
 @pytest.mark.parametrize("experiment,body,names", MALFORMED,
@@ -659,6 +656,12 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     assert line.startswith("bansim: config error: ")
     assert names in line
     assert not out.exists()
+
+
+def test_malformed_rows_are_distinct():
+    # a README example kept in the list above too would run twice
+    inputs = [(experiment, body) for experiment, body, _ in MALFORMED]
+    assert len(set(inputs)) == len(inputs)
 
 
 def _out_of_range(experiment: str, body: str) -> set[tuple[str, str]]:

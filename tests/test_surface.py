@@ -21,15 +21,21 @@ harness alone turns the config seed into random streams, and the models take
 calls ``default_rng``, ``spawn``, ``SeedSequence``, ``PCG64`` or
 ``Generator``, or imports ``seeding``.  ``seeding`` computes
 ``SeedSequence``'s hash itself, so it builds no ``SeedSequence`` either.
+What the README names exists: the repo paths it quotes, the ``bansim``
+modules (its module table lists each one), the experiments with their
+configs, and the CLI's flags.
 """
 
 import ast
 import builtins
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
-from bansim.harness.config import SCHEMAS
+from bansim.harness import cli
+from bansim.harness.config import EXPERIMENTS, SCHEMAS, parse_config
+import readme
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bansim"
@@ -379,3 +385,48 @@ def test_config_error_is_built_at_the_config_boundary():
                  if mod not in ("harness.config", "harness.experiments")
                  for scope, line in found]
     assert elsewhere == [], f"ConfigError built outside the config boundary: {elsewhere}"
+
+
+def test_readme_paths_exist():
+    paths = [span for span in readme.spans()
+             if span.startswith(("configs/", "perfbench/", "src/", "tests/"))]
+    assert "configs/la_sim.cfg" in paths  # the scan sees the experiments table
+    missing = [path for path in paths if not (ROOT / path).exists()]
+    assert missing == [], f"README paths that do not exist: {missing}"
+
+
+def test_readme_modules_import():
+    named = {span for span in readme.spans() if re.fullmatch(r"bansim(\.\w+)+", span)}
+    assert "bansim.seeding" in named
+    for name in sorted(named):
+        importlib.import_module(name)
+
+
+def test_readme_module_table_lists_the_package():
+    listed = sorted(span for module, _ in readme.table("Module")
+                    for span in readme.spans(module))
+    modules = sorted(f"bansim.{_module(path)}" for path in PACKAGE.rglob("*.py")
+                     if path.name != "__init__.py")
+    assert listed == modules
+
+
+def test_readme_experiments_table_lists_the_experiments():
+    rows = [(readme.spans(experiment), readme.spans(configs))
+            for experiment, configs, _ in readme.table("Experiment")]
+    assert sorted(experiment for [experiment], _ in rows) == sorted(EXPERIMENTS)
+    for [experiment], configs in rows:
+        assert configs
+        for path in configs:
+            parse_config((ROOT / path).read_text(), experiment)
+
+
+def test_readme_synopsis_flags_are_the_parsers():
+    [synopsis] = [line for line in readme.text().splitlines()
+                  if line.startswith("bansim <experiment> ")]
+    flags = {flag for action in cli.build_parser()._actions
+             for flag in action.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[\w-]+", synopsis)) == flags
+
+
+def test_allowed_names_are_readme_promises():
+    assert {name for _, name in ALLOWED} <= set(readme.spans())
