@@ -123,30 +123,32 @@ def dse_cma_run(received, taps, mu, r2, dither_u, max_steps, stride):
     return _blind_run(received, taps, mu, r2, max_steps, stride, dither_u)
 
 
+def _add_product(xr, xi, w, hr, hi, t, u):
+    """``xr + 1j*xi += w * (hr + 1j*hi)`` in place, through scratch t and u,
+    in real arithmetic as Python's complex product rounds it: a complex
+    array multiply may fuse multiply-adds (FMA) and round differently."""
+    np.multiply(hr, w.real, t)
+    np.multiply(hi, w.imag, u)
+    np.subtract(t, u, t)
+    np.add(xr, t, xr)
+    np.multiply(hi, w.real, t)
+    np.multiply(hr, w.imag, u)
+    np.add(t, u, t)
+    np.add(xi, t, xi)
+
+
 def _feedback(re, im, h_re, h_im, fb, start, stop):
     """Soft outputs of symbols start..stop-1: their feedforward outputs
     ``re + 1j*im`` plus ``w_b * h[nb + k - 1 - b]``, added for b = 0, 1,
-    ..., nb - 1 as the scalar loop adds ``xk += w * h``.  Each product runs
-    in real arithmetic, as Python's complex product rounds it: a complex
-    array multiply may fuse multiply-adds (FMA) and round differently."""
+    ..., nb - 1 as the scalar loop adds ``xk += w * h``."""
     xr = re[start:stop].copy()
     xi = im[start:stop].copy()
     # in place: a whole-array sweep's temporaries would each be fresh pages
-    t = np.empty_like(xr)
-    u = np.empty_like(xr)
-    multiply, add, subtract = np.multiply, np.add, np.subtract
+    t, u = np.empty_like(xr), np.empty_like(xr)
     nb = len(fb)
     for b, w in enumerate(fb):
-        hr = h_re[nb - 1 - b + start:nb - 1 - b + stop]
-        hi = h_im[nb - 1 - b + start:nb - 1 - b + stop]
-        multiply(hr, w.real, t)
-        multiply(hi, w.imag, u)
-        subtract(t, u, t)
-        add(xr, t, xr)
-        multiply(hi, w.real, t)
-        multiply(hr, w.imag, u)
-        add(t, u, t)
-        add(xi, t, xi)
+        h = slice(nb - 1 - b + start, nb - 1 - b + stop)
+        _add_product(xr, xi, w, h_re[h], h_im[h], t, u)
     return xr, xi
 
 
@@ -186,13 +188,11 @@ def dfe_detect_run(received, w_ff, w_fb, constellation, history, stride,
     window = frames(received, n_sym, stride, w_ff.size)
     re = np.zeros(n_sym)
     im = np.zeros(n_sym)
-    # Real arithmetic, one tap at a time, as the scalar loop rounds it: a
-    # complex array multiply fuses multiply-adds (FMA) and rounds differently.
+    t, u = np.empty(n_sym), np.empty(n_sym)
+    # one tap at a time, as the scalar loop adds them
     for i, w in enumerate(w_ff.tolist()):
-        xr = window[:, i].real
-        xi = window[:, i].imag
-        re += w.real * xr - w.imag * xi
-        im += w.real * xi + w.imag * xr
+        _add_product(re, im, w, window[:, i].real, window[:, i].imag, t, u)
+    del t, u  # freed before the sweeps, which hold their own
     ff = np.empty(n_sym, dtype=np.complex128)
     ff.real = re
     ff.imag = im

@@ -153,13 +153,12 @@ def gen_indoor_ban(params: BanModelParams, num_clusters: int,
     return taps, sorted({*starts, *ref_starts})
 
 
-def path_loss_db(d_m, params: PathLossParams, rng=None):
+def path_loss_db(d_m, params: PathLossParams, rng: np.random.Generator):
     """Log-distance path loss of each positive distance in `d_m`, an array
-    or a float; with a Generator and sigma_db > 0, plus one lognormal
-    shadowing draw per distance, in order (the stream of one scalar draw
-    each)."""
+    or a float; with sigma_db > 0, plus one lognormal shadowing draw from
+    `rng` per distance, in order (the stream of one scalar draw each)."""
     loss = params.a0_db + 10.0 * params.exponent * np.log10(d_m / params.d0_m)
-    if rng is not None and params.sigma_db > 0:
+    if params.sigma_db > 0:
         loss += params.sigma_db * rng.standard_normal(np.shape(d_m))
     return loss
 
@@ -202,8 +201,6 @@ def apply_channel(
     signal: np.ndarray, taps: np.ndarray, samples_per_symbol: int = 1
 ) -> np.ndarray:
     """Convolve a symbol stream, upsampled by zero insertion, with the taps."""
-    if samples_per_symbol > 1:
-        up = np.zeros(signal.size * samples_per_symbol, dtype=complex)
-        up[::samples_per_symbol] = signal
-        signal = up
-    return np.convolve(signal, taps)
+    up = np.zeros(signal.size * samples_per_symbol, dtype=complex)
+    up[::samples_per_symbol] = signal
+    return np.convolve(up, taps)

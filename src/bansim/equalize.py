@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
+from .channels import apply_channel
 from .sigproc import ModulationScheme, _complex_normal, slice_symbols
 
 
@@ -30,9 +31,8 @@ def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
     desired = np.zeros(total, dtype=complex)
     mui = np.zeros(total, dtype=complex)
     for mu_idx, (sym, tpl) in enumerate(zip(streams, templates)):
-        up = np.zeros((len(sym) - 1) * ns + 1, dtype=complex)
-        up[::ns] = sym
-        contrib = np.convolve(up, tpl)
+        # less the ns - 1 zeros apply_channel inserts after the last symbol
+        contrib = apply_channel(sym, tpl, ns)[: (len(sym) - 1) * ns + len(tpl)]
         target = desired if mu_idx == 0 else mui
         target[: contrib.size] += contrib
     # desired + mui first, then the noise: the order sets the rounding
@@ -97,10 +97,9 @@ def dfe_train(
     """Joint Wiener solve for nf feedforward and nb feedback taps; returns
     (w_ff, w_fb)."""
     ff = _training_regressors(received, training.size, ns, nf)
-    # feedback inputs: previously decided symbols; training fills them in
-    fb = np.zeros((training.size, nb), dtype=complex)
-    for b in range(nb):
-        fb[b + 1 :, b] = training[: training.size - b - 1]
+    # feedback inputs: the nb symbols before each, newest first; 0 before training
+    padded = np.concatenate([np.zeros(nb, dtype=complex), training])
+    fb = _kernels.frames(padded, training.size, 1, nb)[:, ::-1]
     w = _solve(*_correlations(np.concatenate([ff, fb], axis=1), training), ridge)
     return w[:nf], w[nf:]
 

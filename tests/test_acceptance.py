@@ -36,46 +36,70 @@ REF_CHANNEL = [0.227, 0.460, 0.688, 0.460, 0.227]
 
 
 # --------------------------------------------------------------------------
-# independent oracle: exact Gray-coded 16-QAM BER over AWGN.  The square
-# constellation separates into two Gray-coded 4-PAM axes with levels
-# {±1, ±3}/sqrt(10); per-axis BER follows from Gaussian tail masses over
-# the decision regions, computed here without touching the simulator.
+# independent oracle: exact BER of a Gray-coded rectangular constellation
+# over AWGN.  Each rail (real or imaginary part) carries its own bits, Gray
+# coded along its sorted levels and sliced at the midpoints between them, so
+# a rail's bit errors are Gaussian tail masses between midpoints weighted by
+# the Hamming distance of the two levels' Gray labels.  It reads the points
+# of a scheme, never its labels, thresholds or noise scale: the symbol
+# energy comes from the points, so a wrongly scaled constellation or a
+# label off the Gray sequence disagrees with it.
 
 
-def qam16_ber_oracle(ebn0_db: float) -> float:
-    d = 1.0 / np.sqrt(10.0)
-    sigma = np.sqrt(1.0 / (2.0 * 4.0 * 10.0 ** (ebn0_db / 10.0)))
-    levels = np.array([-3.0, -1.0, 1.0, 3.0]) * d
-    labels = [i ^ (i >> 1) for i in range(4)]  # Gray labels along the axis
-    boundaries = [-np.inf, -2.0 * d, 0.0, 2.0 * d, np.inf]
+def gray_ber_oracle(constellation: np.ndarray, ebn0_db: float) -> float:
+    bps = int(np.log2(constellation.size))
+    es = float(np.mean(np.abs(constellation) ** 2))
+    sigma = np.sqrt(es / (2.0 * bps * 10.0 ** (ebn0_db / 10.0)))
     bit_errors = 0.0
-    for i, x in enumerate(levels):
-        for j in range(4):
-            p = stats.norm.cdf((boundaries[j + 1] - x) / sigma) - stats.norm.cdf(
-                (boundaries[j] - x) / sigma
-            )
-            bit_errors += p * bin(labels[i] ^ labels[j]).count("1")
-    # 4 transmitted levels, 2 bits per axis; both axes are identical
-    return bit_errors / (4 * 2)
+    for rail in (constellation.real, constellation.imag):
+        levels = np.unique(rail)
+        edges = np.concatenate([[-np.inf], (levels[:-1] + levels[1:]) / 2, [np.inf]])
+        gray = [i ^ (i >> 1) for i in range(levels.size)]
+        # each level of a rail is sent equally often
+        for sent, x in zip(gray, levels):
+            masses = np.diff(stats.norm.cdf((edges - x) / sigma))
+            bit_errors += sum(m * bin(sent ^ g).count("1")
+                              for m, g in zip(masses, gray)) / levels.size
+    return bit_errors / bps
 
 
-def test_criterion_01_qam16_ber_matches_oracle():
+def test_criterion_01_ber_matches_gray_oracle():
+    grid, bits = [0.0, 4.0, 8.0], 1_200_000
+    # the oracle against the closed forms: BPSK's Q(sqrt(2 Eb/N0)), and Gray
+    # 16-QAM's (3/4) Q(x) plus the two- and three-level crossings, (1/2) Q(3x)
+    # and -(1/4) Q(5x), at x = sqrt(4/5 Eb/N0)
+    for ebn0_db in grid:
+        ebn0 = 10.0 ** (ebn0_db / 10.0)
+        assert gray_ber_oracle(sigproc.BPSK.constellation, ebn0_db) == pytest.approx(
+            stats.norm.sf(np.sqrt(2.0 * ebn0)), rel=1e-12)
+        x = np.sqrt(0.8 * ebn0)
+        qam16 = (0.75 * stats.norm.sf(x) + 0.5 * stats.norm.sf(3 * x)
+                 - 0.25 * stats.norm.sf(5 * x))
+        assert gray_ber_oracle(sigproc.QAM16.constellation, ebn0_db) == pytest.approx(
+            qam16, rel=1e-12)
+    # seed fixed before the first run; 1.2e6 bits per point is a whole number
+    # of symbols of every scheme.  The bits of one symbol share its noise, so
+    # the per-bit variance p(1 - p) / n is widened by bits_per_symbol (an
+    # upper bound: a symbol's e errors have Var e <= bps**2 p (1 - p)); a
+    # point passes at |z| <= 4, a false alarm of 6.3e-5 per point
     start = time.perf_counter()
-    cfg = parse_config(
-        "[common]\nseed = 12345\n[ber_sweep]\nscheme = QAM16\n"
-        "ebn0_db = 0, 5, 10, 15\nmax_bits = 1000000\nmin_errors = 1000000\n",
-        "ber_sweep",
-    )
-    [(_, table, _plot)] = run_experiment(cfg)
-    elapsed = time.perf_counter() - start
-    grid = table.column("ebn0_db")
-    bers = table.column("ber")
-    assert grid == [0.0, 5.0, 10.0, 15.0]
-    measured = bers[grid.index(10.0)]
-    oracle = qam16_ber_oracle(10.0)
-    assert abs(measured - oracle) <= 0.15 * oracle
-    assert all(a > b for a, b in zip(bers, bers[1:]))  # strictly decreasing
-    assert elapsed < 30.0
+    for scheme in sigproc.SCHEMES.values():
+        cfg = parse_config(
+            f"[common]\nseed = 3401\n[ber_sweep]\nscheme = {scheme.kind}\n"
+            f"ebn0_db = {', '.join(map(str, grid))}\nmax_bits = {bits}\n"
+            f"min_errors = {bits}\n",
+            "ber_sweep",
+        )
+        [(_, table, _plot)] = run_experiment(cfg)
+        assert table.column("ebn0_db") == grid
+        assert table.column("bits") == [bits] * len(grid)
+        bers = table.column("ber")
+        for ebn0_db, measured in zip(grid, bers):
+            oracle = gray_ber_oracle(scheme.constellation, ebn0_db)
+            sd = math.sqrt(scheme.bits_per_symbol * oracle * (1.0 - oracle) / bits)
+            assert abs(measured - oracle) <= 4.0 * sd, (scheme.kind, ebn0_db)
+        assert all(a > b for a, b in zip(bers, bers[1:]))  # strictly decreasing
+    assert time.perf_counter() - start < 30.0
 
 
 def test_criterion_02_outdoor_always_two_clusters():
@@ -122,7 +146,8 @@ def test_criterion_03_decay_slopes_recovered():
 
 def test_criterion_04_path_loss_anchor_and_shadowing_spread():
     params = channels.PathLossParams(35.2, 0.1, 3.11, 6.1)
-    assert channels.path_loss_db(0.1, params) == 35.2
+    unshadowed = channels.PathLossParams(35.2, 0.1, 3.11, 0.0)
+    assert channels.path_loss_db(0.1, unshadowed, np.random.default_rng(4)) == 35.2
     # the draws simulate_la makes: one Generator, one call per sample
     rng = np.random.default_rng(4)
     samples = np.array(

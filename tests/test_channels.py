@@ -224,10 +224,14 @@ def test_ray_underflow_is_rejected():
 
 
 def test_path_loss_anchor_and_log_distance():
-    p = channels.PathLossParams(35.2, 0.1, 3.11, 6.1)
-    assert channels.path_loss_db(0.1, p) == pytest.approx(35.2, abs=1e-12)
-    assert channels.path_loss_db(1.0, p) == pytest.approx(66.3, abs=1e-9)
-    assert channels.path_loss_db(2.0, p) == channels.path_loss_db(2.0, p)
+    # sigma_db = 0 draws no shadowing: the Generator's state does not move
+    p = channels.PathLossParams(35.2, 0.1, 3.11, 0.0)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert channels.path_loss_db(0.1, p, rng) == pytest.approx(35.2, abs=1e-12)
+    assert channels.path_loss_db(1.0, p, rng) == pytest.approx(66.3, abs=1e-9)
+    assert channels.path_loss_db(2.0, p, rng) == channels.path_loss_db(2.0, p, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_gbhds_sampler_range_and_doa_bound():

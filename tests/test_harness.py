@@ -511,6 +511,10 @@ MALFORMED = [
     ("mud_compare", "[mud_compare]\ntemplate1 = 0, 0", "template1"),
     ("mud_compare", "[mud_compare]\nnb = -1",
      "line 4: [mud_compare] nb must be an integer of at least 0, got '-1'"),
+    # more feedback taps than training symbols: the model's training-size
+    # rule, never numpy's text from building the feedback rows
+    ("mud_compare", "[mud_compare]\ntraining = 100\nnb = 101",
+     "mud_compare: need at least 1070 training symbols, got 100"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {example}\nmax_backoff = -1",
      "line 5: [broadcast_sim] max_backoff must be an integer in [0, 2**63 - 1], got "
      "'-1'"),
@@ -830,19 +834,60 @@ DSE_CMA_QAM8 = ("[common]\nseed = 3\n[cma_convergence]\nscheme = QAM8\n"
                 "variant = DSE_CMA\nmu = 0.00005\niterations = 2000\nwindow = 100\n")
 
 
-def test_dse_cma_outputs_pinned(tmp_path):
-    # sha256 recorded before the delay search screened its pairs in one
-    # pass per delay; the summary's delay is 1
-    cfg = tmp_path / "dse.cfg"
-    cfg.write_text(DSE_CMA_QAM8)
-    out = tmp_path / "out"
-    assert cli.main(["cma_convergence", "--config", str(cfg), "--out", str(out)]) == 0
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("cma_trace.csv", "cma_summary.csv", "cma_trace.svg")} == {
+# sha256 of the files written by receiver runs no shipped config makes.  The
+# receivers workload's DSE-CMA run was recorded before the delay search
+# screened its pairs in one pass per delay; its summary's delay is 1.  The
+# rest were recorded before synth_multiuser convolved through apply_channel
+# and dfe_train built its feedback rows with frames: blind runs at one and
+# at two samples per symbol, and mud_compare at ns 1, with no feedback taps,
+# and at ns 3 with one
+RECEIVER_PINS = [
+    pytest.param("cma_convergence", DSE_CMA_QAM8, {
         "cma_trace.csv": "f2f3aa1d36cf56b3a9827a3555cbfb0f6d1a8fd856641cf225f0640282a7a099",
         "cma_summary.csv": "688e6b65de5f60dcdf97d6cd54a8d2c8199f193850c0ddc113fe7f5ef9c69763",
         "cma_trace.svg": "56bcc2f765254a0c7ae9eebc38148f0a2043c27de199c096edcf854126ee29a0",
-    }
+    }, id="dse_cma_qam8"),
+    pytest.param("cma_convergence",
+                 "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM16\n"
+                 "samples_per_symbol = 1\niterations = 2000\nwindow = 100\n", {
+        "cma_trace.csv": "c04ff79c32e6608039aa51c332a6c2c9fce7506154e33cb20465f95278fdd67f",
+        "cma_summary.csv": "4db27a87f3f183131bd17af31cdade2c60db2d8c042bb46012d27433e60875d6",
+        "cma_trace.svg": "02386da9652441b34827e12879ea5e442b94edbe5e77112c3d9dcfa3d73787fb",
+    }, id="cma_sps1"),
+    pytest.param("cma_convergence",
+                 "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM8\n"
+                 "variant = DSE_CMA\nmu = 0.00005\nsamples_per_symbol = 2\n"
+                 "iterations = 2000\nwindow = 100\n", {
+        "cma_trace.csv": "4df19284fb3ed0a4ccd02c809ac280c372b7a947bbffd4c6521a732b61601cf7",
+        "cma_summary.csv": "6c68dc960adb5f22183f77f2e91aed6e10490895fdc298195aa4e3f46c2dbc6f",
+        "cma_trace.svg": "92044ce3b09883c7a1fafecbc22afe7b94307dfb8d6ee73da08f3ca1c600f5f1",
+    }, id="dse_cma_qam8_sps2"),
+    pytest.param("mud_compare",
+                 "[common]\nseed = 3\n[mud_compare]\nsymbols = 2000\ntraining = 200\n"
+                 "ns = 1\n", {
+        "mud_compare.csv": "36958b01973c3270a26bba1844044adc6eb9736c631ac97906db7140e764c880",
+    }, id="mud_ns1"),
+    pytest.param("mud_compare",
+                 "[common]\nseed = 3\n[mud_compare]\nsymbols = 2000\ntraining = 200\n"
+                 "nb = 0\n", {
+        "mud_compare.csv": "8115245a57dcb50397036458e3dbf82845f8e4b49f150511e5e096b1e64abaca",
+    }, id="mud_nb0"),
+    pytest.param("mud_compare",
+                 "[common]\nseed = 3\n[mud_compare]\nsymbols = 2000\ntraining = 200\n"
+                 "ns = 3\nnb = 1\n", {
+        "mud_compare.csv": "dee0e723b7d0182dd76d21f1eeb948173d4b39a6f754a111fdf8ea03645c5561",
+    }, id="mud_ns3_nb1"),
+]
+
+
+@pytest.mark.parametrize("experiment,body,digests", RECEIVER_PINS)
+def test_receiver_outputs_pinned(tmp_path, experiment, body, digests):
+    cfg = tmp_path / "receiver.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 # config runs under the benchmark's tracer and the meter counts each must

@@ -18,8 +18,9 @@ WINDOW, NOISE_FLOOR_DBM = 16, -100.0  # the la_sim config defaults
 
 
 def received_dbm(distance_m):
-    """Received power of a 0 dBm transmitter at ``distance_m``."""
-    return 0.0 - channels.path_loss_db(distance_m, PL)
+    """Received power of a 0 dBm transmitter at ``distance_m``; PL draws no
+    shadowing."""
+    return 0.0 - channels.path_loss_db(distance_m, PL, np.random.default_rng(0))
 
 
 def test_packet_received_no_interference():

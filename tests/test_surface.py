@@ -21,6 +21,9 @@ harness alone turns the config seed into random streams, and the models take
 calls ``default_rng``, ``spawn``, ``SeedSequence``, ``PCG64`` or
 ``Generator``, or imports ``seeding``.  ``seeding`` computes
 ``SeedSequence``'s hash itself, so it builds no ``SeedSequence`` either.
+Each receiver array recipe has one home: ``np.convolve`` is called only in
+``channels`` (``apply_channel``) and ``sliding_window_view`` only in
+``_kernels`` (``frames``).
 What the README names exists: the repo paths it quotes, the ``bansim``
 modules (its module table lists each one), the experiments with their
 configs, and the CLI's flags.
@@ -32,6 +35,8 @@ import dataclasses
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 from bansim.harness import cli
 from bansim.harness.config import EXPERIMENTS, SCHEMAS, parse_config
@@ -257,7 +262,7 @@ SEED_OBJECTS = ("default_rng", "spawn", "SeedSequence")
 STREAM_CALLS = (*SEED_OBJECTS, "PCG64", "Generator")
 
 
-def _seeding_calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
+def _calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
     """Lines of the calls ``<name>(...)`` and ``<x>.<name>(...)``."""
     lines = []
     for node in ast.walk(tree):
@@ -290,8 +295,8 @@ def test_seeding_calls_scan_sees_both_forms():
             "def gen_c(seed):\n    return default_rng(seed)\n"
             "def gen_d(seed):\n    return np.random.SeedSequence(seed)\n"
             "def gen_e(seed):\n    return Generator(np.random.PCG64(seed))\n")
-    assert _seeding_calls(ast.parse(code), SEED_OBJECTS) == [2, 4, 6, 8]
-    assert _seeding_calls(ast.parse(code), STREAM_CALLS) == [2, 4, 6, 8, 10, 10]
+    assert _calls(ast.parse(code), SEED_OBJECTS) == [2, 4, 6, 8]
+    assert _calls(ast.parse(code), STREAM_CALLS) == [2, 4, 6, 8, 10, 10]
 
 
 def test_seeding_imports_scan_sees_every_form():
@@ -304,7 +309,7 @@ def test_seeding_imports_scan_sees_every_form():
 def _stream_sites(path) -> list[str]:
     """The stream-building calls and ``seeding`` imports of one module."""
     tree = ast.parse(path.read_text(), str(path))
-    return ([f"{path.name}:{line}" for line in _seeding_calls(tree, STREAM_CALLS)] +
+    return ([f"{path.name}:{line}" for line in _calls(tree, STREAM_CALLS)] +
             [f"{path.name}:{line} imports seeding" for line in _seeding_imports(tree)])
 
 
@@ -348,7 +353,20 @@ def test_seeding_builds_no_seed_sequence():
     # default_rng or spawn there would hash one key per object again
     path = PACKAGE / "seeding.py"
     tree = ast.parse(path.read_text(), str(path))
-    assert _seeding_calls(tree, SEED_OBJECTS) == [], f"seed objects in {path.name}"
+    assert _calls(tree, SEED_OBJECTS) == [], f"seed objects in {path.name}"
+
+
+# (callee, the one module that may call it)
+ONE_HOME = [("convolve", "channels"), ("sliding_window_view", "_kernels")]
+
+
+@pytest.mark.parametrize("name,home", ONE_HOME, ids=[name for name, _ in ONE_HOME])
+def test_receiver_array_recipe_has_one_home(name, home):
+    # a second convolution or regressor-row builder would be a second place
+    # to mend when its summation order or its padding changes
+    callers = sorted(_module(path) for path in PACKAGE.rglob("*.py")
+                     if _calls(ast.parse(path.read_text(), str(path)), (name,)))
+    assert callers == [home], f"{name} called outside {home}: {callers}"
 
 
 def _config_error_sites(tree: ast.AST) -> list[tuple[str, int]]:
