@@ -13,6 +13,7 @@ The BAN generators take one ``np.random.Generator`` per cluster component.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class GbhdsParams:
     bs_distance_m: float = 1000.0
 
 
-def _rays(amp_db: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
-    """Complex rays from amplitudes in dB and phases as fractions of a turn."""
+def _amplitudes(amp_db: np.ndarray) -> np.ndarray:
+    """Ray amplitudes from their levels in dB."""
     amps = 10.0 ** (amp_db / 20.0)
     # a ray below the smallest normal float would be a silent zero tap,
     # fitted around as if the cluster had fewer rays
@@ -59,6 +60,29 @@ def _rays(amp_db: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
         raise ValueError("ray amplitudes underflow below the smallest normal float: "
                          "lower gamma_ray_db_per_ns, gamma_cluster_db_per_ns or the "
                          "fading sigmas")
+    return amps
+
+
+# the draws share the bins' delays kΔ and, with no fading, the rays' decay
+# 10**(-γ·kΔ/20): each is built once per parameter set and is read only, so
+# no draw can change another's.  A decay that fails its underflow check is
+# not cached, and raises again on the next draw
+@functools.lru_cache(maxsize=32)
+def _delays(delta_ns: float, n_bins: int) -> np.ndarray:
+    delays = np.arange(n_bins) * delta_ns
+    delays.flags.writeable = False
+    return delays
+
+
+@functools.lru_cache(maxsize=32)
+def _decay(gamma_ray_db_per_ns: float, delta_ns: float, n_bins: int) -> np.ndarray:
+    amps = _amplitudes(-gamma_ray_db_per_ns * _delays(delta_ns, n_bins))
+    amps.flags.writeable = False
+    return amps
+
+
+def _rays(amps: np.ndarray, unit_phases: np.ndarray) -> np.ndarray:
+    """Complex rays from amplitudes and phases as fractions of a turn."""
     # 2*pi*U(0, 1) equals rng.uniform(0, 2*pi) bit for bit, stream included
     return amps * np.exp(1j * (2.0 * np.pi * unit_phases))
 
@@ -67,16 +91,20 @@ def gen_clusters(params: BanModelParams, rngs) -> np.ndarray:
     """One cluster of rays per Generator, as the rows of a (generators, bins)
     array; each decays at gamma_ray from its first bin."""
     n_bins = params.num_bins_per_cluster
-    amp_db = -params.gamma_ray_db_per_ns * (np.arange(n_bins) * params.delta_ns)
-    fading, unit_phases = [], []
-    for rng in rngs:
-        # each generator draws its fading before its phases
-        if params.sigma_ray_db > 0:
-            fading.append(rng.standard_normal(n_bins))
-        unit_phases.append(rng.random(n_bins))
-    if fading:
-        amp_db = amp_db + params.sigma_ray_db * np.array(fading)
-    return _rays(amp_db, np.array(unit_phases))
+    unit_phases = np.empty((len(rngs), n_bins))
+    if params.sigma_ray_db > 0:
+        fading = np.empty_like(unit_phases)
+        for rng, fading_row, phase_row in zip(rngs, fading, unit_phases):
+            # each generator draws its fading before its phases
+            rng.standard_normal(out=fading_row)
+            rng.random(out=phase_row)
+        amps = _amplitudes(-params.gamma_ray_db_per_ns * _delays(params.delta_ns, n_bins)
+                           + params.sigma_ray_db * fading)
+    else:
+        for rng, phase_row in zip(rngs, unit_phases):
+            rng.random(out=phase_row)
+        amps = _decay(params.gamma_ray_db_per_ns, params.delta_ns, n_bins)
+    return _rays(amps, unit_phases)
 
 
 def gen_outdoor_ban(params: BanModelParams, rngs) -> tuple[np.ndarray, list[int]]:
@@ -97,13 +125,15 @@ def gen_ref(params: BanModelParams, num_clusters: int,
             rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
     """Energy-normalized, shadowed reflection taps and their cluster start
     bins, from one Generator."""
-    # Poisson cluster process: exponential inter-arrivals, first cluster at 0
-    gaps = rng.exponential(params.mean_cluster_interarrival_ns, size=num_clusters - 1)
-    tau = np.zeros(num_clusters)
-    np.cumsum(gaps, out=tau[1:])
+    # Poisson cluster process: exponential inter-arrivals, first cluster at 0;
+    # the running sum adds in np.cumsum's order
+    tau = [0.0]
+    for gap in rng.exponential(params.mean_cluster_interarrival_ns,
+                               size=num_clusters - 1).tolist():
+        tau.append(tau[-1] + gap)
     # Python's round, like np.round, rounds half to even; a start past
     # MAX_TAPS, infinite ones included, is rounded from MAX_TAPS instead
-    starts = [round(min(t / params.delta_ns, MAX_TAPS)) for t in tau.tolist()]
+    starts = [round(min(t / params.delta_ns, MAX_TAPS)) for t in tau]
     # coincident starts after bin rounding would merge clusters; push apart
     for i in range(1, num_clusters):
         starts[i] = max(starts[i], starts[i - 1] + 1)
@@ -114,23 +144,24 @@ def gen_ref(params: BanModelParams, num_clusters: int,
             f"drew a reflection cluster {tau[-1]:g} ns in: at delta_ns "
             f"{params.delta_ns:g} its taps pass the {MAX_TAPS} numpy can allocate")
     # per cluster, in this order: its fading draws, then its phases
-    n_l, n_k, unit_phases = [], [], []
-    for _ in range(num_clusters):
+    n_l = np.empty(num_clusters)
+    n_k, unit_phases = np.empty((2, num_clusters, n_bins))
+    for l in range(num_clusters):
         if params.sigma_cluster_db > 0:
-            n_l.append(rng.standard_normal())
+            n_l[l] = rng.standard_normal()
         if params.sigma_ray_db > 0:
-            n_k.append(rng.standard_normal(n_bins))
-        unit_phases.append(rng.random(n_bins))
-    t_l = tau[:, None]
+            rng.standard_normal(out=n_k[l])
+        rng.random(out=unit_phases[l])
+    t_l = np.array(tau)[:, None]
     amp_db = (-params.gamma_cluster_db_per_ns * t_l
-              - params.gamma_ray_db_per_ns * (t_l + np.arange(n_bins) * params.delta_ns))
+              - params.gamma_ray_db_per_ns * (t_l + _delays(params.delta_ns, n_bins)))
     # a fading term that is off is left out: its zeros would change no amplitude
-    if n_l:
-        amp_db += params.sigma_cluster_db * np.array(n_l)[:, None]
-    if n_k:
-        amp_db += params.sigma_ray_db * np.array(n_k)
+    if params.sigma_cluster_db > 0:
+        amp_db += params.sigma_cluster_db * n_l[:, None]
+    if params.sigma_ray_db > 0:
+        amp_db += params.sigma_ray_db * n_k
     taps = np.zeros(starts[-1] + n_bins, dtype=complex)
-    for start, rays in zip(starts, _rays(amp_db, np.array(unit_phases))):
+    for start, rays in zip(starts, _rays(_amplitudes(amp_db), unit_phases)):
         taps[start : start + n_bins] += rays
     # normalize total energy, then apply lognormal shadowing
     taps /= np.sqrt((np.abs(taps) ** 2).sum())

@@ -54,7 +54,7 @@ def run_ber_sweep(cfg: ScenarioConfig):
             tx = sigproc.modulate(bits, scheme)
             noisy = sigproc.add_awgn(tx, ebn0, scheme, _child(rng))
             rx = sigproc.demodulate(noisy, scheme)
-            errors += int(np.sum(bits != rx))
+            errors += int(np.count_nonzero(bits != rx))
             total += n
         ber.append(errors / total)
         bits_run.append(total)
@@ -127,9 +127,10 @@ def run_channel_stats(cfg: ScenarioConfig):
         # the first cluster starts at bin 0 and its rays end at the second
         # cluster's start (the ground's, or an earlier reflection's) or after
         # its bins
-        rays = np.abs(taps[: min(params.num_bins_per_cluster, starts[1])])
-        first_cluster[i, : rays.size] = rays
-        energies.append(float((np.abs(taps) ** 2).sum()))
+        mag = np.abs(taps)
+        rays = min(params.num_bins_per_cluster, starts[1])
+        first_cluster[i, :rays] = mag[:rays]
+        energies.append(float((mag ** 2).sum()))
     slopes = _first_cluster_slopes(first_cluster, params.delta_ns)
     table = _table(cfg, draw=list(range(draws)), clusters=clusters,
                    intra_slope_db_per_ns=slopes.tolist(), energy=energies)

@@ -161,10 +161,12 @@ def get_scheme(name: str) -> ModulationScheme:
 
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     """Symbols of a bit array whose length is a multiple of bits_per_symbol."""
-    bps = scheme.bits_per_symbol
-    groups = bits.reshape(-1, bps)
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    labels = groups @ weights
+    groups = bits.reshape(-1, scheme.bits_per_symbol)
+    # most significant bit first, shifted in one column at a time
+    labels = groups[:, 0].astype(np.intp)
+    for column in groups.T[1:]:
+        labels <<= 1
+        labels |= column
     return scheme.constellation[labels]
 
 

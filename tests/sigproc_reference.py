@@ -1,4 +1,8 @@
-"""References for the hard decisions of ``bansim.sigproc.RailSlicer``.
+"""References for ``bansim.sigproc``'s mapping and the hard decisions of its
+``RailSlicer``.
+
+``modulate`` is the mapping ``sigproc.modulate`` replaced: each symbol's
+label is its row of bits times the binary weights, most significant first.
 
 ``argmin_labels`` is the distance-matrix slicer the rail slicer replaced:
 argmin over the rounded ``|x - c|`` of every point, so within an ulp or so
@@ -22,6 +26,13 @@ ROUNDING_GRIDS = {
     "near_one": np.array([complex(r, i) for r in (_A, _B) for i in (_A, _B)]),
     "subnormal": np.array([_U, 2 * _U, -_U, -2 * _U], dtype=complex),
 }
+
+
+def modulate(bits, scheme):
+    bps = scheme.bits_per_symbol
+    groups = bits.reshape(-1, bps)
+    weights = 1 << np.arange(bps - 1, -1, -1)
+    return scheme.constellation[groups @ weights]
 
 
 def argmin_labels(symbols, constellation):

@@ -2,6 +2,7 @@
 independent oracle or committed fixture.  Run with ``pytest -v`` to get one
 pass/fail line per criterion."""
 
+import dataclasses
 import filecmp
 import hashlib
 import math
@@ -174,6 +175,56 @@ def test_criterion_05_gbhds_ks_and_doa_shape():
     assert int(np.argmax(masses)) == los_bin
     lim = np.arcsin(params.radius_m / params.bs_distance_m)
     assert np.max(np.abs(doa)) <= lim + 1e-12
+
+
+# independent oracle: the DOA bin masses of the GBHDS scatterers.  A radius r
+# has CDF tanh(a r) / tanh(a R), so r(u) = artanh(u tanh(a R)) / a for a
+# uniform u.  At a given r the scatterer runs round a circle about the mobile,
+# (D + r cos t, r sin t) for a uniform t, and its DOA lies below x where the
+# circle lies below the line through the base station at angle x: where
+# cos(t - x - pi/2) < D sin(x) / r, so P(DOA < x | r) = 1 - arccos(c) / pi with
+# c = D sin(x) / r clipped to [-1, 1].  The masses average that CDF's steps
+# over the edges at the midpoints of n cells of u.
+def gbhds_doa_masses(params: channels.GbhdsParams, edges: np.ndarray,
+                     n: int = 20_000) -> np.ndarray:
+    u = (np.arange(n) + 0.5) / n
+    r = np.arctanh(u * np.tanh(params.a * params.radius_m)) / params.a
+    c = np.clip(params.bs_distance_m * np.sin(edges)[:, None] / r, -1.0, 1.0)
+    return np.diff((1.0 - np.arccos(c) / np.pi).mean(axis=1))
+
+
+def test_criterion_05_doa_masses_match_quadrature():
+    """A chi-squared test of gbhds_doa_histogram against the oracle's masses,
+    at an a whose DOA mass spreads over the shipped 61 bins."""
+    params = channels.GbhdsParams(a=0.05, radius_m=100.0, bs_distance_m=1000.0)
+    count, bins, seed = 100_000, 61, 3501
+    lim = float(np.arcsin(params.radius_m / params.bs_distance_m))
+    edges = np.histogram_bin_edges(np.empty(0), bins, range=(-lim, lim))
+    expected = gbhds_doa_masses(params, edges)
+    assert expected.sum() == pytest.approx(1.0, abs=1e-12)
+    # the oracle against the sampler's own two uniforms on a midpoint grid
+    u = (np.arange(1000) + 0.5) / 1000
+    r = np.arctanh(u * np.tanh(params.a * params.radius_m))[:, None] / params.a
+    t = 2.0 * np.pi * u
+    doa = np.arctan2(r * np.sin(t), params.bs_distance_m + r * np.cos(t))
+    assert np.abs(np.histogram(doa, edges)[0] / doa.size - expected).max() < 1e-4
+    # the bins expected to hold at least 5 samples (45 of them), and the rest
+    # pooled into one cell; bound at a false-alarm rate of 1e-4
+    keep = count * expected >= 5
+    assert keep.sum() == 45
+
+    def chi_squared(a: float) -> float:
+        drawn = dataclasses.replace(params, a=a)
+        _, masses = channels.gbhds_doa_histogram(
+            drawn, count, bins, *channel_reference.gbhds_streams(count, seed))
+        observed = np.append(masses[keep], masses[~keep].sum()) * count
+        cells = np.append(expected[keep], expected[~keep].sum()) * count
+        return float(((observed - cells) ** 2 / cells).sum())
+
+    bound = stats.chi2.isf(1e-4, keep.sum())
+    assert chi_squared(params.a) < bound
+    # draws with a set 20% too high fail the same test
+    assert chi_squared(1.2 * params.a) > bound
 
 
 def _blind_run(scheme_name: str, mu: float, seed: int):

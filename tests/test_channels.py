@@ -194,7 +194,10 @@ def test_channel_stats_matches_reference(model, ban):
 @pytest.mark.parametrize("size", [1, 2, 7, 8, 16, 17, 1000])
 def test_phase_draw_matches_uniform_draw(size):
     """2*pi*random(n) gives the values of uniform(0, 2*pi, n) and leaves the
-    generator in the same state, so the draw after it is the same too."""
+    generator in the same state, so the draw after it is the same too.
+    Drawn into a row of a preallocated array, as the generators draw,
+    random and standard_normal give the values and the final state of
+    random(n) and standard_normal(n)."""
     for seed in range(20):
         uniform_rng = np.random.default_rng(seed)
         random_rng = np.random.default_rng(seed)
@@ -203,6 +206,12 @@ def test_phase_draw_matches_uniform_draw(size):
         assert uniform_rng.bit_generator.state == random_rng.bit_generator.state
         assert np.array_equal(uniform_rng.standard_normal(size),
                               random_rng.standard_normal(size))
+        sized_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = np.empty((3, size))
+        for row, draw in zip(rows, ("random", "standard_normal", "random")):
+            getattr(row_rng, draw)(out=row)
+            assert row.tobytes() == getattr(sized_rng, draw)(size).tobytes()
+            assert row_rng.bit_generator.state == sized_rng.bit_generator.state
 
 
 def test_start_bin_rounding_matches_numpy():
@@ -219,8 +228,34 @@ def test_ray_underflow_is_rejected():
     def streams():
         return draw_streams(np.random.SeedSequence(1), indoor=False)
     channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=400.0), streams())
-    with pytest.raises(ValueError, match="gamma_ray_db_per_ns"):
-        channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=700.0), streams())
+    # the decay is cached once it passes the check; a failed check raises
+    # again on the next draw with the same params
+    for _ in range(2):
+        with pytest.raises(ValueError, match="gamma_ray_db_per_ns"):
+            channels.gen_outdoor_ban(make_params(gamma_ray_db_per_ns=700.0), streams())
+
+
+def test_cached_decay_follows_the_params():
+    # two params that share every cache key but the ray decay, drawn in turn:
+    # each draw matches the reference's, which recomputes its decay
+    fast, slow = make_params(gamma_ray_db_per_ns=2.4), make_params(gamma_ray_db_per_ns=0.7)
+    for i, params in enumerate([fast, slow, fast, slow]):
+        seed = np.random.SeedSequence(40 + i)
+        ref_seed = np.random.SeedSequence(40 + i)
+        taps, starts = channels.gen_indoor_ban(params, 3, draw_streams(seed, True))
+        ref_taps, ref_starts = channel_reference.gen_indoor_ban(params, 3, ref_seed)
+        assert taps.tobytes() == ref_taps.tobytes() and starts == ref_starts
+
+
+def test_cached_decay_is_read_only():
+    p = make_params()
+    channels.gen_outdoor_ban(p, draw_streams(np.random.SeedSequence(2), False))
+    for shared in (channels._delays(p.delta_ns, p.num_bins_per_cluster),
+                   channels._decay(p.gamma_ray_db_per_ns, p.delta_ns,
+                                   p.num_bins_per_cluster)):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.5
 
 
 def test_path_loss_anchor_and_log_distance():

@@ -824,6 +824,40 @@ def test_benchmark_checks_pass(tmp_path, monkeypatch):
             assert workloads.check_op(op, outputs) == [], op["name"]
 
 
+# sha256 of the CSVs of the link_montecarlo workload's BER sweeps and channel
+# draws at seed 1 (1500 outdoor and 600 indoor draws), built in process as
+# test_benchmark_checks_pass builds them, and of an indoor channel_stats run
+# with every fading term on.  Recorded before the channel generators drew
+# into preallocated rows and cached their decay, and before modulate built
+# its labels by shift-or
+LINK_MONTECARLO_PINS = {
+    "ber_qam16": "79206163d4cbc1796ed2305b249a47588b8d0c16fc5cf01be0aee15865675086",
+    "ber_qam8": "c7103faec433ca98acdd0058586b6d00fd3dfaad6510db97024223c5d7c58f1d",
+    "channel_outdoor": "ede741e624799749c5145d3db735727a4da9f37d95c06ed1a8dfcc7c8f50a75a",
+    "channel_indoor": "4711a488e3a664eddfdbdd06c9c8a533e8d98d11cc8d65d4e6cb9dd3ade16b6f",
+}
+INDOOR_FADING = ("[common]\nseed = 5\n[channel_stats]\nmodel = indoor_ban\n"
+                 "draws = 200\nnum_clusters = 4\n[ban]\nsigma_ray_db = 3.0\n"
+                 "sigma_cluster_db = 2.0\nshadowing_sigma_db = 4.0\n")
+INDOOR_FADING_PIN = "0f3ec9d5b53a3b9aced7bc0678b8a307efeaf105a747ea91690124e1cf3b1a5c"
+
+
+def _csv_sha256(cfg) -> str:
+    [(_stem, table, _plot)] = run_experiment(cfg)
+    return hashlib.sha256(table.to_csv().encode()).hexdigest()
+
+
+def test_link_montecarlo_outputs_pinned(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    digests = {op["name"]: _csv_sha256(parse_config(Path(op["config"]).read_text(),
+                                                    op["experiment"]))
+               for op in workloads.generate("link_montecarlo", 1, str(tmp_path))
+               if op["name"] in LINK_MONTECARLO_PINS}
+    assert digests == LINK_MONTECARLO_PINS
+    assert _csv_sha256(parse_config(INDOOR_FADING, "channel_stats")) == INDOOR_FADING_PIN
+
+
 def _shipped(experiment: str, name: str, counts: list[str]):
     return pytest.param(experiment, (ROOT / "configs" / name).read_text(), counts,
                         id=name)

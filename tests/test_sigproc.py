@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bansim import sigproc
 from bitstream import random_bits
+import sigproc_reference
 from sigproc_reference import (ROUNDING_GRIDS, argmin_labels, exact_label,
                                near_midpoint_grid)
 
@@ -72,6 +73,20 @@ def test_qam16_label_zero_is_corner():
 def test_modulate_rejects_ragged_length():
     with pytest.raises(ValueError):
         sigproc.modulate(np.array([0, 1, 0]), sigproc.QAM16)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_modulate_matches_weighted_labels(scheme, dtype):
+    # every label of the scheme, then a random stream, in each bit dtype
+    bps = scheme.bits_per_symbol
+    labels = np.arange(2**bps)
+    every = (labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+    every = every.reshape(-1).astype(dtype)
+    bits = np.concatenate([every, random_bits(600 * bps, bps).astype(dtype)])
+    assert (sigproc.modulate(bits, scheme).tobytes()
+            == sigproc_reference.modulate(bits, scheme).tobytes())
+    assert sigproc.modulate(every, scheme).tobytes() == scheme.constellation.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
