@@ -3,7 +3,6 @@ independent oracle or committed fixture.  Run with ``pytest -v`` to get one
 pass/fail line per criterion."""
 
 import dataclasses
-import filecmp
 import hashlib
 import math
 import re
@@ -29,7 +28,7 @@ from graphutil import (
     min_forward_set_size,
     random_connected_graphs,
 )
-from test_harness import SHIPPED_CSVS
+import pins
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -371,23 +370,10 @@ def test_criterion_10_broadcast_coverage_minimality_and_soundness():
         runs += 1
 
 
-CLI_RUNS = [
-    ("ber_sweep", "ber_sweep.cfg"),
-    ("channel_stats", "channel_stats.cfg"),
-    ("doa_hist", "doa_hist.cfg"),
-    ("cma_convergence", "cma_convergence_qam8.cfg"),
-    ("cma_convergence", "cma_convergence_qam16.cfg"),
-    ("mud_compare", "mud_compare.cfg"),
-    ("la_sim", "la_sim.cfg"),
-    ("broadcast_sim", "broadcast_sim.cfg"),
-]
-
-
 def assert_matches_golden(csv_path: Path, golden_path: Path) -> None:
     """Compare a CSV with its committed golden: provenance lines, header,
     integer and text cells exact, float cells at rtol 1e-9.  A golden that
-    starts with ``# golden stride=S rows=N`` holds every S-th of N rows.
-    Then every byte must match the golden's pin in ``SHIPPED_CSVS``."""
+    starts with ``# golden stride=S rows=N`` holds every S-th of N rows."""
     want = golden_path.read_text().splitlines()
     got = csv_path.read_text().splitlines()
     stride, rows = 1, None
@@ -415,39 +401,25 @@ def assert_matches_golden(csv_path: Path, golden_path: Path) -> None:
                 continue
             assert (gf == wf or math.isclose(gf, wf, rel_tol=1e-9)
                     or (math.isnan(gf) and math.isnan(wf))), (csv_path.name, row, g, w)
-    pin = SHIPPED_CSVS[f"{golden_path.parent.name}/{golden_path.name}"]
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == pin, csv_path.name
 
 
-def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch):
+@pytest.mark.parametrize("run", pins.RUNS, ids=[run.id for run in pins.RUNS])
+def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch, run):
+    """Each pinned run, twice through the CLI, writes its row's files.  A CSV
+    with a golden is checked against it first: when a digest fails, the
+    rtol check shows which cells moved."""
     monkeypatch.chdir(ROOT)
-    for experiment, config in CLI_RUNS:
-        out_a = tmp_path / f"{config}.a"
-        out_b = tmp_path / f"{config}.b"
-        for out in (out_a, out_b):
-            code = cli.main(
-                [experiment, "--config", str(ROOT / "configs" / config),
-                 "--out", str(out)]
-            )
-            assert code == 0, (experiment, config)
-        names = sorted(p.name for p in out_a.iterdir())
-        assert names == sorted(p.name for p in out_b.iterdir())
-        assert names, config
-        for name in names:
-            assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
-        # the first run also matches the committed golden of every table
-        goldens = FIXTURES / "golden" / Path(config).stem
-        assert sorted(p.name for p in goldens.iterdir()) == [
-            n for n in names if n.endswith(".csv")], config
-        for golden in goldens.iterdir():
-            assert_matches_golden(out_a / golden.name, golden)
-
-
-def test_criterion_11_indoor_channel_matches_golden(tmp_path):
-    # the shipped channel_stats config is outdoor only; this one runs the
-    # indoor model (reflection clusters, every fading term and shadowing)
-    config = FIXTURES / "channel_stats_indoor.cfg"
-    out = tmp_path / "indoor"
-    assert cli.main(["channel_stats", "--config", str(config), "--out", str(out)]) == 0
-    golden = FIXTURES / "golden" / "channel_stats_indoor" / "channel_stats.csv"
-    assert_matches_golden(out / "channel_stats.csv", golden)
+    config = pins.config_file(run, tmp_path)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main([run.experiment, "--config", str(config), "--out", str(out)]) == 0
+    goldens = FIXTURES / "golden"
+    assert {p.name for p in goldens.iterdir()} <= set(pins.RUN)
+    if (goldens / run.id).is_dir():
+        assert sorted(p.name for p in (goldens / run.id).iterdir()) == [
+            name for name in sorted(run.digests) if name.endswith(".csv")]
+        for golden in (goldens / run.id).iterdir():
+            assert_matches_golden(outs[0] / golden.name, golden)
+    for out in outs:
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == run.digests

@@ -14,6 +14,7 @@ from bansim.harness.config import (COMMON, EXPERIMENTS, SCHEMAS, ConfigError, Ki
 from bansim.harness.experiments import run_experiment
 from bansim.harness.svg import PlotSpec, emit_svg
 from bansim.harness.table import ResultTable
+import pins
 import readme
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,68 +127,6 @@ def test_emit_svg_bytes_pinned(rows, options, digest):
     table = ResultTable({"x": x, "y": y})
     svg = emit_svg(table, PlotSpec("x", "y", **options))
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
-
-
-# sha256 of every SVG the shipped configs write, recorded before emit_svg
-# mapped and formatted whole columns at once; the CSVs have goldens.  The two
-# CMA traces were re-recorded when a polyline longer than the plot is wide
-# came to keep each pixel column's first, last, lowest and highest point
-SHIPPED_SVGS = [
-    ("ber_sweep", "ber_sweep.cfg", "ber_sweep.svg",
-     "76df4fddbc9fa5ae555c6cefb4a54bdc86138da32df568752bcd04f9db7a4f4e"),
-    ("doa_hist", "doa_hist.cfg", "doa_hist.svg",
-     "6bfabbbab0358d95d7e7a559852c72e5ea1344d797d0881a7aadfecf5769be89"),
-    ("cma_convergence", "cma_convergence_qam16.cfg", "cma_trace.svg",
-     "7567c47b6e9baa1a235abec1ba257cc85a0f8cab7cce9ec97077d9988faf20d1"),
-    ("cma_convergence", "cma_convergence_qam8.cfg", "cma_trace.svg",
-     "543deb29bc2166de23f5600e47d8bcf840caf491b1400894302eab211149f0cb"),
-]
-
-# sha256 of every CSV the shipped configs and the indoor fixture write, keyed
-# by golden: recorded before run_blind took its settings as plain values.
-# test_acceptance hashes the files its golden checks already write; when a
-# pin fails, the rtol golden checked first shows which cells moved
-SHIPPED_CSVS = {
-    "ber_sweep/ber_sweep.csv":
-        "ba7dba3d7a4e59694cd20d195a661012c4ccb897f002855fc15ff3199938fca5",
-    "broadcast_sim/broadcast_compare.csv":
-        "ddcb3ddb5623aaabeb9e94e8129532e8a8b9420764aa71db3d51d761aa3f1dd2",
-    "channel_stats/channel_stats.csv":
-        "6e47beb23e32cfba0b3524f32d363ecf48f41d415c66b2b0b511e9de482941a4",
-    "channel_stats_indoor/channel_stats.csv":
-        "3380735b4e380bacc372706a6f246fe4291450b7b108b81095612939e4c7b541",
-    "cma_convergence_qam16/cma_summary.csv":
-        "a08ffbc79d75f901b4cddb3ab65ad24db5583b60c090d70761d127eee4900dc5",
-    "cma_convergence_qam16/cma_trace.csv":
-        "5e05ab09f14f53b2d23806bda156aecd6d30cac3e2ee582e91a599d538d3a778",
-    "cma_convergence_qam8/cma_summary.csv":
-        "9d2e43f00a8c568f0c248409f5a9b69debd97fb4c2b6dbcd3da0064bf303fc4c",
-    "cma_convergence_qam8/cma_trace.csv":
-        "4cbcae03d20a1695a5a87283d01e45dee1db203783760288f806080cf2cd5707",
-    "doa_hist/doa_hist.csv":
-        "40374db66048296df14bfc044235e2e6079cb880ac214a34afc946d73c69a448",
-    "la_sim/la_trace.csv":
-        "5b1952b9568fcbd9f43080abe794c90de0dd0624c3b6ce701bbc78ef5e5f4758",
-    "mud_compare/mud_compare.csv":
-        "124682e11f985123bef80ebcd215660fee4e313542ce19f58f9f34e380daf035",
-}
-
-
-def test_every_golden_csv_is_pinned():
-    goldens = ROOT / "tests" / "fixtures" / "golden"
-    assert sorted(p.relative_to(goldens).as_posix()
-                  for p in goldens.glob("*/*.csv")) == sorted(SHIPPED_CSVS)
-
-
-@pytest.mark.parametrize("experiment,config,svg,digest", SHIPPED_SVGS,
-                         ids=[config for _, config, _, _ in SHIPPED_SVGS])
-def test_shipped_svgs_pinned(tmp_path, monkeypatch, experiment, config, svg,
-                             digest):
-    monkeypatch.chdir(ROOT)
-    out = tmp_path / "out"
-    assert cli.main([experiment, "--config", str(ROOT / "configs" / config),
-                     "--out", str(out)]) == 0
-    assert hashlib.sha256((out / svg).read_bytes()).hexdigest() == digest
 
 
 def test_cma_svg_draws_the_trace_extremes(tmp_path, monkeypatch):
@@ -824,146 +763,55 @@ def test_benchmark_checks_pass(tmp_path, monkeypatch):
             assert workloads.check_op(op, outputs) == [], op["name"]
 
 
-# sha256 of the CSVs of the link_montecarlo workload's BER sweeps and channel
-# draws at seed 1 (1500 outdoor and 600 indoor draws), built in process as
-# test_benchmark_checks_pass builds them, and of an indoor channel_stats run
-# with every fading term on.  Recorded before the channel generators drew
-# into preallocated rows and cached their decay, and before modulate built
-# its labels by shift-or
-LINK_MONTECARLO_PINS = {
-    "ber_qam16": "79206163d4cbc1796ed2305b249a47588b8d0c16fc5cf01be0aee15865675086",
-    "ber_qam8": "c7103faec433ca98acdd0058586b6d00fd3dfaad6510db97024223c5d7c58f1d",
-    "channel_outdoor": "ede741e624799749c5145d3db735727a4da9f37d95c06ed1a8dfcc7c8f50a75a",
-    "channel_indoor": "4711a488e3a664eddfdbdd06c9c8a533e8d98d11cc8d65d4e6cb9dd3ade16b6f",
-}
-INDOOR_FADING = ("[common]\nseed = 5\n[channel_stats]\nmodel = indoor_ban\n"
-                 "draws = 200\nnum_clusters = 4\n[ban]\nsigma_ray_db = 3.0\n"
-                 "sigma_cluster_db = 2.0\nshadowing_sigma_db = 4.0\n")
-INDOOR_FADING_PIN = "0f3ec9d5b53a3b9aced7bc0678b8a307efeaf105a747ea91690124e1cf3b1a5c"
+def _traced(run_id: str, counts: list[str]):
+    run = pins.RUN[run_id]
+    config = run.config
+    return pytest.param(run, counts,
+                        id=config.name if isinstance(config, Path) else run_id)
 
 
-def _csv_sha256(cfg) -> str:
-    [(_stem, table, _plot)] = run_experiment(cfg)
-    return hashlib.sha256(table.to_csv().encode()).hexdigest()
-
-
-def test_link_montecarlo_outputs_pinned(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    digests = {op["name"]: _csv_sha256(parse_config(Path(op["config"]).read_text(),
-                                                    op["experiment"]))
-               for op in workloads.generate("link_montecarlo", 1, str(tmp_path))
-               if op["name"] in LINK_MONTECARLO_PINS}
-    assert digests == LINK_MONTECARLO_PINS
-    assert _csv_sha256(parse_config(INDOOR_FADING, "channel_stats")) == INDOOR_FADING_PIN
-
-
-def _shipped(experiment: str, name: str, counts: list[str]):
-    return pytest.param(experiment, (ROOT / "configs" / name).read_text(), counts,
-                        id=name)
-
-
-# the receivers workload's DSE-CMA run, which no shipped config makes
-DSE_CMA_QAM8 = ("[common]\nseed = 3\n[cma_convergence]\nscheme = QAM8\n"
-                "variant = DSE_CMA\nmu = 0.00005\niterations = 2000\nwindow = 100\n")
-
-
-# sha256 of the files written by receiver runs no shipped config makes.  The
-# receivers workload's DSE-CMA run was recorded before the delay search
-# screened its pairs in one pass per delay; its summary's delay is 1.  The
-# rest were recorded before synth_multiuser convolved through apply_channel
-# and dfe_train built its feedback rows with frames: blind runs at one and
-# at two samples per symbol, and mud_compare at ns 1, with no feedback taps,
-# and at ns 3 with one
-RECEIVER_PINS = [
-    pytest.param("cma_convergence", DSE_CMA_QAM8, {
-        "cma_trace.csv": "f2f3aa1d36cf56b3a9827a3555cbfb0f6d1a8fd856641cf225f0640282a7a099",
-        "cma_summary.csv": "688e6b65de5f60dcdf97d6cd54a8d2c8199f193850c0ddc113fe7f5ef9c69763",
-        "cma_trace.svg": "56bcc2f765254a0c7ae9eebc38148f0a2043c27de199c096edcf854126ee29a0",
-    }, id="dse_cma_qam8"),
-    pytest.param("cma_convergence",
-                 "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM16\n"
-                 "samples_per_symbol = 1\niterations = 2000\nwindow = 100\n", {
-        "cma_trace.csv": "c04ff79c32e6608039aa51c332a6c2c9fce7506154e33cb20465f95278fdd67f",
-        "cma_summary.csv": "4db27a87f3f183131bd17af31cdade2c60db2d8c042bb46012d27433e60875d6",
-        "cma_trace.svg": "02386da9652441b34827e12879ea5e442b94edbe5e77112c3d9dcfa3d73787fb",
-    }, id="cma_sps1"),
-    pytest.param("cma_convergence",
-                 "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM8\n"
-                 "variant = DSE_CMA\nmu = 0.00005\nsamples_per_symbol = 2\n"
-                 "iterations = 2000\nwindow = 100\n", {
-        "cma_trace.csv": "4df19284fb3ed0a4ccd02c809ac280c372b7a947bbffd4c6521a732b61601cf7",
-        "cma_summary.csv": "6c68dc960adb5f22183f77f2e91aed6e10490895fdc298195aa4e3f46c2dbc6f",
-        "cma_trace.svg": "92044ce3b09883c7a1fafecbc22afe7b94307dfb8d6ee73da08f3ca1c600f5f1",
-    }, id="dse_cma_qam8_sps2"),
-    pytest.param("mud_compare",
-                 "[common]\nseed = 3\n[mud_compare]\nsymbols = 2000\ntraining = 200\n"
-                 "ns = 1\n", {
-        "mud_compare.csv": "36958b01973c3270a26bba1844044adc6eb9736c631ac97906db7140e764c880",
-    }, id="mud_ns1"),
-    pytest.param("mud_compare",
-                 "[common]\nseed = 3\n[mud_compare]\nsymbols = 2000\ntraining = 200\n"
-                 "nb = 0\n", {
-        "mud_compare.csv": "8115245a57dcb50397036458e3dbf82845f8e4b49f150511e5e096b1e64abaca",
-    }, id="mud_nb0"),
-    pytest.param("mud_compare",
-                 "[common]\nseed = 3\n[mud_compare]\nsymbols = 2000\ntraining = 200\n"
-                 "ns = 3\nnb = 1\n", {
-        "mud_compare.csv": "dee0e723b7d0182dd76d21f1eeb948173d4b39a6f754a111fdf8ea03645c5561",
-    }, id="mud_ns3_nb1"),
-]
-
-
-@pytest.mark.parametrize("experiment,body,digests", RECEIVER_PINS)
-def test_receiver_outputs_pinned(tmp_path, experiment, body, digests):
-    cfg = tmp_path / "receiver.cfg"
-    cfg.write_text(body)
-    out = tmp_path / "out"
-    assert cli.main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in digests} == digests
-
-
-# config runs under the benchmark's tracer and the meter counts each must
+# pinned runs under the benchmark's tracer and the meter counts each must
 # record; no shipped config runs DSE-CMA, which the receivers workload does
 TRACED_RUNS = [
-    _shipped("ber_sweep", "ber_sweep.cfg", ["sigproc.add_awgn.symbols",
-                                            "sigproc.demodulate.dist_bytes",
-                                            "sigproc.nearest_labels.dist_bytes"]),
-    _shipped("channel_stats", "channel_stats.cfg", ["channels.draws"]),
-    pytest.param("channel_stats",
-                 (ROOT / "tests" / "fixtures" / "channel_stats_indoor.cfg").read_text(),
-                 ["channels.draws"], id="channel_stats_indoor.cfg"),
-    _shipped("doa_hist", "doa_hist.cfg", ["channels.gbhds_doa_histogram.samples"]),
-    _shipped("cma_convergence", "cma_convergence_qam8.cfg",
-             ["kernels.cma_run.cma_iters"]),
-    _shipped("cma_convergence", "cma_convergence_qam16.cfg",
-             ["kernels.cma_run.cma_iters"]),
-    pytest.param("cma_convergence", DSE_CMA_QAM8,
-                 ["kernels.dse_cma_run.dse_iters"], id="dse_cma_qam8"),
-    _shipped("mud_compare", "mud_compare.cfg", ["equalize.linear_mud_detect.symbols",
-                                                "kernels.dfe_detect_run.dfe_symbols",
-                                                "sigproc.nearest_labels.dist_bytes"]),
-    _shipped("la_sim", "la_sim.cfg", ["linkadapt.simulate_la.node_rounds"]),
-    _shipped("broadcast_sim", "broadcast_sim.cfg",
-             ["zigbee.self_pruning_broadcast.trials",
-              "zigbee.self_pruning_broadcast.tx"]),
+    _traced("ber_sweep", ["sigproc.add_awgn.symbols", "sigproc.demodulate.dist_bytes",
+                          "sigproc.nearest_labels.dist_bytes"]),
+    _traced("channel_stats", ["channels.draws"]),
+    _traced("channel_stats_indoor", ["channels.draws"]),
+    _traced("doa_hist", ["channels.gbhds_doa_histogram.samples"]),
+    _traced("cma_convergence_qam8", ["kernels.cma_run.cma_iters"]),
+    _traced("cma_convergence_qam16", ["kernels.cma_run.cma_iters"]),
+    _traced("dse_cma_qam8", ["kernels.dse_cma_run.dse_iters"]),
+    _traced("mud_compare", ["equalize.linear_mud_detect.symbols",
+                            "kernels.dfe_detect_run.dfe_symbols",
+                            "sigproc.nearest_labels.dist_bytes"]),
+    _traced("la_sim", ["linkadapt.simulate_la.node_rounds"]),
+    _traced("broadcast_sim", ["zigbee.self_pruning_broadcast.trials",
+                              "zigbee.self_pruning_broadcast.tx"]),
 ]
 
 
-@pytest.mark.parametrize("experiment,text,counts", TRACED_RUNS)
-def test_benchmark_tracer_binds(monkeypatch, experiment, text, counts):
-    """Every function the benchmark's tracer wraps still binds its meter."""
+@pytest.mark.parametrize("run,counts", TRACED_RUNS)
+def test_benchmark_tracer_binds(tmp_path, monkeypatch, run, counts):
+    """Every function the benchmark's tracer wraps still binds its meter, and
+    a traced run writes its pinned bytes."""
     monkeypatch.chdir(ROOT)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
-    cfg = parse_config(text, experiment)
+    experiment = run.experiment
+    cfg = parse_config(pins.config_file(run, tmp_path).read_text(), experiment)
     tracer = tracing.Tracer()
     tracer.install()
+    texts = {}
     try:
-        run_experiment(cfg)
+        # emitted under the tracer too, as the benchmark's worker emits
+        for stem, table, plot in run_experiment(cfg):
+            texts[f"{stem}.csv"] = table.to_csv()
+            if plot is not None:
+                texts[f"{stem}.svg"] = emit_svg(table, plot)
     finally:
         tracer.uninstall()
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()} == run.digests
     names = [span[tracing.NAME] for span in tracer.spans]
     folded = tracer.fold()
     counts_seen = folded["counts"]
