@@ -68,8 +68,11 @@ def _sign(x):
 
 
 def _blind_run(received, taps, mu, r2, max_steps, stride, dither_u=None):
-    """CMA, or DSE-CMA dithered at amplitude r2 when ``dither_u`` holds the
-    uniform draws, two per step.
+    """CMA, or DSE-CMA when ``dither_u`` holds the uniform draws, two per
+    step.  DSE-CMA dithers each rail uniformly on [-alpha, alpha] with
+    alpha = r2, as Schniter and Johnson's dithered signed-error CMA does
+    (IEEE Trans. Signal Processing 47(6), 1999): for |psi| <= alpha the mean
+    of alpha * sign(psi + dither) is psi, so the mean update is CMA's.
 
     Keeps np.vdot and the numpy tap update ``taps + gain * reg`` of the
     per-step reference (``cma_step`` in ``tests/kernel_reference.py``): those
@@ -86,7 +89,7 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dither_u=None):
     mu, r2 = float(mu), float(r2)
     if dither_u is not None:
         u = dither_u[:2 * max_steps]
-        dither = (r2 * np.sin(2.0 * np.pi * u)).tolist()
+        dither = (r2 * (2.0 * u - 1.0)).tolist()
     nf = taps.size
     # regressors newest sample first; only steps whose window fits get one,
     # so a run that diverges before the stream runs out still returns

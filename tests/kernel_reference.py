@@ -32,7 +32,9 @@ def cma_step(taps, mu, r2, variant, regressor, dither_u=None):
     """One adaptation step of the blind equalizer ``equalize.run_blind``
     runs: taps at step size mu toward the dispersion constant r2, variant
     "CMA" or "DSE_CMA".  Returns (y, updated taps).  A DSE-CMA step dithers
-    with amplitude r2."""
+    each rail uniformly on [-alpha, alpha], alpha = r2, by r2 * (2u - 1) from
+    its uniform draw u, as Schniter and Johnson's dithered signed-error CMA
+    does (IEEE Trans. Signal Processing 47(6), 1999)."""
     regressor = np.asarray(regressor, dtype=complex)
     if regressor.size != taps.size:
         raise ValueError("regressor length must equal tap count")
@@ -43,8 +45,8 @@ def cma_step(taps, mu, r2, variant, regressor, dither_u=None):
     else:
         if dither_u is None:
             raise ValueError("DSE-CMA step needs two uniform dither draws")
-        d_r = r2 * np.sin(2.0 * np.pi * dither_u[0])
-        d_i = r2 * np.sin(2.0 * np.pi * dither_u[1])
+        d_r = r2 * (2.0 * dither_u[0] - 1.0)
+        d_i = r2 * (2.0 * dither_u[1] - 1.0)
         psi = r2 * (
             np.sign(err.real + d_r) + 1j * np.sign(err.imag + d_i)
         )

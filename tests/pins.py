@@ -125,11 +125,12 @@ RUNS = [
     # receiver runs no shipped config makes: the receivers workload's DSE-CMA
     # run (its summary's delay is 1), blind runs at one and two samples per
     # symbol, and mud_compare at ns 1, with no feedback taps, and at ns 3
-    # with one
+    # with one.  The two DSE-CMA rows were re-recorded when the dither
+    # became uniform on [-r2, r2], as published, instead of r2 sin(2 pi u)
     Run("dse_cma_qam8", "cma_convergence", _dse_cma(), {
-        "cma_summary.csv": "688e6b65de5f60dcdf97d6cd54a8d2c8199f193850c0ddc113fe7f5ef9c69763",
-        "cma_trace.csv": "f2f3aa1d36cf56b3a9827a3555cbfb0f6d1a8fd856641cf225f0640282a7a099",
-        "cma_trace.svg": "56bcc2f765254a0c7ae9eebc38148f0a2043c27de199c096edcf854126ee29a0",
+        "cma_summary.csv": "dc93b242b3f18fff7d6c274dd083b5441e245cbcbb06a315e54792b22714cc46",
+        "cma_trace.csv": "a86d2484234ddaa8a7529c995fd94eea79a387a3568c1d6f99e8a5868b95b67b",
+        "cma_trace.svg": "c11fff78d0ea8551a295d2252e2e15ce9343e3f62fecaa12e5851a5d291fc65b",
     }),
     Run("cma_sps1", "cma_convergence",
         "[common]\nseed = 3\n[cma_convergence]\nscheme = QAM16\n"
@@ -139,9 +140,9 @@ RUNS = [
         "cma_trace.svg": "02386da9652441b34827e12879ea5e442b94edbe5e77112c3d9dcfa3d73787fb",
     }),
     Run("dse_cma_qam8_sps2", "cma_convergence", _dse_cma("samples_per_symbol = 2\n"), {
-        "cma_summary.csv": "6c68dc960adb5f22183f77f2e91aed6e10490895fdc298195aa4e3f46c2dbc6f",
-        "cma_trace.csv": "4df19284fb3ed0a4ccd02c809ac280c372b7a947bbffd4c6521a732b61601cf7",
-        "cma_trace.svg": "92044ce3b09883c7a1fafecbc22afe7b94307dfb8d6ee73da08f3ca1c600f5f1",
+        "cma_summary.csv": "52052d0acc9bf7937468bf658fc0a40389a55e6046c0b83b68d0d5ed2547caba",
+        "cma_trace.csv": "07ddfa1e536455707c85439ee5b39e2bc76522f4e1cecc94069fa3f7d5168aa0",
+        "cma_trace.svg": "77c3c8d41d64a4a8f403ef9e78fb72a917722ad5849f66bab6193966cea589aa",
     }),
     Run("mud_ns1", "mud_compare", _mud("ns = 1\n"), {
         "mud_compare.csv": "36958b01973c3270a26bba1844044adc6eb9736c631ac97906db7140e764c880",

@@ -70,12 +70,12 @@ def test_dse_cma_paths_agree(stride):
 
 def test_dse_cma_sign_of_zero_is_zero():
     # from a center spike y[n] = received[3n + 2]; zeroing those samples and
-    # drawing u = 0 (a zero dither) puts an exact 0 into np.sign at every
+    # drawing u = 0.5 (a zero dither) puts an exact 0 into np.sign at every
     # step, so psi is 0 and the taps never move
     received = random_signal(3 * 30 + 5, 5)
     received[2::3] = 0.0
     y, taps, bad = check_dse_cma(received, center_spike(5), 1e-2, 1.32,
-                                 np.zeros(60), 30, 3)
+                                 np.full(60, 0.5), 30, 3)
     assert bad == -1 and not np.any(y)
     assert taps.tobytes() == center_spike(5).tobytes()
 
@@ -88,6 +88,44 @@ def test_dse_cma_sign_of_nan_is_nan():
     _, taps, bad = check_dse_cma(random_signal(40, 6), center_spike(5), 1e-3,
                                  1.32, dither, 30, 1)
     assert bad == -1 and np.all(np.isnan(taps))
+
+
+def test_dse_cma_mean_signed_error_is_cmas():
+    """Schniter and Johnson's dithered signed error: with each rail's dither
+    uniform on [-alpha, alpha], alpha = r2, the mean of alpha * sign(psi +
+    dither) is psi for |psi| <= alpha, so DSE-CMA's mean update is CMA's.
+    A one-tap equalizer fed ones at a tiny step holds psi all but fixed, and
+    its tap sums the signed errors it applies: over n steps it moves by
+    mu * conj(their sum)."""
+    r2, mu, n = 1.32, 1e-9, 10_000
+    grid = r2 * np.linspace(-0.9, 0.9, 10)
+    # a rail's mean of n values in {-r2, r2} has sd at most r2 / sqrt(n); 20
+    # rails held to |z| <= 5.45 make a false alarm of 1e-6 in all
+    bound = 5.45 * r2 / np.sqrt(n)
+    rng = np.random.default_rng(3601)
+    psi, applied, sine = [], [], []
+    for target in grid + 1j * grid[::-1]:
+        # psi = y (r2 - |y|^2) is target at y = -rho target / |target|, with
+        # rho the root above sqrt(r2) of rho^3 - r2 rho - |target|
+        rho = np.roots([1.0, 0.0, -r2, -abs(target)]).real.max()
+        y0 = -rho * target / abs(target)
+        u = rng.random(2 * n)
+        y, taps, bad = _kernels.dse_cma_run(
+            np.ones(n, complex), np.array([y0.conjugate()]), mu, r2, u, n, 1)
+        assert bad == -1
+        psi.append(np.mean(y * (r2 - np.abs(y) ** 2)))
+        applied.append((taps[0] - y0.conjugate()).conjugate() / (mu * n))
+        # the arcsine dither r2 sin(2 pi u) on the same draws
+        d = r2 * np.sin(2.0 * np.pi * u)
+        sine.append(r2 * np.mean(np.sign(target.real + d[0::2])
+                                 + 1j * np.sign(target.imag + d[1::2])))
+    psi, applied, sine = map(np.array, (psi, applied, sine))
+    assert np.abs(psi - (grid + 1j * grid[::-1])).max() < 1e-3
+    error = np.concatenate([(applied - psi).real, (applied - psi).imag])
+    assert np.abs(error).max() <= bound
+    # the arcsine dither fails the same bound
+    error = np.concatenate([(sine - psi).real, (sine - psi).imag])
+    assert np.abs(error).max() > bound
 
 
 @pytest.mark.parametrize("variant", ["CMA", "DSE_CMA"])
