@@ -144,6 +144,13 @@ def run_doa_hist(cfg: ScenarioConfig):
     if params.bs_distance_m <= params.radius_m:
         raise ValueError(f"bs_distance_m must be above radius_m {params.radius_m!r}, "
                          f"got {params.bs_distance_m!r}")
+    # the DOA range splits into bins of positive width, as the histogram cuts it
+    lim = float(np.arcsin(params.radius_m / params.bs_distance_m))
+    edges = np.linspace(-lim, lim, sec["bins"] + 1)
+    if not (edges[:-1] < edges[1:]).all():
+        raise ValueError(f"radius_m {params.radius_m!r} over bs_distance_m "
+                         f"{params.bs_distance_m!r} leaves a DOA half-range of {lim!r} rad, "
+                         f"too narrow to split into bins {sec['bins']} of positive width")
     # one stream holds all count radius uniforms, then all count angle
     # uniforms; a uniform double takes one output, so the angles start count in
     edges, masses = channels.gbhds_doa_histogram(

@@ -433,6 +433,14 @@ MALFORMED = [
      "line 4: [doa_hist] radius_m must be a finite number above 0, got '0'"),
     ("doa_hist", "[doa_hist]\nbs_distance_m = 50",
      "doa_hist: bs_distance_m must be above radius_m 100.0, got 50.0"),
+    # numpy's histogram named no key for a range it cannot cut into bins,
+    # and widened a zero range to +-0.5 rad
+    ("doa_hist", "[doa_hist]\nradius_m = 1e-320\ncount = 1000",
+     "doa_hist: radius_m 1e-320 over bs_distance_m 1000.0 leaves a DOA half-range of "
+     "1e-323 rad, too narrow to split into bins 61 of positive width"),
+    ("doa_hist", "[doa_hist]\nradius_m = 5e-324\nbins = 1",
+     "doa_hist: radius_m 5e-324 over bs_distance_m 1000.0 leaves a DOA half-range of "
+     "0.0 rad, too narrow to split into bins 1 of positive width"),
     ("ber_sweep", "seed = abc", "seed"),
     ("ber_sweep", "seed = 1.7", "seed"),
     # numpy's seeding takes no negative entropy
