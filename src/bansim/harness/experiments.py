@@ -146,8 +146,7 @@ def run_doa_hist(cfg: ScenarioConfig):
                          f"got {params.bs_distance_m!r}")
     # the DOA range splits into bins of positive width, as the histogram cuts it
     lim = float(np.arcsin(params.radius_m / params.bs_distance_m))
-    edges = np.linspace(-lim, lim, sec["bins"] + 1)
-    if not (edges[:-1] < edges[1:]).all():
+    if not (np.diff(np.linspace(-lim, lim, sec["bins"] + 1)) > 0).all():
         raise ValueError(f"radius_m {params.radius_m!r} over bs_distance_m "
                          f"{params.bs_distance_m!r} leaves a DOA half-range of {lim!r} rad, "
                          f"too narrow to split into bins {sec['bins']} of positive width")

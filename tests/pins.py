@@ -62,10 +62,7 @@ def _mud(extra: str) -> str:
 
 
 RUNS = [
-    # the shipped configs and the indoor fixture; their CSVs have goldens.
-    # The two CMA trace SVGs were re-recorded when a polyline longer than
-    # the plot is wide came to keep each pixel column's first, last, lowest
-    # and highest point
+    # the shipped configs and the indoor fixture; their CSVs have goldens
     _shipped("configs/ber_sweep.cfg", "ber_sweep", {
         "ber_sweep.csv": "ba7dba3d7a4e59694cd20d195a661012c4ccb897f002855fc15ff3199938fca5",
         "ber_sweep.svg": "76df4fddbc9fa5ae555c6cefb4a54bdc86138da32df568752bcd04f9db7a4f4e",
@@ -125,8 +122,7 @@ RUNS = [
     # receiver runs no shipped config makes: the receivers workload's DSE-CMA
     # run (its summary's delay is 1), blind runs at one and two samples per
     # symbol, and mud_compare at ns 1, with no feedback taps, and at ns 3
-    # with one.  The two DSE-CMA rows were re-recorded when the dither
-    # became uniform on [-r2, r2], as published, instead of r2 sin(2 pi u)
+    # with one
     Run("dse_cma_qam8", "cma_convergence", _dse_cma(), {
         "cma_summary.csv": "dc93b242b3f18fff7d6c274dd083b5441e245cbcbb06a315e54792b22714cc46",
         "cma_trace.csv": "a86d2484234ddaa8a7529c995fd94eea79a387a3568c1d6f99e8a5868b95b67b",

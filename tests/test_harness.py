@@ -773,9 +773,9 @@ def test_benchmark_checks_pass(tmp_path, monkeypatch):
 
 def _traced(run_id: str, counts: list[str]):
     run = pins.RUN[run_id]
-    config = run.config
-    return pytest.param(run, counts,
-                        id=config.name if isinstance(config, Path) else run_id)
+    # a config file's run keeps the file name as its id
+    return pytest.param(run, counts, id=run.config.name
+                        if isinstance(run.config, Path) else run_id)
 
 
 # pinned runs under the benchmark's tracer and the meter counts each must
