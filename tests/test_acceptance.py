@@ -403,23 +403,31 @@ def assert_matches_golden(csv_path: Path, golden_path: Path) -> None:
                     or (math.isnan(gf) and math.isnan(wf))), (csv_path.name, row, g, w)
 
 
+def _run_cli(run: pins.Run, work_dir: Path) -> dict[str, str]:
+    """The sha256 of every file the run writes through the CLI, by name."""
+    out = work_dir / "out" / run.id
+    config = pins.config_file(run, work_dir)
+    assert cli.main([run.experiment, "--config", str(config), "--out", str(out)]) == 0, run.id
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 @pytest.mark.parametrize("run", pins.RUNS, ids=[run.id for run in pins.RUNS])
-def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch, run):
-    """Each pinned run, twice through the CLI, writes its row's files.  A CSV
-    with a golden is checked against it first: when a digest fails, the
-    rtol check shows which cells moved."""
+def test_criterion_11_run_matches_pins(tmp_path, monkeypatch, run):
+    """Each pinned run through the CLI writes its row's files.  A CSV with a
+    golden is checked against it first: when a digest fails, the rtol check
+    shows which cells moved."""
     monkeypatch.chdir(ROOT)
-    config = pins.config_file(run, tmp_path)
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
-        assert cli.main([run.experiment, "--config", str(config), "--out", str(out)]) == 0
-    goldens = FIXTURES / "golden"
-    assert {p.name for p in goldens.iterdir()} <= set(pins.RUN)
-    if (goldens / run.id).is_dir():
-        assert sorted(p.name for p in (goldens / run.id).iterdir()) == [
-            name for name in sorted(run.digests) if name.endswith(".csv")]
-        for golden in (goldens / run.id).iterdir():
-            assert_matches_golden(outs[0] / golden.name, golden)
-    for out in outs:
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in out.iterdir()} == run.digests
+    digests = _run_cli(run, tmp_path)
+    goldens = FIXTURES / "golden" / run.id
+    if goldens.is_dir():
+        for golden in goldens.iterdir():
+            assert_matches_golden(tmp_path / "out" / run.id / golden.name, golden)
+    assert digests == run.digests
+
+
+def test_criterion_11_cli_outputs_reproducible(tmp_path, monkeypatch):
+    """Every pinned run a second time, all in one process and last row first:
+    each still writes its row's bytes, whatever ran before it."""
+    monkeypatch.chdir(ROOT)
+    for run in reversed(pins.RUNS):
+        assert _run_cli(run, tmp_path) == run.digests, run.id

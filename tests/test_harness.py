@@ -129,6 +129,32 @@ def test_emit_svg_bytes_pinned(rows, options, digest):
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
+def test_every_golden_csv_is_pinned():
+    # a golden directory is named after its row, and holds that row's CSVs
+    goldens = ROOT / "tests" / "fixtures" / "golden"
+    assert sorted(p.relative_to(goldens).as_posix()
+                  for p in goldens.glob("*/*.csv")) == sorted(
+        f"{run.id}/{name}" for run in pins.RUNS if (goldens / run.id).is_dir()
+        for name in run.digests if name.endswith(".csv"))
+
+
+# the rows of the shipped configs that draw a plot
+SHIPPED_SVGS = [run for run in pins.RUNS
+                if isinstance(run.config, Path) and run.config.parent.name == "configs"
+                and any(name.endswith(".svg") for name in run.digests)]
+
+
+@pytest.mark.parametrize("run", SHIPPED_SVGS,
+                         ids=[run.config.name for run in SHIPPED_SVGS])
+def test_shipped_svgs_pinned(tmp_path, monkeypatch, run):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    assert cli.main([run.experiment, "--config", str(run.config), "--out", str(out)]) == 0
+    for name, digest in run.digests.items():
+        if name.endswith(".svg"):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_cma_svg_draws_the_trace_extremes(tmp_path, monkeypatch):
     # the log-y polyline of a 20 000-row trace, against the CSV of the same run:
     # at most four points per pixel column (529, from x = 56 to 584), and
