@@ -76,7 +76,9 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dither_u=None):
 
     Keeps np.vdot and the numpy tap update ``taps + gain * reg`` of the
     per-step reference (``cma_step`` in ``tests/kernel_reference.py``): those
-    two set the rounding.
+    two set the rounding.  The update's rounding follows numpy's SIMD
+    dispatch: its complex multiply fuses multiply-adds where numpy dispatches
+    X86_V3 (AVX2 + FMA) or higher, the dispatch the pinned bytes hold under.
     The update runs in place on a copy of the caller's ``taps``, as
     ``np.multiply(gain, reg, step)`` then ``np.add(taps, step, taps)``,
     which round as the allocating expression does; ``out`` goes by position

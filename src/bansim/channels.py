@@ -211,21 +211,19 @@ def gbhds_block(params: GbhdsParams, n: int, radii: np.random.Generator,
 
 
 def gbhds_doa_histogram(
-    params: GbhdsParams, count: int, bins: int, radii: np.random.Generator,
+    params: GbhdsParams, count: int, edges: np.ndarray, radii: np.random.Generator,
     angles: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Unit-mass histogram of count DOA angles, drawn as ``gbhds_block``
-    draws them; returns (bin_edges, masses)."""
-    lim = float(np.arcsin(params.radius_m / params.bs_distance_m))
-    edges = np.histogram_bin_edges(np.empty(0), bins, range=(-lim, lim))
-    counts = np.zeros(bins, dtype=np.intp)
+    draws them, over the increasing bin edges ``edges``: the mass per bin."""
+    counts = np.zeros(edges.size - 1, dtype=np.intp)
     for start in range(0, count, _DOA_BLOCK):
         _, doa = gbhds_block(params, min(_DOA_BLOCK, count - start), radii, angles)
         # binned against the edge array, which sorts the block: the bins of
         # the range form (edges[i] <= x < edges[i + 1], the last one closed)
         # in about half its time
         counts += np.histogram(doa, edges)[0]
-    return edges, counts / count
+    return counts / count
 
 
 def apply_channel(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .. import channels, linkadapt
@@ -128,10 +128,10 @@ EXPERIMENTS = tuple(SCHEMAS)
 @dataclass
 class ScenarioConfig:
     experiment: str
-    sections: dict[str, dict] = field(default_factory=dict)
-    seed: int = 0
-    output_dir: str = "."
-    config_hash: str = ""
+    sections: dict[str, dict]
+    seed: int
+    output_dir: str
+    config_hash: str
 
     def section(self, name: str) -> dict:
         return self.sections[name]
@@ -191,7 +191,7 @@ def parse_config(text: str, experiment: str) -> ScenarioConfig:
             if key not in sec:
                 sec[key] = (default(sec) if callable(default) else
                             list(default) if isinstance(default, list) else default)
-    common = sections["common"]
+    common = sections.pop("common")
     if common["seed"] is None:
         raise ConfigError("config must set `seed` in the [common] section")
     return ScenarioConfig(

@@ -144,16 +144,17 @@ def run_doa_hist(cfg: ScenarioConfig):
     if params.bs_distance_m <= params.radius_m:
         raise ValueError(f"bs_distance_m must be above radius_m {params.radius_m!r}, "
                          f"got {params.bs_distance_m!r}")
-    # the DOA range splits into bins of positive width, as the histogram cuts it
+    # the histogram's edges: the DOA range splits into bins of positive width
     lim = float(np.arcsin(params.radius_m / params.bs_distance_m))
-    if not (np.diff(np.linspace(-lim, lim, sec["bins"] + 1)) > 0).all():
+    edges = np.linspace(-lim, lim, sec["bins"] + 1)
+    if not (np.diff(edges) > 0).all():
         raise ValueError(f"radius_m {params.radius_m!r} over bs_distance_m "
                          f"{params.bs_distance_m!r} leaves a DOA half-range of {lim!r} rad, "
                          f"too narrow to split into bins {sec['bins']} of positive width")
     # one stream holds all count radius uniforms, then all count angle
     # uniforms; a uniform double takes one output, so the angles start count in
-    edges, masses = channels.gbhds_doa_histogram(
-        params, sec["count"], sec["bins"], np.random.default_rng(cfg.seed),
+    masses = channels.gbhds_doa_histogram(
+        params, sec["count"], edges, np.random.default_rng(cfg.seed),
         np.random.Generator(np.random.PCG64(cfg.seed).advance(sec["count"])))
     centers = 0.5 * (edges[:-1] + edges[1:])
     table = _table(cfg, doa_rad=centers.tolist(), mass=masses.tolist())
@@ -166,9 +167,11 @@ def run_cma_convergence(cfg: ScenarioConfig):
     scheme = sigproc.get_scheme(sec["scheme"])
     if scheme.kind not in ("QAM8", "QAM16"):
         raise ValueError(f"scheme must be QAM8 or QAM16, got {scheme.kind!r}")
+    variant = sec["variant"]
+    if variant not in ("CMA", "DSE_CMA"):
+        raise ValueError(f"variant must be CMA or DSE_CMA, got {variant!r}")
     mu, taps, stride = sec["mu"], sec["channel"], sec["samples_per_symbol"]
     nf, iterations, window = sec["nf"], sec["iterations"], sec["window"]
-    variant = sec["variant"]
     if 2 * window > iterations:
         raise ValueError(f"window {window} is more than half of iterations "
                          f"{iterations}: the initial and final MSE windows "
@@ -209,6 +212,9 @@ def run_mud_compare(cfg: ScenarioConfig):
     tpl = templates[0]
     energy = np.sum(np.abs(tpl) ** 2)
     if energy == 0:
+        if tpl.any():
+            raise ValueError("template1's energy sum |t|**2 underflows to zero: "
+                             "the matched filter cannot divide by it")
         raise ValueError("template1 has zero energy: the desired user needs a "
                          "nonzero template")
     w_mf = np.conj(tpl) / energy
@@ -231,9 +237,8 @@ def run_mud_compare(cfg: ScenarioConfig):
 
     rows = []
     for name, (soft, decided) in results:
-        decided = decided[:n_sym]
-        ser = float(np.mean(decided != payload[: decided.size]))
-        mse = float(np.mean(np.abs(soft[:n_sym] - payload[: decided.size]) ** 2))
+        ser = float(np.mean(decided != payload))
+        mse = float(np.mean(np.abs(soft - payload) ** 2))
         rows.append((name, ser, mse))
     receiver, ser, mse = map(list, zip(*sorted(rows, key=lambda r: r[1])))
     table = _table(cfg, receiver=receiver, ser=ser, mse=mse)

@@ -75,12 +75,11 @@ def simulate_la(
     distance = np.array([d for _, d in nodes])
     n = len(nodes)
     level = np.zeros(n, dtype=np.intp)
-    # the failures of the last `window` rounds, and their count per node;
-    # a ring no deeper than `rounds` drops nothing a deeper one would keep
-    ring = np.zeros((min(window, rounds), n), dtype=np.intp)
+    # each node's failures in the last `window` rows of `received`
     failures = np.zeros(n, dtype=np.intp)
+    received = np.empty((rounds, n), dtype=bool)
     out = (np.empty((rounds, n), dtype=np.intp), np.empty((rounds, n)),
-           np.empty((rounds, n)), np.empty((rounds, n), dtype=bool))
+           np.empty((rounds, n)), received)
     for rnd in range(rounds):
         # every node transmits each round; shadowing redrawn per (round, node)
         p_r = tx_power - path_loss_db(distance, pl, rng)
@@ -90,10 +89,9 @@ def simulate_la(
         with np.errstate(divide="ignore"):
             interf_dbm = 10.0 * np.log10(_interference(linear))
         ok = packet_received(p_r, interf_dbm, level, thresholds)
-        slot = ring[rnd % len(ring)]
-        failures -= slot
-        slot[:] = ~ok
-        failures += slot
+        failures += ~ok
+        if rnd >= window:
+            failures -= ~received[rnd - window]
         snr_db = p_r - noise_floor_dbm
         p_f = failures / min(rnd + 1, window)
         for column, value in zip(out, (level, snr_db, p_f, ok)):

@@ -61,13 +61,6 @@ class RailSlicer:
     cols: int
     cell_labels: np.ndarray
 
-    def labels(self, symbols: np.ndarray) -> np.ndarray:
-        real = np.ascontiguousarray(symbols.real)
-        imag = np.ascontiguousarray(symbols.imag)
-        if not (np.isfinite(real).all() and np.isfinite(imag).all()):
-            raise ValueError("cannot slice a non-finite sample")
-        return self.cell_labels.take(self.cells(real, imag))
-
     def cells(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
         """Cell index per sample, in the smallest unsigned type that holds
         every one.  Nothing is checked: a NaN rail reads as cell 0."""
@@ -172,7 +165,11 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 def nearest_labels(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     """Label of the nearest point per sample; the lowest label on a tie."""
-    return scheme.slicer.labels(symbols)
+    real = np.ascontiguousarray(symbols.real)
+    imag = np.ascontiguousarray(symbols.imag)
+    if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+        raise ValueError("cannot slice a non-finite sample")
+    return scheme.slicer.cell_labels.take(scheme.slicer.cells(real, imag))
 
 
 def demodulate(symbols: np.ndarray, scheme: ModulationScheme) -> np.ndarray:

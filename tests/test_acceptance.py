@@ -168,11 +168,12 @@ def test_criterion_05_gbhds_ks_and_doa_shape():
 
     assert stats.kstest(radii, cdf).pvalue > 0.01
     bins = 61
-    edges, masses = channels.gbhds_doa_histogram(
-        params, 100_000, bins, *channel_reference.gbhds_streams(100_000, 99))
+    lim = np.arcsin(params.radius_m / params.bs_distance_m)
+    edges = np.linspace(-lim, lim, bins + 1)
+    masses = channels.gbhds_doa_histogram(
+        params, 100_000, edges, *channel_reference.gbhds_streams(100_000, 99))
     los_bin = int(np.searchsorted(edges, 0.0) - 1)
     assert int(np.argmax(masses)) == los_bin
-    lim = np.arcsin(params.radius_m / params.bs_distance_m)
     assert np.max(np.abs(doa)) <= lim + 1e-12
 
 
@@ -214,8 +215,8 @@ def test_criterion_05_doa_masses_match_quadrature():
 
     def chi_squared(a: float) -> float:
         drawn = dataclasses.replace(params, a=a)
-        _, masses = channels.gbhds_doa_histogram(
-            drawn, count, bins, *channel_reference.gbhds_streams(count, seed))
+        masses = channels.gbhds_doa_histogram(
+            drawn, count, edges, *channel_reference.gbhds_streams(count, seed))
         observed = np.append(masses[keep], masses[~keep].sum()) * count
         cells = np.append(expected[keep], expected[~keep].sum()) * count
         return float(((observed - cells) ** 2 / cells).sum())

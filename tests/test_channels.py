@@ -280,8 +280,10 @@ def test_gbhds_sampler_range_and_doa_bound():
 def test_gbhds_doa_histogram_symmetric():
     p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
     count, bins = 100_000, 41
-    _, masses = channels.gbhds_doa_histogram(
-        p, count, bins, *channel_reference.gbhds_streams(count, 23))
+    lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
+    masses = channels.gbhds_doa_histogram(
+        p, count, np.linspace(-lim, lim, bins + 1),
+        *channel_reference.gbhds_streams(count, 23))
     assert masses.sum() == pytest.approx(1.0)
     for i in range(bins // 2):
         left, right = masses[i], masses[bins - 1 - i]
@@ -299,8 +301,10 @@ def test_gbhds_doa_histogram_equals_the_full_array_histogram(count, seed):
     lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
     for bins in (1, 61):
         masses, edges = np.histogram(doa, bins, range=(-lim, lim))
-        got_edges, got_masses = channels.gbhds_doa_histogram(
-            p, count, bins, *channel_reference.gbhds_streams(count, seed))
+        # the runner's edges are the bytes of the range form's
+        got_edges = np.linspace(-lim, lim, bins + 1)
+        got_masses = channels.gbhds_doa_histogram(
+            p, count, got_edges, *channel_reference.gbhds_streams(count, seed))
         assert got_edges.tobytes() == edges.tobytes()
         assert got_masses.tobytes() == (masses / count).tobytes()
 
@@ -327,15 +331,16 @@ def test_gbhds_doa_histogram_memory_is_flat_in_count():
     # all 2e6 DOA angles at once take ~76 MB; the stream holds a few blocks
     p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
     count, bins, seed = 2_000_000, 61, 8
+    lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
+    edges = np.linspace(-lim, lim, bins + 1)
     tracemalloc.start()
     try:
-        edges, masses = channels.gbhds_doa_histogram(
-            p, count, bins, *channel_reference.gbhds_streams(count, seed))
+        masses = channels.gbhds_doa_histogram(
+            p, count, edges, *channel_reference.gbhds_streams(count, seed))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
     ref_masses, ref_edges = np.histogram(channel_reference.gbhds_doa(p, count, seed),
                                          bins, range=(-lim, lim))
     assert edges.tobytes() == ref_edges.tobytes()

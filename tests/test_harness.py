@@ -382,6 +382,10 @@ MALFORMED = [
      "'-0.0003'"),
     ("cma_convergence", "[cma_convergence]\nvariant = NOPE",
      "cma_convergence: variant must be CMA or DSE_CMA, got 'NOPE'"),
+    # the runner names a bad variant before it draws or allocates anything
+    ("cma_convergence",
+     "[cma_convergence]\niterations = 1000000000000000\nvariant = cma",
+     "cma_convergence: variant must be CMA or DSE_CMA, got 'cma'"),
     ("cma_convergence", "[cma_convergence]\nscheme = BPSK", "QAM8 or QAM16"),
     ("doa_hist", "[doa_hist]\nbins = 0",
      "line 4: [doa_hist] bins must be an integer of at least 1, got '0'"),
@@ -482,6 +486,9 @@ MALFORMED = [
      "channel_stats: allocation too large for memory"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0, 0", "template1"),
+    # a nonzero template whose energy underflows is not a zero template
+    ("mud_compare", "[mud_compare]\ntemplate1 = 1e-300",
+     "mud_compare: template1's energy sum |t|**2 underflows to zero"),
     ("mud_compare", "[mud_compare]\nnb = -1",
      "line 4: [mud_compare] nb must be an integer of at least 0, got '-1'"),
     # more feedback taps than training symbols: the model's training-size
