@@ -28,7 +28,6 @@ propagates errors) the kernel costs about what the loop costs.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 
 import numpy as np
@@ -86,17 +85,14 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dither_u=None):
     The scalar error arithmetic runs on Python complex/float, which rounds
     like numpy's scalars; the gain goes through a 0-d array, which numpy
     multiplies without per-call scalar conversion.  On divergence y holds
-    the steps run so far.
+    the steps run so far.  Samples past the end of ``received`` read as zero.
     """
     mu, r2 = float(mu), float(r2)
     if dither_u is not None:
         u = dither_u[:2 * max_steps]
         dither = (r2 * (2.0 * u - 1.0)).tolist()
-    nf = taps.size
-    # regressors newest sample first; only steps whose window fits get one,
-    # so a run that diverges before the stream runs out still returns
-    fit = max(0, (received.size - nf) // stride + 1)
-    regressors = frames(received, min(max_steps, fit), stride, nf)[:, ::-1]
+    # regressors newest sample first
+    regressors = frames(received, max_steps, stride, taps.size)[:, ::-1]
     gain = np.zeros((), dtype=np.complex128)
     taps = taps.astype(np.complex128)  # a copy: the update below is in place
     step = np.empty_like(taps)
@@ -115,8 +111,6 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dither_u=None):
         gain[()] = mu * psi.conjugate()
         multiply(gain, reg, step)
         add(taps, step, taps)
-    if len(y) < max_steps:
-        raise ValueError("received stream too short for the requested steps")
     return np.array(y, dtype=np.complex128), taps, -1
 
 
@@ -164,7 +158,6 @@ def _repair(ff, guesses, fb, hist, slicer, cell_points, least):
     as the one before, and stops after the first chunk whose last nb cells
     equal their ``guesses``, or at the end of ``ff``.  Returns the soft
     outputs and the cells it decided, as lists."""
-    (re_lo, re_hi), (im_lo, im_hi), cols = slicer.re, slicer.im, slicer.cols
     nb = len(fb)
     soft, cells = [], []
     stop, length = 0, max(least, nb)
@@ -174,9 +167,7 @@ def _repair(ff, guesses, fb, hist, slicer, cell_points, least):
             for w, h in zip(fb, hist):
                 xk += w * h
             soft.append(xk)
-            xr, xi = xk.real, xk.imag
-            cell = ((bisect_left(re_lo, xr) + bisect_right(re_hi, xr)) * cols
-                    + bisect_left(im_lo, xi) + bisect_right(im_hi, xi))
+            cell = slicer.cell(xk)
             cells.append(cell)
             hist.appendleft(cell_points[cell])
         if cells[-nb:] == guesses[stop - nb:stop].tolist():

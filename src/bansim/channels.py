@@ -200,14 +200,14 @@ _DOA_BLOCK = 1 << 16
 
 
 def gbhds_block(params: GbhdsParams, n: int, radii: np.random.Generator,
-                angles: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and DOA angles of the next n scatterers around the mobile, with
-    the radii drawn from one stream and the angles from the other."""
+                angles: np.random.Generator) -> np.ndarray:
+    """DOA angles of the next n scatterers around the mobile, with their
+    radii drawn from one stream and their angles from the other."""
     r = np.arctanh(radii.uniform(0.0, 1.0, size=n)
                    * np.tanh(params.a * params.radius_m)) / params.a
     theta = angles.uniform(0.0, 2.0 * np.pi, size=n)
     # base station at origin, mobile at (D, 0); scatterer offset from mobile
-    return r, np.arctan2(r * np.sin(theta), params.bs_distance_m + r * np.cos(theta))
+    return np.arctan2(r * np.sin(theta), params.bs_distance_m + r * np.cos(theta))
 
 
 def gbhds_doa_histogram(
@@ -218,7 +218,7 @@ def gbhds_doa_histogram(
     draws them, over the increasing bin edges ``edges``: the mass per bin."""
     counts = np.zeros(edges.size - 1, dtype=np.intp)
     for start in range(0, count, _DOA_BLOCK):
-        _, doa = gbhds_block(params, min(_DOA_BLOCK, count - start), radii, angles)
+        doa = gbhds_block(params, min(_DOA_BLOCK, count - start), radii, angles)
         # binned against the edge array, which sorts the block: the bins of
         # the range form (edges[i] <= x < edges[i + 1], the last one closed)
         # in about half its time
@@ -226,9 +226,8 @@ def gbhds_doa_histogram(
     return counts / count
 
 
-def apply_channel(
-    signal: np.ndarray, taps: np.ndarray, samples_per_symbol: int = 1
-) -> np.ndarray:
+def apply_channel(signal: np.ndarray, taps: np.ndarray,
+                  samples_per_symbol: int) -> np.ndarray:
     """Convolve a symbol stream, upsampled by zero insertion, with the taps."""
     up = np.zeros(signal.size * samples_per_symbol, dtype=complex)
     up[::samples_per_symbol] = signal

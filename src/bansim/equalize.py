@@ -69,21 +69,21 @@ def _solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray, ridge: float):
 
 
 def estimate_correlations(
-    received: np.ndarray, training: np.ndarray, n_w: int, ns: int = 1
+    received: np.ndarray, training: np.ndarray, n_w: int, ns: int
 ):
     return _correlations(_training_regressors(received, training.size, ns, n_w),
                          training)
 
 
 def wiener_solve(gamma_rr: np.ndarray, gamma_ar: np.ndarray,
-                 ridge: float = 0.0) -> np.ndarray:
+                 ridge: float) -> np.ndarray:
     """Wiener taps w = gamma_ar @ inv(Gamma_rr), ridge-regularized."""
     return _solve(gamma_rr, gamma_ar, ridge)
 
 
 def linear_mud_detect(
     received: np.ndarray, taps: np.ndarray, scheme: ModulationScheme,
-    num_symbols: int, ns: int = 1,
+    num_symbols: int, ns: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(soft outputs, hard decisions) of the tap vector on each symbol."""
     soft = _training_regressors(received, num_symbols, ns, taps.size) @ taps
@@ -92,7 +92,7 @@ def linear_mud_detect(
 
 def dfe_train(
     received: np.ndarray, training: np.ndarray, nf: int, nb: int,
-    ridge: float = 0.0, ns: int = 1,
+    ridge: float, ns: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint Wiener solve for nf feedforward and nb feedback taps; returns
     (w_ff, w_fb)."""
@@ -106,7 +106,7 @@ def dfe_train(
 
 def dfe_detect(
     received: np.ndarray, w_ff: np.ndarray, w_fb: np.ndarray,
-    history: np.ndarray, scheme: ModulationScheme, num_symbols: int, ns: int = 1,
+    history: np.ndarray, scheme: ModulationScheme, num_symbols: int, ns: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(soft outputs, hard decisions); ``history`` holds the last w_fb.size
     decisions before the first symbol, newest first."""
@@ -190,8 +190,7 @@ def agc(received: np.ndarray) -> np.ndarray:
 
 def run_blind(
     received: np.ndarray, nf: int, mu: float, r2: float, variant: str,
-    iterations: int, truth: np.ndarray, rng: np.random.Generator,
-    stride: int = 1,
+    iterations: int, truth: np.ndarray, rng: np.random.Generator, stride: int,
 ) -> tuple[np.ndarray, int]:
     """Adapt nf centre-spike taps (nf odd), step size mu >= 0, dispersion
     constant r2, on the stream scaled to unit power (``agc``); score each
@@ -200,9 +199,8 @@ def run_blind(
     them: the delay in -nf..nf and the rotation in 1, 1j, -1, -1j that
     minimize the MSE over the settled (second) half of the aligned output,
     the first in delay-then-rotation order winning a tie.  The "DSE_CMA"
-    variant dithers at amplitude r2, drawn from ``rng``; "CMA" draws none."""
-    if variant not in ("CMA", "DSE_CMA"):
-        raise ValueError(f"variant must be CMA or DSE_CMA, got {variant!r}")
+    variant dithers at amplitude r2, drawn from ``rng``; "CMA" draws none.
+    The runner checks ``variant`` and sizes ``received`` for ``iterations``."""
     received = agc(received)
     taps = np.zeros(nf, dtype=complex)
     taps[nf // 2] = 1.0

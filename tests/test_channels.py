@@ -271,8 +271,10 @@ def test_path_loss_anchor_and_log_distance():
 
 def test_gbhds_sampler_range_and_doa_bound():
     p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
-    r, doa = channels.gbhds_block(p, 10_000,
-                                  *channel_reference.gbhds_streams(10_000, 17))
+    doa = channels.gbhds_block(p, 10_000, *channel_reference.gbhds_streams(10_000, 17))
+    # the model's angles are the reference's, drawn from these radii
+    r = channel_reference.sample_gbhds(p, 10_000, 17)[:, 0]
+    assert doa.tobytes() == channel_reference.gbhds_doa(p, 10_000, 17).tobytes()
     assert np.all((r >= 0) & (r <= p.radius_m))
     assert np.max(np.abs(doa)) <= np.arcsin(p.radius_m / p.bs_distance_m) + 1e-12
 
@@ -349,11 +351,11 @@ def test_gbhds_doa_histogram_memory_is_flat_in_count():
 
 def test_apply_channel_basics():
     x = np.array([1.0, 2.0, 3.0], dtype=complex)
-    assert np.allclose(channels.apply_channel(x, np.array([1.0 + 0j])), x)
-    assert np.allclose(channels.apply_channel(x, np.array([0j, 1.0])), [0, 1, 2, 3])
+    assert np.allclose(channels.apply_channel(x, np.array([1.0 + 0j]), 1), x)
+    assert np.allclose(channels.apply_channel(x, np.array([0j, 1.0]), 1), [0, 1, 2, 3])
     assert np.allclose(
         channels.apply_channel(np.array([1.0, 1.0], complex),
-                               np.array([1.0, 0.5], complex)),
+                               np.array([1.0, 0.5], complex), 1),
         [1.0, 1.5, 0.5]
     )
     # two samples per symbol: zeros between the symbols

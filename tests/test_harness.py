@@ -274,6 +274,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["ber_sweep", "--config", str(missing)]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert readme.form("bansim: cannot read config").fullmatch(line)
+    # read as UTF-8, whatever the locale
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"[common]\nseed = 1\n\xff\xfe\n")
+    assert cli.main(["ber_sweep", "--config", str(not_utf8), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert readme.form("bansim: cannot read config").fullmatch(line)
+    assert "can't decode byte 0xff" in line
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("[common]\nno_seed = 1\n")
@@ -347,9 +354,9 @@ def test_bad_ban_section_is_config_error():
 
 
 def test_broadcast_requires_topology():
-    cfg = parse_config("[common]\nseed = 5\n", "broadcast_sim")
-    with pytest.raises(ConfigError, match="^broadcast_sim: topology must name a file$"):
-        run_experiment(cfg)
+    with pytest.raises(ConfigError, match=r"^config must set `topology` in the "
+                                          r"\[broadcast_sim\] section$"):
+        parse_config("[common]\nseed = 5\n", "broadcast_sim")
 
 
 def test_la_sim_length_mismatch():
@@ -539,6 +546,9 @@ MALFORMED = [
      "node 99 is not in [tree]"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {self_loop_topology}",
      "topology line 4"),
+    # a topology file is read as UTF-8, whatever the locale
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {not_utf8_topology}",
+     "broadcast_sim: 'utf-8' codec can't decode byte 0xff"),
     # block addresses past 64 bits, whose Cskip power would take minutes
     ("broadcast_sim", "[broadcast_sim]\ntopology = {deep_topology}",
      "n_chl 4 and d_l 100000000000"),
@@ -623,11 +633,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
                              "[tree]\n0 1\n1 2\n")
     shallow_topology = tmp_path / "shallow_topology.txt"
     shallow_topology.write_text("[params]\nd_l = -1\n[tree]\n0 1\n")
+    not_utf8_topology = tmp_path / "not_utf8_topology.txt"
+    not_utf8_topology.write_bytes(b"[tree]\n0 1\n\xff\n")
     body = body.format(example=ROOT / "configs" / "topology_example.txt",
                        bad_topology=bad_topology, cycle_topology=cycle_topology,
                        foreign_topology=foreign_topology,
                        self_loop_topology=self_loop_topology,
-                       deep_topology=deep_topology, shallow_topology=shallow_topology)
+                       deep_topology=deep_topology, shallow_topology=shallow_topology,
+                       not_utf8_topology=not_utf8_topology)
     # a body of command-line flags overrides a valid config
     flags = body.split() if body.startswith("--") else []
     cfg = tmp_path / "bad.cfg"

@@ -361,14 +361,19 @@ def test_dse_cma_divergence_matches_reference():
     assert bad >= 0
 
 
-def test_blind_kernels_reject_short_streams():
-    # 10 steps of stride 2 need 23 samples; nothing diverges before the end
+def test_blind_kernels_read_zeros_past_the_stream():
+    # 10 steps of stride 2 need 23 samples: a 20-sample stream runs as if
+    # padded with three zeros
     received = random_signal(20, 0)
-    with pytest.raises(ValueError):
-        _kernels.cma_run(received, center_spike(5), 1e-3, 1.32, 10, 2)
-    with pytest.raises(ValueError):
-        _kernels.dse_cma_run(received, center_spike(5), 1e-3, 1.32,
-                             np.full(20, 0.25), 10, 2)
+    padded = np.concatenate([received, np.zeros(3, dtype=complex)])
+    dither = np.random.default_rng(1).uniform(0.0, 1.0, 20)
+    for run in (lambda r: _kernels.cma_run(r, center_spike(5), 1e-3, 1.32, 10, 2),
+                lambda r: _kernels.dse_cma_run(r, center_spike(5), 1e-3, 1.32,
+                                               dither, 10, 2)):
+        (y, taps, bad), (y_pad, taps_pad, bad_pad) = run(received), run(padded)
+        assert (y.size, bad, bad_pad) == (10, -1, -1)
+        assert y.tobytes() == y_pad.tobytes()
+        assert taps.tobytes() == taps_pad.tobytes()
 
 
 @pytest.mark.parametrize("count, stride, width, size", [

@@ -172,6 +172,9 @@ def test_slicing_near_midpoints_is_exact(scheme):
     grid = near_midpoint_grid(scheme.constellation)
     got = sigproc.nearest_labels(grid, scheme)
     assert got.tolist() == [exact_label(x, scheme.constellation) for x in grid]
+    # the DFE's scalar cell is the vector one, ties included
+    cells = scheme.slicer.cells(grid.real, grid.imag).tolist()
+    assert [scheme.slicer.cell(x) for x in grid.tolist()] == cells
     dists = np.sort(np.abs(grid[:, None] - scheme.constellation[None, :]), axis=1)
     clear = dists[:, 1] > dists[:, 0] * (1 + 1e-12)
     ref = argmin_labels(grid, scheme.constellation)
@@ -185,6 +188,8 @@ def test_slicing_is_exact_where_midpoints_round(points):
     grid = near_midpoint_grid(points)
     got = sigproc.nearest_labels(grid, scheme)
     assert got.tolist() == [exact_label(x, points) for x in grid]
+    cells = scheme.slicer.cells(grid.real, grid.imag).tolist()
+    assert [scheme.slicer.cell(x) for x in grid.tolist()] == cells
 
 
 @pytest.mark.parametrize("probe", [complex(np.nan, 0.0), complex(np.nan, 0.5),
@@ -242,7 +247,7 @@ def test_slicing_leaves_numpy_ma_and_decimal_unimported():
             sigproc.slice_symbols(scheme.constellation, scheme)
         _, decided = equalize.dfe_detect(
             sigproc.QAM16.constellation, np.array([1.0 + 0j]), np.array([0.1 + 0j]),
-            np.zeros(1, dtype=complex), sigproc.QAM16, 16)
+            np.zeros(1, dtype=complex), sigproc.QAM16, 16, 1)
         assert decided.size == 16
         print([name for name in ("numpy.ma", "decimal") if name in sys.modules])
     """)

@@ -2,7 +2,10 @@
 
 Every public top-level name of a ``bansim`` module must be read somewhere in
 the code under ``src/`` or ``perfbench/``; a name only the tests call
-belongs in the tests.  Every field of a ``bansim`` dataclass must be read as
+belongs in the tests.  Every default of a public top-level function must be
+left to it by at least one call in the same program code: a default that
+every program call overrides is one only the tests read.  Every field of a
+``bansim`` dataclass must be read as
 an attribute by the same program code, outside ``__post_init__``: a field
 that only its own check or the tests read is state the program does not need.
 A dataclass whose fields ``SCHEMAS`` reads as config keys defines no
@@ -256,23 +259,75 @@ def test_asarray_only_at_the_config_boundary():
 
 
 
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter of ``fn`` that has a default; a
+    keyword-only parameter has no position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def _omits(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call surely leaves a parameter to its default: no
+    ``*args`` or ``**kwargs``, no argument at its position and no keyword
+    of its name."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (None, name) for kw in call.keywords)):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def test_default_scan_sees_every_form():
+    fn = ast.parse("def f(a, b=1, /, c=2, *d, e, g=3, **h): pass").body[0]
+    assert _defaulted(fn) == [("b", 1), ("c", 2), ("g", None)]
+    calls = {code: ast.parse(code).body[0].value
+             for code in ("f(0)", "f(0, 1)", "f(0, c=2)", "f(*x)", "f(0, **k)",
+                          "f(0, 1, 2, g=3)")}
+    assert [code for code, call in calls.items() if _omits(call, "c", 2)] == [
+        "f(0)", "f(0, 1)"]
+    assert [code for code, call in calls.items() if _omits(call, "g", None)] == [
+        "f(0)", "f(0, 1)", "f(0, c=2)"]
+
+
+def test_every_default_is_left_to_it_by_a_program_call():
+    # a default that every program call overrides is a second source for the
+    # argument, and only the tests read it
+    defaults = {(_module(path), node.name, name): position
+                for path in sorted(PACKAGE.rglob("*.py"))
+                for node in ast.parse(path.read_text(), str(path)).body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                for name, position in _defaulted(node)}
+    program = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    calls = [node for path in program
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)]
+    assert ("harness.cli", "main", "argv") in defaults  # the scan sees them
+    unused = sorted(f"{mod}.{fn}({name})" for (mod, fn, name), position in defaults.items()
+                    if not any(_callee(call) == fn and _omits(call, name, position)
+                               for call in calls))
+    assert unused == [], f"defaults no program call leaves to them: {unused}"
+
+
 # the calls that build a seed object or a generator from a seed, and the ones
 # that also build a bit generator or a Generator around it
 SEED_OBJECTS = ("default_rng", "spawn", "SeedSequence")
 STREAM_CALLS = (*SEED_OBJECTS, "PCG64", "Generator")
 
 
+def _callee(node: ast.Call) -> str | None:
+    """``name`` of a call ``<name>(...)`` or ``<x>.<name>(...)``."""
+    callee = node.func
+    return (callee.attr if isinstance(callee, ast.Attribute) else
+            callee.id if isinstance(callee, ast.Name) else None)
+
+
 def _calls(tree: ast.AST, names: tuple[str, ...]) -> list[int]:
     """Lines of the calls ``<name>(...)`` and ``<x>.<name>(...)``."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = (callee.attr if isinstance(callee, ast.Attribute) else
-                    callee.id if isinstance(callee, ast.Name) else None)
-            if name in names:
-                lines.append(node.lineno)
-    return sorted(lines)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _callee(node) in names)
 
 
 def _seeding_imports(tree: ast.AST) -> list[int]:
@@ -376,12 +431,8 @@ def _config_error_sites(tree: ast.AST) -> list[tuple[str, int]]:
     for top in tree.body:
         scope = top.name if isinstance(top, ast.FunctionDef) else "<module>"
         for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                callee = node.func
-                name = (callee.attr if isinstance(callee, ast.Attribute) else
-                        callee.id if isinstance(callee, ast.Name) else None)
-                if name == "ConfigError":
-                    sites.append((scope, node.lineno))
+            if isinstance(node, ast.Call) and _callee(node) == "ConfigError":
+                sites.append((scope, node.lineno))
     return sites
 
 
