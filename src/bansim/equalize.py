@@ -200,7 +200,7 @@ def run_blind(
     minimize the MSE over the settled (second) half of the aligned output,
     the first in delay-then-rotation order winning a tie.  The "DSE_CMA"
     variant dithers at amplitude r2, drawn from ``rng``; "CMA" draws none.
-    The runner checks ``variant`` and sizes ``received`` for ``iterations``."""
+    The schema checks ``variant``; the runner sizes ``received`` for ``iterations``."""
     received = agc(received)
     taps = np.zeros(nf, dtype=complex)
     taps[nf // 2] = 1.0

@@ -1,7 +1,7 @@
 """Command line entry point: ``bansim <experiment> --config FILE``.
 
-Exit codes: 0 success, 2 configuration error or unusable output directory,
-3 numerical divergence.
+Exit codes: 0 success, 2 usage or configuration error or unusable output
+directory, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"bansim: cannot read config: {exc}", file=sys.stderr)

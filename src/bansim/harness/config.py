@@ -2,12 +2,13 @@
 
 Each experiment reads a fixed set of sections and keys, listed with their
 kinds and defaults in ``SCHEMAS``.  A key's kind is the one place that says
-which values the key may take; a rule that reads two keys is the runner's,
-and the models check only what they compute.  ``parse_config`` types every
-value, fills in the defaults, requires each key whose default is None and
-rejects unknown sections or keys, a key set twice, several values for a
-one-value key and text its kind rejects.  The raw file bytes are hashed so
-every result table can name the exact config that produced it.
+which values the key may take, a name choice such as ``scheme`` included; a
+rule that reads two keys is the runner's, and the models check only what
+they compute.  ``parse_config`` types every value, fills in the defaults,
+requires each key whose default is None and rejects unknown sections or
+keys, a key set twice, several values for a one-value key and text its kind
+rejects.  The raw file bytes are hashed so every result table can name the
+exact config that produced it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .. import channels, linkadapt
+from .. import channels, linkadapt, sigproc
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,9 @@ POSITIVE_INT = Kind(int, "an integer of at least 1", lambda v: v >= 1)
 NONNEGATIVE_INT = Kind(int, "an integer of at least 0", lambda v: v >= 0)
 POSITIVE = Kind(float, "a finite number above 0", lambda v: v > 0)
 NONNEGATIVE = Kind(float, "a finite number of at least 0", lambda v: v >= 0)
+# a scheme name in any case, read upper-cased
+SCHEME = Kind(str.upper, "one of " + ", ".join(sigproc.SCHEMES),
+              sigproc.SCHEMES.__contains__)
 
 
 def _fields(cls, **kinds) -> dict:
@@ -60,13 +64,15 @@ def _fields(cls, **kinds) -> dict:
 COMMON = {"seed": (NONNEGATIVE_INT, None), "out": (str, ".")}
 SCHEMAS = {
     "ber_sweep": {"ber_sweep": {
-        "scheme": (str, "QAM16"),
+        "scheme": (SCHEME, "QAM16"),
         "ebn0_db": ([float], [0.0, 5.0, 10.0, 15.0]),
         "max_bits": (POSITIVE_INT, 10**6), "min_errors": (POSITIVE_INT, 100),
     }},
     "channel_stats": {
-        "channel_stats": {"model": (str, "outdoor_ban"), "draws": (POSITIVE_INT, 1000),
-                          "num_clusters": (POSITIVE_INT, 3)},
+        "channel_stats": {
+            "model": (Kind(str, "outdoor_ban or indoor_ban",
+                           ("outdoor_ban", "indoor_ban").__contains__), "outdoor_ban"),
+            "draws": (POSITIVE_INT, 1000), "num_clusters": (POSITIVE_INT, 3)},
         # the generators would read a negative decay or spread as none
         "ban": _fields(channels.BanModelParams, delta_ns=POSITIVE,
                        num_bins_per_cluster=POSITIVE_INT,
@@ -81,9 +87,9 @@ SCHEMAS = {
         "count": (POSITIVE_INT, 100_000), "bins": (POSITIVE_INT, 61),
     }},
     "cma_convergence": {"cma_convergence": {
-        "scheme": (str, "QAM16"),
-        "mu": (NONNEGATIVE, lambda sec: 0.0006 if sec["scheme"].upper() == "QAM8"
-               else 0.0003),
+        "scheme": (Kind(str.upper, "QAM8 or QAM16", ("QAM8", "QAM16").__contains__),
+                   "QAM16"),
+        "mu": (NONNEGATIVE, lambda sec: 0.0006 if sec["scheme"] == "QAM8" else 0.0003),
         "channel": ([float], [0.227, 0.460, 0.688, 0.460, 0.227]),
         # fractionally spaced by default: the reference 5-tap channel has a
         # deep spectral null at symbol spacing, so symbol-spaced CMA cannot open it
@@ -92,10 +98,10 @@ SCHEMAS = {
         "nf": (Kind(int, "an odd integer of at least 1", lambda v: v >= 1 and v % 2 == 1),
                13),
         "iterations": (POSITIVE_INT, 20_000), "window": (POSITIVE_INT, 500),
-        "variant": (str, "CMA"),
+        "variant": (Kind(str, "CMA or DSE_CMA", ("CMA", "DSE_CMA").__contains__), "CMA"),
     }},
     "mud_compare": {"mud_compare": {
-        "scheme": (str, "OQPSK"), "ebn0_db": (float, 15.0),
+        "scheme": (SCHEME, "OQPSK"), "ebn0_db": (float, 15.0),
         "symbols": (POSITIVE_INT, 100_000), "training": (POSITIVE_INT, 2_000),
         "ns": (POSITIVE_INT, 2),
         "template1": ([float], [1.0, 0.5, 0.3]),
@@ -157,9 +163,6 @@ def parse_value(kind, text: str, where: str):
 
 
 def parse_config(text: str, experiment: str) -> ScenarioConfig:
-    if experiment not in SCHEMAS:
-        raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"choose one of {EXPERIMENTS}")
     schema = {"common": COMMON, **SCHEMAS[experiment]}
     sections: dict[str, dict] = {name: {} for name in schema}
     current = "common"

@@ -152,13 +152,6 @@ QAM16 = ModulationScheme("QAM16", _gray_grid(2, 2, "real", math.sqrt(10.0)))
 SCHEMES = {s.kind: s for s in (BPSK, OQPSK, QAM8, QAM16)}
 
 
-def get_scheme(name: str) -> ModulationScheme:
-    try:
-        return SCHEMES[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown modulation scheme {name!r}") from None
-
-
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     """Symbols of a bit array whose length is a multiple of bits_per_symbol."""
     groups = bits.reshape(-1, scheme.bits_per_symbol)

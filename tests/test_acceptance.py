@@ -231,7 +231,7 @@ def test_criterion_05_doa_masses_match_quadrature():
 
 
 def _blind_run(scheme_name: str, mu: float, seed: int):
-    scheme = sigproc.get_scheme(scheme_name)
+    scheme = sigproc.SCHEMES[scheme_name]
     stride, nf, iterations, window = 3, 13, 20_000, 500
     rng = np.random.default_rng(seed)
     n_sym = iterations + nf + 32

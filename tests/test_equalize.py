@@ -265,7 +265,7 @@ def test_dse_step_requires_dither():
 
 
 def test_run_blind_identity_channel_fast_convergence():
-    scheme = sigproc.get_scheme("QAM8")
+    scheme = sigproc.QAM8
     sym = sigproc.modulate(random_bits(3 * 2100, 19), scheme)
     r2 = equalize.dispersion_constant(scheme)
     trace, _ = equalize.run_blind(sym, 11, 0.0006, r2, "CMA", 2000, truth=sym,
@@ -274,7 +274,7 @@ def test_run_blind_identity_channel_fast_convergence():
 
 
 def test_run_blind_divergence_raises_with_step():
-    scheme = sigproc.get_scheme("QAM16")
+    scheme = sigproc.QAM16
     sym = sigproc.modulate(random_bits(4 * 3000, 20), scheme)
     rx = channels.apply_channel(sym, REF_CHANNEL.astype(complex), 3)
     with pytest.raises(equalize.DivergenceError,
@@ -285,7 +285,7 @@ def test_run_blind_divergence_raises_with_step():
 
 
 def test_run_blind_dse_variant_converges_on_identity():
-    scheme = sigproc.get_scheme("QAM8")
+    scheme = sigproc.QAM8
     sym = sigproc.modulate(random_bits(3 * 5100, 22), scheme)
     r2 = equalize.dispersion_constant(scheme)
     trace, _ = equalize.run_blind(sym, 11, 0.0006, r2, "DSE_CMA", 5000,

@@ -33,8 +33,6 @@ def test_parse_config_sections_and_lists():
 
 
 def test_parse_config_errors():
-    with pytest.raises(ConfigError, match="'not_an_experiment'"):
-        parse_config("[common]\nseed = 1\n", "not_an_experiment")
     with pytest.raises(ConfigError, match="must set `seed`"):
         parse_config("[common]\nout = x\n", "ber_sweep")
     with pytest.raises(ConfigError, match="'broken line'"):
@@ -206,6 +204,36 @@ def test_small_ber_sweep_structure():
     assert bers[0] > bers[1] > 0
 
 
+@pytest.mark.parametrize("experiment,body", [
+    ("ber_sweep", "ebn0_db = 0, 5\nmax_bits = 4000"),
+    # the mu default reads the upper-cased name: 0.0006 for QAM8
+    ("cma_convergence", "iterations = 200\nwindow = 50"),
+    ("mud_compare", "symbols = 1000"),
+])
+def test_scheme_names_read_in_any_case(experiment, body):
+    def data_rows(scheme):
+        cfg = parse_config(f"[common]\nseed = 1\n[{experiment}]\nscheme = {scheme}\n"
+                           f"{body}\n", experiment)
+        assert cfg.section(experiment)["scheme"] == "QAM8"
+        return [[line for line in table.to_csv().splitlines()
+                 if not line.startswith("#")] for _, table, _ in run_experiment(cfg)]
+
+    assert data_rows("qam8") == data_rows("QAM8")
+
+
+def test_only_paths_take_bare_text():
+    # a name choice is a kind that lists its names, so the parser rejects a
+    # bad one on its line; a key of bare text is a file path
+    bare = {f"[{section}] {key}"
+            for sections in SCHEMAS.values()
+            for section, keys in {"common": COMMON, **sections}.items()
+            for key, (kind, _) in keys.items() if kind is str}
+    paths = {"[common] out", "[broadcast_sim] topology"}
+    assert paths <= bare  # the walk sees the paths
+    names = sorted(bare - paths)
+    assert names == [], f"keys of bare text that are not paths: {names}"
+
+
 def test_ber_sweep_stops_short_of_a_partial_symbol(tmp_path):
     # max_bits 5 on QAM16: each point runs one 4-bit symbol, and the bit
     # left over, less than a symbol, ends it
@@ -299,6 +327,38 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert readme.form("bansim: blind equalizer").fullmatch(line)
 
 
+@pytest.mark.parametrize("argv", [["bogus", "--config", "configs/ber_sweep.cfg"],
+                                  ["ber_sweep"]], ids=["unknown_experiment", "no_config"])
+def test_cli_usage_errors_exit_2(tmp_path, capsys, argv):
+    # argparse is the one home of the experiment name and the flags
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert readme.form("bansim: error: ").fullmatch(line)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("marked", ["config", "topology"])
+def test_byte_order_mark_is_read_as_utf8(tmp_path, marked):
+    # a UTF-8 file may start with a byte-order mark: the run writes the bytes
+    # of the same file without it, config_hash included
+    topology = (ROOT / "configs" / "topology_example.txt").read_bytes()
+    config = (f"[common]\nseed = 1\n[broadcast_sim]\n"
+              f"topology = {tmp_path / 'topology.txt'}\ntrials = 5\n").encode()
+    outputs = []
+    for bom in (b"", "\ufeff".encode()):
+        (tmp_path / "topology.txt").write_bytes(
+            (bom if marked == "topology" else b"") + topology)
+        (tmp_path / "run.cfg").write_bytes((bom if marked == "config" else b"") + config)
+        out = tmp_path / f"out{len(outputs)}"
+        assert cli.main(["broadcast_sim", "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(out)]) == 0
+        outputs.append((out / "broadcast_compare.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("case", ["out_is_file", "out_under_file", "csv_is_dir"])
 def test_cli_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, case):
     cfg = tmp_path / "la.cfg"
@@ -377,7 +437,8 @@ def test_float_format_stability():
 # one malformed setting per probe, each under `[common] seed = 1`; the last
 # field is what the one-line message must name
 MALFORMED = [
-    ("ber_sweep", "[ber_sweep]\nscheme = QAM64", "scheme 'QAM64'"),
+    ("ber_sweep", "[ber_sweep]\nscheme = QAM64",
+     "line 4: [ber_sweep] scheme must be one of BPSK, OQPSK, QAM8, QAM16, got 'QAM64'"),
     ("ber_sweep", "[ber_sweep]\nebn0_db = nan", "ebn0_db"),
     ("ber_sweep", "[ber_sweep]\nmax_bits = 1000, 2000", "max_bits"),
     ("ber_sweep", "[ber_sweep]\nmax_bits = 1.5e3", "max_bits"),
@@ -388,12 +449,14 @@ MALFORMED = [
      "line 4: [cma_convergence] mu must be a finite number of at least 0, got "
      "'-0.0003'"),
     ("cma_convergence", "[cma_convergence]\nvariant = NOPE",
-     "cma_convergence: variant must be CMA or DSE_CMA, got 'NOPE'"),
-    # the runner names a bad variant before it draws or allocates anything
+     "line 4: [cma_convergence] variant must be CMA or DSE_CMA, got 'NOPE'"),
+    # a bad name fails as its line is parsed, before anything is drawn or
+    # allocated; a variant name is read as written, in its case
     ("cma_convergence",
      "[cma_convergence]\niterations = 1000000000000000\nvariant = cma",
-     "cma_convergence: variant must be CMA or DSE_CMA, got 'cma'"),
-    ("cma_convergence", "[cma_convergence]\nscheme = BPSK", "QAM8 or QAM16"),
+     "line 5: [cma_convergence] variant must be CMA or DSE_CMA, got 'cma'"),
+    ("cma_convergence", "[cma_convergence]\nscheme = BPSK",
+     "line 4: [cma_convergence] scheme must be QAM8 or QAM16, got 'BPSK'"),
     ("doa_hist", "[doa_hist]\nbins = 0",
      "line 4: [doa_hist] bins must be an integer of at least 1, got '0'"),
     ("doa_hist", "[doa_hist]\ncount = 0",
@@ -405,7 +468,8 @@ MALFORMED = [
     ("channel_stats", "[channel_stats]\nmodel = indoor_ban\nnum_clusters = 0",
      "line 5: [channel_stats] num_clusters must be an integer of at least 1, got '0'"),
     ("channel_stats", "[ban]\ndelta_ns = 3, 4", "delta_ns"),
-    ("channel_stats", "[channel_stats]\nmodel = rayleigh", "'rayleigh'"),
+    ("channel_stats", "[channel_stats]\nmodel = rayleigh",
+     "line 4: [channel_stats] model must be outdoor_ban or indoor_ban, got 'rayleigh'"),
     # a ground delay that rounds to bin 0 would merge the two outdoor clusters
     ("channel_stats", "[ban]\ndelta_ns = 20", "tau_ground_ns"),
     # taps longer than numpy can allocate, named before any allocation: past
@@ -491,6 +555,8 @@ MALFORMED = [
      "cma_convergence: allocation too large for memory"),
     ("channel_stats", "[channel_stats]\ndraws = 1000000000000000",
      "channel_stats: allocation too large for memory"),
+    ("mud_compare", "[mud_compare]\nscheme = 8PSK",
+     "line 4: [mud_compare] scheme must be one of BPSK, OQPSK, QAM8, QAM16, got '8PSK'"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0", "template1"),
     ("mud_compare", "[mud_compare]\ntemplate1 = 0, 0", "template1"),
     # a nonzero template whose energy underflows is not a zero template
