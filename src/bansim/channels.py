@@ -41,7 +41,7 @@ class PathLossParams:
     a0_db: float = 35.2
     d0_m: float = 0.1
     exponent: float = 3.11
-    sigma_db: float = 6.1
+    sigma_db: float = 0.0  # no shadowing unless asked for
 
 
 @dataclass

@@ -1,14 +1,16 @@
 """Flat key-value scenario configs with `[section]` headers.
 
-Each experiment reads a fixed set of sections and keys, listed with their
-kinds and defaults in ``SCHEMAS``.  A key's kind is the one place that says
-which values the key may take, a name choice such as ``scheme`` included; a
-rule that reads two keys is the runner's, and the models check only what
-they compute.  ``parse_config`` types every value, fills in the defaults,
-requires each key whose default is None and rejects unknown sections or
-keys, a key set twice, several values for a one-value key and text its kind
-rejects.  The raw file bytes are hashed so every result table can name the
-exact config that produced it.
+A comment is a whole line whose first non-blank character is ``#``; anywhere
+else ``#`` is text, so a path may hold one, and a note after a value is part
+of the value, which its kind then rejects.  Each experiment reads a fixed set
+of sections and keys, listed with their kinds and defaults in ``SCHEMAS``.  A
+key's kind is the one place that says which values the key may take, a name
+choice such as ``scheme`` included; a rule that reads two keys is the
+runner's, and the models check only what they compute.  ``parse_config``
+types every value, fills in the defaults, requires each key whose default is
+None and rejects unknown sections or keys, a key set twice, several values
+for a one-value key and text its kind rejects.  The raw file bytes are
+hashed so every result table can name the exact config that produced it.
 """
 
 from __future__ import annotations
@@ -113,9 +115,8 @@ SCHEMAS = {
         "rounds": (POSITIVE_INT, 50),
         "distance_m": ([POSITIVE], [1.0, 3.0]),
         "tx_power_dbm": ([float], lambda sec: [0.0] * len(sec["distance_m"])),
-        **_fields(channels.PathLossParams, d0_m=POSITIVE, exponent=POSITIVE),
-        # la_sim draws no shadowing unless asked to
-        "sigma_db": (NONNEGATIVE, 0.0),
+        **_fields(channels.PathLossParams, d0_m=POSITIVE, exponent=POSITIVE,
+                  sigma_db=NONNEGATIVE),
         **_fields(linkadapt.LaThresholds,
                   th_pf=Kind(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)),
         "window": (POSITIVE_INT, 16),
@@ -168,8 +169,8 @@ def parse_config(text: str, experiment: str) -> ScenarioConfig:
     current = "common"
     set_on: dict[tuple[str, str], int] = {}  # (section, key) -> line
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()

@@ -18,7 +18,7 @@ _COLOR = "#1f77b4"
 class PlotSpec:
     x: str
     y: str
-    title: str = ""
+    title: str
     log_y: bool = False
     markers: bool = False
 
@@ -26,6 +26,12 @@ class PlotSpec:
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
+
+
+def _text(x, y, anchor: str, size: int, body: str, fill: str = "") -> str:
+    fill = f' fill="{fill}"' if fill else ""
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{fill}>{body}</text>')
 
 
 def _m4(col: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,22 +111,13 @@ def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
         f'height="{_HEIGHT - 2 * _MARGIN}" fill="none" stroke="#333"/>',
     ]
     if spec.title:
-        parts.append(
-            f'<text x="{_WIDTH // 2}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{spec.title}</text>'
-        )
+        parts.append(_text(_WIDTH // 2, 28, "middle", 15, spec.title))
     for tx in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<text x="{px(tx):.2f}" y="{_HEIGHT - _MARGIN + 18}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{tx:.4g}</text>"
-        )
+        parts.append(_text(f"{px(tx):.2f}", _HEIGHT - _MARGIN + 18, "middle", 11,
+                           f"{tx:.4g}"))
     for ty in _ticks(y_lo, y_hi):
         label = f"1e{ty:.2f}" if spec.log_y else f"{ty:.4g}"
-        parts.append(
-            f'<text x="{_MARGIN - 6}" y="{py(ty):.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts.append(_text(_MARGIN - 6, f"{py(ty):.2f}", "end", 11, label))
     with np.errstate(all="ignore"):
         xs, ys = px(x).tolist(), py(y).tolist()
     pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
@@ -131,10 +128,6 @@ def emit_svg(table: ResultTable, spec: PlotSpec) -> str:
     if spec.markers:
         circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{_COLOR}"/>'
         parts.extend(map(circle.__mod__, zip(xs, ys)))
-    parts.append(
-        f'<text x="{_WIDTH - _MARGIN - 4}" y="{_MARGIN + 16}" '
-        f'text-anchor="end" font-family="sans-serif" font-size="11" '
-        f'fill="{_COLOR}">{spec.y}</text>'
-    )
+    parts.append(_text(_WIDTH - _MARGIN - 4, _MARGIN + 16, "end", 11, spec.y, _COLOR))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

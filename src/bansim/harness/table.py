@@ -16,8 +16,8 @@ class ResultTable:
     """Named columns of equal length, each all float, all int or all str."""
 
     columns: dict[str, list]
-    seed: int = 0
-    config_hash: str = ""
+    seed: int
+    config_hash: str
     _row_format: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -92,7 +92,7 @@ def edited_trace(n, edit):
 @pytest.mark.parametrize("log_y", [False, True])
 def test_decimation_conditions_match_reference(n, edit, decimated, log_y):
     table = edited_trace(n, edit)
-    spec = PlotSpec("iteration", "mse", log_y=log_y, markers=True)
+    spec = PlotSpec("iteration", "mse", title="", log_y=log_y, markers=True)
     rows = kept_rows_reference(table, spec)
     assert (len(rows) < n) == decimated
     assert_svg_matches(table, spec, rows)
@@ -212,7 +212,7 @@ def test_ragged_rows_raise(ragged):
 def test_special_values_plot_like_reference(ys, log_y):
     # x holds ints, which float() reads
     table = table_of(x=[0, 2, 1], y=ys)
-    spec = PlotSpec("x", "y", log_y=log_y, markers=True)
+    spec = PlotSpec("x", "y", title="", log_y=log_y, markers=True)
     try:
         want = emit_svg_reference(table, spec)
     except ValueError as exc:
@@ -228,7 +228,7 @@ def test_special_values_plot_like_reference(ys, log_y):
 def test_flat_axes_plot_like_reference(columns):
     table = table_of(**columns)
     for log_y in (False, True):
-        spec = PlotSpec("x", "y", log_y=log_y, markers=True)
+        spec = PlotSpec("x", "y", title="", log_y=log_y, markers=True)
         assert emit_svg(table, spec) == emit_svg_reference(table, spec)
 
 
@@ -237,4 +237,4 @@ def test_empty_table_plot_raises_like_reference():
     for log_y in (False, True):
         for emit in (emit_svg, emit_svg_reference):
             with pytest.raises(ValueError, match="empty table"):
-                emit(table, PlotSpec("x", "y", log_y=log_y))
+                emit(table, PlotSpec("x", "y", title="", log_y=log_y))

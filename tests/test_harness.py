@@ -39,6 +39,20 @@ def test_parse_config_errors():
         parse_config("[common]\nseed = 1\nbroken line\n", "ber_sweep")
 
 
+def test_hash_inside_a_value_is_text(tmp_path):
+    # a comment is a whole line whose first non-blank character is '#', so a
+    # path may hold one: the run writes into runs#2, not into runs
+    cfg = tmp_path / "hash.cfg"
+    cfg.write_text(f"# la_sim run\n[common]\n  # indented\nseed = 1\n"
+                   f"out = {tmp_path}/runs#2\n[la_sim]\nrounds = 3\n")
+    assert cli.main(["la_sim", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hash.cfg", "runs#2"]
+    assert (tmp_path / "runs#2" / "la_trace.csv").is_file()
+    cfg = parse_config("[common]\nseed = 1\n[broadcast_sim]\ntopology = topo#1.txt\n",
+                       "broadcast_sim")
+    assert cfg.section("broadcast_sim")["topology"] == "topo#1.txt"
+
+
 def test_result_table_csv_and_provenance():
     table = ResultTable({"a": [1, 2], "b": [0.5, 0.25]}, seed=4, config_hash="cafe")
     lines = table.to_csv().splitlines()
@@ -52,13 +66,13 @@ def test_result_table_csv_and_provenance():
     with pytest.raises(AttributeError):
         table.rows = []
     with pytest.raises(ValueError, match="'b': 1"):
-        ResultTable({"a": [1, 2], "b": [0.5]})
+        ResultTable({"a": [1, 2], "b": [0.5]}, seed=0, config_hash="")
     with pytest.raises(KeyError):
         table.column("missing")
 
 
 def make_table():
-    return ResultTable({"x": [0.0, 1.0], "y": [1.0, 10.0]})
+    return ResultTable({"x": [0.0, 1.0], "y": [1.0, 10.0]}, seed=0, config_hash="")
 
 
 def test_emit_svg_polyline_and_determinism():
@@ -71,14 +85,14 @@ def test_emit_svg_polyline_and_determinism():
 
 
 def test_emit_svg_log_zero_error_names_location():
-    table = ResultTable({"x": [0.0, 1.0], "y": [1.0, 0.0]})
+    table = ResultTable({"x": [0.0, 1.0], "y": [1.0, 0.0]}, seed=0, config_hash="")
     with pytest.raises(ValueError, match="'y' row 1"):
-        emit_svg(table, PlotSpec("x", "y", log_y=True))
+        emit_svg(table, PlotSpec("x", "y", title="", log_y=True))
 
 
 def test_emit_svg_missing_column():
     with pytest.raises(KeyError):
-        emit_svg(make_table(), PlotSpec("x", "nope"))
+        emit_svg(make_table(), PlotSpec("x", "nope", title=""))
 
 
 # sha256 of emit_svg's bytes, recorded before PlotSpec.y became one column:
@@ -122,8 +136,8 @@ SVG_DIGESTS += [
 @pytest.mark.parametrize("rows,options,digest", SVG_DIGESTS)
 def test_emit_svg_bytes_pinned(rows, options, digest):
     x, y = map(list, zip(*rows))
-    table = ResultTable({"x": x, "y": y})
-    svg = emit_svg(table, PlotSpec("x", "y", **options))
+    table = ResultTable({"x": x, "y": y}, seed=0, config_hash="")
+    svg = emit_svg(table, PlotSpec("x", "y", **{"title": "", **options}))
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
@@ -430,7 +444,7 @@ def test_la_sim_length_mismatch():
 
 
 def test_float_format_stability():
-    table = ResultTable({"v": [0.1234567890123]})
+    table = ResultTable({"v": [0.1234567890123]}, seed=0, config_hash="")
     assert table.to_csv().splitlines()[-1] == "0.123456789"
 
 
@@ -673,6 +687,12 @@ MALFORMED = [
      "line 4: [doa_hist] a must be a number in (0, 1), got '0'"),
     ("doa_hist", "[doa_hist]\na = 1",
      "line 4: [doa_hist] a must be a number in (0, 1), got '1'"),
+    # a '#' after a value is part of it, which its kind then rejects, and a
+    # header is a whole line
+    ("la_sim", "seed = 1 # note",
+     "line 2: [common] seed must be an integer of at least 0, got '1 # note'"),
+    ("la_sim", "[la_sim] # link run", "line 3: expected `key = value`, got "
+     "'[la_sim] # link run'"),
     # a rule across two keys runs before the runner allocates anything
     ("channel_stats",
      "[channel_stats]\ndraws = 1000000000000000\n[ban]\ntau_ground_ns = 0",

@@ -4,10 +4,12 @@ Every public top-level name of a ``bansim`` module must be read somewhere in
 the code under ``src/`` or ``perfbench/``; a name only the tests call
 belongs in the tests.  Every default of a public top-level function must be
 left to it by at least one call in the same program code: a default that
-every program call overrides is one only the tests read.  Every field of a
-``bansim`` dataclass must be read as
-an attribute by the same program code, outside ``__post_init__``: a field
-that only its own check or the tests read is state the program does not need.
+every program call overrides is one only the tests read.  So must every
+default of a ``bansim`` dataclass field, except in the classes ``SCHEMAS``
+reads through ``_fields``, whose defaults are the config defaults.  Every
+field of a ``bansim`` dataclass must be read as an attribute by the same
+program code, outside ``__post_init__``: a field that only its own check or
+the tests read is state the program does not need.
 A dataclass whose fields ``SCHEMAS`` reads as config keys defines no
 ``__post_init__``: each key's kind holds its range, and a check in the class
 would be a second home for the same rule.
@@ -42,7 +44,7 @@ from pathlib import Path
 import pytest
 
 from bansim.harness import cli
-from bansim.harness.config import EXPERIMENTS, SCHEMAS, parse_config
+from bansim.harness.config import EXPERIMENTS, SCHEMAS, _fields, parse_config
 import readme
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,14 +54,6 @@ PACKAGE = ROOT / "src" / "bansim"
 ALLOWED = {
     # the README promises Cskip address arithmetic in both directions
     ("zigbee", "identify_relatives"),
-}
-
-# dataclass fields kept without a program reader
-FIELDS_ALLOWED = {
-    # a broadcast's event_log rows are read only by perfbench's meter, and it
-    # reads their action alone
-    ("zigbee", "EventLogRow", "slot"),
-    ("zigbee", "EventLogRow", "node"),
 }
 
 
@@ -157,30 +151,43 @@ def test_every_dataclass_field_is_read():
                               if isinstance(item, ast.AnnAssign)
                               and isinstance(item.target, ast.Name))
     assert ("channels", "BanModelParams", "delta_ns") in fields  # the scan sees them
-    assert FIELDS_ALLOWED <= fields, "allowlist names a field that is gone"
     program = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     read = set()
     for path in program:
         read |= _attributes_read(ast.parse(path.read_text(), str(path)))
-    unread = sorted(f"{mod}.{cls}.{name}" for mod, cls, name in fields - FIELDS_ALLOWED
+    unread = sorted(f"{mod}.{cls}.{name}" for mod, cls, name in fields
                     if name not in read)
     assert unread == [], f"dataclass fields nothing reads: {unread}"
 
 
-def test_schema_dataclasses_define_no_post_init():
-    sections = [set(keys) for schema in SCHEMAS.values() for keys in schema.values()]
-    classes = {
-        cls.__name__: cls
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for cls in vars(importlib.import_module(f"bansim.{_module(path)}")).values()
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-        and any({f.name for f in dataclasses.fields(cls)} <= keys for keys in sections)}
+def _schema_classes() -> list[tuple[type, str, dict]]:
+    """(class, section, keys) of each ``bansim`` dataclass whose fields are
+    all keys of one ``SCHEMAS`` section."""
+    classes = {cls for path in sorted(PACKAGE.rglob("*.py"))
+               for cls in vars(importlib.import_module(f"bansim.{_module(path)}")).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    found = [(cls, section, keys) for cls in classes
+             for schema in SCHEMAS.values() for section, keys in schema.items()
+             if {f.name for f in dataclasses.fields(cls)} <= keys.keys()]
     # the scan sees the parameter classes
     assert {"BanModelParams", "PathLossParams", "GbhdsParams",
-            "LaThresholds"} <= set(classes)
-    checked = sorted(name for name, cls in classes.items()
-                     if "__post_init__" in vars(cls))
+            "LaThresholds"} <= {cls.__name__ for cls, _, _ in found}
+    return found
+
+
+def test_schema_dataclasses_define_no_post_init():
+    checked = sorted({cls.__name__ for cls, _, _ in _schema_classes()
+                      if "__post_init__" in vars(cls)})
     assert checked == [], f"dataclasses that check config keys themselves: {checked}"
+
+
+def test_field_keys_default_to_their_fields():
+    # a key _fields derives from a field has one default, the field's; a key
+    # declared again in SCHEMAS would leave the field's default to the tests
+    differ = sorted(f"[{section}] {key}" for cls, section, keys in _schema_classes()
+                    for key, (_, default) in _fields(cls).items()
+                    if keys[key][1] != default)
+    assert differ == [], f"keys whose default is not their field's: {differ}"
 
 
 def _exception_classes(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
@@ -280,6 +287,36 @@ def _omits(call: ast.Call, name: str, position: int | None) -> bool:
     return position is None or len(call.args) <= position
 
 
+def _field_defaulted(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """(name, position) of each ``__init__`` parameter of a dataclass that
+    has a default: a field with a value, unless it is a ``field(...)`` call
+    with neither ``default`` nor ``default_factory``; a field with
+    ``init=False`` is no parameter."""
+    found, position = [], 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _callee(value) == "field":
+            options = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                continue
+            if "default" not in options and "default_factory" not in options:
+                value = None
+        if value is not None:
+            found.append((item.target.id, position))
+        position += 1
+    return found
+
+
+def _fields_classes(tree: ast.AST) -> set[str]:
+    """The classes named as the first argument of a ``_fields(...)`` call."""
+    return {arg.attr if isinstance(arg, ast.Attribute) else arg.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) == "_fields"
+            for arg in node.args[:1]}
+
+
 def test_default_scan_sees_every_form():
     fn = ast.parse("def f(a, b=1, /, c=2, *d, e, g=3, **h): pass").body[0]
     assert _defaulted(fn) == [("b", 1), ("c", 2), ("g", None)]
@@ -290,21 +327,42 @@ def test_default_scan_sees_every_form():
         "f(0)", "f(0, 1)"]
     assert [code for code, call in calls.items() if _omits(call, "g", None)] == [
         "f(0)", "f(0, 1)", "f(0, c=2)"]
+    cls = ast.parse("class C:\n    a: int\n    b: list = field(repr=False)\n"
+                    "    c: int = 1\n    d: int = field(init=False)\n"
+                    "    e: int = field(default=2)\n"
+                    "    f: list = field(default_factory=list)\n"
+                    "    g: int = field(init=False, default=0)\n"
+                    "    def h(self): pass\n").body[0]
+    assert _field_defaulted(cls) == [("c", 2), ("e", 3), ("f", 4)]
+    schema = ast.parse("_fields(m.A, x=1)\n_fields(B)\nfields(C)")
+    assert _fields_classes(schema) == {"A", "B"}
 
 
 def test_every_default_is_left_to_it_by_a_program_call():
     # a default that every program call overrides is a second source for the
-    # argument, and only the tests read it
-    defaults = {(_module(path), node.name, name): position
-                for path in sorted(PACKAGE.rglob("*.py"))
-                for node in ast.parse(path.read_text(), str(path)).body
+    # argument, and only the tests read it; so is a dataclass field's, except
+    # in the classes _fields reads, whose defaults are the config defaults
+    trees = {_module(path): ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    schema_classes = set().union(*map(_fields_classes, trees.values()))
+    defaults = {(mod, node.name, name): position
+                for mod, tree in trees.items() for node in tree.body
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                 for name, position in _defaulted(node)}
+    defaults.update({(mod, node.name, name): position
+                     for mod, tree in trees.items() for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                     and node.name not in schema_classes
+                     for name, position in _field_defaulted(node)})
     program = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     calls = [node for path in program
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Call)]
-    assert ("harness.cli", "main", "argv") in defaults  # the scan sees them
+    # the scan sees them: a function's, a field's, and the schema classes
+    assert ("harness.cli", "main", "argv") in defaults
+    assert ("harness.svg", "PlotSpec", "log_y") in defaults
+    assert {"BanModelParams", "PathLossParams", "GbhdsParams",
+            "LaThresholds"} <= schema_classes
     unused = sorted(f"{mod}.{fn}({name})" for (mod, fn, name), position in defaults.items()
                     if not any(_callee(call) == fn and _omits(call, name, position)
                                for call in calls))
