@@ -28,7 +28,9 @@ propagates errors) the kernel costs about what the loop costs.
 
 from __future__ import annotations
 
+import inspect
 from collections import deque
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,39 +77,58 @@ def _blind_run(received, taps, mu, r2, max_steps, stride, dither_u=None):
 
     Keeps np.vdot and the numpy tap update ``taps + gain * reg`` of the
     per-step reference (``cma_step`` in ``tests/kernel_reference.py``): those
-    two set the rounding.  The update's rounding follows numpy's SIMD
-    dispatch: its complex multiply fuses multiply-adds where numpy dispatches
-    X86_V3 (AVX2 + FMA) or higher, the dispatch the pinned bytes hold under.
-    The update runs in place on a copy of the caller's ``taps``, as
-    ``np.multiply(gain, reg, step)`` then ``np.add(taps, step, taps)``,
-    which round as the allocating expression does; ``out`` goes by position
-    because the keyword costs more per call than the allocation it saves.
-    The scalar error arithmetic runs on Python complex/float, which rounds
-    like numpy's scalars; the gain goes through a 0-d array, which numpy
-    multiplies without per-call scalar conversion.  On divergence y holds
-    the steps run so far.  Samples past the end of ``received`` read as zero.
+    two set the rounding.  The regressors are reversed views (a negative
+    stride), on which vdot runs numpy's own sequential loop, not BLAS: y is
+    ``sum(conj(f_k) * r_k)`` added left to right on any host.  A contiguous
+    copy would reach BLAS ``zdotc``, which sums in another order, and was
+    no faster.  vdot is the C function behind ``np.vdot``
+    (``inspect.unwrap``), without the ``__array_function__`` dispatcher,
+    which plain ndarrays never need.  The update's rounding follows numpy's
+    SIMD dispatch: its complex multiply fuses multiply-adds where numpy
+    dispatches X86_V3 (AVX2 + FMA) or higher, the dispatch the pinned bytes
+    hold under.  The update runs in place on a copy of the caller's
+    ``taps``, as ``np.multiply(gain, reg, step)`` then ``np.add(taps, step,
+    taps)``, which round as the allocating expression does; ``out`` goes by
+    position because the keyword costs more per call than the allocation it
+    saves.  The scalar error arithmetic runs on Python complex/float, which
+    rounds like numpy's scalars.  y becomes a Python complex once a step,
+    through ``complex.__pos__``, which copies a complex subclass such as
+    ``np.complex128`` into a plain complex, bit for bit, at half the cost of
+    a ``complex(y)`` call.  |y| is Python's ``abs``, which calls libm
+    ``hypot`` as numpy does but raises ``OverflowError`` where numpy returns
+    inf; only then is numpy's ``abs`` taken.  The gain goes through a 0-d
+    array, which numpy multiplies without per-call scalar conversion.  On
+    divergence y holds the steps run so far.  Samples past the end of
+    ``received`` read as zero; a step that finds no dither draws left
+    raises ``ValueError``, where the reference raises ``IndexError``.
     """
     mu, r2 = float(mu), float(r2)
-    if dither_u is not None:
-        u = dither_u[:2 * max_steps]
-        dither = (r2 * (2.0 * u - 1.0)).tolist()
+    if dither_u is None:
+        dither = repeat(None, max_steps)
+    else:
+        d = (r2 * (2.0 * dither_u[:2 * max_steps] - 1.0)).tolist()
+        dither = zip(d[0::2], d[1::2])  # (real, imaginary) rail of each step
     # regressors newest sample first
     regressors = frames(received, max_steps, stride, taps.size)[:, ::-1]
     gain = np.zeros((), dtype=np.complex128)
     taps = taps.astype(np.complex128)  # a copy: the update below is in place
     step = np.empty_like(taps)
-    multiply, add = np.multiply, np.add
+    multiply, add, vdot = np.multiply, np.add, inspect.unwrap(np.vdot)
+    to_complex = complex.__pos__
     y = []
-    for n, reg in enumerate(regressors):
-        yn = np.vdot(taps, reg)  # f^H r
+    for reg, pair in zip(regressors, dither, strict=True):
+        yn = vdot(taps, reg)  # f^H r
         y.append(yn)
-        size = float(abs(yn))  # numpy's |y| is inf where abs(complex) raises
+        c = to_complex(yn)
+        try:
+            size = abs(c)
+        except OverflowError:
+            size = float(abs(yn))
         if size > DIVERGENCE_LIMIT:
-            return np.array(y, dtype=np.complex128), taps, n
-        psi = complex(yn) * (r2 - size ** 2)
-        if dither_u is not None:
-            psi = r2 * (_sign(psi.real + dither[2 * n])
-                        + 1j * _sign(psi.imag + dither[2 * n + 1]))
+            return np.array(y, dtype=np.complex128), taps, len(y) - 1
+        psi = c * (r2 - size ** 2)
+        if pair is not None:
+            psi = r2 * (_sign(psi.real + pair[0]) + 1j * _sign(psi.imag + pair[1]))
         gain[()] = mu * psi.conjugate()
         multiply(gain, reg, step)
         add(taps, step, taps)

@@ -258,6 +258,7 @@ def parse_topology(text: str):
     distinct tree nodes and include every tree edge."""
     section = None
     params = {"n_chl": 4, "d_l": 5}
+    set_on: dict[str, int] = {}  # the line that set each [params] key
     edges: dict[str, list[tuple[int, int]]] = {"tree": [], "radio": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         # an edge line of two distinct integers stops here; a `#` leaves a
@@ -284,14 +285,20 @@ def parse_topology(text: str):
         try:
             if len(parts) != 2 or (section == "params" and parts[0] not in params):
                 raise ValueError
-            if section == "params":
-                params[parts[0]] = int(parts[1])
-                continue
-            a, b = int(parts[0]), int(parts[1])
+            # a [params] key and its value, or an edge's two nodes
+            a = parts[0] if section == "params" else int(parts[0])
+            b = int(parts[1])
         except ValueError:
             raise ValueError(f"topology line {lineno}: expected "
                              f"{_TOPOLOGY_LINE[section]}, got {line!r}") from None
-        # outside the `try`, whose handler would replace this message
+        # outside the `try`, whose handler would replace these messages
+        if section == "params":
+            if a in set_on:
+                raise ValueError(f"topology line {lineno}: [params] {a} was already "
+                                 f"set on line {set_on[a]}")
+            set_on[a] = lineno
+            params[a] = b
+            continue
         if a == b:
             raise ValueError(f"topology line {lineno}: node {a} is linked to itself")
         edges[section].append((a, b))

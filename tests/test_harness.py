@@ -626,6 +626,9 @@ MALFORMED = [
      "node 99 is not in [tree]"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {self_loop_topology}",
      "topology line 4"),
+    # a [params] key set twice, in the config parser's words
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {twice_topology}",
+     "topology line 3: [params] d_l was already set on line 2"),
     # a topology file is read as UTF-8, whatever the locale
     ("broadcast_sim", "[broadcast_sim]\ntopology = {not_utf8_topology}",
      "broadcast_sim: 'utf-8' codec can't decode byte 0xff"),
@@ -714,6 +717,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
     foreign_topology.write_text("[tree]\n0 1\n[radio]\n0 99\n")
     self_loop_topology = tmp_path / "self_loop_topology.txt"
     self_loop_topology.write_text("[tree]\n0 1\n[radio]\n0 0\n")
+    twice_topology = tmp_path / "twice_topology.txt"
+    twice_topology.write_text("[params]\nd_l = 3\nd_l = 9\n[tree]\n0 1\n")
     deep_topology = tmp_path / "deep_topology.txt"
     deep_topology.write_text("[params]\nn_chl = 4\nd_l = 100000000000\n"
                              "[tree]\n0 1\n1 2\n")
@@ -725,6 +730,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
                        bad_topology=bad_topology, cycle_topology=cycle_topology,
                        foreign_topology=foreign_topology,
                        self_loop_topology=self_loop_topology,
+                       twice_topology=twice_topology,
                        deep_topology=deep_topology, shallow_topology=shallow_topology,
                        not_utf8_topology=not_utf8_topology)
     # a body of command-line flags overrides a valid config

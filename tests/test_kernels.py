@@ -332,6 +332,66 @@ def test_cma_output_is_a_fixed_order_sum(stride):
     assert y.tobytes() == np.array(expected).tobytes()
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_blind_output_is_a_blas_free_sum(stride):
+    # as above, for CMA and DSE-CMA, with every tap in play: at mu = 0 the
+    # taps hold still, and random taps give every term a part in the sum,
+    # where a centre spike leaves one.  BLAS zdotc, which a contiguous
+    # regressor would reach, sums in another order
+    nf, steps = 13, 300
+    taps = random_signal(nf, 20 + stride)
+    received = random_signal(steps * stride + nf, 30 + stride)
+    dither = np.random.default_rng(stride).uniform(size=2 * steps)
+    expected = []
+    for n in range(steps):
+        yn = 0j
+        for t, r in zip(taps.tolist(),
+                        received[n * stride : n * stride + nf][::-1].tolist()):
+            yn += t.conjugate() * r
+        expected.append(yn)
+    for y, out, bad in (
+            _kernels.cma_run(received, taps, 0.0, 1.32, steps, stride),
+            _kernels.dse_cma_run(received, taps, 0.0, 1.32, dither, steps, stride)):
+        assert bad == -1 and out.tobytes() == taps.tobytes()
+        assert y.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["CMA", "DSE_CMA"])
+def test_blind_kernels_diverge_where_pythons_abs_overflows(variant):
+    # |y| = 1.5e308 * sqrt(2) is past the largest float: Python's abs raises
+    # OverflowError on it where numpy's returns inf, so the kernel takes
+    # numpy's, and the first step diverges with the taps it started from
+    received = random_signal(40, 13)
+    received[2] = 1.5e308 * (1 + 1j)
+    dither = np.random.default_rng(13).uniform(size=60)
+    kernel, reference, args = {
+        "CMA": (_kernels.cma_run, cma_reference,
+                (received, center_spike(5), 1e-3, 1.32, 30, 1)),
+        "DSE_CMA": (_kernels.dse_cma_run, dse_cma_reference,
+                    (received, center_spike(5), 1e-3, 1.32, dither, 30, 1)),
+    }[variant]
+    # the reference's error term of the diverging step is y * -inf; the
+    # kernel stops before its own and warns on nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference(*args)
+    y, taps, bad = out = kernel(*args)
+    assert_identical(out, ref)
+    assert bad == 0
+    assert y.tobytes() == received[2:3].tobytes()
+    assert taps.tobytes() == center_spike(5).tobytes()
+
+
+def test_dse_cma_kernel_rejects_a_short_dither():
+    # 19 draws for 10 steps: the reference fails at the step that finds no
+    # pair left, and the kernel must not return 9 steps as a finished run
+    received = random_signal(40, 14)
+    dither = np.random.default_rng(14).uniform(size=19)
+    with pytest.raises(IndexError):
+        dse_cma_reference(received, center_spike(5), 1e-3, 1.32, dither, 10, 1)
+    with pytest.raises(ValueError):
+        _kernels.dse_cma_run(received, center_spike(5), 1e-3, 1.32, dither, 10, 1)
+
+
 def test_divergence_step_agrees():
     received = 50.0 * random_signal(200, 4)
     _, _, bad = check_cma(received, center_spike(5), 0.5, 1.32, 100, 1)

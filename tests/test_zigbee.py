@@ -387,6 +387,10 @@ def test_parse_topology_and_event_log():
             zigbee.parse_topology(bad)
     with pytest.raises(ValueError, match="^topology line 2: node 0 is linked to itself"):
         zigbee.parse_topology("[tree]\n0 0")
+    # a [params] key set twice names both lines, after any header between
+    with pytest.raises(ValueError, match=r"^topology line 4: \[params\] n_chl was "
+                       r"already set on line 2$"):
+        zigbee.parse_topology("[params]\nn_chl = 2\n[ PARAMS ]\nn_chl = 2\n[tree]\n0 1")
 
 
 @st.composite

@@ -14,8 +14,9 @@ return the same forward set, coverage and events.
 
 ``parse_topology_reference`` is ``bansim.zigbee.parse_topology`` as it was
 before edge lines took a path of their own: every line goes through the
-comment strip, the header test and the section checks.  The parser must
-return the same tree and radio graph, or raise the same message.
+comment strip, the header test and the section checks, a `[params]` key
+set twice included.  The parser must return the same tree and radio graph,
+or raise the same message.
 """
 
 import numpy as np
@@ -97,6 +98,7 @@ _TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
 def parse_topology_reference(text: str):
     section = None
     params = {"n_chl": 4, "d_l": 5}
+    set_on: dict[str, int] = {}  # the line that set each [params] key
     edges: dict[str, list[tuple[int, int]]] = {"tree": [], "radio": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -111,13 +113,19 @@ def parse_topology_reference(text: str):
         try:
             if len(parts) != 2 or (section == "params" and parts[0] not in params):
                 raise ValueError
-            if section == "params":
-                params[parts[0]] = int(parts[1])
-                continue
-            a, b = int(parts[0]), int(parts[1])
+            # a [params] key and its value, or an edge's two nodes
+            a = parts[0] if section == "params" else int(parts[0])
+            b = int(parts[1])
         except ValueError:
             raise ValueError(f"topology line {lineno}: expected "
                              f"{_TOPOLOGY_LINE[section]}, got {line!r}") from None
+        if section == "params":
+            if a in set_on:
+                raise ValueError(f"topology line {lineno}: [params] {a} was already "
+                                 f"set on line {set_on[a]}")
+            set_on[a] = lineno
+            params[a] = b
+            continue
         if a == b:
             raise ValueError(f"topology line {lineno}: node {a} is linked to itself")
         edges[section].append((a, b))
