@@ -3,10 +3,10 @@ strategies over a 1-hop radio neighbor graph: random-backoff self pruning
 and the deterministic on-tree forward-node selection sweep.
 
 Nodes carry integer keys; the tree assigns each key a block address from
-the Cskip recurrence so parent/child relations are recoverable from the
-address alone.  A tree is ``{key: (address, depth)}`` and a radio graph is
-``{key: set of neighbour keys}``.  Self pruning runs on the graph form that
-``neighbour_masks`` prepares from the two, once for any number of floods.
+the Cskip recurrence.  A tree is ``{key: (address, depth)}`` and a radio
+graph is ``{key: set of neighbour keys}``.  Self pruning runs on the graph
+form that ``neighbour_masks`` prepares from the two, once for any number of
+floods.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int):
     stack: list[tuple[int, int, int]] = [(roots[0], 0, 0)]
     while stack:
         key, address, depth = stack.pop()
-        if depth > d_l:
-            raise ValueError(f"node {key} exceeds maximum depth {d_l}")
         kids = shape.get(key, [])
         if len(kids) > n_chl:
             raise ValueError(f"node {key} has {len(kids)} children > {n_chl}")
@@ -71,26 +69,6 @@ def assign_addresses(shape: dict[int, list[int]], n_chl: int, d_l: int):
     if unreached is not None:
         raise ValueError(f"node {unreached} is not reachable from root {roots[0]}")
     return tree
-
-
-def identify_relatives(address: int, n_chl: int, d_l: int):
-    """Recover (parent address or None, child address block ranges) by arithmetic."""
-    if not (0 <= address < address_space(n_chl, d_l)):
-        raise ValueError(f"address {address} out of range")
-    parent = None
-    cur, depth = 0, 0
-    while cur != address:
-        stride = cskip(depth, n_chl, d_l)
-        idx = (address - cur - 1) // stride
-        parent = cur
-        cur = cur + 1 + idx * stride
-        depth += 1
-    stride = cskip(depth, n_chl, d_l)
-    if stride == 0:
-        return parent, []
-    ranges = [(address + 1 + i * stride, address + 1 + (i + 1) * stride)
-              for i in range(n_chl)]
-    return parent, ranges
 
 
 @dataclass
@@ -250,6 +228,7 @@ def broadcast_compare(tree, radio, source: int, rngs, max_backoff: int):
 
 _TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
                   "tree": "two integer node keys", "radio": "two integer node keys"}
+_LEAST = {"n_chl": 1, "d_l": 0}  # each [params] key's least value
 
 
 def parse_topology(text: str):
@@ -296,6 +275,9 @@ def parse_topology(text: str):
             if a in set_on:
                 raise ValueError(f"topology line {lineno}: [params] {a} was already "
                                  f"set on line {set_on[a]}")
+            if b < _LEAST[a]:
+                raise ValueError(f"topology line {lineno}: [params] {a} must be an "
+                                 f"integer of at least {_LEAST[a]}, got {parts[1]!r}")
             set_on[a] = lineno
             params[a] = b
             continue

@@ -149,5 +149,24 @@ RUNS = [
     Run("mud_ns3_nb1", "mud_compare", _mud("ns = 3\nnb = 1\n"), {
         "mud_compare.csv": "dee0e723b7d0182dd76d21f1eeb948173d4b39a6f754a111fdf8ea03645c5561",
     }),
+    # paths no shipped config runs: la_sim with shadowing and more rounds
+    # than its failure window, a one-bin DOA histogram (a flat plot in x and
+    # y), and broadcast_sim on a seed of two 32-bit words over a topology
+    # whose edge lines end in comments
+    Run("la_shadowed", "la_sim",
+        "[common]\nseed = 7\n[la_sim]\nrounds = 40\nwindow = 8\nsigma_db = 4.0\n", {
+        "la_trace.csv": "3d3c24dd184e899eaa8f448e12a32d6f88eba250e3f99aaea9e4c413597c62f7",
+    }),
+    Run("doa_one_bin", "doa_hist",
+        "[common]\nseed = 2\n[doa_hist]\ncount = 1000\nbins = 1\n", {
+        "doa_hist.csv": "a3f6d41be9c290f7d79eb90afd4eebc35c7d878fc4de5726a8f1aa42147b9be6",
+        "doa_hist.svg": "8876ff2d6a44ac8964e22b8807fc7e92804d7cb61583dd35bfe7d93ea98d6333",
+    }),
+    Run("broadcast_two_word_seed", "broadcast_sim",
+        "[common]\nseed = 4294967296\n[broadcast_sim]\n"
+        "topology = tests/fixtures/topology_notes.txt\ntrials = 20\n", {
+        "broadcast_compare.csv":
+            "d7ff88062cda6c3125fa6ca30d18693903e22d76eaefe853493e582566898b26",
+    }),
 ]
 RUN = {run.id: run for run in RUNS}

@@ -448,6 +448,26 @@ def test_float_format_stability():
     assert table.to_csv().splitlines()[-1] == "0.123456789"
 
 
+# the topology files the rows below name as `{name}`, beside `{example}`,
+# the shipped one, by the bytes of each
+TOPOLOGIES = {
+    "bad_topology": b"[params]\nn_chl = 4\nd_l = 3\n[tree]\n0 1 2\n",
+    "cycle_topology": b"[tree]\n0 1\n0 4\n2 3\n3 2\n",
+    "foreign_topology": b"[tree]\n0 1\n[radio]\n0 99\n",
+    "self_loop_topology": b"[tree]\n0 1\n[radio]\n0 0\n",
+    "twice_topology": b"[params]\nd_l = 3\nd_l = 9\n[tree]\n0 1\n",
+    "deep_topology": b"[params]\nn_chl = 4\nd_l = 100000000000\n[tree]\n0 1\n1 2\n",
+    "shallow_topology": b"[params]\nd_l = -1\n[tree]\n0 1\n",
+    "not_utf8_topology": b"[tree]\n0 1\n\xff\n",
+    "childless_topology": b"[params]\nn_chl = 0\n[tree]\n0 1\n",
+    "two_parents_topology": b"[tree]\n0 1\n2 1\n",
+    "two_roots_topology": b"[tree]\n0 1\n2 3\n",
+    "wide_topology": b"[params]\nn_chl = 1\n[tree]\n0 1\n0 2\n",
+    "full_depth_topology": b"[params]\nd_l = 1\n[tree]\n0 1\n1 2\n",
+    "word_edge_topology": b"[tree]\nzero one\n",
+    "headless_topology": b"0 1\n[tree]\n0 1\n",
+}
+
 # one malformed setting per probe, each under `[common] seed = 1`; the last
 # field is what the one-line message must name
 MALFORMED = [
@@ -619,6 +639,13 @@ MALFORMED = [
      "la_sim: overflow encountered in accumulate"),
     ("mud_compare", "[mud_compare]\nridge = -1",
      "line 4: [mud_compare] ridge must be a finite number of at least 0, got '-1'"),
+    # two users on one template, with no noise: no ridge, no solve
+    ("mud_compare", "[mud_compare]\nridge = 0\ntemplate1 = 1\ntemplate2 = 1\n"
+     "ebn0_db = 300", "mud_compare: correlation matrix is singular; add ridge"),
+    ("cma_convergence", "[cma_convergence]\nchannel = 0, 0, 0",
+     "cma_convergence: cannot normalize an all-zero signal"),
+    ("la_sim", "[la_sim]\ndistance_m = 1, 2, 3\ntx_power_dbm = 0, 0",
+     "la_sim: tx_power_dbm and distance_m must have equal length"),
     # tree nodes the root cannot reach, and a radio node outside the tree
     ("broadcast_sim", "[broadcast_sim]\ntopology = {cycle_topology}",
      "node 2 is not reachable"),
@@ -635,9 +662,28 @@ MALFORMED = [
     # block addresses past 64 bits, whose Cskip power would take minutes
     ("broadcast_sim", "[broadcast_sim]\ntopology = {deep_topology}",
      "n_chl 4 and d_l 100000000000"),
-    # a maximum depth below the root's
+    # [params] values below their least, named on their line in the config
+    # kinds' words
     ("broadcast_sim", "[broadcast_sim]\ntopology = {shallow_topology}",
-     "node 0 exceeds maximum depth -1"),
+     "topology line 2: [params] d_l must be an integer of at least 0, got '-1'"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {childless_topology}",
+     "topology line 2: [params] n_chl must be an integer of at least 1, got '0'"),
+    # tree shapes that break the Cskip addressing, and lines that are no
+    # edge or come before any section
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {two_parents_topology}",
+     "broadcast_sim: a node appears as a child twice"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {two_roots_topology}",
+     "broadcast_sim: expected exactly one root, found 2"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {wide_topology}",
+     "broadcast_sim: node 0 has 2 children > 1"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {full_depth_topology}",
+     "broadcast_sim: node 1 at depth 1 cannot have children"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {word_edge_topology}",
+     "broadcast_sim: topology line 2: expected two integer node keys, got 'zero one'"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {headless_topology}",
+     "broadcast_sim: topology line 1: content outside a known section"),
+    ("broadcast_sim", "[broadcast_sim]\ntrials = 2",
+     "config must set `topology` in the [broadcast_sim] section"),
     # counts the models take unchecked: the schema rejects them first
     ("la_sim", "[la_sim]\nwindow = 0",
      "line 4: [la_sim] window must be an integer of at least 1, got '0'"),
@@ -709,30 +755,11 @@ MALFORMED += readme.examples()
 @pytest.mark.parametrize("experiment,body,names", MALFORMED,
                          ids=[f"{e}:{b.splitlines()[-1]}" for e, b, _ in MALFORMED])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, body, names):
-    bad_topology = tmp_path / "bad_topology.txt"
-    bad_topology.write_text("[params]\nn_chl = 4\nd_l = 3\n[tree]\n0 1 2\n")
-    cycle_topology = tmp_path / "cycle_topology.txt"
-    cycle_topology.write_text("[tree]\n0 1\n0 4\n2 3\n3 2\n")
-    foreign_topology = tmp_path / "foreign_topology.txt"
-    foreign_topology.write_text("[tree]\n0 1\n[radio]\n0 99\n")
-    self_loop_topology = tmp_path / "self_loop_topology.txt"
-    self_loop_topology.write_text("[tree]\n0 1\n[radio]\n0 0\n")
-    twice_topology = tmp_path / "twice_topology.txt"
-    twice_topology.write_text("[params]\nd_l = 3\nd_l = 9\n[tree]\n0 1\n")
-    deep_topology = tmp_path / "deep_topology.txt"
-    deep_topology.write_text("[params]\nn_chl = 4\nd_l = 100000000000\n"
-                             "[tree]\n0 1\n1 2\n")
-    shallow_topology = tmp_path / "shallow_topology.txt"
-    shallow_topology.write_text("[params]\nd_l = -1\n[tree]\n0 1\n")
-    not_utf8_topology = tmp_path / "not_utf8_topology.txt"
-    not_utf8_topology.write_bytes(b"[tree]\n0 1\n\xff\n")
-    body = body.format(example=ROOT / "configs" / "topology_example.txt",
-                       bad_topology=bad_topology, cycle_topology=cycle_topology,
-                       foreign_topology=foreign_topology,
-                       self_loop_topology=self_loop_topology,
-                       twice_topology=twice_topology,
-                       deep_topology=deep_topology, shallow_topology=shallow_topology,
-                       not_utf8_topology=not_utf8_topology)
+    topologies = {"example": ROOT / "configs" / "topology_example.txt"}
+    for name, data in TOPOLOGIES.items():
+        topologies[name] = tmp_path / f"{name}.txt"
+        topologies[name].write_bytes(data)
+    body = body.format(**topologies)
     # a body of command-line flags overrides a valid config
     flags = body.split() if body.startswith("--") else []
     cfg = tmp_path / "bad.cfg"

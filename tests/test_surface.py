@@ -50,13 +50,6 @@ import readme
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bansim"
 
-# public names kept without a program caller
-ALLOWED = {
-    # the README promises Cskip address arithmetic in both directions
-    ("zigbee", "identify_relatives"),
-}
-
-
 def _module(path: Path) -> str:
     return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
 
@@ -92,10 +85,8 @@ def test_every_public_name_has_a_program_caller():
         for path in sorted(PACKAGE.rglob("*.py"))
         for name in _public_names(ast.parse(path.read_text(), str(path)))
     }
-    assert ALLOWED <= defined, "allowlist names a definition that is gone"
     assert ("channels", "path_loss_db") in defined  # the scan sees the package
-    unused = sorted(f"{mod}.{name}" for mod, name in defined - ALLOWED
-                    if name not in read)
+    unused = sorted(f"{mod}.{name}" for mod, name in defined if name not in read)
     assert unused == [], f"public names no program code reads: {unused}"
 
 
@@ -553,7 +544,3 @@ def test_readme_synopsis_flags_are_the_parsers():
     flags = {flag for action in cli.build_parser()._actions
              for flag in action.option_strings} - {"-h", "--help"}
     assert set(re.findall(r"--[\w-]+", synopsis)) == flags
-
-
-def test_allowed_names_are_readme_promises():
-    assert {name for _, name in ALLOWED} <= set(readme.spans())

@@ -107,35 +107,6 @@ def test_addresses_unique_and_in_range():
         assert all(0 <= a < space for a in addresses)
 
 
-def test_identify_relatives_roundtrip():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        n_chl, d_l = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        shape = random_shape(rng, int(rng.integers(2, 15)), n_chl, d_l)
-        tree = zigbee.assign_addresses(shape, n_chl, d_l)
-        parent_of, children = relatives(tree)
-        assert children == shape  # the helper reads back the tree edges
-        for key, (address, _depth) in tree.items():
-            parent, ranges = zigbee.identify_relatives(address, n_chl, d_l)
-            if parent_of[key] is None:
-                assert parent is None
-            else:
-                assert parent == tree[parent_of[key]][0]
-            for child in children[key]:
-                addr = tree[child][0]
-                assert any(lo <= addr < hi for lo, hi in ranges)
-
-
-def test_identify_relatives_root_and_leaf():
-    parent, ranges = zigbee.identify_relatives(0, 2, 2)
-    assert parent is None and ranges
-    leaf_addr = 2  # depth-2 leaf under child 1 in the (2, 2) layout
-    parent, ranges = zigbee.identify_relatives(leaf_addr, 2, 2)
-    assert parent == 1 and ranges == []
-    with pytest.raises(ValueError):
-        zigbee.identify_relatives(zigbee.address_space(2, 2), 2, 2)
-
-
 def test_self_pruning_star_leaves_stay_silent():
     tree, radio = star_scene()
     state = flood(tree, radio, 0, 7, seed=3)

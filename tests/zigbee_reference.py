@@ -15,8 +15,8 @@ return the same forward set, coverage and events.
 ``parse_topology_reference`` is ``bansim.zigbee.parse_topology`` as it was
 before edge lines took a path of their own: every line goes through the
 comment strip, the header test and the section checks, a `[params]` key
-set twice included.  The parser must return the same tree and radio graph,
-or raise the same message.
+set twice or below its least value included.  The parser must return the
+same tree and radio graph, or raise the same message.
 """
 
 import numpy as np
@@ -93,6 +93,7 @@ def oos_reference(tree, radio, source):
 
 _TOPOLOGY_LINE = {"params": "`n_chl = <int>` or `d_l = <int>`",
                   "tree": "two integer node keys", "radio": "two integer node keys"}
+_LEAST = {"n_chl": 1, "d_l": 0}
 
 
 def parse_topology_reference(text: str):
@@ -123,6 +124,9 @@ def parse_topology_reference(text: str):
             if a in set_on:
                 raise ValueError(f"topology line {lineno}: [params] {a} was already "
                                  f"set on line {set_on[a]}")
+            if b < _LEAST[a]:
+                raise ValueError(f"topology line {lineno}: [params] {a} must be an "
+                                 f"integer of at least {_LEAST[a]}, got {parts[1]!r}")
             set_on[a] = lineno
             params[a] = b
             continue
