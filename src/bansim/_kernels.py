@@ -209,7 +209,7 @@ def dfe_detect_run(received, w_ff, w_fb, constellation, history, stride,
     # one tap at a time, as the scalar loop adds them
     for i, w in enumerate(w_ff.tolist()):
         _add_product(re, im, w, window[:, i].real, window[:, i].imag, t, u)
-    del t, u  # freed before the sweeps, which hold their own
+    del t, u, window  # freed before the sweeps, which hold their own
     ff = np.empty(n_sym, dtype=np.complex128)
     ff.real = re
     ff.imag = im

@@ -3,7 +3,7 @@
 Covers the clustered outdoor/indoor BAN multipath models, log-distance
 path loss with lognormal shadowing, the hyperbolically-distributed
 scatterer geometry (GBHDS) with its DOA statistics, and convolution of
-symbol streams with a channel response.
+symbol streams with real taps, a fixed-order sum with no BLAS call.
 
 Conventions: tap amplitudes decay in dB (decay rates enter with negative
 sign), fading perturbations n_l/n_k are zero-mean unit-variance Gaussians
@@ -228,7 +228,9 @@ def gbhds_doa_histogram(
 
 def apply_channel(signal: np.ndarray, taps: np.ndarray,
                   samples_per_symbol: int) -> np.ndarray:
-    """Convolve a symbol stream, upsampled by zero insertion, with the taps."""
-    up = np.zeros(signal.size * samples_per_symbol, dtype=complex)
-    up[::samples_per_symbol] = signal
-    return np.convolve(up, taps)
+    """Convolve a symbol stream, upsampled by zero insertion, with the real
+    taps, in polyphase form: tap k adds its products in ascending k."""
+    out = np.zeros(signal.size * samples_per_symbol + taps.size - 1, dtype=complex)
+    for k, tap in enumerate(taps.tolist()):
+        out[k::samples_per_symbol][: signal.size] += tap * signal
+    return out

@@ -16,6 +16,9 @@ from .sigproc import ModulationScheme, _complex_normal, slice_symbols
 
 
 _TINY = np.finfo(float).tiny
+# symbols per block of linear_mud_detect's regressor rows, not one stacked
+# copy: a multiple of 4, as a BLAS kernel may group rows by four
+_MUD_BLOCK = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -28,15 +31,13 @@ def synth_multiuser(streams: list[np.ndarray], templates: list[np.ndarray],
     its template (channel * signature), plus complex white noise of
     per-dimension deviation sigma; user 0 is the desired user."""
     total = max((len(sym) - 1) * ns + len(tpl) for sym, tpl in zip(streams, templates))
-    desired = np.zeros(total, dtype=complex)
-    mui = np.zeros(total, dtype=complex)
-    for mu_idx, (sym, tpl) in enumerate(zip(streams, templates)):
+    composite = np.zeros(total, dtype=complex)
+    # interferers, then user 0, then noise: rounded as desired + mui + noise
+    for user in [*range(1, len(streams)), 0]:
+        sym, tpl = streams[user], templates[user]
         # less the ns - 1 zeros apply_channel inserts after the last symbol
         contrib = apply_channel(sym, tpl, ns)[: (len(sym) - 1) * ns + len(tpl)]
-        target = desired if mu_idx == 0 else mui
-        target[: contrib.size] += contrib
-    # desired + mui first, then the noise: the order sets the rounding
-    composite = desired + mui
+        composite[: contrib.size] += contrib
     composite += _complex_normal(rng, sigma, total)
     return composite
 
@@ -86,7 +87,11 @@ def linear_mud_detect(
     num_symbols: int, ns: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(soft outputs, hard decisions) of the tap vector on each symbol."""
-    soft = _training_regressors(received, num_symbols, ns, taps.size) @ taps
+    soft = np.empty(num_symbols, dtype=complex)
+    for start in range(0, num_symbols, _MUD_BLOCK):
+        stop = min(num_symbols, start + _MUD_BLOCK)
+        soft[start:stop] = _training_regressors(
+            received[start * ns :], stop - start, ns, taps.size) @ taps
     return soft, slice_symbols(soft, scheme)
 
 

@@ -173,7 +173,7 @@ def run_cma_convergence(cfg: ScenarioConfig):
     n_sym = iterations + nf + len(taps) + 16
     bits = rng.integers(0, 2, size=n_sym * scheme.bits_per_symbol, dtype=np.int8)
     symbols = sigproc.modulate(bits, scheme)
-    received = channels.apply_channel(symbols, np.asarray(taps, complex), stride)
+    received = channels.apply_channel(symbols, np.asarray(taps, float), stride)
     trace, delay = equalize.run_blind(
         received, nf, mu, equalize.dispersion_constant(scheme), variant,
         iterations, truth=symbols, rng=_child(rng), stride=stride)
@@ -189,6 +189,12 @@ def run_cma_convergence(cfg: ScenarioConfig):
     return [("cma_trace", table, plot), ("cma_summary", summary, None)]
 
 
+def _scores(detected: tuple[np.ndarray, np.ndarray], truth: np.ndarray):
+    """(SER, MSE) of a receiver's (soft outputs, decisions) against the truth."""
+    soft, decided = detected
+    return float(np.mean(decided != truth)), float(np.mean(np.abs(soft - truth) ** 2))
+
+
 def run_mud_compare(cfg: ScenarioConfig):
     sec = cfg.section("mud_compare")
     scheme = sigproc.SCHEMES[sec["scheme"]]
@@ -200,7 +206,7 @@ def run_mud_compare(cfg: ScenarioConfig):
         bits = rng.integers(0, 2, size=(n_train + n_sym) * scheme.bits_per_symbol,
                             dtype=np.int8)
         streams.append(sigproc.modulate(bits, scheme))
-    templates = [np.asarray(sec[key], complex) for key in ("template1", "template2")]
+    templates = [np.asarray(sec[key], float) for key in ("template1", "template2")]
     # matched filter: taps are the conjugated user-1 template
     tpl = templates[0]
     energy = np.sum(np.abs(tpl) ** 2)
@@ -215,6 +221,7 @@ def run_mud_compare(cfg: ScenarioConfig):
         streams, templates, ns, sigproc.noise_sigma(sec["ebn0_db"], scheme),
         _child(rng))
     truth = streams[0]
+    del streams  # the interferer's symbols are not read again
     train, payload = truth[:n_train], truth[n_train:]
     payload_rx = composite[n_train * ns :]
 
@@ -222,17 +229,13 @@ def run_mud_compare(cfg: ScenarioConfig):
     ridge_abs = ridge * np.trace(gamma_rr).real / nw
     w_lin = equalize.wiener_solve(gamma_rr, gamma_ar, ridge_abs)
     w_ff, w_fb = equalize.dfe_train(composite, train, nw, nb, ridge_abs, ns)
-    results = [(name, equalize.linear_mud_detect(payload_rx, taps, scheme, n_sym, ns))
-               for name, taps in (("matched", w_mf), ("linear_mud", w_lin))]
+    # each receiver is scored as it is detected, and its outputs dropped
+    rows = [(name, *_scores(equalize.linear_mud_detect(payload_rx, taps, scheme, n_sym, ns),
+                            payload))
+            for name, taps in (("matched", w_mf), ("linear_mud", w_lin))]
     # warm-start the feedback history with the tail of the training block
-    results.append(("dfe_mud", equalize.dfe_detect(
-        payload_rx, w_ff, w_fb, train[n_train - nb:][::-1], scheme, n_sym, ns)))
-
-    rows = []
-    for name, (soft, decided) in results:
-        ser = float(np.mean(decided != payload))
-        mse = float(np.mean(np.abs(soft - payload) ** 2))
-        rows.append((name, ser, mse))
+    rows.append(("dfe_mud", *_scores(equalize.dfe_detect(
+        payload_rx, w_ff, w_fb, train[n_train - nb:][::-1], scheme, n_sym, ns), payload)))
     receiver, ser, mse = map(list, zip(*sorted(rows, key=lambda r: r[1])))
     table = _table(cfg, receiver=receiver, ser=ser, mse=mse)
     return [("mud_compare", table, None)]

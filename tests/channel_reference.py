@@ -14,6 +14,10 @@ fading on and off.  ``draw_streams`` gives the
 seeded from a ``SeedSequence`` child as the references seed theirs.
 ``gbhds_doa`` builds all ``count`` DOA angles at once; ``np.histogram`` over
 them must equal the block-streamed ``gbhds_doa_histogram`` byte for byte.
+``apply_channel`` convolves one product at a time in Python's complex
+arithmetic, in a fixed order; ``bansim.channels.apply_channel`` must equal it
+bit for bit on every host, where ``np.convolve``'s sums follow the OpenBLAS
+core.
 """
 
 import numpy as np
@@ -173,3 +177,15 @@ def gbhds_doa(params: GbhdsParams, count: int, seed) -> np.ndarray:
     x = params.bs_distance_m + r * np.cos(theta)
     y = r * np.sin(theta)
     return np.arctan2(y, x)
+
+
+def apply_channel(signal: np.ndarray, taps: np.ndarray,
+                  samples_per_symbol: int) -> np.ndarray:
+    """The stream, upsampled by zero insertion, convolved with the real taps:
+    output n*samples_per_symbol + k adds taps[k] * signal[n] to 0j, for k
+    ascending."""
+    out = [0j] * (len(signal) * samples_per_symbol + len(taps) - 1)
+    for k, tap in enumerate(taps.tolist()):
+        for n, x in enumerate(signal.tolist()):
+            out[n * samples_per_symbol + k] += tap * x
+    return np.array(out, dtype=complex)

@@ -6,7 +6,7 @@ from scipy import stats
 
 import channel_reference
 from channel_reference import draw_streams
-from bansim import channels
+from bansim import channels, sigproc
 from bansim.harness.config import parse_config
 from bansim.harness.experiments import run_experiment
 
@@ -362,3 +362,29 @@ def test_apply_channel_basics():
     assert np.allclose(channels.apply_channel(np.array([1.0, 2.0], complex),
                                               np.array([1.0, 0.5], complex), 2),
                        [1.0, 0.5, 2.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("sps", [1, 2, 3, 4])
+def test_apply_channel_is_the_fixed_order_sum(sps):
+    rng = np.random.default_rng(sps)
+    for n_taps in range(1, 7):
+        taps = rng.normal(size=n_taps)
+        for size in (0, 1, 37):
+            signal = rng.normal(size=size) + 1j * rng.normal(size=size)
+            got = channels.apply_channel(signal, taps, sps)
+            ref = channel_reference.apply_channel(signal, taps, sps)
+            assert got.tobytes() == ref.tobytes(), (n_taps, size)
+
+
+def test_apply_channel_is_the_fixed_order_sum_on_a_qam16_stream():
+    # a perfbench cma_qam16 stream at seed 1: 30 034 symbols over the 5-tap
+    # reference channel at 3 samples per symbol.  np.convolve's sums differ
+    # from the fixed order in 20 416 of its 90 106 samples where OpenBLAS's
+    # dot fuses multiply-adds (core SkylakeX), in none under Prescott
+    taps = np.array([0.227, 0.460, 0.688, 0.460, 0.227])
+    bits = np.random.default_rng(1).integers(0, 2, size=30_034 * 4, dtype=np.int8)
+    symbols = sigproc.modulate(bits, sigproc.QAM16)
+    got = channels.apply_channel(symbols, taps, 3)
+    ref = channel_reference.apply_channel(symbols, taps, 3)
+    assert got.size == 90_106
+    assert np.count_nonzero(got != ref) == 0

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bansim import channels, equalize, sigproc
+from bansim.harness.config import parse_config
+from bansim.harness.experiments import run_experiment
 from bitstream import random_bits
+import channel_reference
 from kernel_reference import cma_step, derotate_and_delay_reference
 
 REF_CHANNEL = np.array([0.227, 0.460, 0.688, 0.460, 0.227])
@@ -25,18 +30,15 @@ def test_synth_decomposition_identity():
     scheme, ns, seed = sigproc.OQPSK, 2, 3
     streams = [sigproc.modulate(random_bits(200, s), scheme) for s in (1, 2)]
     # unequal lengths: the composite spans the longer contribution
-    templates = [np.array([1.0, 0.5, 0.3], complex),
-                 np.array([0.6, 0.9, 0.2, 0.1], complex)]
+    templates = [np.array([1.0, 0.5, 0.3]), np.array([0.6, 0.9, 0.2, 0.1])]
     sigma = sigproc.noise_sigma(10.0, scheme)
     composite = equalize.synth_multiuser(streams, templates, ns, sigma,
                                          np.random.default_rng(seed))
-    # reference: each user upsampled and convolved on its own, noise drawn
-    # as N(0, sigma) pairs of (real, imaginary)
-    parts = []
-    for sym, tpl in zip(streams, templates):
-        up = np.zeros((sym.size - 1) * ns + 1, dtype=complex)
-        up[::ns] = sym
-        parts.append(np.convolve(up, tpl))
+    # reference: each user upsampled and convolved on its own in a fixed
+    # order, less the ns - 1 zeros after its last symbol, noise drawn as
+    # N(0, sigma) pairs of (real, imaginary)
+    parts = [channel_reference.apply_channel(sym, tpl, ns)[: (sym.size - 1) * ns + tpl.size]
+             for sym, tpl in zip(streams, templates)]
     total = max(p.size for p in parts)
     desired, mui = (np.pad(p, (0, total - p.size)) for p in parts)
     g = np.random.default_rng(seed).normal(0.0, sigma, size=(total, 2))
@@ -144,6 +146,19 @@ def test_linear_mud_and_wiener_mse_unchanged_by_regressor_stacking():
     assert soft.tobytes() == ref.tobytes()
     mse = float(np.mean(np.abs(sym - ref) ** 2))
     assert float(np.mean(np.abs(sym - soft) ** 2)) == mse
+
+
+def test_linear_mud_blocks_equal_one_stacked_copy():
+    # two full blocks of regressor rows and a ragged one, whose last rows
+    # run past the end: each soft output as one stacked copy's product
+    n = 2 * equalize._MUD_BLOCK + 37
+    rng = np.random.default_rng(32)
+    rx = rng.normal(size=2 * n + 3) + 1j * rng.normal(size=2 * n + 3)
+    taps = rng.normal(size=6) + 1j * rng.normal(size=6)
+    soft, decided = equalize.linear_mud_detect(rx, taps, sigproc.OQPSK, n, 2)
+    ref = row_loop_regressors(rx, n, 2, 6) @ taps
+    assert soft.tobytes() == ref.tobytes()
+    assert decided.tobytes() == sigproc.slice_symbols(ref, sigproc.OQPSK).tobytes()
 
 
 def test_dfe_zero_isi_has_negligible_feedback():
@@ -370,3 +385,26 @@ def test_delay_search_scores_at_the_bound(side, later_lower):
     else:
         y[281] += np.sqrt(gap * 280)
     assert assert_search_matches_reference(y, truth, 13) == (13 if later_lower else -7)
+
+
+def test_mud_compare_memory_holds_the_live_arrays():
+    # perfbench's mud_compare shape: 2000 training and 40 000 payload symbols
+    # at 2 samples per symbol.  In units of one complex per payload symbol
+    # (640 kB), what must be live is the composite (2.1) and the desired
+    # user's symbols (1.05), and the DFE's look-ahead on top: its feedforward
+    # outputs as two rails and as complex values, its guessed cells, its two
+    # history rails, its soft outputs and one sweep's four rails (6.5).  The
+    # bound adds a unit's slack; held at once, both receivers' outputs, the
+    # stacked regressor rows or a zero-padded copy of the stream pass it
+    cfg = parse_config("[common]\nseed = 11\n[mud_compare]\nscheme = OQPSK\n"
+                       "ebn0_db = 15\nsymbols = 40000\ntraining = 2000\nns = 2\n"
+                       "nw = 6\nnb = 3\nridge = 1e-9\n", "mud_compare")
+    unit = 40_000 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        [(_, table, _)] = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2.1 + 1.05 + 6.5 + 1) * unit
+    assert [row[0] for row in table.rows] == ["dfe_mud", "linear_mud", "matched"]

@@ -460,6 +460,7 @@ TOPOLOGIES = {
     "shallow_topology": b"[params]\nd_l = -1\n[tree]\n0 1\n",
     "not_utf8_topology": b"[tree]\n0 1\n\xff\n",
     "childless_topology": b"[params]\nn_chl = 0\n[tree]\n0 1\n",
+    "wordy_topology": b"[params]\nn_chl = x\n[tree]\n0 1\n",
     "two_parents_topology": b"[tree]\n0 1\n2 1\n",
     "two_roots_topology": b"[tree]\n0 1\n2 3\n",
     "wide_topology": b"[params]\nn_chl = 1\n[tree]\n0 1\n0 2\n",
@@ -662,12 +663,14 @@ MALFORMED = [
     # block addresses past 64 bits, whose Cskip power would take minutes
     ("broadcast_sim", "[broadcast_sim]\ntopology = {deep_topology}",
      "n_chl 4 and d_l 100000000000"),
-    # [params] values below their least, named on their line in the config
-    # kinds' words
+    # [params] values below their least or no integer, named on their line
+    # in the config kinds' words
     ("broadcast_sim", "[broadcast_sim]\ntopology = {shallow_topology}",
      "topology line 2: [params] d_l must be an integer of at least 0, got '-1'"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {childless_topology}",
      "topology line 2: [params] n_chl must be an integer of at least 1, got '0'"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {wordy_topology}",
+     "topology line 2: [params] n_chl must be an integer of at least 1, got 'x'"),
     # tree shapes that break the Cskip addressing, and lines that are no
     # edge or come before any section
     ("broadcast_sim", "[broadcast_sim]\ntopology = {two_parents_topology}",

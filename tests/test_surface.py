@@ -26,8 +26,9 @@ harness alone turns the config seed into random streams, and the models take
 calls ``default_rng``, ``spawn``, ``SeedSequence``, ``PCG64`` or
 ``Generator``, or imports ``seeding``.  ``seeding`` computes
 ``SeedSequence``'s hash itself, so it builds no ``SeedSequence`` either.
-Each receiver array recipe has one home: ``np.convolve`` is called only in
-``channels`` (``apply_channel``) and ``sliding_window_view`` only in
+No module calls ``np.convolve`` or ``np.correlate``, whose sums follow the
+OpenBLAS core: ``channels.apply_channel`` convolves in a fixed order.
+Regressor rows have one home: ``sliding_window_view`` is called only in
 ``_kernels`` (``frames``).
 What the README names exists: the repo paths it quotes, the ``bansim``
 modules (its module table lists each one), the experiments with their
@@ -461,16 +462,27 @@ def test_seeding_builds_no_seed_sequence():
 
 
 # (callee, the one module that may call it)
-ONE_HOME = [("convolve", "channels"), ("sliding_window_view", "_kernels")]
+ONE_HOME = [("sliding_window_view", "_kernels")]
 
 
 @pytest.mark.parametrize("name,home", ONE_HOME, ids=[name for name, _ in ONE_HOME])
 def test_receiver_array_recipe_has_one_home(name, home):
-    # a second convolution or regressor-row builder would be a second place
-    # to mend when its summation order or its padding changes
+    # a second regressor-row builder would be a second place to mend when
+    # its padding changes
     callers = sorted(_module(path) for path in PACKAGE.rglob("*.py")
                      if _calls(ast.parse(path.read_text(), str(path)), (name,)))
     assert callers == [home], f"{name} called outside {home}: {callers}"
+
+
+def test_no_module_convolves_through_blas():
+    # np.convolve and np.correlate sum each output with BLAS's dot, whose
+    # order follows the OpenBLAS core; apply_channel's polyphase sum has a
+    # fixed order, and a second convolution would not
+    assert _calls(ast.parse("np.convolve(a, b)"), ("convolve",)) == [1]
+    sites = [f"{_module(path)}:{line}" for path in sorted(PACKAGE.rglob("*.py"))
+             for line in _calls(ast.parse(path.read_text(), str(path)),
+                                ("convolve", "correlate"))]
+    assert sites == [], f"BLAS convolutions in bansim: {sites}"
 
 
 def _config_error_sites(tree: ast.AST) -> list[tuple[str, int]]:

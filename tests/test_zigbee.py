@@ -352,10 +352,14 @@ def test_parse_topology_and_event_log():
         zigbee.parse_topology("0 1")  # content outside any section
     # each malformed line is named by its number, not by a raw unpack error
     for bad in ("[tree]\n0 1 2", "[tree]\n0 x", "[radio]\n0", "[params]\nn_chl 2",
-                "[params]\nn_chl = two", "[params]\nn_chl = 2.5",
                 "[params]\nfanout = 2"):
         with pytest.raises(ValueError, match="^topology line 2: expected "):
             zigbee.parse_topology(bad)
+    # a [params] value that is no integer breaks the range rule
+    for value in ("two", "2.5"):
+        with pytest.raises(ValueError, match=r"^topology line 2: \[params\] n_chl must be "
+                           rf"an integer of at least 1, got '{value}'$"):
+            zigbee.parse_topology(f"[params]\nn_chl = {value}")
     with pytest.raises(ValueError, match="^topology line 2: node 0 is linked to itself"):
         zigbee.parse_topology("[tree]\n0 0")
     # a [params] key set twice names both lines, after any header between

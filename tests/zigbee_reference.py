@@ -15,7 +15,7 @@ return the same forward set, coverage and events.
 ``parse_topology_reference`` is ``bansim.zigbee.parse_topology`` as it was
 before edge lines took a path of their own: every line goes through the
 comment strip, the header test and the section checks, a `[params]` key
-set twice or below its least value included.  The parser must return the
+set twice, or to a value that is no integer or below its least, included.  The parser must return the
 same tree and radio graph, or raise the same message.
 """
 
@@ -115,8 +115,7 @@ def parse_topology_reference(text: str):
             if len(parts) != 2 or (section == "params" and parts[0] not in params):
                 raise ValueError
             # a [params] key and its value, or an edge's two nodes
-            a = parts[0] if section == "params" else int(parts[0])
-            b = int(parts[1])
+            a, b = parts if section == "params" else map(int, parts)
         except ValueError:
             raise ValueError(f"topology line {lineno}: expected "
                              f"{_TOPOLOGY_LINE[section]}, got {line!r}") from None
@@ -124,11 +123,15 @@ def parse_topology_reference(text: str):
             if a in set_on:
                 raise ValueError(f"topology line {lineno}: [params] {a} was already "
                                  f"set on line {set_on[a]}")
-            if b < _LEAST[a]:
+            try:
+                value = int(b)
+                if value < _LEAST[a]:
+                    raise ValueError
+            except ValueError:
                 raise ValueError(f"topology line {lineno}: [params] {a} must be an "
-                                 f"integer of at least {_LEAST[a]}, got {parts[1]!r}")
+                                 f"integer of at least {_LEAST[a]}, got {b!r}") from None
             set_on[a] = lineno
-            params[a] = b
+            params[a] = value
             continue
         if a == b:
             raise ValueError(f"topology line {lineno}: node {a} is linked to itself")
