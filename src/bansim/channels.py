@@ -194,18 +194,18 @@ def path_loss_db(d_m, params: PathLossParams, rng: np.random.Generator):
     return loss
 
 
-# samples per block of the DOA histogram: the block np.histogram itself uses,
-# so memory stays flat in count
-_DOA_BLOCK = 1 << 16
+# samples per block of the DOA histogram: the screen holds about six float64
+# arrays of a block at once, so memory stays flat in count
+_DOA_BLOCK = 1 << 14
+# assumption A: numpy's float32 sin and cos of a float32 t in [0, 2pi] err by
+# at most this much (test_float32_trig_meets_the_doa_screen_assumption)
+_TRIG32_ERROR = 2.0**-20
+_U = 2.0**-53  # the unit roundoff of float64
 
 
-def gbhds_block(params: GbhdsParams, n: int, radii: np.random.Generator,
-                angles: np.random.Generator) -> np.ndarray:
-    """DOA angles of the next n scatterers around the mobile, with their
-    radii drawn from one stream and their angles from the other."""
-    r = np.arctanh(radii.uniform(0.0, 1.0, size=n)
-                   * np.tanh(params.a * params.radius_m)) / params.a
-    theta = angles.uniform(0.0, 2.0 * np.pi, size=n)
+def _doa(params: GbhdsParams, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """DOA angles of the scatterers at radii r and angles theta around the
+    mobile: exact from float64 angles, screened from float32 ones."""
     # base station at origin, mobile at (D, 0); scatterer offset from mobile
     return np.arctan2(r * np.sin(theta), params.bs_distance_m + r * np.cos(theta))
 
@@ -214,16 +214,67 @@ def gbhds_doa_histogram(
     params: GbhdsParams, count: int, edges: np.ndarray, radii: np.random.Generator,
     angles: np.random.Generator,
 ) -> np.ndarray:
-    """Unit-mass histogram of count DOA angles, drawn as ``gbhds_block``
-    draws them, over the increasing bin edges ``edges``: the mass per bin."""
-    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    """Unit-mass histogram of count DOA angles over the increasing bin edges
+    ``edges``, the mass per bin; the scatterers' radii are drawn from one
+    stream and their angles from the other.  A bin holds edges[i] <= doa <
+    edges[i + 1], the last one closed, as ``np.histogram`` counts the exact
+    DOAs: those ``_doa`` takes from the float64 angles.
+
+    Each block is screened first: its DOAs are taken from the angles rounded
+    to float32, whose sine and cosine numpy computes more than ten times
+    faster, and a sample whose screened DOA lies more than B from both edges
+    of its bin is counted there.  The rest are recomputed exactly and binned
+    by ``np.histogram``, so the counts do not depend on the float32 trig.
+
+    The bound B, with u = 2**-53, D = bs_distance_m and rmax the larger of
+    radius_m and the block's largest radius, which the float64 artanh of a
+    draw can round past radius_m.  Assume (A) that numpy's float32 sin and
+    cos of a float32 t in [0, 2 pi] err by at most 2**-20.  An angle below
+    2 pi rounds to a float32 within 2 pi 2**-24 of it, and the float64 sin
+    and cos err by less than 2u, so the float32 sine and cosine lie within
+    e = 2**-20 + 2 pi 2**-24 + 2u of the float64 ones.  With their products
+    and sum rounded, each coordinate of a screened point, and of an exact
+    one against the true point, lies within Delta = rmax e + 3u (D + 2 rmax).
+    The true point lies at least D - rmax from the base station at the
+    origin, so the exact one lies at least rho + sqrt2 Delta from it, with
+    rho = D - rmax - 3 sqrt2 Delta as computed: the third sqrt2 Delta, at
+    least 4u D, covers the rounding of rho itself.  The screened point,
+    sqrt2 Delta from the exact one, is then seen from the base station at
+    most arcsin(sqrt2 Delta / (rho + sqrt2 Delta)) <= sqrt2 Delta / rho
+    away in angle.  arctan2 adds its rounding, at most 4 ulps of pi / 2 (2**-50) on
+    each side.  B is twice the sum, which covers the rounding of the
+    screen's own subtractions.  Where rho <= 0, B is infinite: every sample
+    of the block takes the exact pass."""
+    bins = edges.size - 1
+    # cell c of the screen is [cells[c], cells[c + 1]): bin c - 1, or the
+    # outside of the edges for c = 0 and c = bins + 1
+    cells = np.concatenate(([-np.inf], edges, [np.inf]))
+    lower, upper = cells[:-1], cells[1:]
+    span = edges[-1] - edges[0]
+    e = _TRIG32_ERROR + 2 * np.pi * 2.0**-24 + 2 * _U
+    counts = np.zeros(bins + 2, dtype=np.intp)  # per cell
     for start in range(0, count, _DOA_BLOCK):
-        doa = gbhds_block(params, min(_DOA_BLOCK, count - start), radii, angles)
-        # binned against the edge array, which sorts the block: the bins of
-        # the range form (edges[i] <= x < edges[i + 1], the last one closed)
-        # in about half its time
-        counts += np.histogram(doa, edges)[0]
-    return counts / count
+        n = min(_DOA_BLOCK, count - start)
+        r = np.arctanh(radii.uniform(0.0, 1.0, size=n)
+                       * np.tanh(params.a * params.radius_m)) / params.a
+        theta = angles.uniform(0.0, 2.0 * np.pi, size=n)
+        rmax = max(params.radius_m, float(r.max()))
+        delta = rmax * e + 3 * _U * (params.bs_distance_m + 2 * rmax)
+        rho = params.bs_distance_m - rmax - 3 * np.sqrt(2) * delta
+        bound = 2 * (np.sqrt(2) * delta / rho + 2.0**-49) if rho > 0 else np.inf
+        doa = _doa(params, r, theta.astype(np.float32))
+        # the cell as if the edges were even; a wrong guess fails the test
+        # below, so uneven edges cost time, never a count.  Dividing by the
+        # span first cannot overflow where bins / span would: a DOA range of
+        # subnormal width runs
+        c = np.clip((doa - edges[0]) / span * bins, -1.0, bins).astype(np.intp) + 1
+        safe = (doa - lower[c] > bound) & (upper[c] - doa > bound)
+        counts += np.bincount(c[safe], minlength=bins + 2)
+        # the next block's screen is built without this one's
+        del doa, c
+        exact = ~safe
+        counts[1:-1] += np.histogram(_doa(params, r[exact], theta[exact]), edges)[0]
+    return counts[1:-1] / count
 
 
 def apply_channel(signal: np.ndarray, taps: np.ndarray,

@@ -256,7 +256,11 @@ def parse_topology(text: str):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
+            # a header names its section as a config's does, case and all
+            section = line[1:-1].strip()
+            if section not in _TOPOLOGY_LINE:
+                raise ValueError(f"topology line {lineno}: unknown section [{section}]; "
+                                 f"known: {list(_TOPOLOGY_LINE)}")
             continue
         if section not in _TOPOLOGY_LINE:
             raise ValueError(f"topology line {lineno}: content outside a known section")

@@ -151,8 +151,10 @@ RUNS = [
     }),
     # paths no shipped config runs: la_sim with shadowing and more rounds
     # than its failure window, a one-bin DOA histogram (a flat plot in x and
-    # y), and broadcast_sim on a seed of two 32-bit words over a topology
-    # whose edge lines end in comments
+    # y), a DOA histogram whose base station lies so close to the scatterer
+    # disc that the screen's bound is infinite and every sample takes the
+    # exact pass, and broadcast_sim on a seed of two 32-bit words over a
+    # topology whose edge lines end in comments
     Run("la_shadowed", "la_sim",
         "[common]\nseed = 7\n[la_sim]\nrounds = 40\nwindow = 8\nsigma_db = 4.0\n", {
         "la_trace.csv": "3d3c24dd184e899eaa8f448e12a32d6f88eba250e3f99aaea9e4c413597c62f7",
@@ -161,6 +163,12 @@ RUNS = [
         "[common]\nseed = 2\n[doa_hist]\ncount = 1000\nbins = 1\n", {
         "doa_hist.csv": "a3f6d41be9c290f7d79eb90afd4eebc35c7d878fc4de5726a8f1aa42147b9be6",
         "doa_hist.svg": "8876ff2d6a44ac8964e22b8807fc7e92804d7cb61583dd35bfe7d93ea98d6333",
+    }),
+    Run("doa_beside_the_disc", "doa_hist",
+        "[common]\nseed = 5\n[doa_hist]\ncount = 50000\nbins = 61\na = 0.05\n"
+        "bs_distance_m = 100.0001\n", {
+        "doa_hist.csv": "240de3e1a064cdbe3ca376fb37483879549227467a61ab7716741eeb4ee5c601",
+        "doa_hist.svg": "9a1a01a5cfde169faaf3cf71faaae2e70771c076cdd2b3a523c52e61909be48c",
     }),
     Run("broadcast_two_word_seed", "broadcast_sim",
         "[common]\nseed = 4294967296\n[broadcast_sim]\n"

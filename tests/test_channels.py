@@ -271,12 +271,16 @@ def test_path_loss_anchor_and_log_distance():
 
 def test_gbhds_sampler_range_and_doa_bound():
     p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
-    doa = channels.gbhds_block(p, 10_000, *channel_reference.gbhds_streams(10_000, 17))
-    # the model's angles are the reference's, drawn from these radii
+    doa = channel_reference.gbhds_doa(p, 10_000, 17)
     r = channel_reference.sample_gbhds(p, 10_000, 17)[:, 0]
-    assert doa.tobytes() == channel_reference.gbhds_doa(p, 10_000, 17).tobytes()
     assert np.all((r >= 0) & (r <= p.radius_m))
-    assert np.max(np.abs(doa)) <= np.arcsin(p.radius_m / p.bs_distance_m) + 1e-12
+    lim = np.arcsin(p.radius_m / p.bs_distance_m)
+    assert np.max(np.abs(doa)) <= lim + 1e-12
+    # the model counts the reference's angles, drawn from these radii
+    edges = np.linspace(-lim, lim, 62)
+    masses = channels.gbhds_doa_histogram(
+        p, 10_000, edges, *channel_reference.gbhds_streams(10_000, 17))
+    assert masses.tobytes() == (np.histogram(doa, edges)[0] / 10_000).tobytes()
 
 
 def test_gbhds_doa_histogram_symmetric():
@@ -293,22 +297,38 @@ def test_gbhds_doa_histogram_symmetric():
         assert abs(left - right) <= 3 * stderr + 3 / count
 
 
+# the shipped geometry with its bin counts, then geometries that stress the
+# screen: D just above R, where every sample of a full block takes the exact
+# pass; a tiny a, whose scatterers spread over the disc and the DOAs over
+# every bin; 10 000 bins; a disc of radius 1e6 m; and a DOA range of
+# subnormal width, ~1e-310 rad
+DOA_GEOMETRIES = [
+    (channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0), (1, 61)),
+    (channels.GbhdsParams(a=0.05, radius_m=100.0, bs_distance_m=100.0001), (61,)),
+    (channels.GbhdsParams(a=1e-9, radius_m=100.0, bs_distance_m=1000.0), (61,)),
+    (channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0), (10_000,)),
+    (channels.GbhdsParams(a=1e-6, radius_m=1e6, bs_distance_m=1.5e6), (61,)),
+    (channels.GbhdsParams(a=0.5, radius_m=1e-300, bs_distance_m=1e10), (61,)),
+]
+
+
 @pytest.mark.parametrize("seed", [4, 99])
-@pytest.mark.parametrize("count", [1, 7, 65_535, 65_536, 65_537, 100_003, 1_000_000])
+@pytest.mark.parametrize("count", [1, 7, 16_383, 16_384, 16_385, 65_535, 65_536, 65_537,
+                                   100_003, 1_000_000])
 def test_gbhds_doa_histogram_equals_the_full_array_histogram(count, seed):
-    # the histogram streams in blocks of 2**16 samples; the counts sit on and
+    # the histogram streams in blocks of 2**14 samples; the counts sit on and
     # around the block edges
-    p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
-    doa = channel_reference.gbhds_doa(p, count, seed)
-    lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
-    for bins in (1, 61):
-        masses, edges = np.histogram(doa, bins, range=(-lim, lim))
-        # the runner's edges are the bytes of the range form's
-        got_edges = np.linspace(-lim, lim, bins + 1)
-        got_masses = channels.gbhds_doa_histogram(
-            p, count, got_edges, *channel_reference.gbhds_streams(count, seed))
-        assert got_edges.tobytes() == edges.tobytes()
-        assert got_masses.tobytes() == (masses / count).tobytes()
+    for p, bin_counts in DOA_GEOMETRIES:
+        doa = channel_reference.gbhds_doa(p, count, seed)
+        lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
+        for bins in bin_counts:
+            masses, edges = np.histogram(doa, bins, range=(-lim, lim))
+            # the runner's edges are the bytes of the range form's
+            got_edges = np.linspace(-lim, lim, bins + 1)
+            got_masses = channels.gbhds_doa_histogram(
+                p, count, got_edges, *channel_reference.gbhds_streams(count, seed))
+            assert got_edges.tobytes() == edges.tobytes()
+            assert got_masses.tobytes() == (masses / count).tobytes()
 
 
 @pytest.mark.parametrize("bins", [1, 2, 7, 61])
@@ -329,9 +349,31 @@ def test_doa_binning_against_edges_equals_the_range_form(bins):
     assert by_edges.sum() == samples.size - 2
 
 
+def test_float32_trig_meets_the_doa_screen_assumption():
+    # the DOA screen's bound assumes numpy's float32 sin and cos of a float32
+    # t in [0, 2 pi] err by at most channels._TRIG32_ERROR (2**-20): against
+    # float64 trig of the same t, on a dense grid, the multiples of pi / 2 and
+    # the float32 neighbours of 2 pi, they keep within half of it.  A numpy
+    # whose float32 trig is worse fails here instead of miscounting
+    two_pi = np.float32(2 * np.pi)
+    t = np.concatenate([np.linspace(0.0, 2 * np.pi, 1 << 20).astype(np.float32),
+                        (np.arange(5) * (np.pi / 2)).astype(np.float32),
+                        [np.nextafter(two_pi, np.float32(0)), two_pi,
+                         np.nextafter(two_pi, np.float32(8))]])
+    assert t.dtype == np.float32 and t.max() > 2 * np.pi
+    for trig in (np.sin, np.cos):
+        err = np.abs(trig(t).astype(float) - trig(t.astype(float)))
+        assert err.max() <= channels._TRIG32_ERROR / 2
+
+
 def test_gbhds_doa_histogram_memory_is_flat_in_count():
-    # all 2e6 DOA angles at once take ~76 MB; the stream holds a few blocks
+    # all 2e6 DOA angles at once take ~76 MB.  In units of one block of
+    # float64 (128 KiB), what must be live is the block's radii and angles
+    # (2), its screened DOAs and their cells (2) and the two temporaries of
+    # the edge test (2).  The bound adds a unit's slack, which holds the
+    # screen's masks; a second block's screen held at once passes it
     p = channels.GbhdsParams(a=0.5, radius_m=100.0, bs_distance_m=1000.0)
+    unit = channels._DOA_BLOCK * np.dtype(float).itemsize
     count, bins, seed = 2_000_000, 61, 8
     lim = float(np.arcsin(p.radius_m / p.bs_distance_m))
     edges = np.linspace(-lim, lim, bins + 1)
@@ -342,7 +384,7 @@ def test_gbhds_doa_histogram_memory_is_flat_in_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < (2 + 2 + 2 + 1) * unit
     ref_masses, ref_edges = np.histogram(channel_reference.gbhds_doa(p, count, seed),
                                          bins, range=(-lim, lim))
     assert edges.tobytes() == ref_edges.tobytes()

@@ -467,6 +467,8 @@ TOPOLOGIES = {
     "full_depth_topology": b"[params]\nd_l = 1\n[tree]\n0 1\n1 2\n",
     "word_edge_topology": b"[tree]\nzero one\n",
     "headless_topology": b"0 1\n[tree]\n0 1\n",
+    "upper_topology": b"[PARAMS]\nd_l = 3\n[tree]\n0 1\n",
+    "radios_topology": b"[tree]\n0 1\n[radios]\n",
 }
 
 # one malformed setting per probe, each under `[common] seed = 1`; the last
@@ -685,6 +687,14 @@ MALFORMED = [
      "broadcast_sim: topology line 2: expected two integer node keys, got 'zero one'"),
     ("broadcast_sim", "[broadcast_sim]\ntopology = {headless_topology}",
      "broadcast_sim: topology line 1: content outside a known section"),
+    # a header names a known section in its case, as a config's does, even
+    # with no line under it
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {upper_topology}",
+     "broadcast_sim: topology line 1: unknown section [PARAMS]; "
+     "known: ['params', 'tree', 'radio']"),
+    ("broadcast_sim", "[broadcast_sim]\ntopology = {radios_topology}",
+     "broadcast_sim: topology line 3: unknown section [radios]; "
+     "known: ['params', 'tree', 'radio']"),
     ("broadcast_sim", "[broadcast_sim]\ntrials = 2",
      "config must set `topology` in the [broadcast_sim] section"),
     # counts the models take unchecked: the schema rejects them first

@@ -365,7 +365,14 @@ def test_parse_topology_and_event_log():
     # a [params] key set twice names both lines, after any header between
     with pytest.raises(ValueError, match=r"^topology line 4: \[params\] n_chl was "
                        r"already set on line 2$"):
-        zigbee.parse_topology("[params]\nn_chl = 2\n[ PARAMS ]\nn_chl = 2\n[tree]\n0 1")
+        zigbee.parse_topology("[params]\nn_chl = 2\n[ params ]\nn_chl = 2\n[tree]\n0 1")
+    # a header names a known section in its case, as a config's does, even
+    # with no line under it
+    for header in ("[PARAMS]", "[ Tree ]", "[radios]"):
+        with pytest.raises(ValueError, match=rf"^topology line 2: unknown section "
+                           rf"\[{header[1:-1].strip()}\]; known: \['params', 'tree', "
+                           rf"'radio'\]$"):
+            zigbee.parse_topology(f"[tree]\n{header}\n")
 
 
 @st.composite
@@ -401,10 +408,10 @@ def topology_texts(draw):
     slack = draw(st.integers(-1, 1))  # -1: too wide or too deep a tree
     params = [f"n_chl = {max(kids) + slack}", f"d_l={max(max(depth), 1) + slack}"]
     sections = [
-        section(draw(st.sampled_from(["[params]", "[ Params ]"])), params),
-        section(draw(st.sampled_from(["[tree]", "[TREE]", "[ tree ]\t# spanning"])),
+        section(draw(st.sampled_from(["[params]", "[ params ]", "[ Params ]"])), params),
+        section(draw(st.sampled_from(["[tree]", "[ tree ]\t# spanning", "[TREE]"])),
                 [edge(keys[p], keys[i]) for i, p in enumerate(parents, 1)]),
-        section(draw(st.sampled_from(["[radio]", "[ Radio ]", "[bogus]"])),
+        section(draw(st.sampled_from(["[radio]", "[ radio ]", "[bogus]"])),
                 [edge(a, b) for a, b in radio_edges]),
     ]
     lines = [line for sec in draw(st.permutations(sections)) for line in sec]

@@ -14,7 +14,8 @@ return the same forward set, coverage and events.
 
 ``parse_topology_reference`` is ``bansim.zigbee.parse_topology`` as it was
 before edge lines took a path of their own: every line goes through the
-comment strip, the header test and the section checks, a `[params]` key
+comment strip, the header test (a header names a known section, in its
+case) and the section checks, a `[params]` key
 set twice, or to a value that is no integer or below its least, included.  The parser must return the
 same tree and radio graph, or raise the same message.
 """
@@ -106,7 +107,11 @@ def parse_topology_reference(text: str):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
+            # a header names its section as a config's does, case and all
+            section = line[1:-1].strip()
+            if section not in _TOPOLOGY_LINE:
+                raise ValueError(f"topology line {lineno}: unknown section [{section}]; "
+                                 f"known: {list(_TOPOLOGY_LINE)}")
             continue
         if section not in _TOPOLOGY_LINE:
             raise ValueError(f"topology line {lineno}: content outside a known section")
